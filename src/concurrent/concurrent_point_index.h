@@ -3,8 +3,8 @@
 // CuckooMap), behind the library-wide
 // index::ConcurrentWritablePointIndex contract.
 //
-// Same version architecture as the range side
-// (concurrent_writable_index.h), specialized to keyed records:
+// Same version architecture as the range side (the shared core in
+// concurrent/versioned.h), specialized to keyed records:
 //
 //   State = { base records + built Base map   (shared with older versions)
 //           , frozen overlay                  (sorted, one entry per key,
@@ -57,20 +57,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <numeric>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/timer.h"
-#include "concurrent/epoch.h"
+#include "concurrent/versioned.h"
 #include "hash/record.h"
 #include "index/concurrent_point_index.h"
 #include "index/concurrent_writable_index.h"
@@ -167,21 +163,21 @@ class ConcurrentPointIndex {
   /// into a fresh base table. Blocks the caller only; readers stay
   /// lock-free.
   Status Rebuild() {
-    return impl_ ? impl_->Rebuild()
+    return impl_ ? impl_->worker_.RunSync()
                  : Status::FailedPrecondition(
                        "ConcurrentPointIndex: not built");
   }
   /// Asynchronous rebuild trigger; coalesces with a pending request.
   void RequestRebuild() {
-    if (impl_ != nullptr) impl_->RequestRebuild();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   /// Blocks until no rebuild is pending or running (the quiesce point).
   void WaitForRebuilds() {
-    if (impl_ != nullptr) impl_->WaitForRebuilds();
+    if (impl_ != nullptr) impl_->worker_.WaitIdle();
   }
   /// Outcome of the most recent background rebuild cycle.
   Status last_rebuild_status() const {
-    return impl_ ? impl_->last_rebuild_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   const Config& config() const {
@@ -202,13 +198,13 @@ class ConcurrentPointIndex {
   };
 
   struct State {
+    explicit State(size_t log_cap) : log(log_cap) {}
     std::shared_ptr<const std::vector<hash::Record>> base_records;
     std::shared_ptr<const Base> base;  // built over *base_records
     std::vector<OvEntry> frozen;       // sorted by key, one entry per key
-    std::unique_ptr<OvEntry[]> log;
-    size_t log_cap = 0;
-    std::atomic<uint32_t> log_count{0};
+    AppendLog<OvEntry> log;
   };
+  using Cell = VersionedCell<State>;
 
   struct alignas(64) ReadStripe {
     std::atomic<uint64_t> lookups{0};
@@ -217,18 +213,6 @@ class ConcurrentPointIndex {
   static constexpr size_t kStripes = 16;
 
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        shutdown_ = true;
-      }
-      rebuild_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);
-      // epoch_ frees everything still on its retired list.
-    }
-
     Status Build(std::span<const hash::Record> records, const Config& config) {
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
@@ -260,13 +244,8 @@ class ConcurrentPointIndex {
       }
       live_count_.store(static_cast<int64_t>(br->size()),
                         std::memory_order_relaxed);
-      State* s = new State;
-      s->base_records = std::move(br);
-      s->base = std::move(base);
-      s->log = std::make_unique<OvEntry[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      cell_.Init(NewState(std::move(br), std::move(base), {}));
+      worker_.Start([this](bool*) { return DoBackgroundRebuild(); });
       return Status::OK();
     }
 
@@ -275,11 +254,8 @@ class ConcurrentPointIndex {
     bool Find(uint64_t key, hash::Record* out) const {
       ReadStripe& stripe = Stripe();
       stripe.lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const int ov = OverlayFind(*s, n, key, out);
+      const auto s = cell_.Pin();
+      const int ov = OverlayFind(*s, s->log.count(), key, out);
       if (ov >= 0) {
         stripe.overlay_hits.fetch_add(1, std::memory_order_relaxed);
         return ov == 1;
@@ -296,13 +272,8 @@ class ConcurrentPointIndex {
       const size_t m = std::min({keys.size(), recs.size(), found.size()});
       ReadStripe& stripe = Stripe();
       stripe.lookups.fetch_add(m, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) {
-        for (size_t i = 0; i < m; ++i) found[i] = 0;
-        return;
-      }
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      const auto s = cell_.Pin();
+      const uint32_t n = s->log.count();
       const bool base_has_records = s->base->num_records() > 0;
       // Blocked: the base's native batch path (the SIMD slot kernels)
       // resolves each block, then the overlay patches the keys it
@@ -340,30 +311,20 @@ class ConcurrentPointIndex {
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return 0;
+      const auto s = cell_.Pin();
       return s->base->SizeBytes() +
              s->base_records->size() * sizeof(hash::Record) +
-             s->frozen.size() * sizeof(OvEntry) +
-             s->log_cap * sizeof(OvEntry);
+             s->frozen.size() * sizeof(OvEntry) + s->log.SizeBytes();
     }
 
-    index::PointIndexStats Stats() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      return s != nullptr ? s->base->Stats() : index::PointIndexStats{};
-    }
+    index::PointIndexStats Stats() const { return cell_.Pin()->base->Stats(); }
 
     index::ConcurrentIndexStats ConcurrentStats() const {
       index::ConcurrentIndexStats cs;
-      uint64_t lookups = 0, hits = 0;
       for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        hits += r.overlay_hits.load(std::memory_order_relaxed);
+        cs.lookups += r.lookups.load(std::memory_order_relaxed);
+        cs.delta_hits += r.overlay_hits.load(std::memory_order_relaxed);
       }
-      cs.lookups = lookups;
-      cs.delta_hits = hits;
       cs.inserts = inserts_.load(std::memory_order_relaxed);
       cs.erases = erases_.load(std::memory_order_relaxed);
       cs.merges = rebuilds_.load(std::memory_order_relaxed);
@@ -374,59 +335,33 @@ class ConcurrentPointIndex {
       cs.total_merge_ns = static_cast<double>(
           total_rebuild_ns_.load(std::memory_order_relaxed));
       cs.freezes = freezes_.load(std::memory_order_relaxed);
-      cs.writer_contended =
-          writer_contended_.load(std::memory_order_relaxed);
-      cs.states_published =
-          states_published_.load(std::memory_order_relaxed);
-      cs.states_retired = epoch_.retired_count();
-      cs.states_reclaimed = epoch_.reclaimed_count();
-      cs.epoch_fallback_pins = epoch_.fallback_pins();
-      {
-        EpochManager::Guard g(epoch_);
-        const State* s = state_.load(std::memory_order_seq_cst);
-        if (s != nullptr) {
-          const uint32_t n = s->log_count.load(std::memory_order_acquire);
-          cs.log_entries = n;
-          cs.delta_entries = s->frozen.size() + n;
-          cs.delta_bytes = (s->frozen.size() + s->log_cap) * sizeof(OvEntry);
-          cs.base_keys = s->base_records->size();
-        }
-      }
-      cs.shards = 1;
+      cell_.AddStats(cs);
+      const auto s = cell_.Pin();
+      const uint32_t n = s->log.count();
+      cs.log_entries = n;
+      cs.delta_entries = s->frozen.size() + n;
+      cs.delta_bytes = s->frozen.size() * sizeof(OvEntry) + s->log.SizeBytes();
+      cs.base_keys = s->base_records->size();
       return cs;
     }
 
     // ---- write path ----
 
     bool Write(const hash::Record& rec, WriteKind kind) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      State* s = state_.load(std::memory_order_relaxed);
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      const bool live = LiveLocked(*s, n, rec.key);
+      typename Cell::Writer w(cell_, /*count_contention=*/true);
+      State* s = w.get();
+      hash::Record tmp;
+      const int ov = OverlayFind(*s, s->log.count_locked(), rec.key, &tmp);
+      const bool live = ov >= 0 ? ov == 1 : s->base->Find(rec.key) != nullptr;
       // No-op writes return without consuming log space: a first-wins
       // insert of a live key, or the erase of an absent one.
-      if (kind == WriteKind::kInsert && live) {
-        DrainDeferredFrees(lk);
+      if (live ? kind == WriteKind::kInsert : kind == WriteKind::kErase) {
         return false;
       }
-      if (kind == WriteKind::kErase && !live) {
-        DrainDeferredFrees(lk);
-        return false;
-      }
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
-      }
-      OvEntry& e = s->log[n];
-      e.rec = rec;
-      e.seq = ++seq_last_;
-      e.tombstone = kind == WriteKind::kErase;
-      s->log_count.store(n + 1, std::memory_order_release);
-      if (e.tombstone) {
+      if (s->log.full_locked()) s = FreezeLocked(w, *s);
+      const bool tombstone = kind == WriteKind::kErase;
+      s->log.Append(OvEntry{rec, ++seq_last_, tombstone});
+      if (tombstone) {
         live_count_.fetch_add(-1, std::memory_order_relaxed);
         erases_.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -434,48 +369,24 @@ class ConcurrentPointIndex {
         inserts_.fetch_add(1, std::memory_order_relaxed);
       }
       if (config_.rebuild_entries != 0 &&
-          s->frozen.size() + n + 1 >= config_.rebuild_entries) {
-        RequestRebuild();
+          s->frozen.size() + s->log.count_locked() >=
+              config_.rebuild_entries) {
+        worker_.Request();
       }
-      const bool changed = e.tombstone ? true : !live;
-      DrainDeferredFrees(lk);  // heavy frees happen outside the lock
-      return changed;
-    }
-
-    // ---- rebuild control ----
-
-    void RequestRebuild() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        rebuild_requested_ = true;
-      }
-      rebuild_cv_.notify_one();
-    }
-
-    Status Rebuild() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_requested_ = true;
-      rebuild_cv_.notify_one();
-      const uint64_t start = rebuild_cycles_;
-      rebuild_done_cv_.wait(lk, [&] {
-        return rebuild_cycles_ > start && !rebuild_requested_ &&
-               !rebuild_running_;
-      });
-      return last_rebuild_status_;
-    }
-
-    void WaitForRebuilds() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_done_cv_.wait(
-          lk, [&] { return !rebuild_requested_ && !rebuild_running_; });
-    }
-
-    Status last_rebuild_status() const {
-      std::lock_guard<std::mutex> lk(rebuild_mu_);
-      return last_rebuild_status_;
+      return tombstone || !live;
     }
 
     // ---- internals ----
+
+    State* NewState(std::shared_ptr<const std::vector<hash::Record>> records,
+                    std::shared_ptr<const Base> base,
+                    std::vector<OvEntry> frozen) const {
+      State* s = new State(config_.log_cap);
+      s->base_records = std::move(records);
+      s->base = std::move(base);
+      s->frozen = std::move(frozen);
+      return s;
+    }
 
     ReadStripe& Stripe() const {
       return read_stripes_[ThisThreadIndex() % kStripes];
@@ -484,101 +395,56 @@ class ConcurrentPointIndex {
     /// Overlay verdict for `key`: 1 = live (record copied into *out),
     /// 0 = tombstoned, -1 = not in the overlay (consult the base).
     /// Newest-first: log suffix before frozen.
-    int OverlayFind(const State& s, uint32_t n, uint64_t key,
-                    hash::Record* out) const {
-      const OvEntry* log = s.log.get();
-      for (uint32_t i = n; i-- > 0;) {  // newest write wins
-        if (log[i].rec.key == key) {
-          if (log[i].tombstone) return 0;
-          *out = log[i].rec;
-          return 1;
-        }
+    static int OverlayFind(const State& s, uint32_t n, uint64_t key,
+                           hash::Record* out) {
+      const OvEntry* e = s.log.FindNewest(
+          n, [&](const OvEntry& le) { return le.rec.key == key; });
+      if (e == nullptr) {
+        const auto it = std::lower_bound(
+            s.frozen.begin(), s.frozen.end(), key,
+            [](const OvEntry& fe, uint64_t k) { return fe.rec.key < k; });
+        if (it == s.frozen.end() || it->rec.key != key) return -1;
+        e = &*it;
       }
-      const auto it = std::lower_bound(
-          s.frozen.begin(), s.frozen.end(), key,
-          [](const OvEntry& e, uint64_t k) { return e.rec.key < k; });
-      if (it != s.frozen.end() && it->rec.key == key) {
-        if (it->tombstone) return 0;
-        *out = it->rec;
-        return 1;
-      }
-      return -1;
-    }
-
-    /// Liveness of `key` under the writer mutex (no guard needed: only
-    /// writers swap state, and we hold the writer mutex).
-    bool LiveLocked(const State& s, uint32_t n, uint64_t key) const {
-      hash::Record tmp;
-      const int ov = OverlayFind(s, n, key, &tmp);
-      if (ov >= 0) return ov == 1;
-      return s.base->Find(key) != nullptr;
+      if (e->tombstone) return 0;
+      *out = e->rec;
+      return 1;
     }
 
     /// Newest-wins fold of `s.frozen` + `s.log[0..n)` into one sorted
-    /// entry list. Log order is sequence order, so "last index in the
-    /// group" is the newest write per key.
-    std::vector<OvEntry> FoldedOverlay(const State& s, uint32_t n) const {
-      const OvEntry* log = s.log.get();
-      std::vector<uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        if (log[a].rec.key != log[b].rec.key) {
-          return log[a].rec.key < log[b].rec.key;
-        }
-        return a < b;
-      });
+    /// entry list. Log order is sequence order, so the newest write per
+    /// key always shadows its frozen entry.
+    static std::vector<OvEntry> FoldedOverlay(const State& s, uint32_t n) {
       std::vector<OvEntry> out;
       out.reserve(s.frozen.size() + n);
-      size_t oi = 0;
-      auto emit_group = [&] {
-        const uint64_t k = log[order[oi]].rec.key;
-        size_t gend = oi;
-        while (gend < order.size() && log[order[gend]].rec.key == k) ++gend;
-        out.push_back(log[order[gend - 1]]);  // newest per key
-        oi = gend;
-      };
-      for (const OvEntry& fe : s.frozen) {
-        while (oi < order.size() && log[order[oi]].rec.key < fe.rec.key) {
-          emit_group();
-        }
-        if (oi < order.size() && log[order[oi]].rec.key == fe.rec.key) {
-          emit_group();  // log shadows frozen (always the newer sequence)
-        } else {
-          out.push_back(fe);
-        }
-      }
-      while (oi < order.size()) emit_group();
+      auto key_of = [](const OvEntry& e) { return e.rec.key; };
+      FoldNewest(
+          WritesByKey<uint64_t>(s.log, n, key_of),
+          [&](auto&& fn) {
+            for (const OvEntry& fe : s.frozen) {
+              if (!fn(fe)) return;
+            }
+          },
+          key_of,
+          [&](const OvEntry& fe) {
+            out.push_back(fe);
+            return true;
+          },
+          [&](const KeyWrites<uint64_t>& w, const OvEntry*) {
+            out.push_back(s.log[w.newest]);
+            return true;
+          });
       return out;
     }
 
     /// Folds the full write log into the frozen overlay and publishes the
-    /// result as a new version (same base). Caller holds the writer
-    /// mutex. Returns the published version.
-    State* FreezeLocked(State* s, uint32_t n) {
-      State* ns = new State;
-      ns->base_records = s->base_records;
-      ns->base = s->base;
-      ns->frozen = FoldedOverlay(*s, n);
-      ns->log = std::make_unique<OvEntry[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
+    /// result as a new version (same base). Returns the new version.
+    State* FreezeLocked(typename Cell::Writer& w, const State& s) {
+      State* ns = NewState(s.base_records, s.base,
+                           FoldedOverlay(s, s.log.count_locked()));
+      w.Publish(ns);
       freezes_.fetch_add(1, std::memory_order_relaxed);
       return ns;
-    }
-
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
     }
 
     typename Base::config_type ScaledBaseConfig(size_t num_records) const {
@@ -626,18 +492,13 @@ class ConcurrentPointIndex {
       {
         // Phase 1 — rotate: fold any pending log so the overlay to bake
         // in is an immutable snapshot (O(overlay), brief).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
-        if (s->frozen.empty()) {
-          DrainDeferredFrees(lk);
-          return Status::OK();
-        }
+        typename Cell::Writer w(cell_);
+        State* s = w.get();
+        if (s->log.count_locked() > 0) s = FreezeLocked(w, *s);
+        if (s->frozen.empty()) return Status::OK();
         snapshot = s->frozen;
         old_records = s->base_records;
         snapshot_seq = seq_last_;
-        DrainDeferredFrees(lk);
       }
       // Phase 2 — build off to the side: no locks, readers undisturbed.
       // Kick-chains, probe placement, model training — everything runs
@@ -668,26 +529,16 @@ class ConcurrentPointIndex {
       {
         // Phase 3 — publish: keep only overlay entries written after the
         // snapshot (the new table reflects everything at or before it).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        std::vector<OvEntry> folded = FoldedOverlay(*s, n);
+        typename Cell::Writer w(cell_);
+        const State& s = *w.get();
         std::vector<OvEntry> rebased;
-        rebased.reserve(folded.size());
-        for (const OvEntry& e : folded) {
+        for (const OvEntry& e : FoldedOverlay(s, s.log.count_locked())) {
           if (e.seq > snapshot_seq) rebased.push_back(e);
         }
-        State* ns = new State;
-        ns->base_records = std::move(merged);
-        ns->base = std::move(new_base);
-        ns->frozen = std::move(rebased);
-        ns->log = std::make_unique<OvEntry[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        merged_records_.fetch_add(ns->base_records->size(),
-                                  std::memory_order_relaxed);
-        PublishLocked(ns, s);
+        merged_records_.fetch_add(merged->size(), std::memory_order_relaxed);
+        w.Publish(NewState(std::move(merged), std::move(new_base),
+                           std::move(rebased)));
         rebuilds_.fetch_add(1, std::memory_order_relaxed);
-        DrainDeferredFrees(lk);
       }
       const uint64_t ns_elapsed =
           static_cast<uint64_t>(timer.ElapsedNanos());
@@ -696,44 +547,11 @@ class ConcurrentPointIndex {
       return Status::OK();
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      for (;;) {
-        rebuild_cv_.wait(lk, [&] { return rebuild_requested_ || shutdown_; });
-        if (shutdown_) return;  // pending work dropped; overlay stays valid
-        rebuild_requested_ = false;
-        rebuild_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundRebuild();
-        lk.lock();
-        rebuild_running_ = false;
-        last_rebuild_status_ = st;
-        ++rebuild_cycles_;
-        rebuild_done_cv_.notify_all();
-      }
-    }
-
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    Cell cell_;
     std::atomic<int64_t> live_count_{0};
     double slots_per_record_ = 0.0;  // 0 = base auto-sizes its table
     uint64_t seq_last_ = 0;          // writer-mutex holders only
-    // Reclaimed-but-not-freed versions (mutated under write_mu_ only;
-    // drained outside it).
-    std::vector<EpochManager::Retired> deferred_free_;
-
-    // Rebuild worker machinery.
-    std::thread worker_;
-    mutable std::mutex rebuild_mu_;
-    std::condition_variable rebuild_cv_;
-    std::condition_variable rebuild_done_cv_;
-    bool rebuild_requested_ = false;
-    bool rebuild_running_ = false;
-    bool shutdown_ = false;
-    uint64_t rebuild_cycles_ = 0;
-    Status last_rebuild_status_{};
 
     // Counters. Read stripes keep reader increments off one shared line.
     mutable ReadStripe read_stripes_[kStripes];
@@ -742,10 +560,11 @@ class ConcurrentPointIndex {
     std::atomic<uint64_t> rebuilds_{0};
     std::atomic<uint64_t> merged_records_{0};
     std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_rebuild_ns_{0};
     std::atomic<uint64_t> total_rebuild_ns_{0};
+
+    // Declared last: stops before the state its cycles touch.
+    BackgroundWorker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

@@ -2,7 +2,8 @@
 // Appendix-D.1 delta architecture, behind the library-wide
 // index::ConcurrentWritableRangeIndex contract.
 //
-// Published state is an immutable *version*:
+// Published state is an immutable *version* (the version cell, write log
+// and background worker are the shared core in concurrent/versioned.h):
 //
 //   State = { base keys + built Base index   (shared with older versions)
 //           , frozen delta                   (sorted runs + rank prefix sums)
@@ -54,23 +55,21 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <numeric>
+#include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/timer.h"
-#include "concurrent/epoch.h"
+#include "concurrent/versioned.h"
 #include "dynamic/delta_buffer.h"
 #include "dynamic/merge_policy.h"
 #include "index/approx.h"
@@ -79,6 +78,7 @@
 #include "index/snapshottable.h"
 #include "index/writable_range_index.h"
 #include "snapshot/snapshot.h"
+#include "wal/index_wal.h"
 #include "wal/wal.h"
 
 namespace li::concurrent {
@@ -157,21 +157,21 @@ class ConcurrentWritableIndex {
   /// Synchronous merge cycle: folds everything written before the call
   /// into the base. Blocks the caller only; readers stay lock-free.
   Status Merge() {
-    return impl_ ? impl_->Merge()
+    return impl_ ? impl_->worker_.RunSync()
                  : Status::FailedPrecondition(
                        "ConcurrentWritableIndex: not built");
   }
   /// Asynchronous merge trigger; coalesces with a pending request.
   void RequestMerge() {
-    if (impl_ != nullptr) impl_->RequestMerge();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   /// Blocks until no merge is pending or running (the quiesce point).
   void WaitForMerges() {
-    if (impl_ != nullptr) impl_->WaitForMerges();
+    if (impl_ != nullptr) impl_->worker_.WaitIdle();
   }
   /// Outcome of the most recent background merge cycle.
   Status last_merge_status() const {
-    return impl_ ? impl_->last_merge_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   // ---- Durability (index::DurableIndex; docs/DURABILITY.md) ----
@@ -279,6 +279,8 @@ class ConcurrentWritableIndex {
   static_assert(std::is_trivially_copyable_v<dynamic::MergePolicy>,
                 "MergePolicy is persisted verbatim in snapshots");
 
+  using DeltaEntry = dynamic::DeltaEntry<key_type>;
+
   struct LogEntry {
     key_type key{};
     int8_t net = 0;           // liveness delta of this write: -1 / 0 / +1
@@ -286,18 +288,16 @@ class ConcurrentWritableIndex {
     bool live_before = false; // key was live immediately before this write
   };
 
-  /// One immutable published version. Only `log[log_count..)` and
-  /// `log_count` itself ever change after publication, and only under the
-  /// writer mutex; everything a reader dereferences is behind the
-  /// release-store of `log_count` or was published with the version.
+  /// One immutable published version. Only the log tail changes after
+  /// publication, and only under the writer mutex.
   struct State {
+    explicit State(size_t log_cap) : log(log_cap) {}
     std::shared_ptr<const std::vector<key_type>> base_keys;
     std::shared_ptr<const Base> base;  // spans *base_keys
     dynamic::DeltaBuffer<key_type> frozen;
-    std::unique_ptr<LogEntry[]> log;
-    size_t log_cap = 0;
-    std::atomic<uint32_t> log_count{0};
+    AppendLog<LogEntry> log;
   };
+  using Cell = VersionedCell<State>;
 
   struct alignas(64) ReadStripe {
     std::atomic<uint64_t> lookups{0};
@@ -307,18 +307,6 @@ class ConcurrentWritableIndex {
   static constexpr size_t kStripes = 16;
 
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(merge_mu_);
-        shutdown_ = true;
-      }
-      merge_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);  // collected but not yet freed
-      // epoch_ frees everything still on its retired list.
-    }
-
     Status Build(std::span<const key_type> keys, const Config& config) {
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
@@ -327,15 +315,9 @@ class ConcurrentWritableIndex {
       auto base = std::make_shared<Base>();
       LI_RETURN_IF_ERROR(
           base->Build(std::span<const key_type>(*bk), config_.base));
-      State* s = new State;
-      s->base_keys = std::move(bk);
-      s->base = std::move(base);
-      s->log = std::make_unique<LogEntry[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
       live_count_.store(static_cast<int64_t>(keys.size()),
                         std::memory_order_relaxed);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      Start(NewState(std::move(bk), std::move(base), {}));
       return Status::OK();
     }
 
@@ -343,43 +325,32 @@ class ConcurrentWritableIndex {
 
     size_t Lookup(const key_type& key) const {
       Stripe().lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return 0;
-      return RawLookupIn(*s, s->log_count.load(std::memory_order_acquire),
-                         key);
+      const auto s = cell_.Pin();
+      return RawLookupIn(*s, s->log.count(), key);
     }
 
     index::Approx ApproxPos(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return index::Approx{};
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const size_t pos = RawLookupIn(*s, n, key);
-      return index::Approx::Exact(pos, LiveCountIn(*s, n));
+      const auto s = cell_.Pin();
+      const uint32_t n = s->log.count();
+      return index::Approx::Exact(RawLookupIn(*s, n, key),
+                                  LiveCountIn(*s, n));
     }
 
     void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const {
       const size_t m = std::min(keys.size(), out.size());
       Stripe().lookups.fetch_add(m, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) {
-        for (size_t i = 0; i < m; ++i) out[i] = 0;
-        return;
-      }
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      const auto s = cell_.Pin();
+      const uint32_t n = s->log.count();
       // Base ranks through the base's native batch path (the RMI software
       // pipeline), then the delta adjustment per key — with an empty
       // delta this runs at base batch throughput.
       index::LookupBatch(*s->base, keys, out);
       if (s->frozen.empty() && n == 0) return;
-      const LogEntry* log = s->log.get();
       for (size_t i = 0; i < m; ++i) {
         int64_t adj = s->frozen.RankAdjustBelow(keys[i]);
         for (uint32_t j = 0; j < n; ++j) {
-          if (log[j].key < keys[i]) adj += log[j].net;
+          if (s->log[j].key < keys[i]) adj += s->log[j].net;
         }
         out[i] = static_cast<size_t>(static_cast<int64_t>(out[i]) + adj);
       }
@@ -389,16 +360,10 @@ class ConcurrentWritableIndex {
       ReadStripe& st = Stripe();
       st.lookups.fetch_add(1, std::memory_order_relaxed);
       st.contains.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const LogEntry* log = s->log.get();
-      for (uint32_t i = n; i-- > 0;) {  // newest write wins
-        if (log[i].key == key) {
-          st.delta_hits.fetch_add(1, std::memory_order_relaxed);
-          return !log[i].tombstone;
-        }
+      const auto s = cell_.Pin();
+      if (const LogEntry* e = NewestWrite(*s, s->log.count(), key)) {
+        st.delta_hits.fetch_add(1, std::memory_order_relaxed);
+        return !e->tombstone;
       }
       if (const auto e = s->frozen.Find(key)) {
         st.delta_hits.fetch_add(1, std::memory_order_relaxed);
@@ -410,68 +375,34 @@ class ConcurrentWritableIndex {
     std::vector<key_type> Scan(const key_type& from, size_t limit) const {
       std::vector<key_type> out;
       if (limit == 0) return out;
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return out;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const LogEntry* log = s->log.get();
-      // Newest-wins, sorted view of the log entries with key >= from.
-      std::vector<std::pair<key_type, uint32_t>> lv;
-      lv.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (!(log[i].key < from)) lv.emplace_back(log[i].key, i);
-      }
-      std::sort(lv.begin(), lv.end());
-      size_t w = 0;
-      for (size_t i = 0; i < lv.size(); ++i) {
-        if (i + 1 < lv.size() && lv[i + 1].first == lv[i].first) continue;
-        lv[w++] = lv[i];  // last (newest) entry per key survives
-      }
-      lv.resize(w);
-      // Streamed three-way merge — base array vs frozen delta vs log
-      // view, newest source shadowing equal keys (log > frozen > base),
-      // tombstones cancelling base keys as the frontier passes them.
-      // Every delta entry up to the stop point is visited (never skipped
-      // on a size heuristic: a run of base-key tombstones contributes no
-      // output yet must keep cancelling), and the visit stops as soon as
-      // the window fills — O(limit + delta-entries-before-stop) work.
+      const auto s = cell_.Pin();
+      // Streamed three-way merge — base array vs frozen delta vs the
+      // log's newest write per key, newest source shadowing equal keys
+      // (log > frozen > base), tombstones cancelling base keys as the
+      // frontier passes them. Every delta entry up to the stop point is
+      // visited (never skipped on a size heuristic: a run of base-key
+      // tombstones contributes no output yet must keep cancelling), and
+      // the visit stops as soon as the window fills — O(limit +
+      // delta-entries-before-stop) work.
       const std::vector<key_type>& bk = *s->base_keys;
       size_t bi = s->base->Lookup(from);
-      size_t li = 0;
-      bool done = false;
       auto emit = [&](const key_type& k, bool tombstone) {
         while (bi < bk.size() && bk[bi] < k && out.size() < limit) {
           out.push_back(bk[bi++]);
         }
-        if (out.size() >= limit) {
-          done = true;
-          return;
-        }
+        if (out.size() >= limit) return false;
         if (bi < bk.size() && bk[bi] == k) ++bi;  // shadowed base copy
         if (!tombstone) out.push_back(k);
-        done = out.size() >= limit;
+        return out.size() < limit;
       };
-      s->frozen.VisitFrom(from, [&](const dynamic::DeltaEntry<key_type>& fe) {
-        while (li < lv.size() && lv[li].first < fe.key && !done) {
-          const LogEntry& e = log[lv[li].second];
-          emit(e.key, e.tombstone);
-          ++li;
-        }
-        if (done) return false;
-        if (li < lv.size() && lv[li].first == fe.key) {
-          const LogEntry& e = log[lv[li].second];
-          emit(e.key, e.tombstone);  // log shadows frozen
-          ++li;
-        } else {
-          emit(fe.key, fe.tombstone);
-        }
-        return !done;
-      });
-      while (li < lv.size() && !done) {
-        const LogEntry& e = log[lv[li].second];
-        emit(e.key, e.tombstone);
-        ++li;
-      }
+      auto key_of = [](const auto& e) -> const key_type& { return e.key; };
+      FoldNewest(
+          WritesByKey(s->log, s->log.count(), key_of, &from),
+          [&](auto&& fn) { s->frozen.VisitFrom(from, fn); }, key_of,
+          [&](const DeltaEntry& fe) { return emit(fe.key, fe.tombstone); },
+          [&](const KeyWrites<key_type>& w, const DeltaEntry*) {
+            return emit(w.key, s->log[w.newest].tombstone);
+          });
       while (bi < bk.size() && out.size() < limit) out.push_back(bk[bi++]);
       return out;
     }
@@ -482,84 +413,42 @@ class ConcurrentWritableIndex {
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return 0;
+      const auto s = cell_.Pin();
       return s->base->SizeBytes() + s->frozen.SizeBytes() +
-             s->log_cap * sizeof(LogEntry);
+             s->log.SizeBytes();
     }
 
     // ---- write path ----
 
     bool Write(const key_type& key, bool tombstone) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
+      typename Cell::Writer w(cell_, /*count_contention=*/true);
       // Log-then-apply: the WAL append happens under the writer mutex
       // before the in-memory log-entry publish, so WAL order == LSN
       // order == acknowledgement order, and a crash after the append
       // but before the publish at worst replays a write the caller was
       // never acked for (safe: replay goes through this same path).
-      WalAppendLocked(key, tombstone);
-      State* s = state_.load(std::memory_order_relaxed);
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
+      if constexpr (kDurabilityCapable) {
+        wal_.Append(tombstone ? wal::WalRecordType::kErase
+                              : wal::WalRecordType::kInsert,
+                    &key, sizeof(key));
       }
+      State* s = w.get();
+      if (s->log.full_locked()) s = FreezeLocked(w, *s);
+      const uint32_t n = s->log.count_locked();
       const bool live_before = LiveLocked(*s, n, key);
-      LogEntry& e = s->log[n];
-      e.key = key;
-      e.tombstone = tombstone;
-      e.live_before = live_before;
-      e.net = static_cast<int8_t>((tombstone ? 0 : 1) - (live_before ? 1 : 0));
-      s->log_count.store(n + 1, std::memory_order_release);
-      live_count_.fetch_add(e.net, std::memory_order_relaxed);
+      const int8_t net =
+          static_cast<int8_t>((tombstone ? 0 : 1) - (live_before ? 1 : 0));
+      s->log.Append(LogEntry{key, net, tombstone, live_before});
+      live_count_.fetch_add(net, std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
       ++writes_since_merge_;
       const size_t delta_entries = s->frozen.entry_count() + n + 1;
       if (dynamic::ShouldMerge(config_.policy, delta_entries,
                                s->base_keys->size(), writes_since_merge_,
                                ReadsSinceMerge())) {
-        RequestMerge();
+        worker_.Request();
       }
-      const bool changed = tombstone ? live_before : !live_before;
-      DrainDeferredFrees(lk);  // heavy frees happen outside the lock
-      return changed;
-    }
-
-    // ---- merge control ----
-
-    void RequestMerge() {
-      {
-        std::lock_guard<std::mutex> lk(merge_mu_);
-        merge_requested_ = true;
-      }
-      merge_cv_.notify_one();
-    }
-
-    Status Merge() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      merge_requested_ = true;
-      merge_cv_.notify_one();
-      const uint64_t start = merge_cycles_;
-      merge_done_cv_.wait(lk, [&] {
-        return merge_cycles_ > start && !merge_requested_ && !merge_running_;
-      });
-      return last_merge_status_;
-    }
-
-    void WaitForMerges() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      merge_done_cv_.wait(lk,
-                          [&] { return !merge_requested_ && !merge_running_; });
-    }
-
-    Status last_merge_status() const {
-      std::lock_guard<std::mutex> lk(merge_mu_);
-      return last_merge_status_;
+      return tombstone ? live_before : !live_before;
     }
 
     // ---- persistence ----
@@ -576,40 +465,31 @@ class ConcurrentWritableIndex {
         // fold only; readers are undisturbed.
         std::shared_ptr<const std::vector<key_type>> keys;
         std::shared_ptr<const Base> base;
-        std::vector<dynamic::DeltaEntry<key_type>> folded;
+        std::vector<DeltaEntry> folded;
         SnapshotCfg cfg;
-        wal::WalSnapshotMeta wal_meta;
-        bool durable = false;
+        std::optional<wal::WalSnapshotMeta> wal_meta;
         {
-          std::lock_guard<std::mutex> lk(write_mu_);
-          const State* s = state_.load(std::memory_order_relaxed);
-          if (s == nullptr) {
-            return Status::FailedPrecondition(
-                "ConcurrentWritableIndex: not built");
-          }
-          const uint32_t n = s->log_count.load(std::memory_order_relaxed);
+          typename Cell::Writer w(cell_);
+          const State& s = *w.get();
           // Redundancy drop is legal here regardless of a pending rebase:
           // the snapshot pairs the fold with this *same* captured base.
-          folded = FoldedEntries(*s, n, /*drop_redundant=*/true);
-          keys = s->base_keys;
-          base = s->base;
+          folded = FoldedEntries(s, s.log.count_locked(),
+                                 /*drop_redundant=*/true);
+          keys = s.base_keys;
+          base = s.base;
           cfg.policy = config_.policy;
           cfg.log_cap = config_.log_cap;
-          if (wal_ != nullptr) {
-            // Every record up to last_lsn is reflected in this capture
-            // (appends serialize on the same mutex), so the snapshot
-            // covers it and truncation behind it is safe after publish.
-            wal_meta.covered_lsn = wal_->stats().last_lsn;
-            snapshot_covered_lsn_ = wal_meta.covered_lsn;
-            durable = true;
-          }
+          // Every record so far is reflected in this capture (appends
+          // serialize on the same mutex), so the snapshot covers it and
+          // truncation behind it is safe after publish.
+          wal_meta = wal_.CaptureCovered();
         }
         // Serialization outside the lock: every captured piece is
         // immutable and shared_ptr-pinned (a concurrent merge may retire
         // the version, not free these).
         LI_RETURN_IF_ERROR(writer.AddPod(prefix + "cfg", cfg));
-        if (durable) {
-          LI_RETURN_IF_ERROR(writer.AddPod(prefix + "wal", wal_meta));
+        if (wal_meta) {
+          LI_RETURN_IF_ERROR(writer.AddPod(prefix + "wal", *wal_meta));
         }
         LI_RETURN_IF_ERROR(
             writer.AddArray(prefix + "keys", std::span<const key_type>(*keys),
@@ -620,7 +500,7 @@ class ConcurrentWritableIndex {
         std::vector<uint8_t> dmeta;
         dkeys.reserve(folded.size());
         dmeta.reserve(folded.size());
-        for (const dynamic::DeltaEntry<key_type>& e : folded) {
+        for (const DeltaEntry& e : folded) {
           dkeys.push_back(e.key);
           dmeta.push_back(static_cast<uint8_t>((e.tombstone ? 1 : 0) |
                                                (e.in_base ? 2 : 0)));
@@ -662,7 +542,7 @@ class ConcurrentWritableIndex {
         auto base = std::make_shared<Base>();
         LI_RETURN_IF_ERROR(base->LoadSections(
             reader, prefix + "base/", std::span<const key_type>(*bk)));
-        std::vector<dynamic::DeltaEntry<key_type>> entries;
+        std::vector<DeltaEntry> entries;
         entries.reserve(dkeys.value().size());
         for (size_t i = 0; i < dkeys.value().size(); ++i) {
           const uint8_t m = dmeta.value()[i];
@@ -670,18 +550,10 @@ class ConcurrentWritableIndex {
             return Status::InvalidArgument(
                 "ConcurrentWritableIndex snapshot delta flags are corrupt");
           }
-          entries.push_back(dynamic::DeltaEntry<key_type>{
-              dkeys.value()[i], (m & 1) != 0, (m & 2) != 0});
+          entries.push_back(
+              DeltaEntry{dkeys.value()[i], (m & 1) != 0, (m & 2) != 0});
         }
-        wal::WalSnapshotMeta wal_meta;  // absent in pre-durability snaps
-        const Status wal_st = reader.GetPod(prefix + "wal", &wal_meta);
-        if (wal_st.ok()) {
-          covered_lsn_ = wal_meta.covered_lsn;
-        } else if (wal_st.code() == StatusCode::kNotFound) {
-          covered_lsn_ = 0;
-        } else {
-          return wal_st;
-        }
+        LI_RETURN_IF_ERROR(wal_.LoadCovered(reader, prefix));
         config_.policy = cfg.policy;
         config_.log_cap = std::max<size_t>(cfg.log_cap, 2);
         if constexpr (requires {
@@ -691,39 +563,24 @@ class ConcurrentWritableIndex {
                       }) {
           config_.base = base->config();
         }
-        State* s = new State;
-        s->base_keys = std::move(bk);
-        s->base = std::move(base);
-        s->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
-            std::span<const dynamic::DeltaEntry<key_type>>(entries), 2);
-        s->log = std::make_unique<LogEntry[]>(config_.log_cap);
-        s->log_cap = config_.log_cap;
-        const int64_t live = static_cast<int64_t>(s->base_keys->size()) +
-                             s->frozen.LiveAdjustTotal();
-        state_.store(s, std::memory_order_seq_cst);
-        live_count_.store(live, std::memory_order_relaxed);
-        worker_ = std::thread([this] { WorkerLoop(); });
+        State* s = NewState(std::move(bk), std::move(base), entries);
+        live_count_.store(static_cast<int64_t>(s->base_keys->size()) +
+                              s->frozen.LiveAdjustTotal(),
+                          std::memory_order_relaxed);
+        Start(s);
         return Status::OK();
       }
     }
 
-    // ---- durability ----
+    // ---- durability (wal_ is guarded by the writer mutex) ----
 
     Status EnableDurability(const wal::DurabilityConfig& cfg) {
       if constexpr (!kDurabilityCapable) {
         return Status::Unimplemented(
             "ConcurrentWritableIndex durability needs a flat key type");
       } else {
-        std::lock_guard<std::mutex> lk(write_mu_);
-        if (wal_ != nullptr) {
-          return Status::FailedPrecondition("durability already enabled");
-        }
-        auto w = wal::WalWriter::Create(cfg.path, covered_lsn_,
-                                        sizeof(key_type), cfg);
-        if (!w.ok()) return w.status();
-        wal_ = std::make_unique<wal::WalWriter>(w.take());
-        wal_status_ = Status::OK();
-        return Status::OK();
+        std::lock_guard<std::mutex> lk(cell_.mutex());
+        return wal_.Enable(cfg, sizeof(key_type));
       }
     }
 
@@ -732,88 +589,43 @@ class ConcurrentWritableIndex {
         return Status::Unimplemented(
             "ConcurrentWritableIndex durability needs a flat key type");
       } else {
-        {
-          std::lock_guard<std::mutex> lk(write_mu_);
-          if (wal_ != nullptr) {
-            return Status::FailedPrecondition("durability already enabled");
-          }
-        }
-        const uint64_t covered = covered_lsn_;
-        // Replay through the normal write path (no wal_ attached yet, so
+        // Replay through the normal write path (no log attached yet, so
         // nothing re-logs); recovery is single-threaded by contract.
-        auto replay = wal::Replay(
-            cfg.path,
-            [&](wal::WalRecordType type, uint64_t lsn, const void* payload,
-                size_t len) -> Status {
-              if (len != sizeof(key_type)) {
-                return Status::InvalidArgument("WAL record size mismatch");
-              }
-              if (lsn <= covered) return Status::OK();
+        return wal_.Recover(
+            cfg, sizeof(key_type),
+            [&](wal::WalRecordType type, const void* payload) {
               key_type k;
               std::memcpy(&k, payload, sizeof(k));
               Write(k, type == wal::WalRecordType::kErase);
-              return Status::OK();
-            });
-        if (!replay.ok()) {
-          if (replay.status().code() == StatusCode::kNotFound) {
-            return EnableDurability(cfg);  // no log yet: start one
-          }
-          return replay.status();
-        }
-        if (replay.value().base_lsn > covered) {
-          return Status::InvalidArgument(
-              "WAL gap: log starts past the snapshot's covered LSN");
-        }
-        auto w = wal::WalWriter::Open(cfg.path, cfg, nullptr);
-        if (!w.ok()) return w.status();
-        std::lock_guard<std::mutex> lk(write_mu_);
-        wal_ = std::make_unique<wal::WalWriter>(w.take());
-        wal_status_ = Status::OK();
-        if (wal_->stats().last_lsn < covered) {
-          // Stale log older than the snapshot: rotate so LSNs cannot
-          // regress below the watermark.
-          LI_RETURN_IF_ERROR(wal_->ResetTo(covered));
-        }
-        covered_lsn_ = wal_->stats().last_lsn;
-        return Status::OK();
-      }
-    }
-
-    void WalAppendLocked(const key_type& key, bool tombstone) {
-      if (wal_ == nullptr) return;
-      if constexpr (kDurabilityCapable) {
-        auto r = wal_->Append(tombstone ? wal::WalRecordType::kErase
-                                        : wal::WalRecordType::kInsert,
-                              &key, sizeof(key));
-        if (!r.ok()) wal_status_ = r.status();
+            },
+            &cell_.mutex());
       }
     }
 
     Status TruncateWalAfterPublish() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
-      if (wal_ == nullptr) return Status::OK();
       // Under the writer mutex no append can race the rotation scan.
-      return wal_->ResetTo(snapshot_covered_lsn_);
+      std::lock_guard<std::mutex> lk(cell_.mutex());
+      return wal_.TruncateAfterPublish();
     }
 
     bool durable() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
-      return wal_ != nullptr;
+      std::lock_guard<std::mutex> lk(cell_.mutex());
+      return wal_.attached();
     }
 
     Status wal_status() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
-      return wal_status_;
+      std::lock_guard<std::mutex> lk(cell_.mutex());
+      return wal_.status();
     }
 
     wal::WalStats DurabilityStats() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
-      return wal_ != nullptr ? wal_->stats() : wal::WalStats{};
+      std::lock_guard<std::mutex> lk(cell_.mutex());
+      return wal_.stats();
     }
 
     Status SyncWal() {
-      std::lock_guard<std::mutex> lk(write_mu_);
-      return wal_ != nullptr ? wal_->Sync() : Status::OK();
+      std::lock_guard<std::mutex> lk(cell_.mutex());
+      return wal_.Sync();
     }
 
     // ---- stats ----
@@ -827,22 +639,27 @@ class ConcurrentWritableIndex {
           FillStats<index::ConcurrentIndexStats>();
       s.freezes = freezes_.load(std::memory_order_relaxed);
       s.background_merges = s.merges;
-      s.writer_contended = writer_contended_.load(std::memory_order_relaxed);
-      s.states_published = states_published_.load(std::memory_order_relaxed);
-      s.states_retired = epoch_.retired_count();
-      s.states_reclaimed = epoch_.reclaimed_count();
-      s.epoch_fallback_pins = epoch_.fallback_pins();
-      {
-        EpochManager::Guard g(epoch_);
-        const State* st = state_.load(std::memory_order_seq_cst);
-        s.log_entries =
-            st ? st->log_count.load(std::memory_order_acquire) : 0;
-      }
-      s.shards = 1;
+      cell_.AddStats(s);
+      s.log_entries = cell_.Pin()->log.count();
       return s;
     }
 
     // ---- internals ----
+
+    void Start(State* first) {
+      cell_.Init(first);
+      worker_.Start([this](bool*) { return DoBackgroundMerge(); });
+    }
+
+    State* NewState(std::shared_ptr<const std::vector<key_type>> keys,
+                    std::shared_ptr<const Base> base,
+                    std::span<const DeltaEntry> frozen) const {
+      State* s = new State(config_.log_cap);
+      s->base_keys = std::move(keys);
+      s->base = std::move(base);
+      s->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(frozen, 2);
+      return s;
+    }
 
     ReadStripe& Stripe() const {
       return read_stripes_[ThisThreadIndex() % kStripes];
@@ -860,13 +677,18 @@ class ConcurrentWritableIndex {
       return ReadTotal() - reads_baseline_.load(std::memory_order_relaxed);
     }
 
+    static const LogEntry* NewestWrite(const State& s, uint32_t n,
+                                       const key_type& key) {
+      return s.log.FindNewest(n,
+                              [&](const LogEntry& e) { return e.key == key; });
+    }
+
     size_t RawLookupIn(const State& s, uint32_t n,
                        const key_type& key) const {
       int64_t rank = static_cast<int64_t>(s.base->Lookup(key)) +
                      s.frozen.RankAdjustBelow(key);
-      const LogEntry* log = s.log.get();
       for (uint32_t i = 0; i < n; ++i) {
-        if (log[i].key < key) rank += log[i].net;
+        if (s.log[i].key < key) rank += s.log[i].net;
       }
       return rank > 0 ? static_cast<size_t>(rank) : 0;
     }
@@ -874,8 +696,7 @@ class ConcurrentWritableIndex {
     size_t LiveCountIn(const State& s, uint32_t n) const {
       int64_t c = static_cast<int64_t>(s.base_keys->size()) +
                   s.frozen.LiveAdjustTotal();
-      const LogEntry* log = s.log.get();
-      for (uint32_t i = 0; i < n; ++i) c += log[i].net;
+      for (uint32_t i = 0; i < n; ++i) c += s.log[i].net;
       return c > 0 ? static_cast<size_t>(c) : 0;
     }
 
@@ -884,13 +705,10 @@ class ConcurrentWritableIndex {
           *s.base, std::span<const key_type>(*s.base_keys), key);
     }
 
-    /// Liveness of `key` under the writer mutex (no guard needed: only
+    /// Liveness of `key` under the writer mutex (no pin needed: only
     /// writers swap state, and we hold the writer mutex).
     bool LiveLocked(const State& s, uint32_t n, const key_type& key) const {
-      const LogEntry* log = s.log.get();
-      for (uint32_t i = n; i-- > 0;) {
-        if (log[i].key == key) return !log[i].tombstone;
-      }
+      if (const LogEntry* e = NewestWrite(s, n, key)) return !e->tombstone;
       if (const auto e = s.frozen.Find(key)) return !e->tombstone;
       return BaseContainsIn(s, key);
     }
@@ -900,54 +718,36 @@ class ConcurrentWritableIndex {
     /// `drop_redundant`, entries whose final state matches the base
     /// (re-insert of a base key, erase of an absent key) are dropped —
     /// valid only when the result is paired with the *same* base.
-    std::vector<dynamic::DeltaEntry<key_type>> FoldedEntries(
-        const State& s, uint32_t n, bool drop_redundant) const {
-      const LogEntry* log = s.log.get();
-      std::vector<uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        if (log[a].key < log[b].key) return true;
-        if (log[b].key < log[a].key) return false;
-        return a < b;
-      });
-      std::vector<dynamic::DeltaEntry<key_type>> out;
+    std::vector<DeltaEntry> FoldedEntries(const State& s, uint32_t n,
+                                          bool drop_redundant) const {
+      std::vector<DeltaEntry> out;
       out.reserve(s.frozen.entry_count() + n);
-      size_t oi = 0;
-      auto emit_group = [&](const dynamic::DeltaEntry<key_type>* shadowed) {
-        const key_type& k = log[order[oi]].key;
-        const LogEntry& first = log[order[oi]];
-        size_t gend = oi;
-        while (gend < order.size() && log[order[gend]].key == k) ++gend;
-        const LogEntry& last = log[order[gend - 1]];
-        // in_base: the shadowed frozen entry knows it; otherwise the first
-        // log write's prior liveness *is* base membership (no frozen or
-        // log predecessor existed).
-        const bool in_base =
-            shadowed != nullptr ? shadowed->in_base : first.live_before;
-        if (!drop_redundant || last.tombstone == in_base) {
-          out.push_back(
-              dynamic::DeltaEntry<key_type>{k, last.tombstone, in_base});
-        }
-        oi = gend;
-      };
-      s.frozen.VisitAll([&](const dynamic::DeltaEntry<key_type>& fe) {
-        while (oi < order.size() && log[order[oi]].key < fe.key) {
-          emit_group(nullptr);
-        }
-        if (oi < order.size() && log[order[oi]].key == fe.key) {
-          emit_group(&fe);
-        } else {
-          out.push_back(fe);
-        }
-        return true;
-      });
-      while (oi < order.size()) emit_group(nullptr);
+      auto key_of = [](const auto& e) -> const key_type& { return e.key; };
+      FoldNewest(
+          WritesByKey<key_type>(s.log, n, key_of),
+          [&](auto&& fn) { s.frozen.VisitAll(fn); }, key_of,
+          [&](const DeltaEntry& fe) {
+            out.push_back(fe);
+            return true;
+          },
+          [&](const KeyWrites<key_type>& w, const DeltaEntry* shadowed) {
+            // in_base: the shadowed frozen entry knows it; otherwise the
+            // oldest log write's prior liveness *is* base membership (no
+            // frozen or log predecessor existed).
+            const bool in_base = shadowed != nullptr
+                                     ? shadowed->in_base
+                                     : s.log[w.oldest].live_before;
+            const bool tombstone = s.log[w.newest].tombstone;
+            if (!drop_redundant || tombstone == in_base) {
+              out.push_back(DeltaEntry{w.key, tombstone, in_base});
+            }
+            return true;
+          });
       return out;
     }
 
     /// Folds the full write log into the frozen delta and publishes the
-    /// result as a new version (same base). Caller holds the writer
-    /// mutex. Returns the published version.
+    /// result as a new version (same base). Returns the new version.
     ///
     /// The redundancy drop is only legal while no merge is in flight:
     /// dropping an entry whose final state matches the *current* base
@@ -957,42 +757,14 @@ class ConcurrentWritableIndex {
     /// base right now. With a rebase pending, every entry is kept
     /// (contribution-0 entries are semantically inert) and the publish
     /// step filters against the new base instead.
-    State* FreezeLocked(State* s, uint32_t n) {
-      auto folded =
-          FoldedEntries(*s, n, /*drop_redundant=*/!merge_rebase_pending_);
-      State* ns = new State;
-      ns->base_keys = s->base_keys;
-      ns->base = s->base;
-      ns->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
-          std::span<const dynamic::DeltaEntry<key_type>>(folded), 2);
-      ns->log = std::make_unique<LogEntry[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
+    State* FreezeLocked(typename Cell::Writer& w, const State& s) {
+      State* ns = NewState(
+          s.base_keys, s.base,
+          FoldedEntries(s, s.log.count_locked(),
+                        /*drop_redundant=*/!merge_rebase_pending_));
+      w.Publish(ns);
       freezes_.fetch_add(1, std::memory_order_relaxed);
       return ns;
-    }
-
-    /// Swaps the version in and retires the old one. Reclaimable
-    /// versions are only *collected* here (we hold the writer mutex);
-    /// their destructors — the old base's key array and model tables —
-    /// run in DrainDeferredFrees after the caller unlocks, so no writer
-    /// ever pays a multi-megabyte free inside the lock.
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    /// Runs deferred version destructions outside the writer mutex.
-    /// `lk` must be the caller's held writer lock; released before the
-    /// deleters run (callers are done with shared state by then).
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
     }
 
     /// One background merge cycle (the worker's body).
@@ -1003,21 +775,16 @@ class ConcurrentWritableIndex {
       {
         // Phase 1 — rotate: fold any pending log so the delta to merge is
         // an immutable snapshot, then copy it out (O(delta), brief).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
-        if (s->frozen.empty()) {
-          DrainDeferredFrees(lk);
-          return Status::OK();
-        }
+        typename Cell::Writer w(cell_);
+        State* s = w.get();
+        if (s->log.count_locked() > 0) s = FreezeLocked(w, *s);
+        if (s->frozen.empty()) return Status::OK();
         frozen_copy = s->frozen;
         old_keys = s->base_keys;
         // From here until publish, freezes must keep every fold entry:
         // the snapshot just taken is being baked into the next base, so
         // "redundant vs the old base" no longer implies droppable.
         merge_rebase_pending_ = true;
-        DrainDeferredFrees(lk);
       }
       // Phase 2 — build off to the side: no locks, readers undisturbed.
       auto merged = std::make_shared<std::vector<key_type>>(
@@ -1027,42 +794,31 @@ class ConcurrentWritableIndex {
       if (const Status st = new_base->Build(
               std::span<const key_type>(*merged), config_.base);
           !st.ok()) {
-        std::lock_guard<std::mutex> lk(write_mu_);
+        typename Cell::Writer w(cell_);
         merge_rebase_pending_ = false;  // old base stays; drops legal again
         return st;
       }
       {
         // Phase 3 — publish: rebase the delta that accumulated during the
         // build onto the new base, swap the version in, retire the old.
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        auto folded = FoldedEntries(*s, n, /*drop_redundant=*/false);
-        std::vector<dynamic::DeltaEntry<key_type>> rebased;
-        rebased.reserve(folded.size());
-        for (const dynamic::DeltaEntry<key_type>& e : folded) {
+        typename Cell::Writer w(cell_);
+        const State& s = *w.get();
+        std::vector<DeltaEntry> rebased;
+        for (const DeltaEntry& e :
+             FoldedEntries(s, s.log.count_locked(), /*drop_redundant=*/false)) {
           const bool in_nb =
               std::binary_search(merged->begin(), merged->end(), e.key);
           // Keep only entries the new base does not already reflect.
           if (e.tombstone == in_nb) {
-            rebased.push_back(
-                dynamic::DeltaEntry<key_type>{e.key, e.tombstone, in_nb});
+            rebased.push_back(DeltaEntry{e.key, e.tombstone, in_nb});
           }
         }
-        State* ns = new State;
-        ns->base_keys = merged;
-        ns->base = std::move(new_base);
-        ns->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
-            std::span<const dynamic::DeltaEntry<key_type>>(rebased), 2);
-        ns->log = std::make_unique<LogEntry[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        PublishLocked(ns, s);
+        w.Publish(NewState(merged, std::move(new_base), rebased));
         merge_rebase_pending_ = false;
         merges_.fetch_add(1, std::memory_order_relaxed);
         merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
         writes_since_merge_ = 0;
         reads_baseline_.store(ReadTotal(), std::memory_order_relaxed);
-        DrainDeferredFrees(lk);
       }
       const uint64_t ns_elapsed = static_cast<uint64_t>(timer.ElapsedNanos());
       last_merge_ns_.store(ns_elapsed, std::memory_order_relaxed);
@@ -1070,35 +826,14 @@ class ConcurrentWritableIndex {
       return Status::OK();
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      for (;;) {
-        merge_cv_.wait(lk, [&] { return merge_requested_ || shutdown_; });
-        if (shutdown_) return;  // pending work is dropped; delta stays valid
-        merge_requested_ = false;
-        merge_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundMerge();
-        lk.lock();
-        merge_running_ = false;
-        last_merge_status_ = st;
-        ++merge_cycles_;
-        merge_done_cv_.notify_all();
-      }
-    }
-
     template <typename S>
     S FillStats() const {
       S s{};
-      uint64_t lookups = 0, contains = 0, hits = 0;
       for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        contains += r.contains.load(std::memory_order_relaxed);
-        hits += r.delta_hits.load(std::memory_order_relaxed);
+        s.lookups += r.lookups.load(std::memory_order_relaxed);
+        s.contains += r.contains.load(std::memory_order_relaxed);
+        s.delta_hits += r.delta_hits.load(std::memory_order_relaxed);
       }
-      s.lookups = lookups;
-      s.contains = contains;
-      s.delta_hits = hits;
       s.inserts = inserts_.load(std::memory_order_relaxed);
       s.erases = erases_.load(std::memory_order_relaxed);
       s.merges = merges_.load(std::memory_order_relaxed);
@@ -1107,40 +842,17 @@ class ConcurrentWritableIndex {
           static_cast<double>(last_merge_ns_.load(std::memory_order_relaxed));
       s.total_merge_ns = static_cast<double>(
           total_merge_ns_.load(std::memory_order_relaxed));
-      {
-        EpochManager::Guard g(epoch_);
-        const State* st = state_.load(std::memory_order_seq_cst);
-        if (st != nullptr) {
-          const uint32_t n = st->log_count.load(std::memory_order_acquire);
-          s.delta_entries = st->frozen.entry_count() + n;
-          s.delta_bytes =
-              st->frozen.SizeBytes() + st->log_cap * sizeof(LogEntry);
-          s.base_keys = st->base_keys->size();
-        }
-      }
+      const auto st = cell_.Pin();
+      s.delta_entries = st->frozen.entry_count() + st->log.count();
+      s.delta_bytes = st->frozen.SizeBytes() + st->log.SizeBytes();
+      s.base_keys = st->base_keys->size();
       return s;
     }
 
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    // mutable: the const WriteSections capture quiesces writers on it.
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    // mutable: the const snapshot and durability paths take its mutex.
+    mutable Cell cell_;
     std::atomic<int64_t> live_count_{0};
-    // Reclaimed-but-not-freed versions (mutated under write_mu_ only;
-    // drained outside it).
-    std::vector<EpochManager::Retired> deferred_free_;
-
-    // Merge worker machinery.
-    std::thread worker_;
-    mutable std::mutex merge_mu_;
-    std::condition_variable merge_cv_;
-    std::condition_variable merge_done_cv_;
-    bool merge_requested_ = false;
-    bool merge_running_ = false;
-    bool shutdown_ = false;
-    uint64_t merge_cycles_ = 0;
-    Status last_merge_status_{};
 
     // Counters. Read stripes keep reader increments off one shared line.
     mutable ReadStripe read_stripes_[kStripes];
@@ -1150,21 +862,18 @@ class ConcurrentWritableIndex {
     std::atomic<uint64_t> merges_{0};
     std::atomic<uint64_t> merged_keys_{0};
     std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_merge_ns_{0};
     std::atomic<uint64_t> total_merge_ns_{0};
     uint64_t writes_since_merge_ = 0;  // writer-mutex holders only
     // True between merge rotation and publish (writer-mutex holders
     // only): freeze folds must not drop entries then — see FreezeLocked.
     bool merge_rebase_pending_ = false;
+    // Writer-mutex holders only; mutable because the const snapshot
+    // path stashes the covered LSN and truncates after publish.
+    mutable wal::IndexWal wal_;
 
-    // Durability (guarded by write_mu_; mutable because the const
-    // snapshot path stashes the covered LSN and truncates after publish).
-    mutable std::unique_ptr<wal::WalWriter> wal_;
-    Status wal_status_{};
-    uint64_t covered_lsn_ = 0;  // watermark inherited from OpenSnapshot
-    mutable uint64_t snapshot_covered_lsn_ = 0;
+    // Declared last: stops before the state its cycles touch.
+    BackgroundWorker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

@@ -21,8 +21,8 @@
 // no-false-negative guarantee extends to inserted keys the moment Insert
 // returns. Writers serialize on one mutex, append to the log, publish the
 // count with a release store, and fold a full log into the frozen set as
-// a fresh version (epoch retire/reclaim, same protocol as every
-// concurrent class).
+// a fresh version (the shared core in concurrent/versioned.h, as for
+// every concurrent class).
 //
 // When the side set outgrows `staleness` (side/corpus ratio), a
 // background worker rebuilds the filter:
@@ -47,23 +47,20 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "common/status.h"
 #include "common/timer.h"
-#include "concurrent/epoch.h"
+#include "concurrent/versioned.h"
 #include "index/concurrent_existence_index.h"
 #include "index/concurrent_writable_index.h"
 #include "index/existence_index.h"
@@ -138,18 +135,18 @@ class RebuildableExistence {
   // ---- rebuild control ----
 
   Status Rebuild() {
-    return impl_ ? impl_->Rebuild()
+    return impl_ ? impl_->worker_.RunSync()
                  : Status::FailedPrecondition(
                        "RebuildableExistence: not built");
   }
   void RequestRebuild() {
-    if (impl_ != nullptr) impl_->RequestRebuild();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   void WaitForRebuilds() {
-    if (impl_ != nullptr) impl_->WaitForRebuilds();
+    if (impl_ != nullptr) impl_->worker_.WaitIdle();
   }
   Status last_rebuild_status() const {
-    return impl_ ? impl_->last_rebuild_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   const Config& config() const {
@@ -158,15 +155,17 @@ class RebuildableExistence {
   }
 
  private:
+  using Keys = std::vector<std::string>;
+
   struct State {
-    std::shared_ptr<const Base> filter;  // covers *corpus, no more
-    std::shared_ptr<const std::vector<std::string>> corpus;   // sorted
-    std::shared_ptr<const std::vector<std::string>> pending;  // sorted
-    std::vector<std::string> frozen;                          // sorted
-    std::unique_ptr<std::string[]> log;
-    size_t log_cap = 0;
-    std::atomic<uint32_t> log_count{0};
+    explicit State(size_t log_cap) : log(log_cap) {}
+    std::shared_ptr<const Base> filter;         // covers *corpus, no more
+    std::shared_ptr<const Keys> corpus;         // sorted
+    std::shared_ptr<const Keys> pending;        // sorted
+    Keys frozen;                                // sorted
+    AppendLog<std::string> log;
   };
+  using Cell = VersionedCell<State>;
 
   struct alignas(64) ReadStripe {
     std::atomic<uint64_t> lookups{0};
@@ -175,17 +174,6 @@ class RebuildableExistence {
   static constexpr size_t kStripes = 16;
 
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        shutdown_ = true;
-      }
-      rebuild_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);
-    }
-
     Status Build(std::span<const std::string> keys, const Config& config) {
       if (!config.rebuild) {
         return Status::InvalidArgument(
@@ -193,8 +181,7 @@ class RebuildableExistence {
       }
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
-      auto corpus = std::make_shared<std::vector<std::string>>(keys.begin(),
-                                                               keys.end());
+      auto corpus = std::make_shared<Keys>(keys.begin(), keys.end());
       std::sort(corpus->begin(), corpus->end());
       corpus->erase(std::unique(corpus->begin(), corpus->end()),
                     corpus->end());
@@ -205,13 +192,12 @@ class RebuildableExistence {
       }
       key_count_.store(static_cast<int64_t>(corpus->size()),
                        std::memory_order_relaxed);
-      State* s = new State;
+      corpus_bytes_.store(StoredBytes(*corpus), std::memory_order_relaxed);
+      State* s = new State(config_.log_cap);
       s->filter = std::move(filter);
       s->corpus = std::move(corpus);
-      s->log = std::make_unique<std::string[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      cell_.Init(s);
+      worker_.Start([this](bool*) { return DoBackgroundRebuild(); });
       return Status::OK();
     }
 
@@ -220,18 +206,8 @@ class RebuildableExistence {
     bool MightContain(std::string_view key) const {
       ReadStripe& stripe = Stripe();
       stripe.lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      for (uint32_t i = n; i-- > 0;) {
-        if (s->log[i] == key) {
-          stripe.side_hits.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        }
-      }
-      if (SortedContains(s->frozen, key) ||
-          (s->pending != nullptr && SortedContains(*s->pending, key))) {
+      const auto s = cell_.Pin();
+      if (InSideSet(*s, s->log.count(), key)) {
         stripe.side_hits.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -244,17 +220,16 @@ class RebuildableExistence {
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return 0;
+      const auto s = cell_.Pin();
       // The filter plus the exact side structures; the corpus is the
       // rebuild input and part of what this structure owns, so it is
       // counted too (stored byte size, computed once per publish).
-      size_t bytes = s->filter->SizeBytes() + corpus_bytes_;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      size_t bytes = s->filter->SizeBytes() +
+                     corpus_bytes_.load(std::memory_order_relaxed) +
+                     s->log.SizeBytes();
+      const uint32_t n = s->log.count();
       for (const std::string& k : s->frozen) bytes += k.size();
       for (uint32_t i = 0; i < n; ++i) bytes += s->log[i].size();
-      bytes += s->log_cap * sizeof(std::string);
       if (s->pending != nullptr) {
         for (const std::string& k : *s->pending) bytes += k.size();
       }
@@ -263,14 +238,11 @@ class RebuildableExistence {
 
     index::ConcurrentIndexStats ConcurrentStats() const {
       index::ConcurrentIndexStats cs;
-      uint64_t lookups = 0, hits = 0;
       for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        hits += r.side_hits.load(std::memory_order_relaxed);
+        cs.lookups += r.lookups.load(std::memory_order_relaxed);
+        cs.delta_hits += r.side_hits.load(std::memory_order_relaxed);
       }
-      cs.lookups = lookups;
-      cs.contains = lookups;
-      cs.delta_hits = hits;
+      cs.contains = cs.lookups;
       cs.inserts = inserts_.load(std::memory_order_relaxed);
       cs.merges = rebuilds_.load(std::memory_order_relaxed);
       cs.background_merges = cs.merges;
@@ -280,94 +252,39 @@ class RebuildableExistence {
       cs.total_merge_ns = static_cast<double>(
           total_rebuild_ns_.load(std::memory_order_relaxed));
       cs.freezes = freezes_.load(std::memory_order_relaxed);
-      cs.writer_contended =
-          writer_contended_.load(std::memory_order_relaxed);
-      cs.states_published =
-          states_published_.load(std::memory_order_relaxed);
-      cs.states_retired = epoch_.retired_count();
-      cs.states_reclaimed = epoch_.reclaimed_count();
-      cs.epoch_fallback_pins = epoch_.fallback_pins();
-      {
-        EpochManager::Guard g(epoch_);
-        const State* s = state_.load(std::memory_order_seq_cst);
-        if (s != nullptr) {
-          const uint32_t n = s->log_count.load(std::memory_order_acquire);
-          cs.log_entries = n;
-          cs.delta_entries = s->frozen.size() + n +
-                             (s->pending != nullptr ? s->pending->size() : 0);
-          cs.base_keys = s->corpus->size();
-        }
-      }
-      cs.shards = 1;
+      cell_.AddStats(cs);
+      const auto s = cell_.Pin();
+      cs.log_entries = s->log.count();
+      cs.delta_entries = SideKeys(*s, s->log.count());
+      cs.base_keys = s->corpus->size();
       return cs;
     }
 
     // ---- write path ----
 
     bool Insert(std::string_view key) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      State* s = state_.load(std::memory_order_relaxed);
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      if (ExactMemberLocked(*s, n, key)) {
-        DrainDeferredFrees(lk);
+      typename Cell::Writer w(cell_, /*count_contention=*/true);
+      State* s = w.get();
+      // Exact membership: corpus, pending, frozen and log are all exact
+      // sets, so the return value and num_keys() count distinct keys,
+      // never filter positives.
+      if (InSideSet(*s, s->log.count_locked(), key) ||
+          SortedContains(*s->corpus, key)) {
         return false;
       }
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
-      }
-      s->log[n] = std::string(key);
-      s->log_count.store(n + 1, std::memory_order_release);
+      if (s->log.full_locked()) s = FreezeLocked(w, *s);
+      s->log.Append(std::string(key));
       key_count_.fetch_add(1, std::memory_order_relaxed);
       inserts_.fetch_add(1, std::memory_order_relaxed);
-      const size_t side = s->frozen.size() + n + 1 +
-                          (s->pending != nullptr ? s->pending->size() : 0);
+      const size_t side = SideKeys(*s, s->log.count_locked());
       if (config_.staleness > 0.0 && side >= config_.min_side_keys &&
           static_cast<double>(side) >=
               config_.staleness *
                   static_cast<double>(std::max<size_t>(s->corpus->size(),
                                                        1))) {
-        RequestRebuild();
+        worker_.Request();
       }
-      DrainDeferredFrees(lk);
       return true;
-    }
-
-    // ---- rebuild control ----
-
-    void RequestRebuild() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        rebuild_requested_ = true;
-      }
-      rebuild_cv_.notify_one();
-    }
-
-    Status Rebuild() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_requested_ = true;
-      rebuild_cv_.notify_one();
-      const uint64_t start = rebuild_cycles_;
-      rebuild_done_cv_.wait(lk, [&] {
-        return rebuild_cycles_ > start && !rebuild_requested_ &&
-               !rebuild_running_;
-      });
-      return last_rebuild_status_;
-    }
-
-    void WaitForRebuilds() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_done_cv_.wait(
-          lk, [&] { return !rebuild_requested_ && !rebuild_running_; });
-    }
-
-    Status last_rebuild_status() const {
-      std::lock_guard<std::mutex> lk(rebuild_mu_);
-      return last_rebuild_status_;
     }
 
     // ---- internals ----
@@ -376,103 +293,88 @@ class RebuildableExistence {
       return read_stripes_[ThisThreadIndex() % kStripes];
     }
 
-    static bool SortedContains(const std::vector<std::string>& v,
-                               std::string_view key) {
+    static bool SortedContains(const Keys& v, std::string_view key) {
       const auto it = std::lower_bound(v.begin(), v.end(), key);
       return it != v.end() && *it == key;
     }
 
-    /// Exact membership under the writer mutex: corpus, pending, frozen
-    /// and log are all exact sets, so Insert's return value and
-    /// num_keys() count distinct keys, never filter positives.
-    bool ExactMemberLocked(const State& s, uint32_t n,
-                           std::string_view key) const {
-      for (uint32_t i = n; i-- > 0;) {
-        if (s.log[i] == key) return true;
-      }
-      if (SortedContains(s.frozen, key)) return true;
-      if (s.pending != nullptr && SortedContains(*s.pending, key)) {
-        return true;
-      }
-      return SortedContains(*s.corpus, key);
+    /// Stored bytes of a key array (strings + array).
+    static size_t StoredBytes(const Keys& keys) {
+      size_t bytes = keys.size() * sizeof(std::string);
+      for (const std::string& k : keys) bytes += k.size();
+      return bytes;
     }
 
-    /// Folds the full write log into the frozen side set and publishes
-    /// the result as a new version (same filter/corpus/pending). Caller
-    /// holds the writer mutex. Returns the published version.
-    State* FreezeLocked(State* s, uint32_t n) {
-      State* ns = new State;
-      ns->filter = s->filter;
-      ns->corpus = s->corpus;
-      ns->pending = s->pending;
-      ns->frozen.reserve(s->frozen.size() + n);
-      ns->frozen.insert(ns->frozen.end(), s->frozen.begin(),
-                        s->frozen.end());
-      for (uint32_t i = 0; i < n; ++i) ns->frozen.push_back(s->log[i]);
-      std::sort(ns->frozen.begin(), ns->frozen.end());
-      ns->log = std::make_unique<std::string[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
-      freezes_.fetch_add(1, std::memory_order_relaxed);
+    /// Membership in the exact side structures: log -> frozen -> pending.
+    static bool InSideSet(const State& s, uint32_t n, std::string_view key) {
+      return s.log.FindNewest(
+                 n, [&](const std::string& e) { return e == key; }) !=
+                 nullptr ||
+             SortedContains(s.frozen, key) ||
+             (s.pending != nullptr && SortedContains(*s.pending, key));
+    }
+
+    static size_t SideKeys(const State& s, uint32_t n) {
+      return s.frozen.size() + n +
+             (s.pending != nullptr ? s.pending->size() : 0);
+    }
+
+    /// A fresh version sharing `s`'s filter, corpus and pending set, with
+    /// an empty side set and log.
+    State* Successor(const State& s) const {
+      State* ns = new State(config_.log_cap);
+      ns->filter = s.filter;
+      ns->corpus = s.corpus;
+      ns->pending = s.pending;
       return ns;
     }
 
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
+    /// Folds the full write log into the frozen side set and publishes
+    /// the result as a new version. Returns the new version.
+    State* FreezeLocked(typename Cell::Writer& w, const State& s) {
+      const uint32_t n = s.log.count_locked();
+      State* ns = Successor(s);
+      ns->frozen.reserve(s.frozen.size() + n);
+      ns->frozen.insert(ns->frozen.end(), s.frozen.begin(), s.frozen.end());
+      for (uint32_t i = 0; i < n; ++i) ns->frozen.push_back(s.log[i]);
+      std::sort(ns->frozen.begin(), ns->frozen.end());
+      w.Publish(ns);
+      freezes_.fetch_add(1, std::memory_order_relaxed);
+      return ns;
     }
 
     /// One background rebuild cycle (the worker's body).
     Status DoBackgroundRebuild() {
       Timer timer;
-      std::shared_ptr<const std::vector<std::string>> corpus;
-      std::shared_ptr<const std::vector<std::string>> pending;
+      std::shared_ptr<const Keys> corpus;
+      std::shared_ptr<const Keys> pending;
       {
         // Phase 1 — rotate: fold the log, move frozen -> pending so the
         // set to bake in is an immutable snapshot readers keep answering
         // exactly (brief writer lock).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
-        if (s->frozen.empty() && s->pending == nullptr) {
-          DrainDeferredFrees(lk);
-          return Status::OK();
-        }
-        // Copy, never move: `s` stays published until PublishLocked and
+        typename Cell::Writer w(cell_);
+        State* s = w.get();
+        if (s->log.count_locked() > 0) s = FreezeLocked(w, *s);
+        if (s->frozen.empty() && s->pending == nullptr) return Status::OK();
+        // Copy, never move: `s` stays published until Publish and
         // readers scan s->frozen lock-free the whole time.
-        auto pend = std::make_shared<std::vector<std::string>>(s->frozen);
+        auto pend = std::make_shared<Keys>(s->frozen);
         if (s->pending != nullptr) {
           // A previous failed cycle left keys pending; fold them in.
           pend->insert(pend->end(), s->pending->begin(), s->pending->end());
           std::sort(pend->begin(), pend->end());
           pend->erase(std::unique(pend->begin(), pend->end()), pend->end());
         }
-        State* ns = new State;
-        ns->filter = s->filter;
-        ns->corpus = s->corpus;
+        State* ns = Successor(*s);
         ns->pending = pend;
-        ns->log = std::make_unique<std::string[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        PublishLocked(ns, s);
+        w.Publish(ns);
         corpus = ns->corpus;
         pending = pend;
-        DrainDeferredFrees(lk);
       }
       // Phase 2 — build off to the side: corpus' = corpus ∪ pending,
       // rebuild the filter over it. No locks held; model training and
       // threshold calibration happen here.
-      auto merged = std::make_shared<std::vector<std::string>>();
+      auto merged = std::make_shared<Keys>();
       merged->reserve(corpus->size() + pending->size());
       std::merge(corpus->begin(), corpus->end(), pending->begin(),
                  pending->end(), std::back_inserter(*merged));
@@ -487,40 +389,26 @@ class RebuildableExistence {
       {
         // Phase 3 — publish (or, on failure, fold pending back so the
         // next cycle retries; the old filter keeps serving either way).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        State* ns = new State;
+        typename Cell::Writer w(cell_);
+        const State& s = *w.get();
+        State* ns = Successor(s);
+        ns->pending = nullptr;
+        ns->frozen = s.frozen;  // copy: s stays published until the swap
         if (built.ok()) {
           ns->filter = std::move(filter);
           ns->corpus = merged;
-          ns->pending = nullptr;
-          ns->frozen = s->frozen;  // copy: s stays published until swap
+          corpus_bytes_.store(StoredBytes(*merged), std::memory_order_relaxed);
+          merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
+          rebuilds_.fetch_add(1, std::memory_order_relaxed);
         } else {
-          ns->filter = s->filter;
-          ns->corpus = s->corpus;
-          ns->pending = nullptr;
-          ns->frozen = s->frozen;
           ns->frozen.insert(ns->frozen.end(), pending->begin(),
                             pending->end());
           std::sort(ns->frozen.begin(), ns->frozen.end());
         }
         // Keep the live log tail: readers of the new version must still
         // see the entries the old version's log holds.
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        ns->log = std::make_unique<std::string[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        for (uint32_t i = 0; i < n; ++i) ns->log[i] = s->log[i];
-        ns->log_count.store(n, std::memory_order_relaxed);
-        if (built.ok()) {
-          size_t bytes = 0;
-          for (const std::string& k : *merged) bytes += k.size();
-          bytes += merged->size() * sizeof(std::string);
-          corpus_bytes_ = bytes;
-          merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
-          rebuilds_.fetch_add(1, std::memory_order_relaxed);
-        }
-        PublishLocked(ns, s);
-        DrainDeferredFrees(lk);
+        ns->log.CopyPrefix(s.log, s.log.count_locked());
+        w.Publish(ns);
       }
       const uint64_t ns_elapsed =
           static_cast<uint64_t>(timer.ElapsedNanos());
@@ -529,44 +417,13 @@ class RebuildableExistence {
       return built;
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      for (;;) {
-        rebuild_cv_.wait(lk, [&] { return rebuild_requested_ || shutdown_; });
-        if (shutdown_) return;
-        rebuild_requested_ = false;
-        rebuild_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundRebuild();
-        lk.lock();
-        rebuild_running_ = false;
-        last_rebuild_status_ = st;
-        ++rebuild_cycles_;
-        rebuild_done_cv_.notify_all();
-      }
-    }
-
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    Cell cell_;
     std::atomic<int64_t> key_count_{0};
-    // Stored bytes of the current corpus (strings + array), recomputed at
-    // each successful publish; read under the epoch guard in SizeBytes.
-    // Writer-mutex holders only for writes.
+    // Stored bytes of the current corpus (strings + array), set at Build
+    // and at each successful rebuild publish (writer-mutex holders only);
+    // read under the epoch pin in SizeBytes.
     std::atomic<size_t> corpus_bytes_{0};
-    std::vector<EpochManager::Retired> deferred_free_;
-
-    // Rebuild worker machinery.
-    std::thread worker_;
-    mutable std::mutex rebuild_mu_;
-    std::condition_variable rebuild_cv_;
-    std::condition_variable rebuild_done_cv_;
-    bool rebuild_requested_ = false;
-    bool rebuild_running_ = false;
-    bool shutdown_ = false;
-    uint64_t rebuild_cycles_ = 0;
-    Status last_rebuild_status_{};
 
     // Counters.
     mutable ReadStripe read_stripes_[kStripes];
@@ -574,10 +431,11 @@ class RebuildableExistence {
     std::atomic<uint64_t> rebuilds_{0};
     std::atomic<uint64_t> merged_keys_{0};
     std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_rebuild_ns_{0};
     std::atomic<uint64_t> total_rebuild_ns_{0};
+
+    // Declared last: stops before the state its cycles touch.
+    BackgroundWorker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

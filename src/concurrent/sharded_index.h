@@ -17,12 +17,13 @@
 // skewed build set still yields equal-count shards).
 //
 // Boundaries are no longer fixed at Build: a background *rebalance
-// worker* (the same rotate/build/publish discipline as the merge worker
-// in concurrent_writable_index.h) splits overloaded shards and coalesces
-// undersized neighbors online, publishing each change as a new ShardMap
-// version and retiring the old one to the epoch manager — readers never
-// block on a rebalance. The shard lifecycle, the seal/catch-up/cutover
-// protocol and tuning guidance are documented in docs/SHARDING.md.
+// worker* splits overloaded shards and coalesces undersized neighbors
+// online, publishing each change as a new ShardMap version and retiring
+// the old one to the epoch manager — readers never block on a rebalance.
+// The map cell and the worker are the shared core of every concurrent
+// wrapper (concurrent/versioned.h). The shard lifecycle, the
+// seal/catch-up/cutover protocol and tuning guidance are documented in
+// docs/SHARDING.md.
 //
 // The contract is the same ConcurrentWritableRangeIndex as the inner
 // index: point ops route to one shard; Lookup adds the live sizes of the
@@ -42,7 +43,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -52,13 +52,12 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "concurrent/epoch.h"
+#include "concurrent/versioned.h"
 #include "index/approx.h"
 #include "index/concurrent_writable_index.h"
 #include "index/durable_index.h"
@@ -285,7 +284,7 @@ class ShardedIndex {
 
   /// Outcome of the most recent rebalance cycle (OK before the first).
   Status last_rebalance_status() const {
-    return impl_ ? impl_->last_rebalance_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   // ---- Durability (per-shard WAL routing; docs/DURABILITY.md) ----
@@ -481,33 +480,28 @@ class ShardedIndex {
     }
   }
 
-  struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebalance_mu_);
-        shutdown_ = true;
-      }
-      rebalance_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete map_.load(std::memory_order_relaxed);
-      // epoch_ frees every retired map; slots die with their last map.
-    }
+  using Cell = VersionedCell<ShardMap>;
 
+  /// The documented knob invariants, applied wherever knobs come in
+  /// (Build, LoadSections, RecoverDurable — a corrupt or hand-edited
+  /// manifest included): a zero stride would be a modulo by zero and a
+  /// scan chunk below 2 could not advance; a factor at or below 1 would
+  /// split on any non-uniform mass (rebuild churn to the max_shards
+  /// cap), and a coalesce threshold at or above factor/2 would
+  /// re-coalesce freshly split halves (oscillation).
+  static ShardRebalanceConfig Clamped(ShardRebalanceConfig rc) {
+    rc.check_stride = std::max<size_t>(rc.check_stride, 1);
+    rc.scan_chunk = std::max<size_t>(rc.scan_chunk, 2);
+    rc.max_imbalance = std::max(rc.max_imbalance, 1.1);
+    rc.coalesce_fraction =
+        std::clamp(rc.coalesce_fraction, 0.0, rc.max_imbalance * 0.45);
+    return rc;
+  }
+
+  struct Impl {
     Status Build(std::span<const key_type> keys, const Config& config) {
       config_ = config;
-      config_.rebalance.check_stride =
-          std::max<size_t>(config_.rebalance.check_stride, 1);
-      config_.rebalance.scan_chunk =
-          std::max<size_t>(config_.rebalance.scan_chunk, 2);
-      // Enforce the documented knob invariants: a factor at or below 1
-      // would split on any non-uniform mass (rebuild churn to the
-      // max_shards cap), and a coalesce threshold at or above factor/2
-      // would re-coalesce freshly split halves (oscillation).
-      config_.rebalance.max_imbalance =
-          std::max(config_.rebalance.max_imbalance, 1.1);
-      config_.rebalance.coalesce_fraction =
-          std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                     config_.rebalance.max_imbalance * 0.45);
+      config_.rebalance = Clamped(config.rebalance);
       const size_t shards = std::max<size_t>(config.num_shards, 1);
       auto map = std::make_unique<ShardMap>();
       // CDF sample: every stride-th key (the keys are the CDF's inverse).
@@ -547,19 +541,64 @@ class ShardedIndex {
         map->slots.push_back(std::move(slot));
         begin = end;
       }
-      map_.store(map.release(), std::memory_order_seq_cst);
-      maps_published_.fetch_add(1, std::memory_order_relaxed);
+      Start(map.release());
+      return Status::OK();
+    }
+
+    /// Installs the first map and starts the rebalance worker.
+    void Start(ShardMap* map) {
+      cell_.Init(map);
       if constexpr (kRebalanceCapable) {
-        worker_ = std::thread([this] { WorkerLoop(); });
+        worker_.Start(
+            [this](bool* work_left) { return DoRebalance(work_left); });
       }
+    }
+
+    /// Start for a map read back from disk: split and coalesce build new
+    /// shards with the loaded shards' inner config.
+    void StartLoaded(std::unique_ptr<ShardMap> map) {
+      if constexpr (requires(const Inner& i) {
+                      {
+                        i.config()
+                      } -> std::convertible_to<inner_config_type>;
+                    }) {
+        config_.inner = map->slots[0]->index.config();
+      }
+      Start(map.release());
+    }
+
+    /// Checks a persisted manifest header against its boundaries
+    /// (`what` names the source in errors), then adopts its knobs,
+    /// clamped.
+    Status ApplyManifest(const SnapshotManifest& man,
+                         std::span<const key_type> bounds,
+                         const std::string& what) {
+      if (man.shard_count == 0) {
+        return Status::InvalidArgument("ShardedIndex " + what +
+                                       " has zero shards");
+      }
+      if (bounds.size() != man.shard_count - 1) {
+        return Status::InvalidArgument(
+            "ShardedIndex " + what +
+            " boundary count disagrees with its shard count");
+      }
+      for (size_t i = 1; i < bounds.size(); ++i) {
+        if (!(bounds[i - 1] < bounds[i])) {
+          return Status::InvalidArgument(
+              "ShardedIndex " + what +
+              " boundaries are not strictly increasing");
+        }
+      }
+      config_.num_shards = man.num_shards_cfg;
+      config_.cdf_sample = man.cdf_sample;
+      config_.rebalance = Clamped(man.rebalance);
       return Status::OK();
     }
 
     // ---- read path ----
 
     size_t Lookup(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = cell_.Pin();
       const size_t s = ShardOf(*m, key);
       size_t rank = 0;
       for (size_t i = 0; i < s; ++i) rank += m->slots[i]->index.size();
@@ -567,8 +606,7 @@ class ShardedIndex {
     }
 
     index::Approx ApproxPos(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = cell_.Pin();
       const size_t s = ShardOf(*m, key);
       size_t rank = 0, total = 0;
       for (size_t i = 0; i < m->slots.size(); ++i) {
@@ -583,8 +621,7 @@ class ShardedIndex {
     void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const {
       const size_t n = std::min(keys.size(), out.size());
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = cell_.Pin();
       const size_t shards = m->slots.size();
       if (shards == 1) {
         index::LookupBatch(m->slots[0]->index, keys.first(n), out.first(n));
@@ -640,16 +677,14 @@ class ShardedIndex {
     }
 
     bool Contains(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = cell_.Pin();
       return m->slots[ShardOf(*m, key)]->index.Contains(key);
     }
 
     std::vector<key_type> Scan(const key_type& from, size_t limit) const {
       std::vector<key_type> out;
       if (limit == 0) return out;
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = cell_.Pin();
       for (size_t s = ShardOf(*m, from); s < m->slots.size(); ++s) {
         std::vector<key_type> part =
             m->slots[s]->index.Scan(from, limit - out.size());
@@ -664,16 +699,14 @@ class ShardedIndex {
     }
 
     size_t size() const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = cell_.Pin();
       size_t n = 0;
       for (const auto& slot : m->slots) n += slot->index.size();
       return n;
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = cell_.Pin();
       size_t n = m->boundaries.capacity() * sizeof(key_type);
       for (const auto& slot : m->slots) n += slot->index.SizeBytes();
       return n;
@@ -683,8 +716,7 @@ class ShardedIndex {
 
     bool Write(const key_type& key, bool tombstone) {
       for (;;) {
-        EpochManager::Guard g(epoch_);
-        const ShardMap* m = map_.load(std::memory_order_seq_cst);
+        const auto m = cell_.Pin();
         Slot* slot = m->slots[ShardOf(*m, key)].get();
         bool changed;
         {
@@ -752,28 +784,15 @@ class ShardedIndex {
 
     // ---- rebalance control ----
 
+    // The worker runs only when kRebalanceCapable; otherwise these are
+    // no-ops.
+
     void RequestRebalance() {
-      if constexpr (kRebalanceCapable) {
-        {
-          std::lock_guard<std::mutex> lk(rebalance_mu_);
-          rebalance_requested_ = true;
-        }
-        rebalance_cv_.notify_one();
-      }
+      if constexpr (kRebalanceCapable) worker_.Request();
     }
 
     void WaitForRebalances() {
-      if constexpr (kRebalanceCapable) {
-        std::unique_lock<std::mutex> lk(rebalance_mu_);
-        rebalance_done_cv_.wait(lk, [&] {
-          return !rebalance_requested_ && !rebalance_running_;
-        });
-      }
-    }
-
-    Status last_rebalance_status() const {
-      std::lock_guard<std::mutex> lk(rebalance_mu_);
-      return last_rebalance_status_;
+      if constexpr (kRebalanceCapable) worker_.WaitIdle();
     }
 
     // ---- durability ----
@@ -805,18 +824,11 @@ class ShardedIndex {
                                   "'): " + std::strerror(errno));
         }
         dur_cfg_ = cfg;
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;
-        }
-        for (const auto& slot : slots) {
+        const ShardMap map = *cell_.Pin();  // shared_ptrs outlive the pin
+        for (const auto& slot : map.slots) {
           LI_RETURN_IF_ERROR(AttachShardDurability(*slot));
         }
-        LI_RETURN_IF_ERROR(WriteManifestLocked(boundaries, slots));
+        LI_RETURN_IF_ERROR(WriteManifestLocked(map.boundaries, map.slots));
         durable_.store(true, std::memory_order_release);
         return Status::OK();
       }
@@ -834,21 +846,14 @@ class ShardedIndex {
           return Status::FailedPrecondition(
               "ShardedIndex: durability not enabled");
         }
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;
-        }
-        for (const auto& slot : slots) {
+        const ShardMap map = *cell_.Pin();
+        for (const auto& slot : map.slots) {
           // Atomic per-shard publish (tmp + rename inside), then the
           // inner class truncates its own log behind the covered LSN.
           LI_RETURN_IF_ERROR(
               slot->index.WriteSnapshot(ShardSnapPath(slot->uid)));
         }
-        return WriteManifestLocked(boundaries, slots);
+        return WriteManifestLocked(map.boundaries, map.slots);
       }
     }
 
@@ -869,42 +874,17 @@ class ShardedIndex {
         if (!reader.ok()) return reader.status();
         SnapshotManifest man;
         LI_RETURN_IF_ERROR(reader.value().GetPod("manifest", &man));
-        if (man.shard_count == 0) {
-          return Status::InvalidArgument(
-              "ShardedIndex MANIFEST has zero shards");
-        }
         auto bounds = reader.value().template GetArray<key_type>("bounds");
         if (!bounds.ok()) return bounds.status();
         auto uids = reader.value().template GetArray<uint64_t>("uids");
         if (!uids.ok()) return uids.status();
-        uint64_t next_uid = 0;
-        LI_RETURN_IF_ERROR(reader.value().GetPod("nextuid", &next_uid));
-        if (bounds.value().size() != man.shard_count - 1 ||
-            uids.value().size() != man.shard_count) {
+        LI_RETURN_IF_ERROR(reader.value().GetPod("nextuid", &next_uid_));
+        LI_RETURN_IF_ERROR(ApplyManifest(man, bounds.value(), "MANIFEST"));
+        if (uids.value().size() != man.shard_count) {
           return Status::InvalidArgument(
-              "ShardedIndex MANIFEST shard count disagrees with its "
-              "bounds/uids sections");
+              "ShardedIndex MANIFEST shard count disagrees with its uids "
+              "section");
         }
-        for (size_t i = 1; i < bounds.value().size(); ++i) {
-          if (!(bounds.value()[i - 1] < bounds.value()[i])) {
-            return Status::InvalidArgument(
-                "ShardedIndex MANIFEST boundaries are not strictly "
-                "increasing");
-          }
-        }
-        config_.num_shards = man.num_shards_cfg;
-        config_.cdf_sample = man.cdf_sample;
-        config_.rebalance = man.rebalance;
-        config_.rebalance.check_stride =
-            std::max<size_t>(config_.rebalance.check_stride, 1);
-        config_.rebalance.scan_chunk =
-            std::max<size_t>(config_.rebalance.scan_chunk, 2);
-        config_.rebalance.max_imbalance =
-            std::max(config_.rebalance.max_imbalance, 1.1);
-        config_.rebalance.coalesce_fraction =
-            std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                       config_.rebalance.max_imbalance * 0.45);
-        next_uid_ = next_uid;
         auto map = std::make_unique<ShardMap>();
         map->boundaries.assign(bounds.value().begin(), bounds.value().end());
         for (size_t i = 0; i < man.shard_count; ++i) {
@@ -920,23 +900,12 @@ class ShardedIndex {
           LI_RETURN_IF_ERROR(slot->index.RecoverFromWal(ShardCfg(uid)));
           map->slots.push_back(std::move(slot));
         }
-        if constexpr (requires(const Inner& i) {
-                        {
-                          i.config()
-                        } -> std::convertible_to<inner_config_type>;
-                      }) {
-          config_.inner = map->slots[0]->index.config();
-        }
         // Shard files MANIFEST never committed (a rebalance that died
         // before its flip) are garbage: remove them.
         RemoveOrphanShardFiles(
             {uids.value().begin(), uids.value().end()});
         durable_.store(true, std::memory_order_release);
-        map_.store(map.release(), std::memory_order_seq_cst);
-        maps_published_.fetch_add(1, std::memory_order_relaxed);
-        if constexpr (kRebalanceCapable) {
-          worker_ = std::thread([this] { WorkerLoop(); });
-        }
+        StartLoaded(std::move(map));
         return Status::OK();
       }
     }
@@ -1002,25 +971,14 @@ class ShardedIndex {
         // re-runs on a writer trigger, so the capture that follows sees
         // a stable map unless writes keep racing (documented above).
         WaitForRebalances();
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;  // shared_ptrs outlive the pin
-        }
-        SnapshotManifest man;
-        man.shard_count = slots.size();
-        man.num_shards_cfg = config_.num_shards;
-        man.cdf_sample = config_.cdf_sample;
-        man.rebalance = config_.rebalance;
-        LI_RETURN_IF_ERROR(writer.AddPod(prefix + "manifest", man));
+        const ShardMap map = *cell_.Pin();  // shared_ptrs outlive the pin
+        LI_RETURN_IF_ERROR(
+            writer.AddPod(prefix + "manifest", Manifest(map.slots.size())));
         LI_RETURN_IF_ERROR(writer.AddArray(
-            prefix + "bounds", std::span<const key_type>(boundaries),
+            prefix + "bounds", std::span<const key_type>(map.boundaries),
             snapshot::SectionKind::kManifest));
-        for (size_t i = 0; i < slots.size(); ++i) {
-          LI_RETURN_IF_ERROR(slots[i]->index.WriteSections(
+        for (size_t i = 0; i < map.slots.size(); ++i) {
+          LI_RETURN_IF_ERROR(map.slots[i]->index.WriteSections(
               writer, prefix + "s" + std::to_string(i) + "/"));
         }
         return Status::OK();
@@ -1038,38 +996,10 @@ class ShardedIndex {
       } else {
         SnapshotManifest man;
         LI_RETURN_IF_ERROR(reader.GetPod(prefix + "manifest", &man));
-        if (man.shard_count == 0) {
-          return Status::InvalidArgument(
-              "ShardedIndex snapshot manifest has zero shards");
-        }
         auto bounds = reader.GetArray<key_type>(prefix + "bounds");
         if (!bounds.ok()) return bounds.status();
-        if (bounds.value().size() != man.shard_count - 1) {
-          return Status::InvalidArgument(
-              "ShardedIndex snapshot boundary count disagrees with "
-              "manifest");
-        }
-        for (size_t i = 1; i < bounds.value().size(); ++i) {
-          if (!(bounds.value()[i - 1] < bounds.value()[i])) {
-            return Status::InvalidArgument(
-                "ShardedIndex snapshot boundaries are not strictly "
-                "increasing");
-          }
-        }
-        config_.num_shards = man.num_shards_cfg;
-        config_.cdf_sample = man.cdf_sample;
-        config_.rebalance = man.rebalance;
-        // Re-apply Build's knob clamps: a corrupt or hand-edited
-        // manifest must not re-enable oscillation or div-by-zero.
-        config_.rebalance.check_stride =
-            std::max<size_t>(config_.rebalance.check_stride, 1);
-        config_.rebalance.scan_chunk =
-            std::max<size_t>(config_.rebalance.scan_chunk, 2);
-        config_.rebalance.max_imbalance =
-            std::max(config_.rebalance.max_imbalance, 1.1);
-        config_.rebalance.coalesce_fraction =
-            std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                       config_.rebalance.max_imbalance * 0.45);
+        LI_RETURN_IF_ERROR(
+            ApplyManifest(man, bounds.value(), "snapshot manifest"));
         auto map = std::make_unique<ShardMap>();
         map->boundaries.assign(bounds.value().begin(), bounds.value().end());
         for (size_t i = 0; i < man.shard_count; ++i) {
@@ -1078,18 +1008,7 @@ class ShardedIndex {
               reader, prefix + "s" + std::to_string(i) + "/"));
           map->slots.push_back(std::move(slot));
         }
-        if constexpr (requires(const Inner& i) {
-                        {
-                          i.config()
-                        } -> std::convertible_to<inner_config_type>;
-                      }) {
-          config_.inner = map->slots[0]->index.config();
-        }
-        map_.store(map.release(), std::memory_order_seq_cst);
-        maps_published_.fetch_add(1, std::memory_order_relaxed);
-        if constexpr (kRebalanceCapable) {
-          worker_ = std::thread([this] { WorkerLoop(); });
-        }
+        StartLoaded(std::move(map));
         return Status::OK();
       }
     }
@@ -1126,8 +1045,8 @@ class ShardedIndex {
       agg.shards = slots.size();
       agg.shard_splits = splits_.load(std::memory_order_relaxed);
       agg.shard_coalesces = coalesces_.load(std::memory_order_relaxed);
-      agg.shard_maps_published =
-          maps_published_.load(std::memory_order_relaxed);
+      // The build (or loaded) map counts as the first version.
+      agg.shard_maps_published = cell_.published() + 1;
       agg.shard_imbalance = CurrentImbalance();
       return agg;
     }
@@ -1135,8 +1054,7 @@ class ShardedIndex {
     size_t NumShards() const { return SlotSnapshot().size(); }
 
     std::vector<key_type> Boundaries() const {
-      EpochManager::Guard g(epoch_);
-      return map_.load(std::memory_order_seq_cst)->boundaries;
+      return cell_.Pin()->boundaries;
     }
 
     std::vector<size_t> ShardSizes() const {
@@ -1174,8 +1092,7 @@ class ShardedIndex {
     /// after the epoch pin drops (shared_ptr keeps slots alive even if
     /// the map version dies). The currency of every fan-out.
     std::vector<std::shared_ptr<Slot>> SlotSnapshot() const {
-      EpochManager::Guard g(epoch_);
-      return map_.load(std::memory_order_seq_cst)->slots;
+      return cell_.Pin()->slots;
     }
 
     /// The rebalancer's decision function — the ONE place the
@@ -1250,20 +1167,14 @@ class ShardedIndex {
       return out;
     }
 
-    /// Replaces `m` (the current map) with `fresh` and retires `m` to
-    /// the epoch manager. Rebalance-worker only.
-    void PublishMap(ShardMap* fresh, ShardMap* old) {
-      map_.store(fresh, std::memory_order_seq_cst);
-      maps_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-    }
-
-    /// Frees retired maps no reader can still reach. Worker/destructor
-    /// context, no locks held.
-    void ReclaimMaps() {
-      std::vector<EpochManager::Retired> batch;
-      epoch_.ReclaimTo(batch);
-      EpochManager::Free(batch);
+    /// The routing-manifest header for a map of `shards` shards.
+    SnapshotManifest Manifest(size_t shards) const {
+      SnapshotManifest man;
+      man.shard_count = shards;
+      man.num_shards_cfg = config_.num_shards;
+      man.cdf_sample = config_.cdf_sample;
+      man.rebalance = config_.rebalance;
+      return man;
     }
 
     /// Re-opens a sealed slot after an aborted rebalance action: writes
@@ -1313,12 +1224,7 @@ class ShardedIndex {
       requires kDurabilityCapable
     {
       snapshot::SnapshotWriter w;
-      SnapshotManifest man;
-      man.shard_count = slots.size();
-      man.num_shards_cfg = config_.num_shards;
-      man.cdf_sample = config_.cdf_sample;
-      man.rebalance = config_.rebalance;
-      LI_RETURN_IF_ERROR(w.AddPod("manifest", man));
+      LI_RETURN_IF_ERROR(w.AddPod("manifest", Manifest(slots.size())));
       LI_RETURN_IF_ERROR(
           w.AddArray("bounds", std::span<const key_type>(boundaries),
                      snapshot::SectionKind::kManifest));
@@ -1372,77 +1278,119 @@ class ShardedIndex {
       }
     }
 
-    /// One split: seal -> snapshot -> build halves -> cutover (replay
-    /// catch-up, publish new map). Readers never block; writers to the
-    /// splitting shard block only during seal and cutover (brief).
-    /// `published` reports whether a new map actually went out (false on
-    /// the nothing-to-cut abort, which unseals and leaves state intact).
-    Status SplitShard(ShardMap* m, size_t s, bool* published) {
+    /// One rebalance action: replaces the `count` adjacent shards from
+    /// `first` of the current map `m` with `cuts + 1` shards cut at
+    /// equal-count points of their keys — a split is (s, 1, 1), a
+    /// coalesce (s, 2, 0). Seal -> snapshot -> build -> attach
+    /// durability -> cutover (replay catch-up, commit MANIFEST, publish)
+    /// -> drop the replaced shards' files. Readers never block; writers
+    /// to the replaced shards block only during seal and cutover (brief).
+    /// `published` reports whether a new map went out (false when there
+    /// is nothing to cut strictly between, which unseals and leaves state
+    /// intact).
+    Status ReplaceShards(const ShardMap& m, size_t first, size_t count,
+                         size_t cuts, bool* published) {
       *published = false;
-      std::shared_ptr<Slot> old = m->slots[s];
-      {
+      const auto begin = static_cast<ptrdiff_t>(first);
+      const auto end = begin + static_cast<ptrdiff_t>(count);
+      const std::vector<std::shared_ptr<Slot>> old(m.slots.begin() + begin,
+                                                   m.slots.begin() + end);
+      for (const auto& slot : old) {
         // Seal: after this exclusive section every writer dual-writes
         // into the catch-up log, so the snapshot below may be fuzzy
         // about post-seal writes without losing them.
-        std::unique_lock<std::shared_mutex> lk(old->cutover_mu);
-        old->sealed = true;
+        std::unique_lock<std::shared_mutex> lk(slot->cutover_mu);
+        slot->sealed = true;
       }
-      std::vector<key_type> snap = SnapshotKeys(old->index);
-      const size_t half = snap.size() / 2;
-      if (half == 0 || !(snap.front() < snap[half])) {
-        Unseal(*old);  // nothing to cut strictly between
-        return Status::OK();
+      auto unseal = [&] {
+        for (const auto& slot : old) Unseal(*slot);
+      };
+      // Adjacent shards hold disjoint ascending ranges, so the
+      // concatenated snapshots are sorted and strictly increasing.
+      std::vector<key_type> snap;
+      for (const auto& slot : old) {
+        const std::vector<key_type> part = SnapshotKeys(slot->index);
+        snap.insert(snap.end(), part.begin(), part.end());
       }
-      const key_type mid = snap[half];
-      auto left = std::make_shared<Slot>();
-      auto right = std::make_shared<Slot>();
-      Status st = left->index.Build(
-          std::span<const key_type>(snap).first(half), config_.inner);
-      if (st.ok()) {
-        st = right->index.Build(
-            std::span<const key_type>(snap).subspan(half), config_.inner);
+      std::vector<size_t> at{0};  // first snapshot index of each new shard
+      std::vector<key_type> cut_keys;
+      for (size_t i = 1; i <= cuts; ++i) {
+        const size_t c = i * snap.size() / (cuts + 1);
+        if (c <= at.back()) {  // nothing to cut strictly between
+          unseal();
+          return Status::OK();
+        }
+        at.push_back(c);
+        cut_keys.push_back(snap[c]);
       }
-      if (!st.ok()) {
-        Unseal(*old);
-        return st;
+      at.push_back(snap.size());
+      std::vector<std::shared_ptr<Slot>> fresh_slots;
+      for (size_t i = 0; i + 1 < at.size(); ++i) {
+        fresh_slots.push_back(std::make_shared<Slot>());
+        const Status st = fresh_slots.back()->index.Build(
+            std::span<const key_type>(snap).subspan(at[i], at[i + 1] - at[i]),
+            config_.inner);
+        if (!st.ok()) {
+          unseal();
+          return st;
+        }
       }
       // Durable cutovers serialize with Checkpoint() on durable_mu_ and
-      // give the halves their own snapshot + fresh log *before* any
+      // give the new shards their own snapshot + fresh log *before* any
       // catch-up record is replayed, so the replay below lands in the
       // new logs through the ordinary durable write path.
       std::unique_lock<std::mutex> dlk;
+      size_t attached = 0;  // new shards that may own files
+      auto drop_fresh = [&] {
+        for (size_t i = 0; i < attached; ++i) {
+          DropShardFiles(fresh_slots[i]->uid);
+        }
+      };
       if constexpr (kDurabilityCapable) {
         if (durable_.load(std::memory_order_acquire)) {
           dlk = std::unique_lock<std::mutex>(durable_mu_);
-          st = AttachShardDurability(*left);
-          if (st.ok()) st = AttachShardDurability(*right);
+          Status st = Status::OK();
+          while (st.ok() && attached < fresh_slots.size()) {
+            st = AttachShardDurability(*fresh_slots[attached++]);
+          }
           if (!st.ok()) {
-            DropShardFiles(left->uid);
-            DropShardFiles(right->uid);
-            Unseal(*old);
+            drop_fresh();
+            unseal();
             return st;
           }
         }
       }
       {
-        // Cutover: no writer holds the slot (exclusive lock), so the
-        // catch-up log is complete; replay it into the halves, commit
-        // the MANIFEST (durable mode), publish the new map, retire the
-        // old shard.
-        std::unique_lock<std::shared_mutex> lk(old->cutover_mu);
-        for (const auto& [k, tomb] : old->catchup) {
-          Inner& dst = (k < mid) ? left->index : right->index;
-          tomb ? dst.Erase(k) : dst.Insert(k);
+        // Cutover: no writer holds a replaced slot (exclusive locks, in
+        // shard order), so the catch-up logs are complete; replay each
+        // into the new shard covering its key, commit the MANIFEST
+        // (durable mode), publish the new map, retire the old shards.
+        // The map writer is declared first so the retired map is freed
+        // after the cutover locks drop.
+        typename Cell::Writer w(cell_);
+        std::vector<std::unique_lock<std::shared_mutex>> locks;
+        for (const auto& slot : old) locks.emplace_back(slot->cutover_mu);
+        for (const auto& slot : old) {
+          for (const auto& [k, tomb] : slot->catchup) {
+            const size_t i = static_cast<size_t>(
+                std::upper_bound(cut_keys.begin(), cut_keys.end(), k) -
+                cut_keys.begin());
+            Inner& dst = fresh_slots[i]->index;
+            tomb ? dst.Erase(k) : dst.Insert(k);
+          }
+          slot->catchup.clear();
         }
-        old->catchup.clear();
         auto fresh = std::make_unique<ShardMap>();
-        fresh->boundaries = m->boundaries;
-        fresh->boundaries.insert(
-            fresh->boundaries.begin() + static_cast<ptrdiff_t>(s), mid);
-        fresh->slots = m->slots;
-        fresh->slots[s] = left;
-        fresh->slots.insert(
-            fresh->slots.begin() + static_cast<ptrdiff_t>(s) + 1, right);
+        fresh->boundaries = m.boundaries;
+        fresh->boundaries.erase(fresh->boundaries.begin() + begin,
+                                fresh->boundaries.begin() + end - 1);
+        fresh->boundaries.insert(fresh->boundaries.begin() + begin,
+                                 cut_keys.begin(), cut_keys.end());
+        fresh->slots = m.slots;
+        fresh->slots.erase(fresh->slots.begin() + begin,
+                           fresh->slots.begin() + end);
+        fresh->slots.insert(fresh->slots.begin() + begin,
+                            fresh_slots.begin(), fresh_slots.end());
         if constexpr (kDurabilityCapable) {
           if (dlk.owns_lock()) {
             // Commit point, inside the critical section: sync the
@@ -1450,181 +1398,68 @@ class ShardedIndex {
             // shard set. No write can be acknowledged against the new
             // shards until the flip is on disk — a crash on either side
             // of the rename recovers every acknowledged write.
-            Status dst = left->index.SyncWal();
-            if (dst.ok()) dst = right->index.SyncWal();
-            if (dst.ok()) {
-              dst = WriteManifestLocked(fresh->boundaries, fresh->slots);
+            Status st = Status::OK();
+            for (const auto& slot : fresh_slots) {
+              if (st.ok()) st = slot->index.SyncWal();
             }
-            if (!dst.ok()) {
-              // Abort: the old shard set stays authoritative (its log
-              // holds every write, catch-up included — dual-write).
-              DropShardFiles(left->uid);
-              DropShardFiles(right->uid);
-              old->sealed = false;  // cutover_mu already held exclusive
-              return dst;
+            if (st.ok()) {
+              st = WriteManifestLocked(fresh->boundaries, fresh->slots);
             }
-          }
-        }
-        PublishMap(fresh.release(), m);
-        old->retired = true;
-        splits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if constexpr (kDurabilityCapable) {
-        if (dlk.owns_lock()) DropShardFiles(old->uid);
-      }
-      *published = true;
-      return Status::OK();
-    }
-
-    /// One coalesce of the adjacent pair (s, s+1): seal both ->
-    /// snapshot both (disjoint ascending ranges, so concatenation is
-    /// sorted) -> build the merged shard -> cutover both.
-    Status CoalesceShards(ShardMap* m, size_t s, bool* published) {
-      *published = false;
-      std::shared_ptr<Slot> lo = m->slots[s];
-      std::shared_ptr<Slot> hi = m->slots[s + 1];
-      for (Slot* slot : {lo.get(), hi.get()}) {
-        std::unique_lock<std::shared_mutex> lk(slot->cutover_mu);
-        slot->sealed = true;
-      }
-      std::vector<key_type> snap = SnapshotKeys(lo->index);
-      {
-        std::vector<key_type> upper = SnapshotKeys(hi->index);
-        snap.insert(snap.end(), upper.begin(), upper.end());
-      }
-      auto merged = std::make_shared<Slot>();
-      Status st = merged->index.Build(
-          std::span<const key_type>(snap), config_.inner);
-      if (!st.ok()) {
-        Unseal(*lo);
-        Unseal(*hi);
-        return st;
-      }
-      // Durable: the merged shard gets its snapshot + fresh log before
-      // the catch-up replay (same protocol as SplitShard).
-      std::unique_lock<std::mutex> dlk;
-      if constexpr (kDurabilityCapable) {
-        if (durable_.load(std::memory_order_acquire)) {
-          dlk = std::unique_lock<std::mutex>(durable_mu_);
-          st = AttachShardDurability(*merged);
-          if (!st.ok()) {
-            DropShardFiles(merged->uid);
-            Unseal(*lo);
-            Unseal(*hi);
-            return st;
-          }
-        }
-      }
-      {
-        // Lock order: always lower shard first (the only multi-lock
-        // taker is this worker, so any consistent order suffices).
-        std::unique_lock<std::shared_mutex> lk_lo(lo->cutover_mu);
-        std::unique_lock<std::shared_mutex> lk_hi(hi->cutover_mu);
-        // The two catch-up logs cover disjoint key ranges, so replay
-        // order across them is immaterial.
-        for (Slot* slot : {lo.get(), hi.get()}) {
-          for (const auto& [k, tomb] : slot->catchup) {
-            tomb ? merged->index.Erase(k) : merged->index.Insert(k);
-          }
-          slot->catchup.clear();
-        }
-        auto fresh = std::make_unique<ShardMap>();
-        fresh->boundaries = m->boundaries;
-        fresh->boundaries.erase(fresh->boundaries.begin() +
-                                static_cast<ptrdiff_t>(s));
-        fresh->slots = m->slots;
-        fresh->slots[s] = merged;
-        fresh->slots.erase(fresh->slots.begin() +
-                           static_cast<ptrdiff_t>(s) + 1);
-        if constexpr (kDurabilityCapable) {
-          if (dlk.owns_lock()) {
-            // Commit point (see SplitShard).
-            Status dst = merged->index.SyncWal();
-            if (dst.ok()) {
-              dst = WriteManifestLocked(fresh->boundaries, fresh->slots);
-            }
-            if (!dst.ok()) {
-              DropShardFiles(merged->uid);
-              lo->sealed = false;  // cutover locks already held exclusive
-              hi->sealed = false;
-              return dst;
+            if (!st.ok()) {
+              // Abort: the old shard set stays authoritative (its logs
+              // hold every write, catch-up included — dual-write).
+              drop_fresh();
+              for (const auto& slot : old) slot->sealed = false;
+              return st;
             }
           }
         }
-        PublishMap(fresh.release(), m);
-        lo->retired = true;
-        hi->retired = true;
-        coalesces_.fetch_add(1, std::memory_order_relaxed);
+        w.Publish(fresh.release());
+        for (const auto& slot : old) slot->retired = true;
+        (cuts > 0 ? splits_ : coalesces_)
+            .fetch_add(1, std::memory_order_relaxed);
       }
       if constexpr (kDurabilityCapable) {
         if (dlk.owns_lock()) {
-          DropShardFiles(lo->uid);
-          DropShardFiles(hi->uid);
+          for (const auto& slot : old) DropShardFiles(slot->uid);
         }
       }
       *published = true;
       return Status::OK();
     }
 
-    /// One rebalance cycle: act on what PickAction calls for, re-check,
-    /// repeat until balanced, the per-cycle action cap hits, or an
-    /// action cannot make progress (e.g. the hot shard has nothing to
-    /// cut strictly between). `work_remaining` reports a cap-limited
-    /// exit with the conditions still firing — the worker then re-arms
-    /// itself, so one WaitForRebalances() suffices for callers however
-    /// many actions the drift needs.
-    Status DoRebalance(bool* work_remaining) {
-      *work_remaining = false;
-      const size_t cap = config_.rebalance.max_actions_per_cycle;
-      for (size_t action = 0; action < cap; ++action) {
-        ReclaimMaps();
-        // The worker is the only map mutator, so its own load needs no
-        // epoch pin — the map cannot be retired out from under it.
-        ShardMap* m = map_.load(std::memory_order_seq_cst);
+    /// One rebalance cycle (the worker's body): act on what PickAction
+    /// calls for, re-check, repeat until balanced, the per-cycle action
+    /// cap hits, or an action cannot make progress (e.g. the hot shard
+    /// has nothing to cut strictly between; writers may re-trigger
+    /// later). `work_left` reports a cap-limited exit with the
+    /// conditions still firing — the worker then re-arms itself, so one
+    /// WaitForRebalances() suffices however many actions the drift
+    /// needs.
+    Status DoRebalance(bool* work_left) {
+      Status st = Status::OK();
+      bool capped = true;
+      for (size_t a = 0; a < config_.rebalance.max_actions_per_cycle; ++a) {
+        // The pin keeps `m` alive across the action; the worker is the
+        // only map publisher, so `m` is also the map it replaces.
+        const auto m = cell_.Pin();
         const RebalanceAction act = PickAction(*m);
-        if (act.kind == RebalanceAction::Kind::kNone) {  // balanced
-          ReclaimMaps();
-          return Status::OK();
-        }
         bool published = false;
         if (act.kind == RebalanceAction::Kind::kSplit) {
-          LI_RETURN_IF_ERROR(SplitShard(m, act.shard, &published));
-        } else {
-          LI_RETURN_IF_ERROR(CoalesceShards(m, act.shard, &published));
+          st = ReplaceShards(*m, act.shard, 1, 1, &published);
+        } else if (act.kind == RebalanceAction::Kind::kCoalesce) {
+          st = ReplaceShards(*m, act.shard, 2, 0, &published);
         }
-        if (!published) {  // no progress possible on this pick; give up
-          ReclaimMaps();   // the cycle (writers may re-trigger later)
-          return Status::OK();
+        if (!published) {  // balanced, failed, or no progress possible
+          capped = false;
+          break;
         }
       }
-      *work_remaining =
-          PickAction(*map_.load(std::memory_order_seq_cst)).kind !=
-          RebalanceAction::Kind::kNone;
-      ReclaimMaps();
-      return Status::OK();
-    }
-
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebalance_mu_);
-      for (;;) {
-        rebalance_cv_.wait(lk,
-                           [&] { return rebalance_requested_ || shutdown_; });
-        if (shutdown_) return;
-        rebalance_requested_ = false;
-        rebalance_running_ = true;
-        lk.unlock();
-        bool work_remaining = false;
-        const Status st = DoRebalance(&work_remaining);
-        lk.lock();
-        rebalance_running_ = false;
-        last_rebalance_status_ = st;
-        // Cap-limited exit with conditions still firing: re-arm so the
-        // next iteration continues (WaitForRebalances keeps waiting).
-        if (st.ok() && work_remaining && !shutdown_) {
-          rebalance_requested_ = true;
-        }
-        rebalance_done_cv_.notify_all();
-      }
+      *work_left = st.ok() && capped &&
+                   PickAction(*cell_.Pin()).kind !=
+                       RebalanceAction::Kind::kNone;
+      cell_.Reclaim();  // maps this cycle retired while it held a pin
+      return st;
     }
 
     static void Accumulate(index::WritableIndexStats& agg,
@@ -1644,23 +1479,12 @@ class ShardedIndex {
     }
 
     Config config_{};
-    std::atomic<ShardMap*> map_{nullptr};
-    mutable EpochManager epoch_;
-
-    // Rebalance worker machinery (mirrors the merge worker's).
-    std::thread worker_;
-    mutable std::mutex rebalance_mu_;
-    std::condition_variable rebalance_cv_;
-    std::condition_variable rebalance_done_cv_;
-    bool rebalance_requested_ = false;
-    bool rebalance_running_ = false;
-    bool shutdown_ = false;
-    Status last_rebalance_status_{};
+    // The routing map; slots die with the last map that references them.
+    Cell cell_;
 
     std::atomic<uint64_t> write_tick_{0};
     std::atomic<uint64_t> splits_{0};
     std::atomic<uint64_t> coalesces_{0};
-    std::atomic<uint64_t> maps_published_{0};
 
     // Durability state. `durable_` flips once (under durable_mu_) and
     // is read by the worker without it; everything else behind the flag
@@ -1669,6 +1493,9 @@ class ShardedIndex {
     mutable std::mutex durable_mu_;
     wal::DurabilityConfig dur_cfg_;
     uint64_t next_uid_ = 0;
+
+    // Declared last: stops before the state its cycles touch.
+    BackgroundWorker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

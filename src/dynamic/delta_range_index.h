@@ -52,6 +52,7 @@
 #include "index/snapshottable.h"
 #include "index/writable_range_index.h"
 #include "snapshot/snapshot.h"
+#include "wal/index_wal.h"
 #include "wal/wal.h"
 
 namespace li::dynamic {
@@ -97,9 +98,7 @@ class DeltaRangeIndex {
     stats_ = {};
     writes_since_merge_ = 0;
     reads_since_merge_ = 0;
-    wal_.reset();
-    wal_status_ = Status::OK();
-    covered_lsn_ = 0;
+    wal_ = wal::IndexWal();
     return base_.Build(std::span<const key_type>(base_keys_), config.base);
   }
 
@@ -295,14 +294,11 @@ class DeltaRangeIndex {
       cfg.policy = config_.policy;
       cfg.active_cap = config_.active_cap;
       LI_RETURN_IF_ERROR(writer.AddPod(prefix + "cfg", cfg));
-      if (wal_ != nullptr) {
-        // Publish the durability watermark: this snapshot reflects every
-        // WAL record up to and including last_lsn, so recovery replays
-        // only what comes after, and WriteSnapshot truncates behind it.
-        wal::WalSnapshotMeta meta;
-        meta.covered_lsn = wal_->stats().last_lsn;
-        snapshot_covered_lsn_ = meta.covered_lsn;
-        LI_RETURN_IF_ERROR(writer.AddPod(prefix + "wal", meta));
+      // Publish the durability watermark: this snapshot reflects every
+      // WAL record so far, so recovery replays only what comes after, and
+      // WriteSnapshot truncates behind it.
+      if (const auto meta = wal_.CaptureCovered()) {
+        LI_RETURN_IF_ERROR(writer.AddPod(prefix + "wal", *meta));
       }
       LI_RETURN_IF_ERROR(
           writer.AddArray(prefix + "keys",
@@ -364,17 +360,7 @@ class DeltaRangeIndex {
         entries.push_back(DeltaEntry<key_type>{dkeys.value()[i],
                                                (m & 1) != 0, (m & 2) != 0});
       }
-      wal::WalSnapshotMeta meta;  // absent in pre-durability snapshots
-      const Status wal_meta = reader.GetPod(prefix + "wal", &meta);
-      if (wal_meta.ok()) {
-        covered_lsn_ = meta.covered_lsn;
-      } else if (wal_meta.code() == StatusCode::kNotFound) {
-        covered_lsn_ = 0;
-      } else {
-        return wal_meta;
-      }
-      wal_.reset();
-      wal_status_ = Status::OK();
+      LI_RETURN_IF_ERROR(wal_.LoadCovered(reader, prefix));
       config_.policy = cfg.policy;
       config_.active_cap = std::max<size_t>(cfg.active_cap, 2);
       if constexpr (requires {
@@ -396,13 +382,9 @@ class DeltaRangeIndex {
 
   Status WriteSnapshot(const std::string& path) const {
     LI_RETURN_IF_ERROR(index::WriteSnapshotViaSections(*this, path));
-    if (wal_ != nullptr) {
-      // The snapshot file is published (fsync + rename), so the log can
-      // be truncated behind the watermark it covers. A crash between the
-      // two leaves a longer log; replay filters by covered LSN.
-      return wal_->ResetTo(snapshot_covered_lsn_);
-    }
-    return Status::OK();
+    // The snapshot file is published (fsync + rename): truncate the log
+    // behind the watermark it covers.
+    return wal_.TruncateAfterPublish();
   }
 
   static Result<DeltaRangeIndex> OpenSnapshot(
@@ -433,15 +415,7 @@ class DeltaRangeIndex {
       return Status::Unimplemented(
           "DeltaRangeIndex durability needs a flat key type");
     } else {
-      if (wal_ != nullptr) {
-        return Status::FailedPrecondition("durability already enabled");
-      }
-      auto w = wal::WalWriter::Create(cfg.path, covered_lsn_,
-                                      sizeof(key_type), cfg);
-      if (!w.ok()) return w.status();
-      wal_ = std::make_unique<wal::WalWriter>(w.take());
-      wal_status_ = Status::OK();
-      return Status::OK();
+      return wal_.Enable(cfg, sizeof(key_type));
     }
   }
 
@@ -455,66 +429,31 @@ class DeltaRangeIndex {
       return Status::Unimplemented(
           "DeltaRangeIndex durability needs a flat key type");
     } else {
-      if (wal_ != nullptr) {
-        return Status::FailedPrecondition("durability already enabled");
-      }
-      const uint64_t covered = covered_lsn_;
-      auto replay = wal::Replay(
-          cfg.path,
-          [&](wal::WalRecordType type, uint64_t lsn, const void* payload,
-              size_t len) -> Status {
-            if (len != sizeof(key_type)) {
-              return Status::InvalidArgument("WAL record size mismatch");
-            }
-            if (lsn <= covered) return Status::OK();  // snapshot has it
-            key_type k;
-            std::memcpy(&k, payload, sizeof(k));
-            // wal_ is still null here, so these do not re-log.
-            if (type == wal::WalRecordType::kInsert) {
-              Insert(k);
-            } else {
-              Erase(k);
-            }
-            return Status::OK();
-          });
-      if (!replay.ok()) {
-        if (replay.status().code() == StatusCode::kNotFound) {
-          return EnableDurability(cfg);  // no log yet: start one
-        }
-        return replay.status();
-      }
-      if (replay.value().base_lsn > covered) {
-        return Status::InvalidArgument(
-            "WAL gap: log starts past the snapshot's covered LSN");
-      }
-      auto w = wal::WalWriter::Open(cfg.path, cfg, nullptr);
-      if (!w.ok()) return w.status();
-      wal_ = std::make_unique<wal::WalWriter>(w.take());
-      wal_status_ = Status::OK();
-      if (wal_->stats().last_lsn < covered) {
-        // Stale log older than the snapshot: rotate so LSNs cannot
-        // regress below the watermark.
-        LI_RETURN_IF_ERROR(wal_->ResetTo(covered));
-      }
-      covered_lsn_ = wal_->stats().last_lsn;
-      return Status::OK();
+      return wal_.Recover(cfg, sizeof(key_type),
+                          [&](wal::WalRecordType type, const void* payload) {
+                            key_type k;
+                            std::memcpy(&k, payload, sizeof(k));
+                            if (type == wal::WalRecordType::kInsert) {
+                              Insert(k);
+                            } else {
+                              Erase(k);
+                            }
+                          });
     }
   }
 
-  bool durable() const { return wal_ != nullptr; }
+  bool durable() const { return wal_.attached(); }
 
   /// Sticky status of the logging path: an append failure poisons the
   /// log (the in-memory index keeps serving, but durability is lost
   /// until re-enabled), and callers that need ack-implies-durable check
   /// this after writes.
-  const Status& wal_status() const { return wal_status_; }
+  const Status& wal_status() const { return wal_.status(); }
 
-  wal::WalStats DurabilityStats() const {
-    return wal_ != nullptr ? wal_->stats() : wal::WalStats{};
-  }
+  wal::WalStats DurabilityStats() const { return wal_.stats(); }
 
   /// Flush the group-commit window now (e.g. before a clean shutdown).
-  Status SyncWal() { return wal_ != nullptr ? wal_->Sync() : Status::OK(); }
+  Status SyncWal() { return wal_.Sync(); }
 
  private:
   struct SnapshotCfg {
@@ -536,11 +475,7 @@ class DeltaRangeIndex {
   }
 
   void WalAppend(wal::WalRecordType type, const key_type& key) {
-    if (wal_ == nullptr) return;
-    if constexpr (kDurabilityCapable) {
-      auto r = wal_->Append(type, &key, sizeof(key));
-      if (!r.ok()) wal_status_ = r.status();
-    }
+    if constexpr (kDurabilityCapable) wal_.Append(type, &key, sizeof(key));
   }
 
   void MaybeMerge() {
@@ -563,11 +498,9 @@ class DeltaRangeIndex {
   mutable uint64_t writes_since_merge_ = 0;
   mutable uint64_t reads_since_merge_ = 0;
   Status last_auto_merge_status_{};
-  // mutable: WriteSnapshot is const but truncates the log after publish.
-  mutable std::unique_ptr<wal::WalWriter> wal_;
-  Status wal_status_{};
-  uint64_t covered_lsn_ = 0;  // watermark inherited from OpenSnapshot
-  mutable uint64_t snapshot_covered_lsn_ = 0;  // stashed by WriteSections
+  // mutable: the const snapshot path stashes the covered LSN and
+  // truncates the log after publish.
+  mutable wal::IndexWal wal_;
 };
 
 }  // namespace li::dynamic

@@ -18,8 +18,9 @@
 //     valid.
 //
 // Index classes wire this in via DurabilityConfig (EnableDurability /
-// RecoverFromWal in src/dynamic/ and src/concurrent/); the protocol is
-// documented in docs/DURABILITY.md.
+// RecoverFromWal in src/dynamic/ and src/concurrent/, both through
+// wal::IndexWal in index_wal.h); the protocol is documented in
+// docs/DURABILITY.md.
 
 #ifndef LI_WAL_WAL_H_
 #define LI_WAL_WAL_H_

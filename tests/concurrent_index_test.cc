@@ -1,6 +1,7 @@
 // Unit tests for the concurrent subsystem's building blocks, exercised
 // single-threaded (the multi-threaded stress lives in
 // concurrent_stress_test.cc): epoch-based reclamation mechanics, the
+// BackgroundWorker request/cycle protocol, the
 // ConcurrentWritableIndex state machine (log append, freeze fold,
 // background merge rotation/rebase), and ShardedIndex routing/balance.
 // The full std::set-oracle equivalence for both wrappers runs in
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <span>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "concurrent/concurrent_writable_index.h"
 #include "concurrent/epoch.h"
 #include "concurrent/sharded_index.h"
+#include "concurrent/versioned.h"
 #include "data/datasets.h"
 #include "dynamic/delta_range_index.h"
 #include "dynamic/merge_policy.h"
@@ -142,6 +145,108 @@ TEST(EpochManagerTest, DestructorFreesStragglers) {
     // no Reclaim: destructor must free it
   }
   EXPECT_EQ(live.load(), 0);
+}
+
+// ---- BackgroundWorker ----
+
+template <typename Pred>
+void SpinUntil(Pred&& pred) {
+  while (!pred()) std::this_thread::yield();
+}
+
+/// A worker whose first cycle blocks until `release` is set; `runs`
+/// counts cycle starts.
+struct GatedWorker {
+  GatedWorker() {
+    worker.Start([this](bool*) {
+      if (runs.fetch_add(1) == 0) SpinUntil([&] { return release.load(); });
+      return Status::OK();
+    });
+  }
+  /// Requests a cycle and returns once it is running (and blocked).
+  void StartBlockedCycle() {
+    worker.Request();
+    SpinUntil([&] { return runs.load() == 1; });
+  }
+  std::atomic<int> runs{0};
+  std::atomic<bool> release{false};
+  concurrent::BackgroundWorker worker;  // last: stops before the flags die
+};
+
+TEST(BackgroundWorkerTest, RunSyncWaitsForACycleStartedAfterTheCall) {
+  GatedWorker g;
+  g.StartBlockedCycle();
+  Status synced = Status::Internal("RunSync did not return");
+  std::thread caller([&] { synced = g.worker.RunSync(); });
+  g.release = true;
+  caller.join();
+  EXPECT_TRUE(synced.ok());
+  // Whether the call landed before or after the release, the cycle that
+  // was already running does not satisfy it: a second one must run.
+  EXPECT_EQ(g.runs.load(), 2);
+  EXPECT_EQ(g.worker.cycles(), 2u);
+}
+
+TEST(BackgroundWorkerTest, RequestsCoalesceIntoOneCycle) {
+  GatedWorker g;
+  g.StartBlockedCycle();
+  for (int i = 0; i < 5; ++i) g.worker.Request();
+  g.release = true;
+  g.worker.WaitIdle();
+  EXPECT_EQ(g.runs.load(), 2) << "five pending requests run one cycle";
+  EXPECT_EQ(g.worker.cycles(), 2u);
+}
+
+TEST(BackgroundWorkerTest, ReArmsWhileTheBodyReportsWorkLeft) {
+  std::atomic<int> runs{0};
+  concurrent::BackgroundWorker worker;
+  worker.Start([&](bool* work_left) {
+    *work_left = runs.fetch_add(1) + 1 < 3;
+    return Status::OK();
+  });
+  worker.Request();
+  worker.WaitIdle();  // one wait covers every re-armed cycle
+  EXPECT_EQ(runs.load(), 3);
+  EXPECT_EQ(worker.cycles(), 3u);
+}
+
+TEST(BackgroundWorkerTest, StopWithAPendingRequestReturns) {
+  GatedWorker g;
+  g.StartBlockedCycle();
+  g.worker.Request();  // pending behind the blocked cycle
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    g.release = true;
+  });
+  g.worker.Stop();  // waits out the running cycle, drops the pending one
+  releaser.join();
+  EXPECT_GE(g.runs.load(), 1);
+  EXPECT_LE(g.runs.load(), 2);
+  const int runs = g.runs.load();
+  g.worker.Request();  // after Stop: accepted, never run
+  g.worker.Stop();     // idempotent
+  EXPECT_EQ(g.runs.load(), runs);
+}
+
+TEST(BackgroundWorkerTest, KeepsTheLastCycleStatus) {
+  std::atomic<int> runs{0};
+  concurrent::BackgroundWorker worker;
+  worker.Start([&](bool* work_left) {
+    if (runs.fetch_add(1) == 0) {
+      *work_left = true;  // a failed cycle must not re-arm anyway
+      return Status::Internal("cycle failed");
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(worker.last_status().ok()) << "OK before the first cycle";
+  EXPECT_EQ(worker.RunSync().code(), StatusCode::kInternal);
+  worker.WaitIdle();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(worker.last_status().code(), StatusCode::kInternal)
+      << "the failure stays visible until the next cycle";
+  EXPECT_TRUE(worker.RunSync().ok());
+  EXPECT_TRUE(worker.last_status().ok());
+  EXPECT_EQ(worker.cycles(), 2u);
 }
 
 // ---- ConcurrentWritableIndex, single-threaded semantics ----

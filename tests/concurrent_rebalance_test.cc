@@ -14,6 +14,7 @@
 //  * coalescing of erase-drained shards;
 //  * fixed boundaries when rebalancing is disabled (the pre-PR-5
 //    behavior stays available);
+//  * the knob clamp: a zero check stride and scan chunk still split;
 //  * shard-grouped LookupBatch == per-key Lookup across publishes.
 
 #include <gtest/gtest.h>
@@ -327,6 +328,28 @@ TEST(ShardRebalanceTest, ManualRequestWorksWithAutoTriggerOff) {
   DrainRebalances(idx);
   EXPECT_GT(idx.ConcurrentStats().shard_splits, 0u);
   EXPECT_LE(idx.CurrentImbalance(), cfg.rebalance.max_imbalance + 0.05);
+}
+
+TEST(ShardRebalanceTest, ZeroStrideAndChunkAreClampedAtBuild) {
+  // A stride of 0 would be a modulo by zero in the writer-side monitor
+  // and a chunk of 0 a snapshot scan that never advances; Build clamps
+  // both (to 1 and 2) instead of trusting the knobs.
+  const auto keys = SeedKeys(4'000, testing::TestSeed(101));
+  auto cfg = RebalancingConfig(4, 2.0);
+  cfg.rebalance.check_stride = 0;
+  cfg.rebalance.scan_chunk = 0;
+  ShardedRmi idx;
+  ASSERT_TRUE(idx.Build(keys, cfg).ok());
+  std::set<uint64_t> oracle(keys.begin(), keys.end());
+  uint64_t next = keys.back() + 1;
+  for (int i = 0; i < 40'000 && idx.ConcurrentStats().shard_splits == 0;
+       ++i) {
+    ASSERT_EQ(idx.Insert(next), oracle.insert(next).second);
+    next += 3;
+  }
+  DrainRebalances(idx);
+  EXPECT_GT(idx.ConcurrentStats().shard_splits, 0u);
+  VerifySnapshot(idx, oracle, 0x101, next + 100);
 }
 
 }  // namespace

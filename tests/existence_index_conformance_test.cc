@@ -211,6 +211,19 @@ TEST_F(ExistenceConformanceTest, RebuildableBloomInsertsSurviveRebuilds) {
   EXPECT_TRUE(filter.MightContain("http://post.rebuild/0"));
 }
 
+TEST_F(ExistenceConformanceTest, RebuildableBloomSizeCountsCorpusFromBuild) {
+  concurrent::RebuildableExistence<bloom::BloomFilter> filter;
+  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
+  config.rebuild = concurrent::PlainBloomRebuilder(0.01);
+  config.staleness = 0;  // no rebuild: the size is Build's alone
+  ASSERT_TRUE(filter.Build(corpus_->keys, config).ok());
+  // The corpus is the rebuild input the structure owns, so SizeBytes
+  // counts it from the start, not only after the first rebuild.
+  size_t key_bytes = 0;
+  for (const std::string& k : corpus_->keys) key_bytes += k.size();
+  EXPECT_GE(filter.SizeBytes(), key_bytes);
+}
+
 TEST_F(ExistenceConformanceTest, RebuildableBloomAutoRebuildsAtStaleness) {
   concurrent::RebuildableExistence<bloom::BloomFilter> filter;
   concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
