@@ -137,6 +137,9 @@ class ConcurrentWritableIndex {
   bool Contains(const key_type& key) const {
     return impl_ != nullptr && impl_->Contains(key);
   }
+  /// Up to `limit` live keys >= `from`, ascending, from one version. Cost:
+  /// one model lookup, one pass over the log, O(limit + E) merge work for
+  /// E log erases >= `from`, and a sort of the log writes in the window.
   std::vector<key_type> Scan(const key_type& from, size_t limit) const {
     return impl_ ? impl_->Scan(from, limit) : std::vector<key_type>{};
   }
@@ -376,34 +379,57 @@ class ConcurrentWritableIndex {
       std::vector<key_type> out;
       if (limit == 0) return out;
       const auto s = cell_.Pin();
-      // Streamed three-way merge — base array vs frozen delta vs the
-      // log's newest write per key, newest source shadowing equal keys
-      // (log > frozen > base), tombstones cancelling base keys as the
-      // frontier passes them. Every delta entry up to the stop point is
-      // visited (never skipped on a size heuristic: a run of base-key
-      // tombstones contributes no output yet must keep cancelling), and
-      // the visit stops as soon as the window fills — O(limit +
-      // delta-entries-before-stop) work.
-      const std::vector<key_type>& bk = *s->base_keys;
-      size_t bi = s->base->Lookup(from);
-      auto emit = [&](const key_type& k, bool tombstone) {
-        while (bi < bk.size() && bk[bi] < k && out.size() < limit) {
-          out.push_back(bk[bi++]);
-        }
-        if (out.size() >= limit) return false;
-        if (bi < bk.size() && bk[bi] == k) ++bi;  // shadowed base copy
-        if (!tombstone) out.push_back(k);
-        return out.size() < limit;
-      };
+      const uint32_t n = s->log.count();
+      // Two bounded stages over this version and its log prefix, never a
+      // sort of the whole log.
+      //
+      // 1. Window. The log's tombstones at or above `from` number E, so
+      //    the log removes at most E distinct keys from any range. Take
+      //    the first limit + E live keys >= `from` of base + frozen (the
+      //    streamed merge DeltaRangeIndex::Scan runs: base drained up to
+      //    each frozen entry, frozen shadowing and cancelling base keys).
+      size_t erases = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        erases += s->log[i].tombstone && !(s->log[i].key < from);
+      }
+      const size_t cap = limit + std::min(erases, SIZE_MAX - limit);
+      std::vector<key_type> window = dynamic::LiveKeys(
+          std::span<const key_type>(*s->base_keys), s->frozen,
+          s->base->Lookup(from), &from, cap);
+      // 2. Overlay. A full window ends at hi = window.back(), and the
+      //    live set within [from, hi] still holds at least
+      //    (limit + E) - E = limit keys after the log's writes, so the
+      //    answer ends at or before hi: only log writes inside
+      //    [from, hi] (all >= from when the window is short) can reach
+      //    it. Fold their newest write per key over the window — an
+      //    insert adds its key, an erase drops it.
+      const bool full = window.size() == cap;
       auto key_of = [](const auto& e) -> const key_type& { return e.key; };
-      FoldNewest(
-          WritesByKey(s->log, s->log.count(), key_of, &from),
-          [&](auto&& fn) { s->frozen.VisitFrom(from, fn); }, key_of,
-          [&](const DeltaEntry& fe) { return emit(fe.key, fe.tombstone); },
-          [&](const KeyWrites<key_type>& w, const DeltaEntry*) {
-            return emit(w.key, s->log[w.newest].tombstone);
+      const auto writes = WritesByKey<key_type>(
+          s->log, n, key_of, [&](const key_type& k) {
+            return !(k < from) && !(full && window.back() < k);
           });
-      while (bi < bk.size() && out.size() < limit) out.push_back(bk[bi++]);
+      if (writes.empty()) {
+        if (window.size() > limit) window.resize(limit);
+        return window;
+      }
+      out.reserve(std::min(limit, window.size() + writes.size()));
+      FoldNewest(
+          writes,
+          [&](auto&& fn) {
+            for (const key_type& k : window) {
+              if (!fn(k)) return;
+            }
+          },
+          [](const key_type& k) -> const key_type& { return k; },
+          [&](const key_type& k) {
+            out.push_back(k);
+            return out.size() < limit;
+          },
+          [&](const KeyWrites<key_type>& w, const key_type*) {
+            if (!s->log[w.newest].tombstone) out.push_back(w.key);
+            return out.size() < limit;
+          });
       return out;
     }
 

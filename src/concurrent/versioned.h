@@ -217,18 +217,25 @@ struct KeyWrites {
   uint32_t newest;
 };
 
-/// The keys written in `log[0, n)` (only those not below `*from` when
-/// given), ascending, each with its oldest and newest write.
-/// O(n log n).
-template <typename Key, typename Entry, typename KeyOf>
+/// Keeps every key (WritesByKey's default filter).
+struct AnyKey {
+  template <typename Key>
+  bool operator()(const Key&) const {
+    return true;
+  }
+};
+
+/// The keys written in `log[0, n)` for which `keep(key)` holds,
+/// ascending, each with its oldest and newest write. One pass over the
+/// log, then O(m log m) in the m writes kept.
+template <typename Key, typename Entry, typename KeyOf, typename Keep = AnyKey>
 std::vector<KeyWrites<Key>> WritesByKey(const AppendLog<Entry>& log,
                                         uint32_t n, KeyOf&& key_of,
-                                        const Key* from = nullptr) {
+                                        Keep keep = {}) {
   std::vector<KeyWrites<Key>> w;
-  w.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     const Key& k = key_of(log[i]);
-    if (from == nullptr || !(k < *from)) w.push_back({k, i, i});
+    if (keep(k)) w.push_back({k, i, i});
   }
   std::sort(w.begin(), w.end(), [](const KeyWrites<Key>& a,
                                    const KeyWrites<Key>& b) {

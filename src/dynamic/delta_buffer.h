@@ -275,27 +275,50 @@ class DeltaBuffer {
   std::vector<int32_t> active_prefix_{0};  // size active_keys_.size() + 1
 };
 
-/// The merged live key set: `base` ∪ delta-inserts ∖ delta-tombstones,
-/// ascending, one copy per key (a delta entry shadows an equal base
-/// key). The ONE definition of the Appendix-D.1 merge-step key fold,
-/// shared by DeltaRangeIndex::Merge and the concurrent merge worker —
-/// the duplicate-key regression suite pins its semantics once for both.
+/// The first `limit` keys of the live set `base` ∪ delta-inserts ∖
+/// delta-tombstones that are >= `*from` (all of them when `from` is
+/// null), ascending, one copy per key (a delta entry shadows an equal
+/// base key). `bi` is base's lower_bound of `*from` (0 when null) — the
+/// caller's model lookup. The ONE walk over base + delta, shared by both
+/// Scans and the merge step: base keys are drained up to each delta entry
+/// and the visit stops as soon as the result fills, so the work is
+/// O(limit + delta entries before the stop). Exactly one allocation: the
+/// live count past `from` is known from the delta's rank prefix sums.
+template <typename Key>
+std::vector<Key> LiveKeys(std::span<const Key> base,
+                          const DeltaBuffer<Key>& delta, size_t bi,
+                          const Key* from, size_t limit) {
+  std::vector<Key> out;
+  const int64_t before =
+      static_cast<int64_t>(bi) + (from ? delta.RankAdjustBelow(*from) : 0);
+  const int64_t live =
+      static_cast<int64_t>(base.size()) + delta.LiveAdjustTotal();
+  out.reserve(std::min(limit, static_cast<size_t>(live - before)));
+  auto visit = [&](const DeltaEntry<Key>& e) {
+    while (bi < base.size() && base[bi] < e.key && out.size() < limit) {
+      out.push_back(base[bi++]);
+    }
+    if (out.size() >= limit) return false;
+    if (bi < base.size() && base[bi] == e.key) ++bi;  // shadowed base copy
+    if (!e.tombstone) out.push_back(e.key);
+    return out.size() < limit;
+  };
+  if (from != nullptr) {
+    delta.VisitFrom(*from, visit);
+  } else {
+    delta.VisitAll(visit);
+  }
+  while (bi < base.size() && out.size() < limit) out.push_back(base[bi++]);
+  return out;
+}
+
+/// The merged live key set, whole: the Appendix-D.1 merge-step key fold,
+/// shared by DeltaRangeIndex::Merge and the concurrent merge worker — the
+/// duplicate-key regression suite pins its semantics once for both.
 template <typename Key>
 std::vector<Key> MergeLiveKeys(std::span<const Key> base,
                                const DeltaBuffer<Key>& delta) {
-  std::vector<Key> merged;
-  merged.reserve(base.size() + delta.entry_count());
-  size_t bi = 0;
-  delta.VisitAll([&](const DeltaEntry<Key>& e) {
-    while (bi < base.size() && base[bi] < e.key) {
-      merged.push_back(base[bi++]);
-    }
-    if (bi < base.size() && base[bi] == e.key) ++bi;  // one copy only
-    if (!e.tombstone) merged.push_back(e.key);
-    return true;
-  });
-  while (bi < base.size()) merged.push_back(base[bi++]);
-  return merged;
+  return LiveKeys<Key>(base, delta, 0, nullptr, SIZE_MAX);
 }
 
 }  // namespace li::dynamic

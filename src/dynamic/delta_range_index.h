@@ -182,36 +182,12 @@ class DeltaRangeIndex {
 
   /// Up to `limit` live keys >= `from`, ascending: a three-way merge of
   /// the base array and the two delta runs, tombstones dropped, delta
-  /// entries shadowing equal base keys.
+  /// entries shadowing equal base keys (LiveKeys: one model lookup,
+  /// O(limit) merge work, exactly one allocation).
   std::vector<key_type> Scan(const key_type& from, size_t limit) const {
-    std::vector<key_type> out;
-    if (limit == 0) return out;
-    // The number of live keys >= `from` is known exactly up front from
-    // the rank prefix sums the delta maintains at consolidation time, so
-    // the result buffer is reserved once — Scan performs exactly one
-    // allocation (the returned vector), never a growth-doubling chain.
-    size_t bi = base_.Lookup(from);
-    const size_t start_rank = static_cast<size_t>(
-        static_cast<int64_t>(bi) +
-        (delta_.empty() ? 0 : delta_.RankAdjustBelow(from)));
-    out.reserve(std::min(limit, size() - start_rank));
-    // Streamed merge: base keys are drained up to each visited delta
-    // entry, and the visit stops as soon as the window fills — O(limit)
-    // work, not O(delta).
-    delta_.VisitFrom(from, [&](const DeltaEntry<key_type>& e) {
-      while (bi < base_keys_.size() && base_keys_[bi] < e.key &&
-             out.size() < limit) {
-        out.push_back(base_keys_[bi++]);
-      }
-      if (out.size() >= limit) return false;
-      if (bi < base_keys_.size() && base_keys_[bi] == e.key) ++bi;
-      if (!e.tombstone) out.push_back(e.key);
-      return out.size() < limit;
-    });
-    while (bi < base_keys_.size() && out.size() < limit) {
-      out.push_back(base_keys_[bi++]);
-    }
-    return out;
+    if (limit == 0) return {};
+    return LiveKeys(std::span<const key_type>(base_keys_), delta_,
+                    base_.Lookup(from), &from, limit);
   }
 
   /// Live key count: base keys + net delta contribution.

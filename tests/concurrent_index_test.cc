@@ -392,6 +392,78 @@ TEST(ConcurrentIndexTest, ScanAppliesDenseTombstoneRunsBeyondLimit) {
   EXPECT_EQ(idx.size(), keys.size() - 600);
 }
 
+// The first `limit` keys of `live` >= `from`.
+std::vector<uint64_t> OracleScan(const std::set<uint64_t>& live,
+                                 uint64_t from, size_t limit) {
+  std::vector<uint64_t> out;
+  for (auto it = live.lower_bound(from);
+       it != live.end() && out.size() < limit; ++it) {
+    out.push_back(*it);
+  }
+  return out;
+}
+
+// Scan takes limit + E live keys of base + frozen (E = log tombstones at
+// or above `from`) and overlays only the log writes inside that window.
+// Every write here stays in the live log (nothing freezes), and the log
+// holds the cases that bound has to cover: erases inside the window and
+// just past its end, inserts above its last key, an erase-then-reinsert
+// and an insert-then-erase of one key, and windows longer than what is
+// left live.
+TEST(ConcurrentIndexTest, ScanOverlaysOnlyWindowLogWrites) {
+  std::vector<uint64_t> keys(1'000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = 10 * (i + 1);
+  ConcRmi idx;
+  ASSERT_TRUE(idx.Build(keys, ManualConfig(keys.size(), 4'096)).ok());
+  std::set<uint64_t> live(keys.begin(), keys.end());
+  auto erase = [&](uint64_t k) {
+    EXPECT_EQ(idx.Erase(k), live.erase(k) > 0) << k;
+  };
+  auto insert = [&](uint64_t k) {
+    EXPECT_EQ(idx.Insert(k), live.insert(k).second) << k;
+  };
+  // Around Scan(1010, 10): base window 1010..1100.
+  erase(1020);  // inside the window
+  erase(1050);
+  erase(1110);  // just past its end: the answer must reach further
+  erase(1120);
+  erase(1030);  // erase, then reinsert: live
+  insert(1030);
+  insert(1035);  // insert, then erase: dead
+  erase(1035);
+  insert(1105);   // inside the widened window
+  insert(1165);   // just above the window's last key
+  insert(5'005);  // far above
+  // Near the top of the key range: windows outlast the live keys.
+  erase(9'960);
+  erase(9'990);
+  insert(9'995);
+  insert(10'005);
+  insert(20'000);
+  erase(20'000);
+  ASSERT_EQ(idx.ConcurrentStats().freezes, 0u);
+  ASSERT_GT(idx.ConcurrentStats().log_entries, 0u);
+
+  EXPECT_EQ(idx.Scan(1'010, 10),
+            (std::vector<uint64_t>{1010, 1030, 1040, 1060, 1070, 1080, 1090,
+                                   1100, 1105, 1130}));
+  EXPECT_EQ(idx.Scan(9'940, 100),
+            (std::vector<uint64_t>{9940, 9950, 9970, 9980, 9995, 10000,
+                                   10005}));
+  for (uint64_t from = 995; from <= 1'175; from += 5) {
+    for (size_t limit = 1; limit <= 24; ++limit) {
+      ASSERT_EQ(idx.Scan(from, limit), OracleScan(live, from, limit))
+          << "from " << from << " limit " << limit;
+    }
+  }
+  for (uint64_t from = 9'900; from <= 10'010; from += 5) {
+    for (const size_t limit : {1, 3, 7, 12, 50, 5'000}) {
+      ASSERT_EQ(idx.Scan(from, limit), OracleScan(live, from, limit))
+          << "from " << from << " limit " << limit;
+    }
+  }
+}
+
 TEST(ConcurrentIndexTest, BatchLookupMatchesSingleKeyPath) {
   const auto keys = SeedKeys(6'000, 19);
   ConcRmi idx;

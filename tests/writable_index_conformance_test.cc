@@ -100,6 +100,14 @@ size_t OracleRank(const std::vector<uint64_t>& sorted, uint64_t key) {
       std::lower_bound(sorted.begin(), sorted.end(), key) - sorted.begin());
 }
 
+/// The first `limit` oracle keys >= `from`.
+std::vector<uint64_t> OracleScan(const std::vector<uint64_t>& sorted,
+                                 uint64_t from, size_t limit) {
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), from);
+  const size_t n = std::min<size_t>(limit, sorted.end() - it);
+  return std::vector<uint64_t>(it, it + static_cast<ptrdiff_t>(n));
+}
+
 /// Drives idx and a std::set oracle through the same op stream and checks
 /// full equivalence (liveness booleans per op; ranks, membership, scans
 /// and size at checkpoints). Generic over the implementation: the same
@@ -110,8 +118,14 @@ void RunOracleStream(Idx& idx, std::set<uint64_t>& oracle,
                      size_t num_ops, uint64_t seed, uint64_t key_space,
                      bool manual_merges) {
   Xorshift128Plus rng(seed);
+  // Windowed scans draw from their own stream (the op stream stays as
+  // it was) and start half the time just below a recent write, so the
+  // window often holds unmerged writes.
+  Xorshift128Plus scan_rng(seed ^ 0x5ca1ab1e);
+  std::vector<uint64_t> recent(64, 0);
   for (size_t i = 0; i < num_ops; ++i) {
     const uint64_t k = rng.NextBounded(key_space);
+    recent[i % recent.size()] = k;
     switch (rng.NextBounded(4)) {
       case 0:
       case 1: {
@@ -132,6 +146,16 @@ void RunOracleStream(Idx& idx, std::set<uint64_t>& oracle,
       for (int p = 0; p < 50; ++p) {
         const uint64_t q = rng.NextBounded(key_space + 100);
         ASSERT_EQ(idx.Lookup(q), OracleRank(ref, q)) << "op " << i;
+      }
+      const uint64_t span = key_space / std::max<size_t>(ref.size(), 1) * 300;
+      for (int p = 0; p < 50; ++p) {
+        const uint64_t near = recent[scan_rng.NextBounded(recent.size())];
+        const uint64_t q =
+            p % 2 == 0 ? scan_rng.NextBounded(key_space + 100)
+                       : near - std::min(near, scan_rng.NextBounded(span));
+        const size_t limit = 1 + scan_rng.NextBounded(300);
+        ASSERT_EQ(idx.Scan(q, limit), OracleScan(ref, q, limit))
+            << "op " << i << " from " << q << " limit " << limit;
       }
     }
   }
@@ -395,6 +419,26 @@ TEST(WritableOracleTest, ConcurrentWrapperMatchesSet) {
   RunOracleStream(idx, oracle, 12'000, 104, 2'000'000'000, false);
   idx.WaitForMerges();
   EXPECT_GT(idx.Stats().merges, 0u);
+}
+
+// Dense keys: the stream's erases and re-inserts hit live keys, so the
+// windowed scans meet log erases inside and just past their windows.
+TEST(WritableOracleTest, ConcurrentWrapperDenseKeysMatchSet) {
+  for (const size_t log_cap : {32, 96, 256}) {
+    std::vector<uint64_t> keys(3'000);
+    for (size_t i = 0; i < keys.size(); ++i) keys[i] = 2 * i;
+    ConcRmi::Config cfg;
+    cfg.base.num_leaf_models = 32;
+    cfg.policy.min_delta_entries = 200;
+    cfg.policy.max_delta_entries = 400;
+    cfg.log_cap = log_cap;
+    ConcRmi idx;
+    ASSERT_TRUE(idx.Build(keys, cfg).ok());
+    std::set<uint64_t> oracle(keys.begin(), keys.end());
+    RunOracleStream(idx, oracle, 6'000, 108 + log_cap, 6'200, false);
+    idx.WaitForMerges();
+    EXPECT_GT(idx.Stats().merges, 0u);
+  }
 }
 
 TEST(WritableOracleTest, ConcurrentWrapperManualMergesMatchSet) {
