@@ -12,10 +12,13 @@
 // Readers pin an epoch (concurrent/epoch.h), load the current version
 // with one atomic load, and answer from base + frozen + log-prefix with
 // no locks: rank = base.Lookup + frozen.RankAdjustBelow + Σ log nets.
-// Each log entry carries its *liveness delta* (net ∈ {-1,0,+1}) computed
-// at append time, so any published log prefix yields an exact lower_bound
-// rank over the live set as of that prefix — the log-count store is the
-// serialization point.
+// The log is two columns of one length: the written keys, contiguous so
+// the per-read passes over them vectorize, and one flags byte per write
+// (tombstone, and whether the key was live just before the write). The
+// flags fix each write's *liveness delta* net = !tombstone - live_before
+// ∈ {-1,0,+1} at append time, so any published log prefix yields an exact
+// lower_bound rank over the live set as of that prefix — the log-count
+// store, which publishes both columns, is the serialization point.
 //
 // Writers serialize on one mutex (contention is counted, and sharding —
 // sharded_index.h — is the documented escape hatch), append to the log,
@@ -77,6 +80,7 @@
 #include "index/range_index.h"
 #include "index/snapshottable.h"
 #include "index/writable_range_index.h"
+#include "simd/dispatch.h"
 #include "snapshot/snapshot.h"
 #include "wal/index_wal.h"
 #include "wal/wal.h"
@@ -138,8 +142,9 @@ class ConcurrentWritableIndex {
     return impl_ != nullptr && impl_->Contains(key);
   }
   /// Up to `limit` live keys >= `from`, ascending, from one version. Cost:
-  /// one model lookup, one pass over the log, O(limit + E) merge work for
-  /// E log erases >= `from`, and a sort of the log writes in the window.
+  /// one model lookup, two vector passes over the log's key column,
+  /// O(limit + E) merge work for E log erases >= `from`, and a sort of
+  /// the log writes in the window.
   std::vector<key_type> Scan(const key_type& from, size_t limit) const {
     return impl_ ? impl_->Scan(from, limit) : std::vector<key_type>{};
   }
@@ -284,21 +289,31 @@ class ConcurrentWritableIndex {
 
   using DeltaEntry = dynamic::DeltaEntry<key_type>;
 
-  struct LogEntry {
-    key_type key{};
-    int8_t net = 0;           // liveness delta of this write: -1 / 0 / +1
-    bool tombstone = false;   // Erase vs Insert
-    bool live_before = false; // key was live immediately before this write
-  };
+  // The flags byte of one log write.
+  static constexpr uint8_t kTombstone = 1;   // Erase vs Insert
+  static constexpr uint8_t kLiveBefore = 2;  // key was live just before
+
+  /// Liveness delta of a write: !tombstone - live_before ∈ {-1, 0, +1}.
+  static int Net(uint8_t flags) {
+    return static_cast<int>((flags & kTombstone) == 0) -
+           static_cast<int>((flags & kLiveBefore) != 0);
+  }
 
   /// One immutable published version. Only the log tail changes after
   /// publication, and only under the writer mutex.
   struct State {
-    explicit State(size_t log_cap) : log(log_cap) {}
+    explicit State(size_t log_cap)
+        : log(log_cap), flags(std::make_unique<uint8_t[]>(log_cap)) {}
+    size_t LogBytes() const { return log.SizeBytes() + log.capacity(); }
+
     std::shared_ptr<const std::vector<key_type>> base_keys;
     std::shared_ptr<const Base> base;  // spans *base_keys
     dynamic::DeltaBuffer<key_type> frozen;
-    AppendLog<LogEntry> log;
+    // The write log: the key column, whose published count covers both
+    // columns, and a flags byte per write, filled before its key's
+    // Append (the release store) so a reader's acquire covers it too.
+    AppendLog<key_type> log;
+    std::unique_ptr<uint8_t[]> flags;
   };
   using Cell = VersionedCell<State>;
 
@@ -351,10 +366,8 @@ class ConcurrentWritableIndex {
       index::LookupBatch(*s->base, keys, out);
       if (s->frozen.empty() && n == 0) return;
       for (size_t i = 0; i < m; ++i) {
-        int64_t adj = s->frozen.RankAdjustBelow(keys[i]);
-        for (uint32_t j = 0; j < n; ++j) {
-          if (s->log[j].key < keys[i]) adj += s->log[j].net;
-        }
+        const int64_t adj = s->frozen.RankAdjustBelow(keys[i]) +
+                            LogAdjustBelow(*s, n, keys[i]);
         out[i] = static_cast<size_t>(static_cast<int64_t>(out[i]) + adj);
       }
     }
@@ -364,9 +377,10 @@ class ConcurrentWritableIndex {
       st.lookups.fetch_add(1, std::memory_order_relaxed);
       st.contains.fetch_add(1, std::memory_order_relaxed);
       const auto s = cell_.Pin();
-      if (const LogEntry* e = NewestWrite(*s, s->log.count(), key)) {
+      const uint32_t n = s->log.count();
+      if (const uint32_t w = NewestWrite(*s, n, key); w < n) {
         st.delta_hits.fetch_add(1, std::memory_order_relaxed);
-        return !e->tombstone;
+        return (s->flags[w] & kTombstone) == 0;
       }
       if (const auto e = s->frozen.Find(key)) {
         st.delta_hits.fetch_add(1, std::memory_order_relaxed);
@@ -380,6 +394,8 @@ class ConcurrentWritableIndex {
       if (limit == 0) return out;
       const auto s = cell_.Pin();
       const uint32_t n = s->log.count();
+      const key_type* keys = s->log.data();
+      const uint8_t* flags = s->flags.get();
       // Two bounded stages over this version and its log prefix, never a
       // sort of the whole log.
       //
@@ -388,10 +404,7 @@ class ConcurrentWritableIndex {
       //    the first limit + E live keys >= `from` of base + frozen (the
       //    streamed merge DeltaRangeIndex::Scan runs: base drained up to
       //    each frozen entry, frozen shadowing and cancelling base keys).
-      size_t erases = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        erases += s->log[i].tombstone && !(s->log[i].key < from);
-      }
+      const size_t erases = CountTombstonesFrom(keys, flags, n, from);
       const size_t cap = limit + std::min(erases, SIZE_MAX - limit);
       std::vector<key_type> window = dynamic::LiveKeys(
           std::span<const key_type>(*s->base_keys), s->frozen,
@@ -403,16 +416,17 @@ class ConcurrentWritableIndex {
       //    [from, hi] (all >= from when the window is short) can reach
       //    it. Fold their newest write per key over the window — an
       //    insert adds its key, an erase drops it.
-      const bool full = window.size() == cap;
-      auto key_of = [](const auto& e) -> const key_type& { return e.key; };
-      const auto writes = WritesByKey<key_type>(
-          s->log, n, key_of, [&](const key_type& k) {
-            return !(k < from) && !(full && window.back() < k);
-          });
+      const key_type* hi = window.size() == cap ? &window.back() : nullptr;
+      std::vector<KeyWrites<key_type>> writes;
+      for (uint32_t i = NextInWindow(keys, 0, n, from, hi); i < n;
+           i = NextInWindow(keys, i + 1, n, from, hi)) {
+        writes.push_back({keys[i], i, i});
+      }
       if (writes.empty()) {
         if (window.size() > limit) window.resize(limit);
         return window;
       }
+      GroupByKey(writes);
       out.reserve(std::min(limit, window.size() + writes.size()));
       FoldNewest(
           writes,
@@ -427,7 +441,7 @@ class ConcurrentWritableIndex {
             return out.size() < limit;
           },
           [&](const KeyWrites<key_type>& w, const key_type*) {
-            if (!s->log[w.newest].tombstone) out.push_back(w.key);
+            if ((flags[w.newest] & kTombstone) == 0) out.push_back(w.key);
             return out.size() < limit;
           });
       return out;
@@ -440,8 +454,7 @@ class ConcurrentWritableIndex {
 
     size_t SizeBytes() const {
       const auto s = cell_.Pin();
-      return s->base->SizeBytes() + s->frozen.SizeBytes() +
-             s->log.SizeBytes();
+      return s->base->SizeBytes() + s->frozen.SizeBytes() + s->LogBytes();
     }
 
     // ---- write path ----
@@ -462,10 +475,11 @@ class ConcurrentWritableIndex {
       if (s->log.full_locked()) s = FreezeLocked(w, *s);
       const uint32_t n = s->log.count_locked();
       const bool live_before = LiveLocked(*s, n, key);
-      const int8_t net =
-          static_cast<int8_t>((tombstone ? 0 : 1) - (live_before ? 1 : 0));
-      s->log.Append(LogEntry{key, net, tombstone, live_before});
-      live_count_.fetch_add(net, std::memory_order_relaxed);
+      const uint8_t flags = static_cast<uint8_t>(
+          (tombstone ? kTombstone : 0) | (live_before ? kLiveBefore : 0));
+      s->flags[n] = flags;  // before the Append that publishes it
+      s->log.Append(key);
+      live_count_.fetch_add(Net(flags), std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
       ++writes_since_merge_;
       const size_t delta_entries = s->frozen.entry_count() + n + 1;
@@ -703,26 +717,81 @@ class ConcurrentWritableIndex {
       return ReadTotal() - reads_baseline_.load(std::memory_order_relaxed);
     }
 
-    static const LogEntry* NewestWrite(const State& s, uint32_t n,
-                                       const key_type& key) {
-      return s.log.FindNewest(n,
-                              [&](const LogEntry& e) { return e.key == key; });
+    /// Index of the newest of the first n log writes to `key`, or n if
+    /// there is none: one select per entry, no data-dependent branch.
+    static uint32_t NewestWrite(const State& s, uint32_t n,
+                                const key_type& key) {
+      const key_type* keys = s.log.data();
+      uint32_t newest = n;
+      for (uint32_t i = 0; i < n; ++i) newest = keys[i] == key ? i : newest;
+      return newest;
+    }
+
+    /// Σ nets of the first n log writes on keys below `key`.
+    static int64_t LogAdjustBelow(const State& s, uint32_t n,
+                                  const key_type& key) {
+      const key_type* keys = s.log.data();
+      const uint8_t* flags = s.flags.get();
+      int64_t adj = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        adj += static_cast<int>(keys[i] < key) * Net(flags[i]);
+      }
+      return adj;
+    }
+
+    // The two per-Scan passes over the log's key column. uint64_t keys
+    // run them through the SIMD kernel table (a compile-time gate, as
+    // RmiIndex::kSimdCapable is); other key types take the scalar loop
+    // the kernels' reference level runs.
+    static constexpr bool kSimdLog = std::is_same_v<key_type, uint64_t>;
+
+    /// Tombstones among the first n log writes with key >= `lo`.
+    static size_t CountTombstonesFrom(const key_type* keys,
+                                      const uint8_t* flags, uint32_t n,
+                                      const key_type& lo) {
+      if constexpr (kSimdLog) {
+        return simd::GetKernels().count_at_least_flagged_u64(
+            keys, flags, n, lo, kTombstone);
+      } else {
+        size_t count = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+          count += static_cast<size_t>(!(keys[i] < lo)) &
+                   static_cast<size_t>(flags[i] & kTombstone);
+        }
+        return count;
+      }
+    }
+
+    /// First i in [begin, n) with lo <= keys[i] <= *hi (no upper bound
+    /// when `hi` is null), or n.
+    static uint32_t NextInWindow(const key_type* keys, uint32_t begin,
+                                 uint32_t n, const key_type& lo,
+                                 const key_type* hi) {
+      if constexpr (kSimdLog) {
+        return static_cast<uint32_t>(simd::GetKernels().next_in_range_u64(
+            keys, begin, n, lo, hi != nullptr ? *hi : UINT64_MAX));
+      } else {
+        for (uint32_t i = begin; i < n; ++i) {
+          if (!(keys[i] < lo) & (hi == nullptr || !(*hi < keys[i]))) {
+            return i;
+          }
+        }
+        return n;
+      }
     }
 
     size_t RawLookupIn(const State& s, uint32_t n,
                        const key_type& key) const {
-      int64_t rank = static_cast<int64_t>(s.base->Lookup(key)) +
-                     s.frozen.RankAdjustBelow(key);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (s.log[i].key < key) rank += s.log[i].net;
-      }
+      const int64_t rank = static_cast<int64_t>(s.base->Lookup(key)) +
+                           s.frozen.RankAdjustBelow(key) +
+                           LogAdjustBelow(s, n, key);
       return rank > 0 ? static_cast<size_t>(rank) : 0;
     }
 
     size_t LiveCountIn(const State& s, uint32_t n) const {
       int64_t c = static_cast<int64_t>(s.base_keys->size()) +
                   s.frozen.LiveAdjustTotal();
-      for (uint32_t i = 0; i < n; ++i) c += s.log[i].net;
+      for (uint32_t i = 0; i < n; ++i) c += Net(s.flags[i]);
       return c > 0 ? static_cast<size_t>(c) : 0;
     }
 
@@ -734,7 +803,9 @@ class ConcurrentWritableIndex {
     /// Liveness of `key` under the writer mutex (no pin needed: only
     /// writers swap state, and we hold the writer mutex).
     bool LiveLocked(const State& s, uint32_t n, const key_type& key) const {
-      if (const LogEntry* e = NewestWrite(s, n, key)) return !e->tombstone;
+      if (const uint32_t w = NewestWrite(s, n, key); w < n) {
+        return (s.flags[w] & kTombstone) == 0;
+      }
       if (const auto e = s.frozen.Find(key)) return !e->tombstone;
       return BaseContainsIn(s, key);
     }
@@ -748,10 +819,11 @@ class ConcurrentWritableIndex {
                                           bool drop_redundant) const {
       std::vector<DeltaEntry> out;
       out.reserve(s.frozen.entry_count() + n);
-      auto key_of = [](const auto& e) -> const key_type& { return e.key; };
       FoldNewest(
-          WritesByKey<key_type>(s.log, n, key_of),
-          [&](auto&& fn) { s.frozen.VisitAll(fn); }, key_of,
+          WritesByKey<key_type>(
+              s.log, n, [](const key_type& k) -> const key_type& { return k; }),
+          [&](auto&& fn) { s.frozen.VisitAll(fn); },
+          [](const DeltaEntry& e) -> const key_type& { return e.key; },
           [&](const DeltaEntry& fe) {
             out.push_back(fe);
             return true;
@@ -762,8 +834,8 @@ class ConcurrentWritableIndex {
             // frozen or log predecessor existed).
             const bool in_base = shadowed != nullptr
                                      ? shadowed->in_base
-                                     : s.log[w.oldest].live_before;
-            const bool tombstone = s.log[w.newest].tombstone;
+                                     : (s.flags[w.oldest] & kLiveBefore) != 0;
+            const bool tombstone = (s.flags[w.newest] & kTombstone) != 0;
             if (!drop_redundant || tombstone == in_base) {
               out.push_back(DeltaEntry{w.key, tombstone, in_base});
             }
@@ -870,7 +942,7 @@ class ConcurrentWritableIndex {
           total_merge_ns_.load(std::memory_order_relaxed));
       const auto st = cell_.Pin();
       s.delta_entries = st->frozen.entry_count() + st->log.count();
-      s.delta_bytes = st->frozen.SizeBytes() + st->log.SizeBytes();
+      s.delta_bytes = st->frozen.SizeBytes() + st->LogBytes();
       s.base_keys = st->base_keys->size();
       return s;
     }

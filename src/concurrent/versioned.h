@@ -14,8 +14,9 @@
 //  * AppendLog<Entry> — the bounded write log of one version: filled
 //    under the writer mutex, each entry published by a release store of
 //    the count, scanned by readers over the prefix they loaded.
-//    WritesByKey + FoldNewest turn a log prefix into its newest write
-//    per key and fold it over a sorted frozen run.
+//    WritesByKey (or GroupByKey over writes a caller picked) + FoldNewest
+//    turn a log prefix into its newest write per key and fold it over a
+//    sorted frozen run.
 //  * BackgroundWorker — the thread that runs the wrapper's rebuild cycle
 //    (merge, rehash, filter rebuild, rebalance) on request, with a
 //    synchronous run, a quiesce point and the last cycle's status.
@@ -172,6 +173,7 @@ class AppendLog {
       : entries_(std::make_unique<Entry[]>(cap)), cap_(cap) {}
 
   size_t SizeBytes() const { return cap_ * sizeof(Entry); }
+  size_t capacity() const { return cap_; }
   /// Published entry count (readers).
   uint32_t count() const { return count_.load(std::memory_order_acquire); }
   /// Entry count for the writer-mutex holder.
@@ -180,6 +182,9 @@ class AppendLog {
   }
   bool full_locked() const { return count_locked() == cap_; }
   const Entry& operator[](size_t i) const { return entries_[i]; }
+  /// The entries as one contiguous column; a reader may touch only the
+  /// prefix it loaded the count for.
+  const Entry* data() const { return entries_.get(); }
 
   /// Appends and publishes `e`. Writer mutex held, log not full.
   void Append(Entry e) {
@@ -217,26 +222,11 @@ struct KeyWrites {
   uint32_t newest;
 };
 
-/// Keeps every key (WritesByKey's default filter).
-struct AnyKey {
-  template <typename Key>
-  bool operator()(const Key&) const {
-    return true;
-  }
-};
-
-/// The keys written in `log[0, n)` for which `keep(key)` holds,
-/// ascending, each with its oldest and newest write. One pass over the
-/// log, then O(m log m) in the m writes kept.
-template <typename Key, typename Entry, typename KeyOf, typename Keep = AnyKey>
-std::vector<KeyWrites<Key>> WritesByKey(const AppendLog<Entry>& log,
-                                        uint32_t n, KeyOf&& key_of,
-                                        Keep keep = {}) {
-  std::vector<KeyWrites<Key>> w;
-  for (uint32_t i = 0; i < n; ++i) {
-    const Key& k = key_of(log[i]);
-    if (keep(k)) w.push_back({k, i, i});
-  }
+/// Sorts `w` — one entry per write, oldest == newest == its log index —
+/// by key, oldest write first, and merges each key's writes into one
+/// entry with its oldest and newest index. O(m log m) in the m writes.
+template <typename Key>
+void GroupByKey(std::vector<KeyWrites<Key>>& w) {
   std::sort(w.begin(), w.end(), [](const KeyWrites<Key>& a,
                                    const KeyWrites<Key>& b) {
     return a.key < b.key || (!(b.key < a.key) && a.oldest < b.oldest);
@@ -250,6 +240,16 @@ std::vector<KeyWrites<Key>> WritesByKey(const AppendLog<Entry>& log,
     }
   }
   w.resize(out);
+}
+
+/// The keys written in `log[0, n)`, ascending, each with its oldest and
+/// newest write. One pass over the log, then GroupByKey: O(n log n).
+template <typename Key, typename Entry, typename KeyOf>
+std::vector<KeyWrites<Key>> WritesByKey(const AppendLog<Entry>& log,
+                                        uint32_t n, KeyOf&& key_of) {
+  std::vector<KeyWrites<Key>> w;
+  for (uint32_t i = 0; i < n; ++i) w.push_back({key_of(log[i]), i, i});
+  GroupByKey(w);
   return w;
 }
 

@@ -94,13 +94,26 @@ class DeltaBuffer {
     return std::nullopt;
   }
 
+  /// One key's lower_bound in both runs, so a caller that needs the rank
+  /// adjustment and the visit at the same key searches each run once.
+  /// The default cursor sits before every entry.
+  struct Cursor {
+    size_t consolidated = 0;
+    size_t active = 0;
+  };
+  Cursor Seek(const Key& key) const {
+    return Cursor{LowerBoundConsolidated(key), LowerBoundActive(key)};
+  }
+
   /// Net rank contribution of all buffered writes on keys strictly below
   /// `key` — see the header comment for why this makes Lookup exact.
   int64_t RankAdjustBelow(const Key& key) const {
-    const size_t c = LowerBoundConsolidated(key);
-    const size_t a = LowerBoundActive(key);
-    return static_cast<int64_t>(prefix_[c]) +
-           static_cast<int64_t>(active_prefix_[a]);
+    return RankAdjustBelow(Seek(key));
+  }
+  /// The same at a cursor: the writes before it.
+  int64_t RankAdjustBelow(Cursor at) const {
+    return static_cast<int64_t>(prefix_[at.consolidated]) +
+           static_cast<int64_t>(active_prefix_[at.active]);
   }
 
   /// Net rank contribution of the whole buffer: live key count is
@@ -132,19 +145,18 @@ class DeltaBuffer {
     active_prefix_.assign(1, 0);
   }
 
-  /// Visits buffered writes with key >= `lo` in ascending key order, the
-  /// newest write per key (active shadows consolidated). `fn` returns
-  /// false to stop early.
+  /// Visits buffered writes from cursor `at` (Seek(lo): key >= lo) in
+  /// ascending key order, the newest write per key (active shadows
+  /// consolidated). `fn` returns false to stop early.
   template <typename Fn>
-  void VisitFrom(const Key& lo, Fn&& fn) const {
-    Visit(LowerBoundConsolidated(lo), LowerBoundActive(lo),
-          std::forward<Fn>(fn));
+  void VisitFrom(Cursor at, Fn&& fn) const {
+    Visit(at.consolidated, at.active, std::forward<Fn>(fn));
   }
 
   /// Visits every buffered write in ascending key order.
   template <typename Fn>
   void VisitAll(Fn&& fn) const {
-    Visit(0, 0, std::forward<Fn>(fn));
+    VisitFrom(Cursor{}, std::forward<Fn>(fn));
   }
 
   /// Immutable-snapshot handoff for the concurrent layer: bulk-loads
@@ -282,15 +294,18 @@ class DeltaBuffer {
 /// caller's model lookup. The ONE walk over base + delta, shared by both
 /// Scans and the merge step: base keys are drained up to each delta entry
 /// and the visit stops as soon as the result fills, so the work is
-/// O(limit + delta entries before the stop). Exactly one allocation: the
-/// live count past `from` is known from the delta's rank prefix sums.
+/// O(limit + delta entries before the stop), after one lower_bound per
+/// delta run. Exactly one allocation: the live count past `from` is known
+/// from the delta's rank prefix sums.
 template <typename Key>
 std::vector<Key> LiveKeys(std::span<const Key> base,
                           const DeltaBuffer<Key>& delta, size_t bi,
                           const Key* from, size_t limit) {
   std::vector<Key> out;
-  const int64_t before =
-      static_cast<int64_t>(bi) + (from ? delta.RankAdjustBelow(*from) : 0);
+  const typename DeltaBuffer<Key>::Cursor at =
+      from != nullptr ? delta.Seek(*from)
+                      : typename DeltaBuffer<Key>::Cursor{};
+  const int64_t before = static_cast<int64_t>(bi) + delta.RankAdjustBelow(at);
   const int64_t live =
       static_cast<int64_t>(base.size()) + delta.LiveAdjustTotal();
   out.reserve(std::min(limit, static_cast<size_t>(live - before)));
@@ -303,11 +318,7 @@ std::vector<Key> LiveKeys(std::span<const Key> base,
     if (!e.tombstone) out.push_back(e.key);
     return out.size() < limit;
   };
-  if (from != nullptr) {
-    delta.VisitFrom(*from, visit);
-  } else {
-    delta.VisitAll(visit);
-  }
+  delta.VisitFrom(at, visit);
   while (bi < base.size() && out.size() < limit) out.push_back(base[bi++]);
   return out;
 }

@@ -108,6 +108,21 @@ struct Kernels {
   /// distinct-bucket fix-up (callers patch b2 == b1 scalarly).
   void (*cuckoo_slots)(const uint64_t* keys, size_t n, uint64_t seed,
                        uint64_t num_buckets, uint64_t* b1, uint64_t* b2);
+
+  /// Flagged tail count over an unsorted key column with a parallel
+  /// one-byte flags column: the number of i < n with keys[i] >= lo and
+  /// (flags[i] & mask) != 0 — the concurrent Scan's count of log
+  /// tombstones at or above its start key.
+  size_t (*count_at_least_flagged_u64)(const uint64_t* keys,
+                                       const uint8_t* flags, size_t n,
+                                       uint64_t lo, uint8_t mask);
+
+  /// First i in [begin, n) with lo <= keys[i] <= hi over an unsorted key
+  /// column, or n when there is none (always n when lo > hi; begin <= n).
+  /// The concurrent Scan loops on it to collect the few log writes that
+  /// land inside its window.
+  size_t (*next_in_range_u64)(const uint64_t* keys, size_t begin, size_t n,
+                              uint64_t lo, uint64_t hi);
 };
 
 /// The table for the active level (detected, env-overridden, or forced).

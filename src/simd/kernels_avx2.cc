@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/bits.h"
 #include "simd/dispatch.h"
@@ -290,6 +291,64 @@ void CuckooSlotsAvx2(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+size_t CountAtLeastFlaggedU64Avx2(const uint64_t* keys, const uint8_t* flags,
+                                  size_t n, uint64_t lo, uint8_t mask) {
+  const __m256i off = _mm256_set1_epi64x(
+      static_cast<long long>(0x8000000000000000ULL));
+  const __m256i vlo =
+      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(lo)), off);
+  const __m256i vmask = _mm256_set1_epi64x(mask);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i acc = zero;  // per-lane count of misses (key < lo or unflagged)
+  size_t i = 0;
+  size_t blocks = 0;
+  for (; i + 4 <= n; i += 4, ++blocks) {
+    const __m256i v = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i)), off);
+    int32_t f4;
+    std::memcpy(&f4, flags + i, sizeof(f4));
+    const __m256i f = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(f4));
+    const __m256i miss =
+        _mm256_or_si256(_mm256_cmpgt_epi64(vlo, v),
+                        _mm256_cmpeq_epi64(_mm256_and_si256(f, vmask), zero));
+    acc = _mm256_sub_epi64(acc, miss);
+  }
+  size_t count = 4 * blocks - HSum4(acc);
+  for (; i < n; ++i) {
+    count += static_cast<size_t>(keys[i] >= lo) &
+             static_cast<size_t>((flags[i] & mask) != 0);
+  }
+  return count;
+}
+
+size_t NextInRangeU64Avx2(const uint64_t* keys, size_t begin, size_t n,
+                          uint64_t lo, uint64_t hi) {
+  const __m256i off = _mm256_set1_epi64x(
+      static_cast<long long>(0x8000000000000000ULL));
+  const __m256i vlo =
+      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(lo)), off);
+  const __m256i vhi =
+      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(hi)), off);
+  // Lanes outside [lo, hi] as a 4-bit movemask.
+  auto outside = [&](size_t at) {
+    const __m256i v = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + at)), off);
+    const __m256i out = _mm256_or_si256(_mm256_cmpgt_epi64(vlo, v),
+                                        _mm256_cmpgt_epi64(v, vhi));
+    return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(out)));
+  };
+  size_t i = begin;
+  // Eight keys per step: the one exit branch is taken only on a match.
+  for (; i + 8 <= n; i += 8) {
+    const unsigned in = ~(outside(i) | (outside(i + 4) << 4)) & 0xFFu;
+    if (in != 0) return i + static_cast<size_t>(__builtin_ctz(in));
+  }
+  for (; i < n; ++i) {
+    if ((keys[i] >= lo) & (keys[i] <= hi)) return i;
+  }
+  return n;
+}
+
 }  // namespace
 
 const Kernels* Avx2Kernels() {
@@ -298,6 +357,7 @@ const Kernels* Avx2Kernels() {
       LowerBoundU64Avx2, LowerBoundF64Avx2, UpperBoundU64Avx2,
       LowerBoundU64MultiAvx2, LowerBoundF64MultiAvx2,
       U64ToF64Avx2,    HashSlotsAvx2,    CuckooSlotsAvx2,
+      CountAtLeastFlaggedU64Avx2, NextInRangeU64Avx2,
   };
   return &kTable;
 }

@@ -271,6 +271,57 @@ void CuckooSlotsAvx512(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+size_t CountAtLeastFlaggedU64Avx512(const uint64_t* keys,
+                                    const uint8_t* flags, size_t n,
+                                    uint64_t lo, uint8_t mask) {
+  const __m512i vlo = _mm512_set1_epi64(static_cast<long long>(lo));
+  const __m512i vmask = _mm512_set1_epi64(mask);
+  const __m512i vone = _mm512_set1_epi64(1);
+  __m512i acc = _mm512_setzero_si512();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __mmask8 ge =
+        _mm512_cmpge_epu64_mask(_mm512_loadu_si512(keys + i), vlo);
+    // Eight flag bytes widened to 64-bit lanes (vpmovzxbq, AVX-512F).
+    const __m512i f = _mm512_cvtepu8_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(flags + i)));
+    acc = _mm512_mask_add_epi64(acc, _mm512_mask_test_epi64_mask(ge, f, vmask),
+                                acc, vone);
+  }
+  size_t count = HSum8(acc);
+  for (; i < n; ++i) {
+    count += static_cast<size_t>(keys[i] >= lo) &
+             static_cast<size_t>((flags[i] & mask) != 0);
+  }
+  return count;
+}
+
+size_t NextInRangeU64Avx512(const uint64_t* keys, size_t begin, size_t n,
+                            uint64_t lo, uint64_t hi) {
+  const __m512i vlo = _mm512_set1_epi64(static_cast<long long>(lo));
+  const __m512i vhi = _mm512_set1_epi64(static_cast<long long>(hi));
+  auto inside = [&](size_t at) {
+    const __m512i v = _mm512_loadu_si512(keys + at);
+    return static_cast<unsigned>(_mm512_mask_cmple_epu64_mask(
+        _mm512_cmpge_epu64_mask(v, vlo), v, vhi));
+  };
+  size_t i = begin;
+  // Sixteen keys per step: the one exit branch is taken only on a match.
+  for (; i + 16 <= n; i += 16) {
+    const unsigned in = inside(i) | (inside(i + 8) << 8);
+    if (in != 0) return i + static_cast<size_t>(__builtin_ctz(in));
+  }
+  for (; i + 8 <= n; i += 8) {
+    if (const unsigned in = inside(i); in != 0) {
+      return i + static_cast<size_t>(__builtin_ctz(in));
+    }
+  }
+  for (; i < n; ++i) {
+    if ((keys[i] >= lo) & (keys[i] <= hi)) return i;
+  }
+  return n;
+}
+
 }  // namespace
 
 const Kernels* Avx512Kernels() {
@@ -279,6 +330,7 @@ const Kernels* Avx512Kernels() {
       LowerBoundU64Avx512, LowerBoundF64Avx512, UpperBoundU64Avx512,
       LowerBoundU64MultiAvx512, LowerBoundF64MultiAvx512,
       U64ToF64Avx512,    HashSlotsAvx512,    CuckooSlotsAvx512,
+      CountAtLeastFlaggedU64Avx512, NextInRangeU64Avx512,
   };
   return &kTable;
 }

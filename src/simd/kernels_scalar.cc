@@ -115,6 +115,27 @@ void CuckooSlotsScalar(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+// The log-scan pair combines its comparisons with `&`, not `&&`, so the
+// random keys of a write log never feed a data-dependent branch.
+size_t CountAtLeastFlaggedU64Scalar(const uint64_t* keys,
+                                    const uint8_t* flags, size_t n,
+                                    uint64_t lo, uint8_t mask) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    count += static_cast<size_t>(keys[i] >= lo) &
+             static_cast<size_t>((flags[i] & mask) != 0);
+  }
+  return count;
+}
+
+size_t NextInRangeU64Scalar(const uint64_t* keys, size_t begin, size_t n,
+                            uint64_t lo, uint64_t hi) {
+  for (size_t i = begin; i < n; ++i) {
+    if ((keys[i] >= lo) & (keys[i] <= hi)) return i;
+  }
+  return n;
+}
+
 }  // namespace
 
 const Kernels& ScalarKernels() {
@@ -123,6 +144,7 @@ const Kernels& ScalarKernels() {
       LowerBoundU64Scalar, LowerBoundF64Scalar, UpperBoundU64Scalar,
       LowerBoundU64MultiScalar, LowerBoundF64MultiScalar,
       U64ToF64Scalar,  HashSlotsScalar,    CuckooSlotsScalar,
+      CountAtLeastFlaggedU64Scalar, NextInRangeU64Scalar,
   };
   return kTable;
 }

@@ -7,8 +7,11 @@
 // overlay-aware Find/FindBatch must stay bit-exact across levels when
 // quiesced, and level-pinned batch reads must hold the payload invariant
 // while a writer floods inserts and background rehashes republish the
-// base mid-probe. The CI matrix runs this suite under ASan/UBSan and in
-// the portable LI_NATIVE_ARCH=OFF build at forced-scalar and forced-AVX2.
+// base mid-probe. The concurrent range wrapper's Scan runs its write-log
+// passes through the table, so it rides the matrix too: identical answers
+// at every level, equal to a std::set oracle. The CI matrix runs this
+// suite under ASan/UBSan and in the portable LI_NATIVE_ARCH=OFF build at
+// forced-scalar and forced-AVX2.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +20,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "concurrent/concurrent_point_index.h"
+#include "concurrent/concurrent_writable_index.h"
 #include "data/datasets.h"
+#include "dynamic/merge_policy.h"
 #include "hash/chained_hash_map.h"
 #include "hash/cuckoo_map.h"
 #include "hash/hash_fn.h"
@@ -311,6 +317,75 @@ TEST(SimdKernelTest, HashAndCuckooSlotsMatchScalar) {
   }
 }
 
+// The concurrent Scan's two write-log passes over an unsorted key column
+// with a parallel flags column: lengths around every vector width, keys 0
+// and UINT64_MAX, one-key and empty ranges (lo == hi, lo > hi), a start
+// at the end (begin == n), and flag bytes with bits outside the mask.
+TEST(SimdKernelTest, LogScanKernelsMatchScalar) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const Kernels& ref = KernelsFor(Level::kScalar);
+  Xorshift128Plus rng(113);
+  for (const size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 1024}) {
+    // Edge keys, plus a dense band so short ranges match several keys.
+    std::vector<uint64_t> keys = EdgeUints(n, 127 + n);
+    for (size_t i = 0; i < n; i += 3) keys[i] = 1'000 + rng.NextBounded(64);
+    if (n > 1) keys[1] = 0;
+    if (n > 2) keys[n - 1] = kMax;
+    std::vector<uint8_t> flags(n);
+    for (uint8_t& f : flags) f = static_cast<uint8_t>(rng.Next());
+    std::vector<uint64_t> bounds = {0,     1,     999,      1'000, 1'031,
+                                    1'063, 1'064, kMax - 1, kMax};
+    for (size_t i = 0; i < std::min<size_t>(n, 8); ++i) {
+      bounds.push_back(keys[rng.NextBounded(n)]);
+    }
+    std::vector<size_t> begins = {0, n / 2, n};
+    if (n > 0) begins.push_back(n - 1);
+
+    for (const uint64_t lo : bounds) {
+      for (const uint8_t mask : {0x01, 0x02, 0x03, 0x80, 0xFF, 0x00}) {
+        size_t want = 0;
+        for (size_t i = 0; i < n; ++i) {
+          want += keys[i] >= lo && (flags[i] & mask) != 0;
+        }
+        ASSERT_EQ(ref.count_at_least_flagged_u64(keys.data(), flags.data(),
+                                                 n, lo, mask),
+                  want)
+            << "scalar n=" << n << " lo=" << lo << " mask=" << int{mask};
+        for (const Level level : SupportedLevels()) {
+          const Kernels& k = KernelsFor(level);
+          ASSERT_EQ(k.count_at_least_flagged_u64(keys.data(), flags.data(),
+                                                 n, lo, mask),
+                    want)
+              << k.name << " n=" << n << " lo=" << lo
+              << " mask=" << int{mask};
+        }
+      }
+      for (const uint64_t hi : bounds) {
+        for (const size_t begin : begins) {
+          size_t want = n;
+          for (size_t i = begin; i < n; ++i) {
+            if (lo <= keys[i] && keys[i] <= hi) {
+              want = i;
+              break;
+            }
+          }
+          ASSERT_EQ(ref.next_in_range_u64(keys.data(), begin, n, lo, hi),
+                    want)
+              << "scalar n=" << n << " begin=" << begin << " [" << lo
+              << ", " << hi << "]";
+          for (const Level level : SupportedLevels()) {
+            const Kernels& k = KernelsFor(level);
+            ASSERT_EQ(k.next_in_range_u64(keys.data(), begin, n, lo, hi),
+                      want)
+                << k.name << " n=" << n << " begin=" << begin << " [" << lo
+                << ", " << hi << "]";
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- end-to-end: the batch entry points at every forced level ----------
 
 TEST(SimdEndToEndTest, RmiLookupBatchBitExactAcrossLevels) {
@@ -569,6 +644,115 @@ TEST(SimdEndToEndTest, ConcurrentPointFindBatchBitExactAcrossLevels) {
     cfg.rebuild_entries = 0;
     ASSERT_TRUE(map.Build(records, cfg).ok());
     check(map);
+  }
+}
+
+// ConcurrentWritableIndex::Scan counts the log's tombstones at or above
+// its start and collects the log writes inside its window through the
+// kernel table. With every write still in the live log (large log_cap,
+// manual merges) — inserts, erases of base keys inside and just past the
+// windows, erase-then-reinsert, insert-then-erase, and a log length that
+// no vector width divides — every level must return the scalar level's
+// answer, and both must equal a std::set oracle.
+TEST(SimdEndToEndTest, ConcurrentScanBitExactAcrossLevels) {
+  using Conc = concurrent::ConcurrentWritableIndex<rmi::LinearRmi>;
+  std::vector<uint64_t> keys(4'000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = 10 * (i + 1);
+  Conc idx;
+  Conc::Config cfg;
+  cfg.base.num_leaf_models = 64;
+  cfg.policy.trigger = dynamic::MergeTrigger::kManual;
+  cfg.log_cap = 8'192;
+  ASSERT_TRUE(idx.Build(keys, cfg).ok());
+  std::set<uint64_t> live(keys.begin(), keys.end());
+  size_t writes = 0;
+  auto erase = [&](uint64_t k) {
+    ++writes;
+    ASSERT_EQ(idx.Erase(k), live.erase(k) > 0) << k;
+  };
+  auto insert = [&](uint64_t k) {
+    ++writes;
+    ASSERT_EQ(idx.Insert(k), live.insert(k).second) << k;
+  };
+
+  // Clusters of writes around window starts, the last one at the top of
+  // the key range where few tombstones lie above a start.
+  Xorshift128Plus rng(131);
+  std::vector<uint64_t> starts;
+  for (int c = 0; c < 30; ++c) {
+    starts.push_back(10 * (1 + rng.NextBounded(3'880)));
+  }
+  starts.push_back(39'900);
+  for (const uint64_t a : starts) {
+    erase(a + 10);   // inside a short window
+    erase(a + 40);
+    erase(a + 100);  // just past a 10-key window
+    erase(a + 20);   // erase, then reinsert: live
+    insert(a + 20);
+    insert(a + 25);  // insert, then erase: dead
+    erase(a + 25);
+    insert(a + 55);  // a new key inside the window
+    insert(a + 105);  // a new key just past it
+  }
+  // Scattered writes up to an odd log length, below the top cluster so
+  // that near the top the tombstones at or above a start are exactly the
+  // cluster's: there E is tight (Scan(40'000, 1) must reach 40'005).
+  while (writes < 1'001) {
+    const uint64_t k = rng.NextBounded(39'000);
+    if (rng.NextBounded(3) == 0) {
+      erase(k);
+    } else {
+      insert(k);
+    }
+  }
+  const auto stats = idx.ConcurrentStats();
+  ASSERT_EQ(stats.freezes, 0u);
+  ASSERT_EQ(stats.log_entries, writes);
+  ASSERT_NE(stats.log_entries % 4, 0u);
+
+  std::vector<uint64_t> froms = {0, 5, 10, 40'000, 40'995,
+                                 std::numeric_limits<uint64_t>::max()};
+  for (const uint64_t a : starts) {
+    for (uint64_t off = 0; off <= 110; off += 5) froms.push_back(a + off);
+  }
+  const size_t limits[] = {1, 2, 3, 5, 8, 13, 50, 200, 5'000};
+  auto scan_all = [&] {
+    std::vector<std::vector<uint64_t>> out;
+    for (const uint64_t from : froms) {
+      for (const size_t limit : limits) out.push_back(idx.Scan(from, limit));
+    }
+    return out;
+  };
+  std::vector<std::vector<uint64_t>> ref;
+  {
+    ScopedLevel pin(Level::kScalar);
+    ASSERT_TRUE(pin.status().ok());
+    ref = scan_all();
+  }
+  size_t at = 0;
+  for (const uint64_t from : froms) {
+    for (const size_t limit : limits) {
+      std::vector<uint64_t> want;
+      for (auto it = live.lower_bound(from);
+           it != live.end() && want.size() < limit; ++it) {
+        want.push_back(*it);
+      }
+      ASSERT_EQ(ref[at++], want) << "scalar from " << from << " limit "
+                                 << limit;
+    }
+  }
+  for (const Level level : SupportedLevels()) {
+    ScopedLevel pin(level);
+    ASSERT_TRUE(pin.status().ok());
+    const auto got = scan_all();
+    at = 0;
+    for (const uint64_t from : froms) {
+      for (const size_t limit : limits) {
+        ASSERT_EQ(got[at], ref[at])
+            << LevelName(level) << " from " << from << " limit " << limit;
+        ++at;
+      }
+    }
   }
 }
 
