@@ -2,8 +2,10 @@
 // *synthesizer* — hand it a key set and a size budget, get back the fastest
 // index configuration found by grid search, with the full candidate sweep
 // printed the way LIF "generates different index configurations, optimizes
-// them, and tests them automatically". Covers all three index classes of
-// the paper: range (§3), point (§4), and existence (§5).
+// them, and tests them automatically". Covers three of the five
+// synthesis classes: range (§3), point (§4), and existence (§5). Exits 1
+// if a synthesis fails, a sampled lookup misses, or the existence winner
+// drops a key.
 
 #include <cstdio>
 #include <cstdlib>
@@ -70,6 +72,7 @@ int main(int argc, char** argv) {
     hits += pos < keys.size() && keys[pos] == q;
   }
   printf("verified %zu/%zu sampled range lookups\n\n", hits, queries.size());
+  bool ok = hits == queries.size();
 
   // ---- Point index (§4): hash family x slot sweep x map family ----
   printf("== LIF point-index synthesis ==\n");
@@ -91,6 +94,7 @@ int main(int argc, char** argv) {
   hits = 0;
   for (const uint64_t q : queries) hits += pindex.Find(q) != nullptr;
   printf("verified %zu/%zu sampled point lookups\n\n", hits, queries.size());
+  ok = ok && hits == queries.size();
 
   // ---- Existence index (§5): smallest filter meeting the target FPR ----
   printf("== LIF existence-index synthesis ==\n");
@@ -121,5 +125,5 @@ int main(int argc, char** argv) {
   size_t misses = 0;
   for (const auto& k : corpus.keys) misses += !eindex.MightContain(k);
   printf("false negatives: %zu (must be 0)\n", misses);
-  return 0;
+  return ok && misses == 0 ? 0 : 1;
 }

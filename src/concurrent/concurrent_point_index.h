@@ -48,9 +48,9 @@
 // surfaces through last_rebuild_status().
 //
 // Single-threaded use degenerates to exact map semantics (same oracle
-// conformance suite as the static families), which is what lets the LIF
-// synthesizer qualify concurrent point candidates with the same contract
-// as everything else.
+// conformance suite as the static families), so the concurrent point
+// wrappers are qualified with the same contract checks as everything
+// else.
 
 #ifndef LI_CONCURRENT_CONCURRENT_POINT_INDEX_H_
 #define LI_CONCURRENT_CONCURRENT_POINT_INDEX_H_

@@ -38,8 +38,9 @@
 //      old filter keeps serving (exactness is never at risk — only
 //      memory growth), surfacing through last_rebuild_status().
 //
-// The Rebuilder is a plain std::function so the LIF synthesizer can hand
-// in closures owning a classifier (the OwnedLearnedBloom pattern);
+// The Rebuilder is a plain std::function so callers can hand in closures
+// owning a classifier (a learned-Bloom rebuild that shares one trained
+// model and re-calibrates against a captured validation split);
 // PlainBloomRebuilder covers the no-model case.
 
 #ifndef LI_CONCURRENT_REBUILDABLE_EXISTENCE_H_

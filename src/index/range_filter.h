@@ -41,8 +41,8 @@
 // Build is *not* part of the contract: construction recipes differ (a
 // per-segment CDF model grid vs a fixed-width block grid), so candidates
 // are built concretely and erased into AnyRangeFilter — the seam the LIF
-// range sweep (lif::SynthesizedExistenceIndex::SynthesizeRange) and
-// bench_rangefilter enumerate over, mirroring AnyExistenceIndex.
+// range-filter class (lif::SynthesizedRangeFilter) and bench_rangefilter
+// enumerate over, mirroring AnyExistenceIndex.
 
 #ifndef LI_INDEX_RANGE_FILTER_H_
 #define LI_INDEX_RANGE_FILTER_H_

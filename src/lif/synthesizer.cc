@@ -1,10 +1,8 @@
 #include "lif/synthesizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "bloom/bloom_filter.h"
@@ -12,10 +10,7 @@
 #include "bloom/model_hash_bloom.h"
 #include "btree/readonly_btree.h"
 #include "classifier/ngram_logistic.h"
-#include "common/random.h"
-#include "concurrent/concurrent_point_index.h"
 #include "concurrent/concurrent_writable_index.h"
-#include "concurrent/rebuildable_existence.h"
 #include "concurrent/sharded_index.h"
 #include "data/datasets.h"
 #include "dynamic/delta_range_index.h"
@@ -29,24 +24,87 @@
 
 namespace li::lif {
 
+static_assert(index::RangeFilter<SynthesizedRangeFilter>);
+
 namespace {
 
+/// The one LIF loop (§3.1) every synthesis class runs on. A class builds
+/// and measures each grid point, then offers it here with its report.
+/// The sweep records every report, marks it against the size budget,
+/// applies the class gate (validation FPR at most `fpr_cap`; no gate by
+/// default) and keeps the qualifying candidate with the lowest objective,
+/// erased into `Handle`. Finish hands the winner over, or NotFound.
+template <typename Handle>
+class Sweep {
+ public:
+  using Objective = double (*)(const CandidateReport&);
+
+  Sweep(std::vector<CandidateReport>* reports, size_t size_budget_bytes,
+        Objective objective,
+        double fpr_cap = std::numeric_limits<double>::infinity())
+      : reports_(reports),
+        size_budget_bytes_(size_budget_bytes),
+        objective_(objective),
+        fpr_cap_(fpr_cap) {
+    reports_->clear();
+  }
+
+  template <typename Candidate>
+  void Offer(Candidate&& candidate, CandidateReport report) {
+    report.within_budget = report.size_bytes <= size_budget_bytes_;
+    reports_->push_back(report);
+    if (!report.within_budget || report.valid_fpr > fpr_cap_) return;
+    const double score = objective_(report);
+    if (!(score < best_)) return;
+    best_ = score;
+    winner_ = Handle(std::forward<Candidate>(candidate));
+    description_ = std::move(report.description);
+    found_ = true;
+  }
+
+  Status Finish(std::string not_found, Handle* winner,
+                std::string* description) {
+    if (!found_) return Status::NotFound(std::move(not_found));
+    *winner = std::move(winner_);
+    *description = std::move(description_);
+    return Status::OK();
+  }
+
+ private:
+  std::vector<CandidateReport>* reports_;
+  size_t size_budget_bytes_;
+  Objective objective_;
+  double fpr_cap_;
+  double best_ = std::numeric_limits<double>::infinity();
+  bool found_ = false;
+  Handle winner_;
+  std::string description_;
+};
+
+double ByLookupNs(const CandidateReport& r) { return r.lookup_ns; }
+double BySize(const CandidateReport& r) {
+  return static_cast<double>(r.size_bytes);
+}
+double ByMixedNs(const CandidateReport& r) { return r.mixed_ns; }
+
+/// Builds one RMI configuration, measures it on the sampled queries and
+/// offers it to the range sweep.
 template <typename TopModel>
-Status EvaluateCandidate(std::span<const uint64_t> keys,
-                         const SynthesisSpec& spec, const rmi::RmiConfig& rc,
-                         const std::string& description,
-                         const std::vector<uint64_t>& queries,
-                         rmi::Rmi<TopModel>* out, CandidateReport* report) {
-  LI_RETURN_IF_ERROR(out->Build(keys, rc));
-  report->description = description;
-  report->stage2 = rc.num_leaf_models;
-  report->size_bytes = out->SizeBytes();
-  report->max_abs_err = out->MaxAbsError();
-  report->within_budget = report->size_bytes <= spec.size_budget_bytes;
-  report->model_ns = MeasureNsPerOp(
-      queries, 1, [&](uint64_t q) { return out->Predict(q).pos; });
-  report->lookup_ns =
-      MeasureNsPerOp(queries, 1, [&](uint64_t q) { return out->LowerBound(q); });
+Status OfferRmi(std::span<const uint64_t> keys, const rmi::RmiConfig& rc,
+                std::string description, const std::vector<uint64_t>& queries,
+                Sweep<index::AnyRangeIndex>* sweep) {
+  rmi::Rmi<TopModel> idx;
+  LI_RETURN_IF_ERROR(idx.Build(keys, rc));
+  CandidateReport report;
+  report.description = std::move(description);
+  report.stage2 = rc.num_leaf_models;
+  report.size_bytes = idx.SizeBytes();
+  report.max_abs_err = idx.MaxAbsError();
+  report.model_ns = MeasureNsPerOp(
+      queries, 1, [&](uint64_t q) { return idx.Predict(q).pos; });
+  report.lookup_ns =
+      MeasureNsPerOp(queries, 1, [&](uint64_t q) { return idx.LowerBound(q); });
+  sweep->Offer(std::move(idx), std::move(report));
   return Status::OK();
 }
 
@@ -57,49 +115,29 @@ Status SynthesizedIndex::Synthesize(std::span<const uint64_t> keys,
   if (keys.empty()) {
     return Status::InvalidArgument("Synthesize: empty key set");
   }
-  reports_.clear();
   const std::vector<uint64_t> key_vec(keys.begin(), keys.end());
   const std::vector<uint64_t> queries =
       data::SampleKeys(key_vec, spec.eval_queries, spec.seed);
 
-  double best_ns = std::numeric_limits<double>::infinity();
-  bool found = false;
-
   // Candidates are built concretely (Build is config-specific), then
   // type-erased into the uniform contract — the §3.1 "generate different
   // index configurations ... test them automatically" seam.
-  auto consider = [&](auto&& idx, const CandidateReport& report) {
-    reports_.push_back(report);
-    if (!report.within_budget) return;
-    if (report.lookup_ns < best_ns) {
-      best_ns = report.lookup_ns;
-      winner_ = index::AnyRangeIndex(std::move(idx));
-      description_ = report.description;
-      found = true;
-    }
-  };
-
+  Sweep<index::AnyRangeIndex> sweep(&reports_, spec.size_budget_bytes,
+                                    ByLookupNs);
   for (const size_t m : spec.stage2_sizes) {
     rmi::RmiConfig rc;
     rc.num_leaf_models = m;
     rc.strategy = spec.strategy;
 
     if (spec.try_linear_top) {
-      rmi::Rmi<models::LinearModel> idx;
-      CandidateReport report;
-      LI_RETURN_IF_ERROR(EvaluateCandidate(
-          keys, spec, rc, "linear top / " + std::to_string(m) + " leaves",
-          queries, &idx, &report));
-      consider(std::move(idx), report);
+      LI_RETURN_IF_ERROR(OfferRmi<models::LinearModel>(
+          keys, rc, "linear top / " + std::to_string(m) + " leaves", queries,
+          &sweep));
     }
     if (spec.try_multivariate_top) {
-      rmi::Rmi<models::MultivariateModel> idx;
-      CandidateReport report;
-      LI_RETURN_IF_ERROR(EvaluateCandidate(
-          keys, spec, rc,
-          "multivariate top / " + std::to_string(m) + " leaves", queries,
-          &idx, &report));
-      consider(std::move(idx), report);
+      LI_RETURN_IF_ERROR(OfferRmi<models::MultivariateModel>(
+          keys, rc, "multivariate top / " + std::to_string(m) + " leaves",
+          queries, &sweep));
     }
     for (const auto& hidden : spec.nn_hidden) {
       rmi::RmiConfig nn_rc = rc;
@@ -111,17 +149,12 @@ Status SynthesizedIndex::Synthesize(std::span<const uint64_t> keys,
         desc += std::to_string(hidden[i]);
       }
       desc += "] top / " + std::to_string(m) + " leaves";
-      rmi::Rmi<models::NeuralNet> idx;
-      CandidateReport report;
-      LI_RETURN_IF_ERROR(
-          EvaluateCandidate(keys, spec, nn_rc, desc, queries, &idx, &report));
-      consider(std::move(idx), report);
+      LI_RETURN_IF_ERROR(OfferRmi<models::NeuralNet>(
+          keys, nn_rc, std::move(desc), queries, &sweep));
     }
   }
-  if (!found) {
-    return Status::NotFound("Synthesize: no candidate fits the size budget");
-  }
-  return Status::OK();
+  return sweep.Finish("Synthesize: no candidate fits the size budget",
+                      &winner_, &description_);
 }
 
 Status SynthesizedIndex::WriteSnapshot(const std::string& path) const {
@@ -174,120 +207,19 @@ Result<SynthesizedIndex> SynthesizedIndex::OpenSnapshot(
 // Point-index synthesis (§4): {random, learned-CDF} x slot sweep x family.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// How many of the workload's scheduled inserts the stream executes.
-/// The schedule is budget-guarded (never more inserts than the pool),
-/// and the harness consumes insert slots in prefix order per thread
-/// slice, so it is exactly the scheduled count: the executed set is
-/// always inserts[0..n).
-size_t ExecutedInserts(const std::vector<uint8_t>& is_insert, size_t pool) {
-  size_t n = 0;
-  for (const uint8_t b : is_insert) n += b != 0 ? 1 : 0;
-  return std::min(n, pool);
-}
-
-/// Drives a concurrent point candidate through the shared mixed stream
-/// at `threads`, charging the drain of pending background rebuilds
-/// inside the timed window (a config cannot score well by deferring its
-/// fold CPU past the measurement), then oracle-verifies the quiesced
-/// index against exact map semantics: every surviving record — build
-/// split plus executed inserts — must come back with its exact payload,
-/// and keys outside the set must miss. Internal on any mismatch.
-template <typename Idx>
-Status MeasureConcurrentPointCandidate(Idx& idx,
-                                       const PointReadWriteWorkload& w,
-                                       size_t threads, uint64_t seed,
-                                       CandidateReport* report) {
-  Timer timer;
-  RunPointMixedStreamNs(idx, w, threads);
-  idx.WaitForRebuilds();
-  report->mixed_ns =
-      timer.ElapsedNanos() /
-      static_cast<double>(std::max<size_t>(w.is_insert.size(), 1));
-  report->threads = threads;
-  report->size_bytes = idx.SizeBytes();
-  report->stage2 = idx.Stats().num_slots;
-  report->max_abs_err =
-      static_cast<int64_t>(idx.ConcurrentStats().delta_entries);
-  report->lookup_ns = MeasureNsPerOp(w.lookups, 1, [&](uint64_t q) {
-    hash::Record rec;
-    return idx.Find(q, &rec) ? 1 : 0;
-  });
-  const size_t executed = ExecutedInserts(w.is_insert, w.inserts.size());
-  auto expect_record = [&](const hash::Record& want) {
-    hash::Record got{};
-    if (!idx.Find(want.key, &got) || got.payload != want.payload) {
-      return Status::Internal(
-          "concurrent point oracle: wrong or missing record for key " +
-          std::to_string(want.key));
-    }
-    return Status::OK();
-  };
-  for (const hash::Record& r : w.base) LI_RETURN_IF_ERROR(expect_record(r));
-  for (size_t i = 0; i < executed; ++i) {
-    LI_RETURN_IF_ERROR(expect_record(w.inserts[i]));
-  }
-  for (size_t i = executed; i < w.inserts.size(); ++i) {
-    hash::Record got{};
-    if (idx.Find(w.inserts[i].key, &got)) {
-      return Status::Internal(
-          "concurrent point oracle: unexecuted insert visible");
-    }
-  }
-  // Random absent probes (base and inserts are sorted by key, so
-  // membership is two binary searches).
-  auto present = [&](uint64_t k) {
-    const auto key_lt = [](const hash::Record& r, uint64_t key) {
-      return r.key < key;
-    };
-    const auto bi = std::lower_bound(w.base.begin(), w.base.end(), k, key_lt);
-    if (bi != w.base.end() && bi->key == k) return true;
-    const auto ii =
-        std::lower_bound(w.inserts.begin(), w.inserts.end(), k, key_lt);
-    return ii != w.inserts.end() && ii->key == k;
-  };
-  Xorshift128Plus rng(seed ^ 0x7F4A7C15ULL);
-  for (int probes = 0; probes < 256;) {
-    const uint64_t k = rng.Next();
-    if (present(k)) continue;
-    ++probes;
-    hash::Record got{};
-    if (idx.Find(k, &got)) {
-      return Status::Internal("concurrent point oracle: absent key found");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
                                          const PointSynthesisSpec& spec) {
   if (records.empty()) {
     return Status::InvalidArgument("SynthesizePoint: empty record set");
   }
-  reports_.clear();
   std::vector<uint64_t> keys;
   keys.reserve(records.size());
   for (const hash::Record& r : records) keys.push_back(r.key);
   const std::vector<uint64_t> queries =
       data::SampleKeys(keys, spec.eval_queries, spec.seed);
 
-  double best_ns = std::numeric_limits<double>::infinity();
-  bool found = false;
-
-  auto consider = [&](auto&& map, CandidateReport report) {
-    report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-    reports_.push_back(report);
-    if (!report.within_budget) return;
-    if (report.lookup_ns < best_ns) {
-      best_ns = report.lookup_ns;
-      winner_ = index::AnyPointIndex(std::move(map));
-      description_ = report.description;
-      found = true;
-    }
-  };
+  Sweep<index::AnyPointIndex> sweep(&reports_, spec.size_budget_bytes,
+                                    ByLookupNs);
 
   // Every map family shares the measurement recipe; the hash-only cost
   // (model_ns) is measured once per hash config below.
@@ -341,7 +273,7 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
                              std::to_string(pct) + "% slots";
         report.model_ns = hash_ns;
         measure(map, &report);
-        consider(std::move(map), report);
+        sweep.Offer(std::move(map), std::move(report));
       }
     }
     if (spec.try_inplace) {
@@ -353,7 +285,7 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
         report.description = "inplace-chained / " + hash_name;
         report.model_ns = hash_ns;
         measure(map, &report);
-        consider(std::move(map), report);
+        sweep.Offer(std::move(map), std::move(report));
       }
     }
   }
@@ -381,66 +313,12 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
       CandidateReport report;
       report.description = v.name;
       measure(map, &report);
-      consider(std::move(map), report);
+      sweep.Offer(std::move(map), std::move(report));
     }
   }
 
-  // ---- concurrent axis (report-only): the thread-safe write path over
-  // the same families, qualified under the shared mixed stream. A
-  // concurrent wrapper's Find is value-copy-out (a base pointer would
-  // dangle once a rebuild retires its version), so it cannot erase into
-  // AnyPointIndex; candidates report next to the static grid without
-  // competing for the winner.
-  if (spec.try_concurrent) {
-    const PointReadWriteWorkload cw = MakePointReadWriteWorkload(
-        records, spec.eval_ops, spec.insert_ratio, spec.eval_queries,
-        spec.seed);
-    if (spec.try_chained) {
-      using Conc = concurrent::ConcurrentPointIndex<hash::ChainedHashMap>;
-      Conc::Config cfg;
-      cfg.base.num_slots = std::max<size_t>(1, cw.base.size());
-      cfg.base.hash.kind = hash::HashKind::kRandom;
-      cfg.base.hash.seed = spec.seed;
-      cfg.log_cap = spec.log_cap;
-      cfg.rebuild_entries = spec.rebuild_entries;
-      Conc idx;
-      LI_RETURN_IF_ERROR(
-          idx.Build(std::span<const hash::Record>(cw.base), cfg));
-      CandidateReport report;
-      report.description = "concurrent-point[chained / random] x" +
-                           std::to_string(spec.eval_threads) + "T";
-      LI_RETURN_IF_ERROR(MeasureConcurrentPointCandidate(
-          idx, cw, spec.eval_threads, spec.seed, &report));
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      reports_.push_back(report);
-    }
-    if (spec.try_cuckoo) {
-      using Conc =
-          concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>>;
-      Conc::Config cfg;
-      cfg.base.load_factor = std::min(spec.cuckoo_load_factor, 0.95);
-      cfg.base.careful = true;
-      cfg.base.seed = spec.seed | 1;
-      cfg.log_cap = spec.log_cap;
-      cfg.rebuild_entries = spec.rebuild_entries;
-      Conc idx;
-      LI_RETURN_IF_ERROR(
-          idx.Build(std::span<const hash::Record>(cw.base), cfg));
-      CandidateReport report;
-      report.description = "concurrent-point[cuckoo / careful] x" +
-                           std::to_string(spec.eval_threads) + "T";
-      LI_RETURN_IF_ERROR(MeasureConcurrentPointCandidate(
-          idx, cw, spec.eval_threads, spec.seed, &report));
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      reports_.push_back(report);
-    }
-  }
-
-  if (!found) {
-    return Status::NotFound(
-        "SynthesizePoint: no candidate fits the size budget");
-  }
-  return Status::OK();
+  return sweep.Finish("SynthesizePoint: no candidate fits the size budget",
+                      &winner_, &description_);
 }
 
 // ---------------------------------------------------------------------------
@@ -481,42 +359,6 @@ struct OwnedModelHashBloom {
 static_assert(index::ExistenceIndex<OwnedLearnedBloom>);
 static_assert(index::ExistenceIndex<OwnedModelHashBloom>);
 
-/// Drives a concurrent existence candidate through the shared mixed
-/// stream at `threads` (rebuild drain charged inside the timed window),
-/// then verifies the quiesced filter keeps the §5 guarantee online: no
-/// false negative over the corpus or any executed insert. Internal on
-/// any false negative.
-template <typename F>
-Status MeasureConcurrentExistenceCandidate(
-    F& f, const ExistenceReadWriteWorkload& w, size_t threads,
-    CandidateReport* report) {
-  Timer timer;
-  RunExistenceMixedStreamNs(f, w, threads);
-  f.WaitForRebuilds();
-  report->mixed_ns =
-      timer.ElapsedNanos() /
-      static_cast<double>(std::max<size_t>(w.is_insert.size(), 1));
-  report->threads = threads;
-  report->size_bytes = f.SizeBytes();
-  report->lookup_ns = MeasureNsPerOp(w.lookups, 1, [&](const std::string& q) {
-    return f.MightContain(std::string_view(q));
-  });
-  const size_t executed = ExecutedInserts(w.is_insert, w.inserts.size());
-  for (const std::string& k : w.base) {
-    if (!f.MightContain(std::string_view(k))) {
-      return Status::Internal(
-          "concurrent existence oracle: false negative on corpus key");
-    }
-  }
-  for (size_t i = 0; i < executed; ++i) {
-    if (!f.MightContain(std::string_view(w.inserts[i]))) {
-      return Status::Internal(
-          "concurrent existence oracle: false negative on inserted key");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status SynthesizedExistenceIndex::Synthesize(
@@ -535,13 +377,8 @@ Status SynthesizedExistenceIndex::Synthesize(
   if (spec.target_fpr <= 0.0 || spec.target_fpr >= 1.0) {
     return Status::InvalidArgument("SynthesizeExistence: bad target FPR");
   }
-  reports_.clear();
   const std::vector<std::string> probes(eval_non_keys.begin(),
                                         eval_non_keys.end());
-  const double fpr_cap = spec.target_fpr * spec.fpr_slack;
-
-  size_t best_bytes = std::numeric_limits<size_t>::max();
-  bool found = false;
 
   // Winner = smallest qualifying candidate: the §5 objective is memory at
   // a fixed FPR; a candidate whose measured FPR blows past the target is
@@ -549,20 +386,12 @@ Status SynthesizedExistenceIndex::Synthesize(
   // *validation* split so the eval split stays an unbiased test set
   // (report.fpr); picking by eval FPR would let the test set select the
   // winner.
-  auto consider = [&](auto&& filter, CandidateReport report) {
-    report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-    reports_.push_back(report);
-    if (!report.within_budget || report.valid_fpr > fpr_cap) return;
-    if (report.size_bytes < best_bytes) {
-      best_bytes = report.size_bytes;
-      winner_ = index::AnyExistenceIndex(std::move(filter));
-      description_ = report.description;
-      found = true;
-    }
-  };
+  Sweep<index::AnyExistenceIndex> sweep(&reports_, spec.size_budget_bytes,
+                                        BySize,
+                                        spec.target_fpr * spec.fpr_slack);
 
   // Fills the report: eval-split FPR + probe latency for reporting, plus
-  // the validation-split FPR consider() qualifies on.
+  // the validation-split FPR the sweep qualifies on.
   auto measure = [&](const auto& filter, CandidateReport* report) {
     report->size_bytes = filter.SizeBytes();
     report->fpr = filter.MeasuredFpr(probes);
@@ -579,7 +408,7 @@ Status SynthesizedExistenceIndex::Synthesize(
       CandidateReport report;
       report.description = "plain bloom";
       measure(plain, &report);
-      consider(std::move(plain), report);
+      sweep.Offer(std::move(plain), std::move(report));
     }
   }
 
@@ -606,7 +435,7 @@ Status SynthesizedExistenceIndex::Synthesize(
         report.stage2 = buckets;
         report.model_ns = model_ns;
         measure(cand, &report);
-        consider(std::move(cand), report);
+        sweep.Offer(std::move(cand), std::move(report));
       }
     }
     if (spec.try_model_hash) {
@@ -628,94 +457,23 @@ Status SynthesizedExistenceIndex::Synthesize(
         report.stage2 = buckets;
         report.model_ns = model_ns;
         measure(cand, &report);
-        consider(std::move(cand), report);
+        sweep.Offer(std::move(cand), std::move(report));
       }
     }
   }
 
-  // ---- concurrent axis (report-only): insertable filters over the
-  // same constructions, qualified under the shared mixed stream. A
-  // filter with a background rebuild worker inside is not
-  // interchangeable with the static winner, so candidates report next
-  // to the grid without competing for it.
-  if (spec.try_concurrent) {
-    const ExistenceReadWriteWorkload cw = MakeExistenceReadWriteWorkload(
-        keys, eval_non_keys, spec.eval_ops, spec.insert_ratio, spec.eval_ops,
-        spec.seed);
-    if (spec.try_plain_bloom) {
-      using ConcBloom = concurrent::RebuildableExistence<bloom::BloomFilter>;
-      ConcBloom::Config cfg;
-      cfg.rebuild = concurrent::PlainBloomRebuilder(spec.target_fpr);
-      cfg.staleness = spec.rebuild_staleness;
-      cfg.log_cap = spec.side_log_cap;
-      ConcBloom f;
-      LI_RETURN_IF_ERROR(
-          f.Build(std::span<const std::string>(cw.base), cfg));
-      CandidateReport report;
-      report.description = "concurrent-existence[plain bloom] x" +
-                           std::to_string(spec.eval_threads) + "T";
-      LI_RETURN_IF_ERROR(MeasureConcurrentExistenceCandidate(
-          f, cw, spec.eval_threads, &report));
-      report.fpr = f.MeasuredFpr(probes);
-      report.valid_fpr = f.MeasuredFpr(valid_non_keys);
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      reports_.push_back(report);
-    }
-    if (spec.try_learned && !spec.ngram_buckets.empty() &&
-        !train_non_keys.empty()) {
-      using ConcLearned = concurrent::RebuildableExistence<OwnedLearnedBloom>;
-      classifier::NgramConfig ncfg;
-      ncfg.num_buckets = spec.ngram_buckets.front();
-      ncfg.seed = spec.seed;
-      auto model = std::make_shared<classifier::NgramLogistic>();
-      if (model->Train(cw.base, train_non_keys, ncfg).ok()) {
-        // Every background rebuild re-calibrates the threshold and
-        // re-forms the overflow Bloom against the validation split, so
-        // the rebuilder owns a copy of it (the model is fixed: §5
-        // retrains offline, not per insert batch).
-        auto valid = std::make_shared<std::vector<std::string>>(
-            valid_non_keys.begin(), valid_non_keys.end());
-        const double target = spec.target_fpr;
-        ConcLearned::Config cfg;
-        cfg.rebuild = [model, valid, target](
-                          std::span<const std::string> ks,
-                          OwnedLearnedBloom* out) -> Status {
-          out->model = model;
-          return out->filter.Build(out->model.get(), ks,
-                                   std::span<const std::string>(*valid),
-                                   target);
-        };
-        cfg.staleness = spec.rebuild_staleness;
-        cfg.log_cap = spec.side_log_cap;
-        ConcLearned f;
-        LI_RETURN_IF_ERROR(
-            f.Build(std::span<const std::string>(cw.base), cfg));
-        CandidateReport report;
-        report.description =
-            "concurrent-existence[ngram(" +
-            std::to_string(spec.ngram_buckets.front()) +
-            ") + overflow bloom] x" + std::to_string(spec.eval_threads) +
-            "T";
-        report.stage2 = spec.ngram_buckets.front();
-        LI_RETURN_IF_ERROR(MeasureConcurrentExistenceCandidate(
-            f, cw, spec.eval_threads, &report));
-        report.fpr = f.MeasuredFpr(probes);
-        report.valid_fpr = f.MeasuredFpr(valid_non_keys);
-        report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-        reports_.push_back(report);
-      }
-    }
-  }
-
-  if (!found) {
-    return Status::NotFound(
-        "SynthesizeExistence: no candidate meets the FPR target within "
-        "the size budget");
-  }
-  return Status::OK();
+  return sweep.Finish(
+      "SynthesizeExistence: no candidate meets the FPR target within the "
+      "size budget",
+      &winner_, &description_);
 }
 
-Status SynthesizedExistenceIndex::SynthesizeRange(
+// ---------------------------------------------------------------------------
+// Range-filter synthesis: construction x bitmap budget x segment size,
+// optimizing memory at a fixed target range-FPR.
+// ---------------------------------------------------------------------------
+
+Status SynthesizedRangeFilter::Synthesize(
     std::span<const uint64_t> keys, const RangeFilterSynthesisSpec& spec) {
   if (keys.empty()) {
     return Status::InvalidArgument("SynthesizeRange: empty key set");
@@ -723,7 +481,9 @@ Status SynthesizedExistenceIndex::SynthesizeRange(
   if (spec.target_range_fpr <= 0.0 || spec.target_range_fpr >= 1.0) {
     return Status::InvalidArgument("SynthesizeRange: bad target range-FPR");
   }
-  range_reports_.clear();
+  Sweep<index::AnyRangeFilter> sweep(&reports_, spec.size_budget_bytes,
+                                     BySize,
+                                     spec.target_range_fpr * spec.fpr_slack);
 
   std::vector<uint64_t> sorted(keys.begin(), keys.end());
   std::sort(sorted.begin(), sorted.end());
@@ -752,37 +512,23 @@ Status SynthesizedExistenceIndex::SynthesizeRange(
         "from");
   }
 
-  const double fpr_cap = spec.target_range_fpr * spec.fpr_slack;
-  size_t best_bytes = std::numeric_limits<size_t>::max();
-  bool found = false;
-
-  // Same shape as the point-probe sweep above: measure fills the report,
-  // consider applies the oracle + qualification gates and keeps the
-  // smallest qualifying candidate.
-  auto consider = [&](auto&& filter,
-                      CandidateReport report) -> Status {
+  // Same shape as the point-probe existence sweep: measure fills the
+  // report after the witness oracle, which fails the whole sweep on any
+  // false negative.
+  auto measure = [&](const auto& filter, CandidateReport* report) -> Status {
     for (const index::RangeQuery& w : witnesses) {
       if (!filter.MightContainRange(w.lo, w.hi)) {
         return Status::Internal("SynthesizeRange oracle: false negative (" +
-                                report.description + ")");
+                                report->description + ")");
       }
     }
-    report.size_bytes = filter.SizeBytes();
-    report.valid_fpr = filter.MeasuredRangeFpr(valid_queries);
-    report.fpr = filter.MeasuredRangeFpr(eval_queries);
-    report.lookup_ns =
+    report->size_bytes = filter.SizeBytes();
+    report->valid_fpr = filter.MeasuredRangeFpr(valid_queries);
+    report->fpr = filter.MeasuredRangeFpr(eval_queries);
+    report->lookup_ns =
         MeasureNsPerOp(eval_queries, 1, [&](const index::RangeQuery& q) {
           return filter.MightContainRange(q.lo, q.hi);
         });
-    report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-    range_reports_.push_back(report);
-    if (report.within_budget && report.valid_fpr <= fpr_cap &&
-        report.size_bytes < best_bytes) {
-      best_bytes = report.size_bytes;
-      range_winner_ = index::AnyRangeFilter(std::move(filter));
-      range_description_ = report.description;
-      found = true;
-    }
     return Status::OK();
   };
 
@@ -798,7 +544,8 @@ Status SynthesizedExistenceIndex::SynthesizeRange(
         report.description = "learned-segmented bpk=" + std::to_string(bpk) +
                              " kps=" + std::to_string(kps);
         report.stage2 = f.num_segments();
-        LI_RETURN_IF_ERROR(consider(std::move(f), std::move(report)));
+        LI_RETURN_IF_ERROR(measure(f, &report));
+        sweep.Offer(std::move(f), std::move(report));
       }
     }
     if (spec.try_interval) {
@@ -809,16 +556,15 @@ Status SynthesizedExistenceIndex::SynthesizeRange(
       CandidateReport report;
       report.description = "interval-bitmap bpk=" + std::to_string(bpk);
       report.stage2 = 1;
-      LI_RETURN_IF_ERROR(consider(std::move(f), std::move(report)));
+      LI_RETURN_IF_ERROR(measure(f, &report));
+      sweep.Offer(std::move(f), std::move(report));
     }
   }
 
-  if (!found) {
-    return Status::NotFound(
-        "SynthesizeRange: no candidate meets the range-FPR target within "
-        "the size budget");
-  }
-  return Status::OK();
+  return sweep.Finish(
+      "SynthesizeRange: no candidate meets the range-FPR target within the "
+      "size budget",
+      &winner_, &description_);
 }
 
 // ---------------------------------------------------------------------------
@@ -832,12 +578,13 @@ namespace {
 /// stream via the shared harness (one thread: the sequential stream),
 /// and fills the report (mixed_ns is the qualification metric;
 /// lookup_ns is measured after the stream, delta populated).
-template <typename Idx, typename BuildFn>
-Status EvaluateWritableCandidate(const ReadWriteWorkload& w, BuildFn&& build,
+template <typename Idx>
+Status EvaluateWritableCandidate(const ReadWriteWorkload& w,
+                                 const typename Idx::Config& cfg,
                                  const std::string& description,
                                  CandidateReport* report) {
   Idx idx;
-  LI_RETURN_IF_ERROR(build(std::span<const uint64_t>(w.base), &idx));
+  LI_RETURN_IF_ERROR(idx.Build(std::span<const uint64_t>(w.base), cfg));
   report->description = description;
   report->mixed_ns = RunMixedStreamNs(idx, w, 1);
   report->lookup_ns = MeasureNsPerOp(w.lookups, 1,
@@ -873,6 +620,24 @@ void MeasureConcurrentCandidate(Idx& idx, const ReadWriteWorkload& w,
   report->size_bytes = idx.SizeBytes();
 }
 
+/// The writable sweep's Handle. The measured instance absorbed the
+/// held-out insert stream, so each candidate is offered as a closure that
+/// rebuilds its configuration over the *full* key set into `*winner`;
+/// only the winner's runs, once, after the sweep.
+using Rebuild = std::function<Status()>;
+
+template <typename Idx>
+Rebuild RebuildOnFullKeys(std::span<const uint64_t> keys,
+                          const typename Idx::Config& cfg,
+                          index::AnyWritableRangeIndex* winner) {
+  return [keys, cfg, winner] {
+    Idx full;
+    LI_RETURN_IF_ERROR(full.Build(keys, cfg));
+    *winner = index::AnyWritableRangeIndex(std::move(full));
+    return Status::OK();
+  };
+}
+
 }  // namespace
 
 Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
@@ -883,24 +648,10 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
   if (spec.insert_ratio < 0.0 || spec.insert_ratio > 1.0) {
     return Status::InvalidArgument("SynthesizeWritable: bad insert ratio");
   }
-  reports_.clear();
   const ReadWriteWorkload w = MakeReadWriteWorkload(
       keys, spec.eval_ops, spec.insert_ratio, spec.eval_ops, spec.seed);
 
-  double best_ns = std::numeric_limits<double>::infinity();
-  // The winner is re-built over the *full* key set (the measured instance
-  // absorbed the held-out insert stream), then erased.
-  std::function<Status()> rebuild_winner;
-
-  auto consider = [&](const CandidateReport& report, auto&& rebuild) {
-    reports_.push_back(report);
-    if (!report.within_budget) return;
-    if (report.mixed_ns < best_ns) {
-      best_ns = report.mixed_ns;
-      description_ = report.description;
-      rebuild_winner = rebuild;
-    }
-  };
+  Sweep<Rebuild> sweep(&reports_, spec.size_budget_bytes, ByMixedNs);
 
   if (spec.try_delta_rmi) {
     using DeltaRmi = dynamic::DeltaRangeIndex<rmi::LinearRmi>;
@@ -909,21 +660,13 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
       cfg.base.num_leaf_models = m;
       cfg.base.strategy = spec.strategy;
       cfg.policy = spec.policy;
-      auto build = [&cfg](std::span<const uint64_t> ks, DeltaRmi* out) {
-        return out->Build(ks, cfg);
-      };
       CandidateReport report;
       report.stage2 = m;
       LI_RETURN_IF_ERROR(EvaluateWritableCandidate<DeltaRmi>(
-          w, build,
-          "delta[rmi linear / " + std::to_string(m) + " leaves]", &report));
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      consider(report, [this, cfg, keys]() {
-        DeltaRmi full;
-        LI_RETURN_IF_ERROR(full.Build(keys, cfg));
-        winner_ = index::AnyWritableRangeIndex(std::move(full));
-        return Status::OK();
-      });
+          w, cfg, "delta[rmi linear / " + std::to_string(m) + " leaves]",
+          &report));
+      sweep.Offer(RebuildOnFullKeys<DeltaRmi>(keys, cfg, &winner_),
+                  std::move(report));
     }
   }
   if (spec.try_delta_btree) {
@@ -932,21 +675,13 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
       DeltaBtree::Config cfg;
       cfg.base.keys_per_page = page;
       cfg.policy = spec.policy;
-      auto build = [&cfg](std::span<const uint64_t> ks, DeltaBtree* out) {
-        return out->Build(ks, cfg);
-      };
       CandidateReport report;
       report.stage2 = page;
       LI_RETURN_IF_ERROR(EvaluateWritableCandidate<DeltaBtree>(
-          w, build, "delta[btree / " + std::to_string(page) + " keys/page]",
+          w, cfg, "delta[btree / " + std::to_string(page) + " keys/page]",
           &report));
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      consider(report, [this, cfg, keys]() {
-        DeltaBtree full;
-        LI_RETURN_IF_ERROR(full.Build(keys, cfg));
-        winner_ = index::AnyWritableRangeIndex(std::move(full));
-        return Status::OK();
-      });
+      sweep.Offer(RebuildOnFullKeys<DeltaBtree>(keys, cfg, &winner_),
+                  std::move(report));
     }
   }
 
@@ -968,13 +703,8 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
                            std::to_string(spec.eval_threads) + "T";
       report.stage2 = m;
       MeasureConcurrentCandidate(idx, w, spec.eval_threads, &report);
-      report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-      consider(report, [this, cfg, keys]() {
-        ConcRmi full;
-        LI_RETURN_IF_ERROR(full.Build(keys, cfg));
-        winner_ = index::AnyWritableRangeIndex(std::move(full));
-        return Status::OK();
-      });
+      sweep.Offer(RebuildOnFullKeys<ConcRmi>(keys, cfg, &winner_),
+                  std::move(report));
     }
   }
   if (spec.try_sharded) {
@@ -1021,21 +751,16 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
             "] x" + std::to_string(spec.eval_threads) + "T";
         report.stage2 = m;
         MeasureConcurrentCandidate(idx, sw, spec.eval_threads, &report);
-        report.within_budget = report.size_bytes <= spec.size_budget_bytes;
-        consider(report, [this, cfg, keys]() {
-          Sharded full;
-          LI_RETURN_IF_ERROR(full.Build(keys, cfg));
-          winner_ = index::AnyWritableRangeIndex(std::move(full));
-          return Status::OK();
-        });
+        sweep.Offer(RebuildOnFullKeys<Sharded>(keys, cfg, &winner_),
+                    std::move(report));
       }
     }
   }
 
-  if (!rebuild_winner) {
-    return Status::NotFound(
-        "SynthesizeWritable: no candidate fits the size budget");
-  }
+  Rebuild rebuild_winner;
+  LI_RETURN_IF_ERROR(
+      sweep.Finish("SynthesizeWritable: no candidate fits the size budget",
+                   &rebuild_winner, &description_));
   return rebuild_winner();
 }
 

@@ -2,30 +2,36 @@
 // given an index specification, LIF generates different index
 // configurations, optimizes them, and tests them automatically."
 //
-// The synthesizer is class-aware — it covers all three index classes of
-// the paper behind the three library-wide contracts:
+// The synthesizer covers five index classes, each behind its
+// library-wide contract:
 //
 //  * SynthesizedIndex          (range, §3)    — grid-searches top-model
 //    families (linear, multivariate with auto feature selection, NNs with
 //    0-2 hidden layers and widths 4..32, the §3.7.1 space) crossed with
-//    second-stage model counts; erases the winner into AnyRangeIndex.
+//    second-stage model counts; erases the fastest into AnyRangeIndex.
 //  * SynthesizedPointIndex     (point, §4)    — grid-searches
 //    {random, learned-CDF} hash x slot-count sweep x map family
 //    (separate-chaining, in-place chained, bucketized cuckoo); erases the
-//    winner into AnyPointIndex.
+//    fastest into AnyPointIndex.
 //  * SynthesizedExistenceIndex (existence, §5) — searches classifier
 //    capacity x construction (plain Bloom, classifier + overflow,
 //    model-hash sandwich) x bitmap sizes at a fixed target FPR; erases
-//    the winner into AnyExistenceIndex.
+//    the smallest qualifying filter into AnyExistenceIndex.
+//  * SynthesizedRangeFilter    (range filter, §5 lifted to ranges) —
+//    searches the src/rangefilter/ constructions x bitmap budgets x
+//    segment sizes at a fixed target range-FPR; erases the smallest
+//    qualifying filter into AnyRangeFilter.
 //  * SynthesizedWritableIndex  (writable, App. D.1) — grid-searches
 //    delta-wrapped bases under a mixed insert/lookup stream, and — when
 //    the spec opts in — concurrent and range-sharded front-ends
 //    (src/concurrent/) qualified under the same stream driven by
-//    multiple threads; erases the winner into AnyWritableRangeIndex.
+//    multiple threads; erases the fastest into AnyWritableRangeIndex.
 //
-// Every grid point is built, measured on a sampled workload with the
-// measure.h harness, and reported as a CandidateReport so benches can
-// print the full sweep, not just the winner.
+// Each class is a grid plus an objective. Every grid point is built,
+// measured on a sampled workload with the measure.h harness and offered
+// to one shared sweep, which reports it as a CandidateReport (so benches
+// can print the full sweep, not just the winner), applies the size budget
+// and the class gate, and keeps the winner.
 
 #ifndef LI_LIF_SYNTHESIZER_H_
 #define LI_LIF_SYNTHESIZER_H_
@@ -62,8 +68,9 @@ struct SynthesisSpec {
 };
 
 /// One evaluated candidate (every grid point is reported so benches can
-/// print the full sweep, not just the winner). Shared by all three index
-/// classes; fields that don't apply to a class stay at their defaults.
+/// print the full sweep, not just the winner). Shared by all five
+/// synthesis classes; fields that don't apply to a class stay at their
+/// defaults.
 struct CandidateReport {
   std::string description;
   size_t stage2 = 0;          // range: leaf models; point: primary slots
@@ -71,8 +78,8 @@ struct CandidateReport {
   double lookup_ns = 0.0;
   double model_ns = 0.0;      // model/hash/classifier execution only
   int64_t max_abs_err = 0;    // range: |err| bound; point: overflow entries
-  double fpr = 0.0;           // existence: measured FPR on the eval set
-  double valid_fpr = 0.0;     // existence: FPR on the validation split
+  double fpr = 0.0;           // filters: measured FPR on the eval set
+  double valid_fpr = 0.0;     // filters: FPR on the validation split
                               // (the qualification gate)
   double mixed_ns = 0.0;      // writable: ns/op over the read/write stream
                               // (the qualification metric for that class;
@@ -138,25 +145,6 @@ struct PointSynthesisSpec {
   size_t cdf_leaf_models = 0;  // 0 = auto (min(100k, n/10), §4.2)
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
   size_t eval_queries = 20'000;
-  /// Concurrent candidate axis (opt in when the index will serve
-  /// multi-threaded point traffic): wrap the chained and cuckoo families
-  /// in concurrent::ConcurrentPointIndex and qualify them under the
-  /// shared mixed insert/find stream driven by `eval_threads` threads,
-  /// finishing with an exact-map oracle check over the quiesced index
-  /// (every surviving record findable with its exact payload, absent
-  /// keys miss). Their mixed_ns is aggregate wall-time per op.
-  /// Concurrent candidates are report-only: value-semantics Find cannot
-  /// erase into AnyPointIndex, so they never compete for the
-  /// single-threaded winner.
-  bool try_concurrent = false;
-  size_t eval_threads = 4;
-  /// Fraction of concurrent-stream ops that insert held-out records.
-  double insert_ratio = 0.10;
-  size_t eval_ops = 40'000;
-  /// Write-log capacity and overlay rebuild trigger for the concurrent
-  /// wrappers (see ConcurrentPointIndex::Config).
-  size_t log_cap = 1024;
-  size_t rebuild_entries = 4096;
   uint64_t seed = 99;
 };
 
@@ -200,30 +188,13 @@ struct ExistenceSynthesisSpec {
   /// Model-hash bitmap sizes, in bits per key.
   std::vector<double> bitmap_bits_per_key = {0.3, 0.6};
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
-  /// Concurrent candidate axis: wrap the plain and learned
-  /// constructions in concurrent::RebuildableExistence and qualify them
-  /// under a mixed insert/probe stream driven by `eval_threads`
-  /// threads, verifying zero false negatives over corpus + executed
-  /// inserts once quiesced (the §5 guarantee extended to online keys).
-  /// Report-only next to the static grid: a filter with a background
-  /// rebuild worker inside is not interchangeable with the static
-  /// winner, however small.
-  bool try_concurrent = false;
-  size_t eval_threads = 4;
-  /// Fraction of concurrent-stream ops that insert held-out keys.
-  double insert_ratio = 0.10;
-  size_t eval_ops = 40'000;
-  /// Side-set write-log capacity for the concurrent wrappers.
-  size_t side_log_cap = 1024;
-  /// Side-set/corpus ratio that triggers a background filter rebuild.
-  double rebuild_staleness = 0.05;
   uint64_t seed = 99;
 };
 
-/// Range-query axis of the existence sweep: grid over the two range-filter
-/// constructions (src/rangefilter/) at several bitmap budgets, qualified on
-/// measured range-FPR over generated guaranteed-empty ranges — the same
-/// smallest-qualifying-bytes objective as the point-probe sweep, with
+/// Range-filter synthesis: grid over the two range-filter constructions
+/// (src/rangefilter/) at several bitmap budgets, qualified on measured
+/// range-FPR over generated guaranteed-empty ranges — the same
+/// smallest-qualifying-bytes objective as the existence sweep, with
 /// MightContain the degenerate [k, k+1) case.
 struct RangeFilterSynthesisSpec {
   double target_range_fpr = 0.05;
@@ -254,13 +225,6 @@ struct RangeFilterSynthesisSpec {
 /// (the paper's §5 metric is memory at a fixed FPR, not latency), erased
 /// into index::AnyExistenceIndex. Classifier ownership is folded into the
 /// erased winner, so the handle is self-contained.
-///
-/// The class also carries the range-query axis: SynthesizeRange sweeps
-/// the src/rangefilter/ constructions over an integer key set and erases
-/// the smallest qualifying filter into an index::AnyRangeFilter, served
-/// through MightContainRange. The two sweeps are independent — an LSM
-/// table typically wants both a point filter over string keys and a
-/// range filter over its integer key column.
 class SynthesizedExistenceIndex {
  public:
   SynthesizedExistenceIndex() = default;
@@ -285,38 +249,48 @@ class SynthesizedExistenceIndex {
                     std::span<const std::string> eval_non_keys,
                     const ExistenceSynthesisSpec& spec);
 
-  // ---- Range-query axis ----
+ private:
+  index::AnyExistenceIndex winner_;
+  std::string description_;
+  std::vector<CandidateReport> reports_;
+};
 
-  /// Half-open [lo, hi) over the synthesized range winner. False until a
-  /// successful SynthesizeRange (no winner = empty set).
+/// The synthesized range filter: the *smallest* candidate qualifying on
+/// validation range-FPR, erased into index::AnyRangeFilter. It satisfies
+/// the index::RangeFilter contract itself; until a successful Synthesize
+/// it is the filter over the empty set (every query answers false).
+/// Independent of SynthesizedExistenceIndex — an LSM table typically
+/// wants both a point filter over string keys and a range filter over
+/// its integer key column.
+class SynthesizedRangeFilter {
+ public:
+  SynthesizedRangeFilter() = default;
+
+  /// Half-open [lo, hi) over the synthesized winner.
   bool MightContainRange(uint64_t lo, uint64_t hi) const {
-    return range_winner_.MightContainRange(lo, hi);
+    return winner_.MightContainRange(lo, hi);
   }
+  bool MightContain(uint64_t key) const { return winner_.MightContain(key); }
+  size_t SizeBytes() const { return winner_.SizeBytes(); }
   double MeasuredRangeFpr(
       std::span<const index::RangeQuery> empty_queries) const {
-    return range_winner_.MeasuredRangeFpr(empty_queries);
+    return winner_.MeasuredRangeFpr(empty_queries);
   }
-  size_t RangeSizeBytes() const { return range_winner_.SizeBytes(); }
-  const std::string& range_description() const { return range_description_; }
-  const std::vector<CandidateReport>& range_reports() const {
-    return range_reports_;
-  }
+  const std::string& description() const { return description_; }
+  const std::vector<CandidateReport>& reports() const { return reports_; }
 
   /// Sweeps the range-filter grid over `keys` (any order, duplicates
   /// collapse; caller owns the data during the call only). Queries are
   /// generated internally from the key set's gap structure (validation /
   /// eval empty-range splits plus a present-range witness set); a false
   /// negative on any witness range fails the whole sweep with Internal.
-  Status SynthesizeRange(std::span<const uint64_t> keys,
-                         const RangeFilterSynthesisSpec& spec);
+  Status Synthesize(std::span<const uint64_t> keys,
+                    const RangeFilterSynthesisSpec& spec);
 
  private:
-  index::AnyExistenceIndex winner_;
+  index::AnyRangeFilter winner_;
   std::string description_;
   std::vector<CandidateReport> reports_;
-  index::AnyRangeFilter range_winner_;
-  std::string range_description_;
-  std::vector<CandidateReport> range_reports_;
 };
 
 /// Mixed read/write synthesis (the Appendix-D.1 workload class): which

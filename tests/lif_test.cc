@@ -1,4 +1,4 @@
-// Tests for the LIF synthesizer (all three index classes) and the
+// Tests for the LIF synthesizer (all five synthesis classes) and the
 // measurement harness.
 
 #include <gtest/gtest.h>
@@ -263,51 +263,6 @@ TEST(PointSynthesizerTest, EmptyRecordsRejected) {
   EXPECT_FALSE(index.Synthesize({}, PointSynthesisSpec{}).ok());
 }
 
-TEST(PointSynthesizerTest, ConcurrentAxisQualifiesWrappersAtFourThreads) {
-  // The concurrent axis wraps the chained and cuckoo families in
-  // ConcurrentPointIndex and qualifies them under a 4-thread mixed
-  // stream. MeasureConcurrentPointCandidate finishes with an exact-map
-  // oracle pass over the quiesced index and returns an error Status on
-  // any disagreement, so Synthesize().ok() here *is* the oracle gate.
-  const auto keys = data::GenMaps(30'000, 74);
-  std::vector<hash::Record> records;
-  records.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    records.push_back({keys[i], i, 0});
-  }
-  PointSynthesisSpec spec;
-  spec.slot_percents = {100};
-  spec.try_learned_hash = false;
-  spec.try_inplace = false;
-  spec.try_concurrent = true;
-  spec.eval_threads = 4;
-  spec.eval_queries = 2000;
-  spec.eval_ops = 8'000;
-  spec.log_cap = 256;
-  spec.rebuild_entries = 512;
-  SynthesizedPointIndex index;
-  ASSERT_TRUE(index.Synthesize(records, spec).ok());
-  size_t concurrent_reports = 0;
-  for (const auto& r : index.reports()) {
-    if (r.description.rfind("concurrent-point", 0) == 0) {
-      ++concurrent_reports;
-      EXPECT_EQ(r.threads, 4u) << r.description;
-      EXPECT_GT(r.mixed_ns, 0.0) << r.description;
-      EXPECT_GT(r.size_bytes, 0u) << r.description;
-    } else {
-      EXPECT_EQ(r.threads, 1u) << r.description;
-    }
-  }
-  EXPECT_EQ(concurrent_reports, 2u) << "chained + cuckoo wrappers";
-  // Report-only: the erased winner still serves single-threaded
-  // pointer-returning probes from the static grid.
-  for (size_t i = 0; i < keys.size(); i += 37) {
-    const hash::Record* r = index.Find(keys[i]);
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->key, keys[i]);
-  }
-}
-
 class ExistenceSynthesizerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -369,47 +324,6 @@ TEST_F(ExistenceSynthesizerTest, LearnedCandidateBeatsPlainBloomOnUrls) {
   EXPECT_LT(index.SizeBytes(), plain_bytes);
 }
 
-TEST_F(ExistenceSynthesizerTest, ConcurrentAxisQualifiesFiltersAtFourThreads) {
-  // Concurrent axis: plain and learned constructions wrapped in
-  // RebuildableExistence, driven by 4 threads of mixed insert/probe
-  // traffic. MeasureConcurrentExistenceCandidate verifies zero false
-  // negatives over corpus + executed inserts once quiesced and fails
-  // Synthesize on a violation, so a passing status carries the §5
-  // guarantee extended to online keys.
-  ExistenceSynthesisSpec spec;
-  spec.target_fpr = 0.01;
-  spec.ngram_buckets = {1024};
-  spec.try_model_hash = false;
-  spec.try_concurrent = true;
-  spec.eval_threads = 4;
-  spec.eval_ops = 6'000;
-  spec.side_log_cap = 256;
-  spec.rebuild_staleness = 0.02;
-  SynthesizedExistenceIndex index;
-  ASSERT_TRUE(index.Synthesize(corpus_.keys, train_neg_, valid_neg_,
-                               test_neg_, spec)
-                  .ok());
-  size_t concurrent_reports = 0;
-  for (const auto& r : index.reports()) {
-    if (r.description.rfind("concurrent-existence", 0) == 0) {
-      ++concurrent_reports;
-      EXPECT_EQ(r.threads, 4u) << r.description;
-      EXPECT_GT(r.mixed_ns, 0.0) << r.description;
-      if (r.description.find("plain bloom") != std::string::npos) {
-        // Rebuilds re-target the plain filter at 1%; the measured FPR
-        // over the held-out negatives must stay near that calibration.
-        EXPECT_LT(r.fpr, 0.05) << r.description;
-      }
-    }
-  }
-  EXPECT_GE(concurrent_reports, 2u) << "plain bloom + learned wrappers";
-  // Report-only: the static winner keeps the zero-false-negative
-  // invariant untouched by the concurrent sweep.
-  for (const auto& k : corpus_.keys) {
-    ASSERT_TRUE(index.MightContain(k)) << k;
-  }
-}
-
 TEST_F(ExistenceSynthesizerTest, BadInputsRejected) {
   SynthesizedExistenceIndex index;
   ExistenceSynthesisSpec spec;
@@ -423,64 +337,60 @@ TEST_F(ExistenceSynthesizerTest, BadInputsRejected) {
           .ok());
 }
 
-TEST_F(ExistenceSynthesizerTest, RangeAxisSweepsFiltersAndKeepsZeroFn) {
-  // The range-query axis: sweep both src/rangefilter/ constructions over
-  // an adversarially gapped integer key set. The winner must be the
-  // smallest qualifying candidate, every report row must be populated,
-  // and the no-false-negative contract must hold through the erased
-  // handle (the synthesizer's internal witness oracle already failed the
-  // sweep if any candidate dropped a range — this re-checks the winner
-  // independently).
+TEST(RangeFilterSynthesizerTest, SweepsFiltersAndKeepsZeroFn) {
+  // Sweep both src/rangefilter/ constructions over an adversarially
+  // gapped integer key set. The winner must be the smallest qualifying
+  // candidate, every report row must be populated, and the
+  // no-false-negative contract must hold through the erased handle (the
+  // synthesizer's internal witness oracle already failed the sweep if any
+  // candidate dropped a range — this re-checks the winner independently).
   const std::vector<uint64_t> keys =
       rangefilter::GenAdversarialGapKeys(30'000, 81);
   RangeFilterSynthesisSpec spec;
   spec.bits_per_key = {8.0, 16.0, 32.0};
   spec.keys_per_segment = {256};
-  SynthesizedExistenceIndex index;
-  ASSERT_TRUE(index.SynthesizeRange(keys, spec).ok());
+  SynthesizedRangeFilter filter;
+  ASSERT_TRUE(filter.Synthesize(keys, spec).ok());
 
   // learned (1 kps) + interval, per budget.
-  EXPECT_EQ(index.range_reports().size(), 2u * 3u);
-  EXPECT_FALSE(index.range_description().empty());
-  EXPECT_GT(index.RangeSizeBytes(), 0u);
-  for (const auto& r : index.range_reports()) {
+  EXPECT_EQ(filter.reports().size(), 2u * 3u);
+  EXPECT_FALSE(filter.description().empty());
+  EXPECT_GT(filter.SizeBytes(), 0u);
+  for (const auto& r : filter.reports()) {
     EXPECT_GT(r.size_bytes, 0u) << r.description;
     EXPECT_GE(r.fpr, 0.0) << r.description;
     if (r.within_budget && r.valid_fpr <= spec.target_range_fpr * spec.fpr_slack) {
-      EXPECT_LE(index.RangeSizeBytes(), r.size_bytes) << r.description;
+      EXPECT_LE(filter.SizeBytes(), r.size_bytes) << r.description;
     }
   }
   // Zero false negatives through the winner: witness ranges around
   // built keys must always answer true.
   for (const index::RangeQuery& w :
        rangefilter::GenWitnessRanges(keys, 82, 5'000)) {
-    ASSERT_TRUE(index.MightContainRange(w.lo, w.hi))
+    ASSERT_TRUE(filter.MightContainRange(w.lo, w.hi))
         << "[" << w.lo << ", " << w.hi << ")";
   }
   // The winner qualifies on its own generated validation mix; a fresh
   // empty-query set from a different seed must measure in the same
   // regime (the slack absorbs the split wobble).
   const auto empties = rangefilter::GenEmptyRanges(keys, 83);
-  EXPECT_LE(index.MeasuredRangeFpr(empties),
+  EXPECT_LE(filter.MeasuredRangeFpr(empties),
             spec.target_range_fpr * spec.fpr_slack * 2.0);
-
-  // The point sweep is untouched by the range sweep and vice versa.
-  EXPECT_TRUE(index.reports().empty());
 }
 
-TEST_F(ExistenceSynthesizerTest, RangeAxisRejectsBadInputs) {
-  SynthesizedExistenceIndex index;
+TEST(RangeFilterSynthesizerTest, RejectsBadInputs) {
+  SynthesizedRangeFilter filter;
   RangeFilterSynthesisSpec spec;
-  EXPECT_FALSE(index.SynthesizeRange({}, spec).ok());
+  EXPECT_FALSE(filter.Synthesize({}, spec).ok());
   spec.target_range_fpr = 0.0;
   const std::vector<uint64_t> keys = rangefilter::GenUniformKeys(1'000, 84);
-  EXPECT_FALSE(index.SynthesizeRange(keys, spec).ok());
+  EXPECT_FALSE(filter.Synthesize(keys, spec).ok());
   // An unreachable FPR target under an impossible budget reports
   // NotFound, leaving the handle empty (= the empty set).
   RangeFilterSynthesisSpec tight;
   tight.size_budget_bytes = 1;
-  EXPECT_FALSE(index.SynthesizeRange(keys, tight).ok());
-  EXPECT_FALSE(index.MightContainRange(0, ~uint64_t{0}));
+  EXPECT_FALSE(filter.Synthesize(keys, tight).ok());
+  EXPECT_FALSE(filter.MightContainRange(0, ~uint64_t{0}));
 }
 
 }  // namespace
