@@ -74,6 +74,7 @@
 #include "common/timer.h"
 #include "concurrent/versioned.h"
 #include "dynamic/delta_buffer.h"
+#include "dynamic/delta_snapshot.h"
 #include "dynamic/merge_policy.h"
 #include "index/approx.h"
 #include "index/concurrent_writable_index.h"
@@ -280,13 +281,6 @@ class ConcurrentWritableIndex {
   }
 
  private:
-  struct SnapshotCfg {
-    dynamic::MergePolicy policy{};
-    uint64_t log_cap = 1024;
-  };
-  static_assert(std::is_trivially_copyable_v<dynamic::MergePolicy>,
-                "MergePolicy is persisted verbatim in snapshots");
-
   using DeltaEntry = dynamic::DeltaEntry<key_type>;
 
   // The flags byte of one log write.
@@ -506,7 +500,6 @@ class ConcurrentWritableIndex {
         std::shared_ptr<const std::vector<key_type>> keys;
         std::shared_ptr<const Base> base;
         std::vector<DeltaEntry> folded;
-        SnapshotCfg cfg;
         std::optional<wal::WalSnapshotMeta> wal_meta;
         {
           typename Cell::Writer w(cell_);
@@ -517,8 +510,6 @@ class ConcurrentWritableIndex {
                                  /*drop_redundant=*/true);
           keys = s.base_keys;
           base = s.base;
-          cfg.policy = config_.policy;
-          cfg.log_cap = config_.log_cap;
           // Every record so far is reflected in this capture (appends
           // serialize on the same mutex), so the snapshot covers it and
           // truncation behind it is safe after publish.
@@ -527,30 +518,11 @@ class ConcurrentWritableIndex {
         // Serialization outside the lock: every captured piece is
         // immutable and shared_ptr-pinned (a concurrent merge may retire
         // the version, not free these).
-        LI_RETURN_IF_ERROR(writer.AddPod(prefix + "cfg", cfg));
-        if (wal_meta) {
-          LI_RETURN_IF_ERROR(writer.AddPod(prefix + "wal", *wal_meta));
-        }
-        LI_RETURN_IF_ERROR(
-            writer.AddArray(prefix + "keys", std::span<const key_type>(*keys),
-                            snapshot::SectionKind::kKeys));
-        LI_RETURN_IF_ERROR(base->WriteSections(writer, prefix + "base/",
-                                               /*include_keys=*/false));
-        std::vector<key_type> dkeys;
-        std::vector<uint8_t> dmeta;
-        dkeys.reserve(folded.size());
-        dmeta.reserve(folded.size());
-        for (const DeltaEntry& e : folded) {
-          dkeys.push_back(e.key);
-          dmeta.push_back(static_cast<uint8_t>((e.tombstone ? 1 : 0) |
-                                               (e.in_base ? 2 : 0)));
-        }
-        LI_RETURN_IF_ERROR(
-            writer.AddArray(prefix + "dkeys", std::span<const key_type>(dkeys),
-                            snapshot::SectionKind::kDelta));
-        return writer.AddArray(prefix + "dmeta",
-                               std::span<const uint8_t>(dmeta),
-                               snapshot::SectionKind::kDelta);
+        return dynamic::WriteDeltaSections(
+            writer, prefix,
+            dynamic::DeltaSnapshotCfg{config_.policy, config_.log_cap},
+            wal_meta, std::span<const key_type>(*keys), *base,
+            std::span<const DeltaEntry>(folded));
       }
     }
 
@@ -563,39 +535,14 @@ class ConcurrentWritableIndex {
             "ConcurrentWritableIndex snapshots need a flat key type and a "
             "section-snapshottable base");
       } else {
-        SnapshotCfg cfg;
-        LI_RETURN_IF_ERROR(reader.GetPod(prefix + "cfg", &cfg));
-        auto keys = reader.GetArray<key_type>(prefix + "keys");
-        if (!keys.ok()) return keys.status();
-        auto dkeys = reader.GetArray<key_type>(prefix + "dkeys");
-        if (!dkeys.ok()) return dkeys.status();
-        auto dmeta = reader.GetArray<uint8_t>(prefix + "dmeta");
-        if (!dmeta.ok()) return dmeta.status();
-        if (dkeys.value().size() != dmeta.value().size()) {
-          return Status::InvalidArgument(
-              "ConcurrentWritableIndex snapshot delta arrays disagree in "
-              "size");
-        }
-        // Copied, not mapped: merges replace the key array after restart.
-        auto bk = std::make_shared<std::vector<key_type>>(
-            keys.value().begin(), keys.value().end());
+        dynamic::DeltaSnapshotCfg cfg;
+        auto bk = std::make_shared<std::vector<key_type>>();
         auto base = std::make_shared<Base>();
-        LI_RETURN_IF_ERROR(base->LoadSections(
-            reader, prefix + "base/", std::span<const key_type>(*bk)));
         std::vector<DeltaEntry> entries;
-        entries.reserve(dkeys.value().size());
-        for (size_t i = 0; i < dkeys.value().size(); ++i) {
-          const uint8_t m = dmeta.value()[i];
-          if ((m & ~uint8_t{3}) != 0) {
-            return Status::InvalidArgument(
-                "ConcurrentWritableIndex snapshot delta flags are corrupt");
-          }
-          entries.push_back(
-              DeltaEntry{dkeys.value()[i], (m & 1) != 0, (m & 2) != 0});
-        }
-        LI_RETURN_IF_ERROR(wal_.LoadCovered(reader, prefix));
+        LI_RETURN_IF_ERROR(dynamic::ReadDeltaSections(
+            reader, prefix, &cfg, bk.get(), base.get(), &entries, &wal_));
         config_.policy = cfg.policy;
-        config_.log_cap = std::max<size_t>(cfg.log_cap, 2);
+        config_.log_cap = std::max<size_t>(cfg.cap, 2);
         if constexpr (requires {
                         {
                           base->config()

@@ -25,13 +25,15 @@
 // seal/catch-up/cutover protocol and tuning guidance are documented in
 // docs/SHARDING.md.
 //
-// The contract is the same ConcurrentWritableRangeIndex as the inner
-// index: point ops route to one shard; Lookup adds the live sizes of the
-// shards left of the target; LookupBatch groups the batch by shard and
-// dispatches each group to the shard's native batch path (recovering the
-// RMI software-pipeline win under sharding); Scan stitches shard scans
-// left to right; Merge/RequestMerge fan out (RequestMerge triggers all
-// shard workers *in parallel*).
+// The inner index must be Shardable (below): a concurrent, durable,
+// snapshottable front-end. The contract is the same
+// ConcurrentWritableRangeIndex as the inner index: point ops route to
+// one shard; Lookup adds the live sizes of the shards left of the
+// target; LookupBatch groups the batch by shard and dispatches each
+// group to the shard's native batch path (recovering the RMI
+// software-pipeline win under sharding); Scan stitches shard scans left
+// to right; Merge/RequestMerge fan out (RequestMerge triggers all shard
+// workers *in parallel*).
 
 #ifndef LI_CONCURRENT_SHARDED_INDEX_H_
 #define LI_CONCURRENT_SHARDED_INDEX_H_
@@ -70,26 +72,23 @@
 
 namespace li::concurrent {
 
-/// True when the inner index exposes the concurrent merge-control
-/// surface; ShardedIndex then forwards it (and fans RequestMerge out so
-/// shard merges overlap). Also the gate for online rebalancing: the
-/// seal/snapshot/cutover protocol reads a shard while writers stream
-/// into it, which is only safe when the inner index is itself a
-/// concurrent front-end.
+/// What a shard must be. A concurrent front-end: writers to one shard
+/// run in parallel under its shared cutover lock, and online
+/// rebalancing scans a shard while writers stream into it. Durable and
+/// snapshottable, to its own file and into the parent's sections: each
+/// shard owns an s<uid>.snap + s<uid>.wal pair beneath the durability
+/// directory, and a sharded snapshot nests every shard under "s<i>/".
+/// Its config() seeds the shards a split or coalesce builds after a
+/// reopen. ConcurrentWritableIndex over an RMI qualifies; the
+/// single-threaded DeltaRangeIndex does not.
 template <typename I>
-concept HasMergeControl = requires(I& idx) {
-  { idx.RequestMerge() };
-  { idx.WaitForMerges() };
-};
-
-/// True when the inner index can carry a per-shard write-ahead log AND
-/// checkpoint itself to its own snapshot file — the two halves of the
-/// sharded durability protocol (each shard owns an s<uid>.snap +
-/// s<uid>.wal pair beneath the durability directory).
-template <typename I>
-concept DurableShardInner =
-    index::DurableIndex<I> && index::Snapshottable<I> &&
-    static_cast<bool>(I::kDurabilityCapable);
+concept Shardable =
+    index::ConcurrentWritableRangeIndex<I> && index::DurableIndex<I> &&
+    index::Snapshottable<I> && index::SectionSnapshottable<I> &&
+    I::kDurabilityCapable && I::kSnapshotCapable &&
+    requires(const I& idx) {
+      { idx.config() } -> std::convertible_to<typename I::config_type>;
+    };
 
 /// Knobs for the online shard split/coalesce machinery. All mass terms
 /// are live key counts (base + delta + log) as reported by the inner
@@ -129,16 +128,11 @@ struct ShardRebalanceConfig {
   size_t max_actions_per_cycle = 8;
 };
 
-template <index::WritableRangeIndex Inner>
+template <Shardable Inner>
 class ShardedIndex {
  public:
   using key_type = typename Inner::key_type;
   using inner_config_type = typename Inner::config_type;
-
-  /// Rebalancing needs concurrent-safe snapshot scans of a shard that is
-  /// still being written; the merge-control surface is the library's
-  /// marker for "inner index is a concurrent front-end".
-  static constexpr bool kRebalanceCapable = HasMergeControl<Inner>;
 
   struct Config {
     inner_config_type inner{};
@@ -148,7 +142,7 @@ class ShardedIndex {
     /// shards under skew; a few thousand points pin every boundary to
     /// within a fraction of a percent of mass.
     size_t cdf_sample = 8192;
-    /// Online split/coalesce knobs (ignored unless kRebalanceCapable).
+    /// Online split/coalesce knobs.
     ShardRebalanceConfig rebalance{};
   };
   using config_type = Config;
@@ -158,8 +152,7 @@ class ShardedIndex {
   ShardedIndex& operator=(ShardedIndex&&) noexcept = default;
 
   /// Builds `num_shards` inner indexes over equal-mass key ranges and
-  /// (when the inner index is a concurrent front-end) starts the
-  /// background rebalance worker.
+  /// starts the background rebalance worker.
   ///
   /// Semantics: `keys` sorted, strictly increasing; each shard copies
   /// its slice. Complexity: O(n) slicing + num_shards inner builds.
@@ -237,11 +230,10 @@ class ShardedIndex {
 
   // ---- merge control ----
 
-  /// Synchronous: when the inner index has a background worker, all shard
-  /// merges are requested first so they overlap, then drained; otherwise
-  /// shards merge sequentially. First failure wins, every shard still
-  /// runs (each shard stays individually consistent either way). Blocks
-  /// the caller only; readers stay lock-free.
+  /// Synchronous: all shard merges are requested first so they overlap,
+  /// then drained. First failure wins, every shard still runs (each
+  /// shard stays individually consistent either way). Blocks the caller
+  /// only; readers stay lock-free.
   Status Merge() {
     return impl_ ? impl_->Merge()
                  : Status::FailedPrecondition("ShardedIndex: not built");
@@ -249,18 +241,14 @@ class ShardedIndex {
 
   /// Asynchronous merge trigger fanned out to every shard in parallel;
   /// coalesces with pending requests per shard. Never blocks.
-  void RequestMerge()
-    requires HasMergeControl<Inner>
-  {
+  void RequestMerge() {
     if (impl_ != nullptr) impl_->RequestMerge();
   }
 
   /// Blocks until no shard merge is pending or running. For a full
   /// quiesce under rebalancing, call WaitForRebalances() first (a split
   /// publishes fresh shards whose merges this call then covers).
-  void WaitForMerges()
-    requires HasMergeControl<Inner>
-  {
+  void WaitForMerges() {
     if (impl_ != nullptr) impl_->WaitForMerges();
   }
 
@@ -270,14 +258,12 @@ class ShardedIndex {
   /// coalesces until the imbalance conditions clear or an action can
   /// make no progress (the worker re-arms itself past the per-cycle
   /// action cap). Never blocks; coalesces with a pending request.
-  /// No-op unless kRebalanceCapable.
   void RequestRebalance() {
     if (impl_ != nullptr) impl_->RequestRebalance();
   }
 
   /// Blocks until no rebalance cycle is pending or running — the quiesce
   /// point tests and snapshot readers use (then WaitForMerges()).
-  /// No-op unless kRebalanceCapable.
   void WaitForRebalances() {
     if (impl_ != nullptr) impl_->WaitForRebalances();
   }
@@ -306,11 +292,6 @@ class ShardedIndex {
   // and only then flips MANIFEST inside the cutover critical section.
   // The rename is the commit point: a crash on either side recovers a
   // consistent shard set with every acknowledged write.
-
-  /// Per-shard logs need an inner index that is itself durable and
-  /// whole-file snapshottable.
-  static constexpr bool kDurabilityCapable =
-      std::is_trivially_copyable_v<key_type> && DurableShardInner<Inner>;
 
   /// Attach per-shard logs beneath directory `cfg.path` (created if
   /// missing): checkpoints every shard, starts its log, writes the
@@ -369,12 +350,6 @@ class ShardedIndex {
   // for a globally exact cut). OpenSnapshot rebuilds the map and every
   // shard, and restarts the rebalance worker.
 
-  /// Snapshot support needs a flat key type and a section-snapshottable
-  /// inner index.
-  static constexpr bool kSnapshotCapable =
-      std::is_trivially_copyable_v<key_type> &&
-      index::SectionSnapshottable<Inner>;
-
   Status WriteSections(snapshot::SnapshotWriter& writer,
                        const std::string& prefix) const {
     if (impl_ == nullptr) {
@@ -411,11 +386,7 @@ class ShardedIndex {
   /// max/mean mass imbalance. Per-op inner counters are per shard
   /// *lifetime*: a split/coalesce retires the old shard's counters with
   /// it (documented in docs/SHARDING.md).
-  index::ConcurrentIndexStats ConcurrentStats() const
-    requires requires(const Inner& i) {
-      { i.ConcurrentStats() } -> std::same_as<index::ConcurrentIndexStats>;
-    }
-  {
+  index::ConcurrentIndexStats ConcurrentStats() const {
     return impl_ ? impl_->ConcurrentStats() : index::ConcurrentIndexStats{};
   }
 
@@ -548,22 +519,14 @@ class ShardedIndex {
     /// Installs the first map and starts the rebalance worker.
     void Start(ShardMap* map) {
       cell_.Init(map);
-      if constexpr (kRebalanceCapable) {
-        worker_.Start(
-            [this](bool* work_left) { return DoRebalance(work_left); });
-      }
+      worker_.Start(
+          [this](bool* work_left) { return DoRebalance(work_left); });
     }
 
     /// Start for a map read back from disk: split and coalesce build new
     /// shards with the loaded shards' inner config.
     void StartLoaded(std::unique_ptr<ShardMap> map) {
-      if constexpr (requires(const Inner& i) {
-                      {
-                        i.config()
-                      } -> std::convertible_to<inner_config_type>;
-                    }) {
-        config_.inner = map->slots[0]->index.config();
-      }
+      config_.inner = map->slots[0]->index.config();
       Start(map.release());
     }
 
@@ -741,14 +704,12 @@ class ShardedIndex {
         // Load monitor runs after the cutover lock drops (the epoch pin
         // still holds `m`): the O(#shards) mass scan must not lengthen
         // the window the rebalancer's exclusive seal/cutover waits out.
-        if constexpr (kRebalanceCapable) {
-          if (config_.rebalance.enabled) {
-            const uint64_t tick =
-                write_tick_.fetch_add(1, std::memory_order_relaxed);
-            if (tick % config_.rebalance.check_stride == 0 &&
-                PickAction(*m).kind != RebalanceAction::Kind::kNone) {
-              RequestRebalance();
-            }
+        if (config_.rebalance.enabled) {
+          const uint64_t tick =
+              write_tick_.fetch_add(1, std::memory_order_relaxed);
+          if (tick % config_.rebalance.check_stride == 0 &&
+              PickAction(*m).kind != RebalanceAction::Kind::kNone) {
+            RequestRebalance();
           }
         }
         return changed;
@@ -759,9 +720,7 @@ class ShardedIndex {
 
     Status Merge() {
       const std::vector<std::shared_ptr<Slot>> slots = SlotSnapshot();
-      if constexpr (HasMergeControl<Inner>) {
-        for (const auto& slot : slots) slot->index.RequestMerge();
-      }
+      for (const auto& slot : slots) slot->index.RequestMerge();
       Status first = Status::OK();
       for (const auto& slot : slots) {
         const Status st = slot->index.Merge();
@@ -770,30 +729,19 @@ class ShardedIndex {
       return first;
     }
 
-    void RequestMerge()
-      requires HasMergeControl<Inner>
-    {
+    void RequestMerge() {
       for (const auto& slot : SlotSnapshot()) slot->index.RequestMerge();
     }
 
-    void WaitForMerges()
-      requires HasMergeControl<Inner>
-    {
+    void WaitForMerges() {
       for (const auto& slot : SlotSnapshot()) slot->index.WaitForMerges();
     }
 
     // ---- rebalance control ----
 
-    // The worker runs only when kRebalanceCapable; otherwise these are
-    // no-ops.
+    void RequestRebalance() { worker_.Request(); }
 
-    void RequestRebalance() {
-      if constexpr (kRebalanceCapable) worker_.Request();
-    }
-
-    void WaitForRebalances() {
-      if constexpr (kRebalanceCapable) worker_.WaitIdle();
-    }
+    void WaitForRebalances() { worker_.WaitIdle(); }
 
     // ---- durability ----
     // `durable_mu_` serializes everything that touches the durability
@@ -803,214 +751,171 @@ class ShardedIndex {
     // never take it, so shard writes stay durable_mu_-free.
 
     Status EnableDurability(const wal::DurabilityConfig& cfg) {
-      if constexpr (!kDurabilityCapable) {
-        (void)cfg;
-        return Status::Unimplemented(
-            "ShardedIndex durability needs a flat key type and a "
-            "durable, snapshottable inner index");
-      } else {
-        if (cfg.path.empty()) {
-          return Status::InvalidArgument(
-              "ShardedIndex durability needs a directory path");
-        }
-        WaitForRebalances();
-        std::lock_guard<std::mutex> dlk(durable_mu_);
-        if (durable_.load(std::memory_order_relaxed)) {
-          return Status::FailedPrecondition(
-              "ShardedIndex: durability already enabled");
-        }
-        if (::mkdir(cfg.path.c_str(), 0755) != 0 && errno != EEXIST) {
-          return Status::Internal("mkdir('" + cfg.path +
-                                  "'): " + std::strerror(errno));
-        }
-        dur_cfg_ = cfg;
-        const ShardMap map = *cell_.Pin();  // shared_ptrs outlive the pin
-        for (const auto& slot : map.slots) {
-          LI_RETURN_IF_ERROR(AttachShardDurability(*slot));
-        }
-        LI_RETURN_IF_ERROR(WriteManifestLocked(map.boundaries, map.slots));
-        durable_.store(true, std::memory_order_release);
-        return Status::OK();
+      if (cfg.path.empty()) {
+        return Status::InvalidArgument(
+            "ShardedIndex durability needs a directory path");
       }
+      WaitForRebalances();
+      std::lock_guard<std::mutex> dlk(durable_mu_);
+      if (durable_.load(std::memory_order_relaxed)) {
+        return Status::FailedPrecondition(
+            "ShardedIndex: durability already enabled");
+      }
+      if (::mkdir(cfg.path.c_str(), 0755) != 0 && errno != EEXIST) {
+        return Status::Internal("mkdir('" + cfg.path +
+                                "'): " + std::strerror(errno));
+      }
+      dur_cfg_ = cfg;
+      const ShardMap map = *cell_.Pin();  // shared_ptrs outlive the pin
+      for (const auto& slot : map.slots) {
+        LI_RETURN_IF_ERROR(AttachShardDurability(*slot));
+      }
+      LI_RETURN_IF_ERROR(WriteManifestLocked(map.boundaries, map.slots));
+      durable_.store(true, std::memory_order_release);
+      return Status::OK();
     }
 
     Status Checkpoint() {
-      if constexpr (!kDurabilityCapable) {
-        return Status::Unimplemented(
-            "ShardedIndex durability needs a flat key type and a "
-            "durable, snapshottable inner index");
-      } else {
-        WaitForRebalances();
-        std::lock_guard<std::mutex> dlk(durable_mu_);
-        if (!durable_.load(std::memory_order_relaxed)) {
-          return Status::FailedPrecondition(
-              "ShardedIndex: durability not enabled");
-        }
-        const ShardMap map = *cell_.Pin();
-        for (const auto& slot : map.slots) {
-          // Atomic per-shard publish (tmp + rename inside), then the
-          // inner class truncates its own log behind the covered LSN.
-          LI_RETURN_IF_ERROR(
-              slot->index.WriteSnapshot(ShardSnapPath(slot->uid)));
-        }
-        return WriteManifestLocked(map.boundaries, map.slots);
+      WaitForRebalances();
+      std::lock_guard<std::mutex> dlk(durable_mu_);
+      if (!durable_.load(std::memory_order_relaxed)) {
+        return Status::FailedPrecondition(
+            "ShardedIndex: durability not enabled");
       }
+      const ShardMap map = *cell_.Pin();
+      for (const auto& slot : map.slots) {
+        // Atomic per-shard publish (tmp + rename inside), then the inner
+        // class truncates its own log behind the covered LSN.
+        LI_RETURN_IF_ERROR(
+            slot->index.WriteSnapshot(ShardSnapPath(slot->uid)));
+      }
+      return WriteManifestLocked(map.boundaries, map.slots);
     }
 
     /// Fresh-Impl only (the static RecoverDurable entry point).
     Status RecoverDurable(const wal::DurabilityConfig& cfg) {
-      if constexpr (!kDurabilityCapable) {
-        (void)cfg;
-        return Status::Unimplemented(
-            "ShardedIndex durability needs a flat key type and a "
-            "durable, snapshottable inner index");
-      } else {
-        if (cfg.path.empty()) {
-          return Status::InvalidArgument(
-              "ShardedIndex durability needs a directory path");
-        }
-        dur_cfg_ = cfg;
-        auto reader = snapshot::SnapshotReader::Open(ManifestPath());
-        if (!reader.ok()) return reader.status();
-        SnapshotManifest man;
-        LI_RETURN_IF_ERROR(reader.value().GetPod("manifest", &man));
-        auto bounds = reader.value().template GetArray<key_type>("bounds");
-        if (!bounds.ok()) return bounds.status();
-        auto uids = reader.value().template GetArray<uint64_t>("uids");
-        if (!uids.ok()) return uids.status();
-        LI_RETURN_IF_ERROR(reader.value().GetPod("nextuid", &next_uid_));
-        LI_RETURN_IF_ERROR(ApplyManifest(man, bounds.value(), "MANIFEST"));
-        if (uids.value().size() != man.shard_count) {
-          return Status::InvalidArgument(
-              "ShardedIndex MANIFEST shard count disagrees with its uids "
-              "section");
-        }
-        auto map = std::make_unique<ShardMap>();
-        map->boundaries.assign(bounds.value().begin(), bounds.value().end());
-        for (size_t i = 0; i < man.shard_count; ++i) {
-          const uint64_t uid = uids.value()[i];
-          auto inner = Inner::OpenSnapshot(ShardSnapPath(uid));
-          if (!inner.ok()) return inner.status();
-          auto slot = std::make_shared<Slot>();
-          slot->index = inner.take();
-          slot->uid = uid;
-          // Replays records past the shard snapshot's covered LSN
-          // through the inner write path, truncates a torn tail, and
-          // resumes logging (a missing log file starts a fresh one).
-          LI_RETURN_IF_ERROR(slot->index.RecoverFromWal(ShardCfg(uid)));
-          map->slots.push_back(std::move(slot));
-        }
-        // Shard files MANIFEST never committed (a rebalance that died
-        // before its flip) are garbage: remove them.
-        RemoveOrphanShardFiles(
-            {uids.value().begin(), uids.value().end()});
-        durable_.store(true, std::memory_order_release);
-        StartLoaded(std::move(map));
-        return Status::OK();
+      if (cfg.path.empty()) {
+        return Status::InvalidArgument(
+            "ShardedIndex durability needs a directory path");
       }
+      dur_cfg_ = cfg;
+      auto reader = snapshot::SnapshotReader::Open(ManifestPath());
+      if (!reader.ok()) return reader.status();
+      SnapshotManifest man;
+      LI_RETURN_IF_ERROR(reader.value().GetPod("manifest", &man));
+      auto bounds = reader.value().template GetArray<key_type>("bounds");
+      if (!bounds.ok()) return bounds.status();
+      auto uids = reader.value().template GetArray<uint64_t>("uids");
+      if (!uids.ok()) return uids.status();
+      LI_RETURN_IF_ERROR(reader.value().GetPod("nextuid", &next_uid_));
+      LI_RETURN_IF_ERROR(ApplyManifest(man, bounds.value(), "MANIFEST"));
+      if (uids.value().size() != man.shard_count) {
+        return Status::InvalidArgument(
+            "ShardedIndex MANIFEST shard count disagrees with its uids "
+            "section");
+      }
+      auto map = std::make_unique<ShardMap>();
+      map->boundaries.assign(bounds.value().begin(), bounds.value().end());
+      for (size_t i = 0; i < man.shard_count; ++i) {
+        const uint64_t uid = uids.value()[i];
+        auto inner = Inner::OpenSnapshot(ShardSnapPath(uid));
+        if (!inner.ok()) return inner.status();
+        auto slot = std::make_shared<Slot>();
+        slot->index = inner.take();
+        slot->uid = uid;
+        // Replays records past the shard snapshot's covered LSN through
+        // the inner write path, truncates a torn tail, and resumes
+        // logging (a missing log file starts a fresh one).
+        LI_RETURN_IF_ERROR(slot->index.RecoverFromWal(ShardCfg(uid)));
+        map->slots.push_back(std::move(slot));
+      }
+      // Shard files MANIFEST never committed (a rebalance that died
+      // before its flip) are garbage: remove them.
+      RemoveOrphanShardFiles({uids.value().begin(), uids.value().end()});
+      durable_.store(true, std::memory_order_release);
+      StartLoaded(std::move(map));
+      return Status::OK();
     }
 
     bool durable() const { return durable_.load(std::memory_order_acquire); }
 
     Status wal_status() const {
-      if constexpr (!kDurabilityCapable) {
-        return Status::OK();
-      } else {
-        if (!durable()) return Status::OK();
-        for (const auto& slot : SlotSnapshot()) {
-          const Status st = slot->index.wal_status();
-          if (!st.ok()) return st;
-        }
-        return Status::OK();
+      if (!durable()) return Status::OK();
+      for (const auto& slot : SlotSnapshot()) {
+        const Status st = slot->index.wal_status();
+        if (!st.ok()) return st;
       }
+      return Status::OK();
     }
 
     wal::WalStats DurabilityStats() const {
       wal::WalStats agg{};
-      if constexpr (kDurabilityCapable) {
-        for (const auto& slot : SlotSnapshot()) {
-          const wal::WalStats s = slot->index.DurabilityStats();
-          agg.appends += s.appends;
-          agg.syncs += s.syncs;
-          agg.resets += s.resets;
-          agg.bytes_appended += s.bytes_appended;
-          agg.last_lsn = std::max(agg.last_lsn, s.last_lsn);
-          agg.last_synced_lsn = std::max(agg.last_synced_lsn,
-                                         s.last_synced_lsn);
-          agg.base_lsn = std::max(agg.base_lsn, s.base_lsn);
-        }
+      for (const auto& slot : SlotSnapshot()) {
+        const wal::WalStats s = slot->index.DurabilityStats();
+        agg.appends += s.appends;
+        agg.syncs += s.syncs;
+        agg.resets += s.resets;
+        agg.bytes_appended += s.bytes_appended;
+        agg.last_lsn = std::max(agg.last_lsn, s.last_lsn);
+        agg.last_synced_lsn = std::max(agg.last_synced_lsn,
+                                       s.last_synced_lsn);
+        agg.base_lsn = std::max(agg.base_lsn, s.base_lsn);
       }
       return agg;
     }
 
     Status SyncWal() {
-      if constexpr (!kDurabilityCapable) {
-        return Status::OK();
-      } else {
-        if (!durable()) return Status::OK();
-        Status first = Status::OK();
-        for (const auto& slot : SlotSnapshot()) {
-          const Status st = slot->index.SyncWal();
-          if (first.ok() && !st.ok()) first = st;
-        }
-        return first;
+      if (!durable()) return Status::OK();
+      Status first = Status::OK();
+      for (const auto& slot : SlotSnapshot()) {
+        const Status st = slot->index.SyncWal();
+        if (first.ok() && !st.ok()) first = st;
       }
+      return first;
     }
 
     // ---- persistence ----
 
     Status WriteSections(snapshot::SnapshotWriter& writer,
                          const std::string& prefix) {
-      if constexpr (!kSnapshotCapable) {
-        return Status::Unimplemented(
-            "ShardedIndex snapshots need a flat key type and a "
-            "section-snapshottable inner index");
-      } else {
-        // Drain the rebalancer so the map version captured below is
-        // final — no shard gets retired mid-snapshot. The worker only
-        // re-runs on a writer trigger, so the capture that follows sees
-        // a stable map unless writes keep racing (documented above).
-        WaitForRebalances();
-        const ShardMap map = *cell_.Pin();  // shared_ptrs outlive the pin
-        LI_RETURN_IF_ERROR(
-            writer.AddPod(prefix + "manifest", Manifest(map.slots.size())));
-        LI_RETURN_IF_ERROR(writer.AddArray(
-            prefix + "bounds", std::span<const key_type>(map.boundaries),
-            snapshot::SectionKind::kManifest));
-        for (size_t i = 0; i < map.slots.size(); ++i) {
-          LI_RETURN_IF_ERROR(map.slots[i]->index.WriteSections(
-              writer, prefix + "s" + std::to_string(i) + "/"));
-        }
-        return Status::OK();
+      // Drain the rebalancer so the map version captured below is final —
+      // no shard gets retired mid-snapshot. The worker only re-runs on a
+      // writer trigger, so the capture that follows sees a stable map
+      // unless writes keep racing (documented above).
+      WaitForRebalances();
+      const ShardMap map = *cell_.Pin();  // shared_ptrs outlive the pin
+      LI_RETURN_IF_ERROR(
+          writer.AddPod(prefix + "manifest", Manifest(map.slots.size())));
+      LI_RETURN_IF_ERROR(writer.AddArray(
+          prefix + "bounds", std::span<const key_type>(map.boundaries),
+          snapshot::SectionKind::kManifest));
+      for (size_t i = 0; i < map.slots.size(); ++i) {
+        LI_RETURN_IF_ERROR(map.slots[i]->index.WriteSections(
+            writer, prefix + "s" + std::to_string(i) + "/"));
       }
+      return Status::OK();
     }
 
     /// Rebuilds the map and every shard from snapshot sections; fresh
     /// Impl only (build-then-share discipline, same as Build).
     Status LoadSections(const snapshot::SnapshotReader& reader,
                         const std::string& prefix) {
-      if constexpr (!kSnapshotCapable) {
-        return Status::Unimplemented(
-            "ShardedIndex snapshots need a flat key type and a "
-            "section-snapshottable inner index");
-      } else {
-        SnapshotManifest man;
-        LI_RETURN_IF_ERROR(reader.GetPod(prefix + "manifest", &man));
-        auto bounds = reader.GetArray<key_type>(prefix + "bounds");
-        if (!bounds.ok()) return bounds.status();
-        LI_RETURN_IF_ERROR(
-            ApplyManifest(man, bounds.value(), "snapshot manifest"));
-        auto map = std::make_unique<ShardMap>();
-        map->boundaries.assign(bounds.value().begin(), bounds.value().end());
-        for (size_t i = 0; i < man.shard_count; ++i) {
-          auto slot = std::make_shared<Slot>();
-          LI_RETURN_IF_ERROR(slot->index.LoadSections(
-              reader, prefix + "s" + std::to_string(i) + "/"));
-          map->slots.push_back(std::move(slot));
-        }
-        StartLoaded(std::move(map));
-        return Status::OK();
+      SnapshotManifest man;
+      LI_RETURN_IF_ERROR(reader.GetPod(prefix + "manifest", &man));
+      auto bounds = reader.GetArray<key_type>(prefix + "bounds");
+      if (!bounds.ok()) return bounds.status();
+      LI_RETURN_IF_ERROR(
+          ApplyManifest(man, bounds.value(), "snapshot manifest"));
+      auto map = std::make_unique<ShardMap>();
+      map->boundaries.assign(bounds.value().begin(), bounds.value().end());
+      for (size_t i = 0; i < man.shard_count; ++i) {
+        auto slot = std::make_shared<Slot>();
+        LI_RETURN_IF_ERROR(slot->index.LoadSections(
+            reader, prefix + "s" + std::to_string(i) + "/"));
+        map->slots.push_back(std::move(slot));
       }
+      StartLoaded(std::move(map));
+      return Status::OK();
     }
 
     // ---- stats ----
@@ -1023,11 +928,7 @@ class ShardedIndex {
       return agg;
     }
 
-    index::ConcurrentIndexStats ConcurrentStats() const
-      requires requires(const Inner& i) {
-        { i.ConcurrentStats() } -> std::same_as<index::ConcurrentIndexStats>;
-      }
-    {
+    index::ConcurrentIndexStats ConcurrentStats() const {
       index::ConcurrentIndexStats agg{};
       const std::vector<std::shared_ptr<Slot>> slots = SlotSnapshot();
       for (const auto& slot : slots) {
@@ -1207,9 +1108,7 @@ class ShardedIndex {
     /// Give `slot` a fresh uid, checkpoint it, start its log. The slot
     /// must not be receiving writes yet (EnableDurability is quiesced;
     /// rebalance replacement shards are attached before cutover).
-    Status AttachShardDurability(Slot& slot)
-      requires kDurabilityCapable
-    {
+    Status AttachShardDurability(Slot& slot) {
       slot.uid = next_uid_++;
       LI_RETURN_IF_ERROR(slot.index.WriteSnapshot(ShardSnapPath(slot.uid)));
       return slot.index.EnableDurability(ShardCfg(slot.uid));
@@ -1220,9 +1119,7 @@ class ShardedIndex {
     /// every rebalance cutover.
     Status WriteManifestLocked(
         const std::vector<key_type>& boundaries,
-        const std::vector<std::shared_ptr<Slot>>& slots)
-      requires kDurabilityCapable
-    {
+        const std::vector<std::shared_ptr<Slot>>& slots) {
       snapshot::SnapshotWriter w;
       LI_RETURN_IF_ERROR(w.AddPod("manifest", Manifest(slots.size())));
       LI_RETURN_IF_ERROR(
@@ -1346,18 +1243,16 @@ class ShardedIndex {
           DropShardFiles(fresh_slots[i]->uid);
         }
       };
-      if constexpr (kDurabilityCapable) {
-        if (durable_.load(std::memory_order_acquire)) {
-          dlk = std::unique_lock<std::mutex>(durable_mu_);
-          Status st = Status::OK();
-          while (st.ok() && attached < fresh_slots.size()) {
-            st = AttachShardDurability(*fresh_slots[attached++]);
-          }
-          if (!st.ok()) {
-            drop_fresh();
-            unseal();
-            return st;
-          }
+      if (durable_.load(std::memory_order_acquire)) {
+        dlk = std::unique_lock<std::mutex>(durable_mu_);
+        Status st = Status::OK();
+        while (st.ok() && attached < fresh_slots.size()) {
+          st = AttachShardDurability(*fresh_slots[attached++]);
+        }
+        if (!st.ok()) {
+          drop_fresh();
+          unseal();
+          return st;
         }
       }
       {
@@ -1391,27 +1286,25 @@ class ShardedIndex {
                            fresh->slots.begin() + end);
         fresh->slots.insert(fresh->slots.begin() + begin,
                             fresh_slots.begin(), fresh_slots.end());
-        if constexpr (kDurabilityCapable) {
-          if (dlk.owns_lock()) {
-            // Commit point, inside the critical section: sync the
-            // replayed catch-up records, then flip MANIFEST to the new
-            // shard set. No write can be acknowledged against the new
-            // shards until the flip is on disk — a crash on either side
-            // of the rename recovers every acknowledged write.
-            Status st = Status::OK();
-            for (const auto& slot : fresh_slots) {
-              if (st.ok()) st = slot->index.SyncWal();
-            }
-            if (st.ok()) {
-              st = WriteManifestLocked(fresh->boundaries, fresh->slots);
-            }
-            if (!st.ok()) {
-              // Abort: the old shard set stays authoritative (its logs
-              // hold every write, catch-up included — dual-write).
-              drop_fresh();
-              for (const auto& slot : old) slot->sealed = false;
-              return st;
-            }
+        if (dlk.owns_lock()) {
+          // Commit point, inside the critical section: sync the replayed
+          // catch-up records, then flip MANIFEST to the new shard set. No
+          // write can be acknowledged against the new shards until the
+          // flip is on disk — a crash on either side of the rename
+          // recovers every acknowledged write.
+          Status st = Status::OK();
+          for (const auto& slot : fresh_slots) {
+            if (st.ok()) st = slot->index.SyncWal();
+          }
+          if (st.ok()) {
+            st = WriteManifestLocked(fresh->boundaries, fresh->slots);
+          }
+          if (!st.ok()) {
+            // Abort: the old shard set stays authoritative (its logs hold
+            // every write, catch-up included — dual-write).
+            drop_fresh();
+            for (const auto& slot : old) slot->sealed = false;
+            return st;
           }
         }
         w.Publish(fresh.release());
@@ -1419,10 +1312,8 @@ class ShardedIndex {
         (cuts > 0 ? splits_ : coalesces_)
             .fetch_add(1, std::memory_order_relaxed);
       }
-      if constexpr (kDurabilityCapable) {
-        if (dlk.owns_lock()) {
-          for (const auto& slot : old) DropShardFiles(slot->uid);
-        }
+      if (dlk.owns_lock()) {
+        for (const auto& slot : old) DropShardFiles(slot->uid);
       }
       *published = true;
       return Status::OK();

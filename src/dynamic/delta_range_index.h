@@ -46,6 +46,7 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "dynamic/delta_buffer.h"
+#include "dynamic/delta_snapshot.h"
 #include "dynamic/merge_policy.h"
 #include "index/approx.h"
 #include "index/range_index.h"
@@ -246,12 +247,11 @@ class DeltaRangeIndex {
   const Config& config() const { return config_; }
 
   // ---- Persistence (index::Snapshottable; docs/PERSISTENCE.md) ----
-  // Sections: the owned base key array (persisted once, the base model
-  // loads against a span over the reopened copy — no retraining), the
-  // base's model-only sections under "<prefix>base/", and the folded
-  // delta as parallel key/flag arrays. The key array is *copied* on open
-  // rather than mapped: merges replace it, so the wrapper stays writable
-  // after restart.
+  // The delta snapshot layout (dynamic/delta_snapshot.h): the owned base
+  // key array persisted once (the base model loads against the reopened
+  // copy — no retraining) plus the delta, checked against those keys on
+  // open. The key array is *copied* rather than mapped: merges replace
+  // it, so the wrapper stays writable after restart.
 
   /// Snapshot support needs a flat key type and a base that can persist
   /// its model against a caller-owned key span (the RMI family).
@@ -266,39 +266,19 @@ class DeltaRangeIndex {
           "DeltaRangeIndex snapshots need a flat key type and a "
           "section-snapshottable base");
     } else {
-      SnapshotCfg cfg;
-      cfg.policy = config_.policy;
-      cfg.active_cap = config_.active_cap;
-      LI_RETURN_IF_ERROR(writer.AddPod(prefix + "cfg", cfg));
+      std::vector<DeltaEntry<key_type>> delta;
+      delta.reserve(delta_.entry_count());
+      delta_.VisitAll([&](const DeltaEntry<key_type>& e) {
+        delta.push_back(e);
+        return true;
+      });
       // Publish the durability watermark: this snapshot reflects every
       // WAL record so far, so recovery replays only what comes after, and
       // WriteSnapshot truncates behind it.
-      if (const auto meta = wal_.CaptureCovered()) {
-        LI_RETURN_IF_ERROR(writer.AddPod(prefix + "wal", *meta));
-      }
-      LI_RETURN_IF_ERROR(
-          writer.AddArray(prefix + "keys",
-                          std::span<const key_type>(base_keys_),
-                          snapshot::SectionKind::kKeys));
-      LI_RETURN_IF_ERROR(
-          base_.WriteSections(writer, prefix + "base/",
-                              /*include_keys=*/false));
-      std::vector<key_type> dkeys;
-      std::vector<uint8_t> dmeta;
-      dkeys.reserve(delta_.entry_count());
-      dmeta.reserve(delta_.entry_count());
-      delta_.VisitAll([&](const DeltaEntry<key_type>& e) {
-        dkeys.push_back(e.key);
-        dmeta.push_back(static_cast<uint8_t>((e.tombstone ? 1 : 0) |
-                                             (e.in_base ? 2 : 0)));
-        return true;
-      });
-      LI_RETURN_IF_ERROR(
-          writer.AddArray(prefix + "dkeys", std::span<const key_type>(dkeys),
-                          snapshot::SectionKind::kDelta));
-      return writer.AddArray(prefix + "dmeta",
-                             std::span<const uint8_t>(dmeta),
-                             snapshot::SectionKind::kDelta);
+      return WriteDeltaSections(
+          writer, prefix, DeltaSnapshotCfg{config_.policy, config_.active_cap},
+          wal_.CaptureCovered(), std::span<const key_type>(base_keys_), base_,
+          std::span<const DeltaEntry<key_type>>(delta));
     }
   }
 
@@ -309,36 +289,12 @@ class DeltaRangeIndex {
           "DeltaRangeIndex snapshots need a flat key type and a "
           "section-snapshottable base");
     } else {
-      SnapshotCfg cfg;
-      LI_RETURN_IF_ERROR(reader.GetPod(prefix + "cfg", &cfg));
-      auto keys = reader.GetArray<key_type>(prefix + "keys");
-      if (!keys.ok()) return keys.status();
-      auto dkeys = reader.GetArray<key_type>(prefix + "dkeys");
-      if (!dkeys.ok()) return dkeys.status();
-      auto dmeta = reader.GetArray<uint8_t>(prefix + "dmeta");
-      if (!dmeta.ok()) return dmeta.status();
-      if (dkeys.value().size() != dmeta.value().size()) {
-        return Status::InvalidArgument(
-            "DeltaRangeIndex snapshot delta arrays disagree in size");
-      }
-      base_keys_.assign(keys.value().begin(), keys.value().end());
-      LI_RETURN_IF_ERROR(
-          base_.LoadSections(reader, prefix + "base/",
-                             std::span<const key_type>(base_keys_)));
+      DeltaSnapshotCfg cfg;
       std::vector<DeltaEntry<key_type>> entries;
-      entries.reserve(dkeys.value().size());
-      for (size_t i = 0; i < dkeys.value().size(); ++i) {
-        const uint8_t m = dmeta.value()[i];
-        if ((m & ~uint8_t{3}) != 0) {
-          return Status::InvalidArgument(
-              "DeltaRangeIndex snapshot delta flags are corrupt");
-        }
-        entries.push_back(DeltaEntry<key_type>{dkeys.value()[i],
-                                               (m & 1) != 0, (m & 2) != 0});
-      }
-      LI_RETURN_IF_ERROR(wal_.LoadCovered(reader, prefix));
+      LI_RETURN_IF_ERROR(ReadDeltaSections(reader, prefix, &cfg, &base_keys_,
+                                           &base_, &entries, &wal_));
       config_.policy = cfg.policy;
-      config_.active_cap = std::max<size_t>(cfg.active_cap, 2);
+      config_.active_cap = std::max<size_t>(cfg.cap, 2);
       if constexpr (requires {
                       {
                         base_.config()
@@ -432,13 +388,6 @@ class DeltaRangeIndex {
   Status SyncWal() { return wal_.Sync(); }
 
  private:
-  struct SnapshotCfg {
-    MergePolicy policy{};
-    uint64_t active_cap = 256;
-  };
-  static_assert(std::is_trivially_copyable_v<MergePolicy>,
-                "MergePolicy is persisted verbatim in snapshots");
-
   bool BaseContains(const key_type& key) const {
     return index::ContainsViaLookup(
         base_, std::span<const key_type>(base_keys_), key);

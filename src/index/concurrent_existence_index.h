@@ -24,18 +24,17 @@
 // background rebuilds. Insert returns true iff the key was not already
 // an exact member (filter corpus or side set); the side set is exact, so
 // num_keys() counts distinct inserted keys, not filter positives.
+//
+// The concept has no type-erased handle: its one implementation,
+// concurrent::RebuildableExistence<Base>, is held concretely wherever it
+// is used, and the conformance suite static_asserts the concept on it.
 
 #ifndef LI_INDEX_CONCURRENT_EXISTENCE_INDEX_H_
 #define LI_INDEX_CONCURRENT_EXISTENCE_INDEX_H_
 
 #include <concepts>
 #include <cstddef>
-#include <memory>
-#include <span>
-#include <string>
 #include <string_view>
-#include <type_traits>
-#include <utility>
 
 #include "index/concurrent_writable_index.h"
 #include "index/existence_index.h"
@@ -55,91 +54,6 @@ concept ConcurrentExistenceIndex =
       { mut.RequestRebuild() } -> std::same_as<void>;
       { mut.WaitForRebuilds() } -> std::same_as<void>;
     };
-
-/// Type-erased ConcurrentExistenceIndex. An empty handle behaves like a
-/// filter over the empty set that drops writes: MightContain is always
-/// false, Insert returns false. Itself satisfies ExistenceIndex (like
-/// AnyExistenceIndex), so an erased concurrent filter can stand anywhere
-/// a static filter can.
-class AnyConcurrentExistenceIndex {
- public:
-  AnyConcurrentExistenceIndex() = default;
-
-  template <typename F>
-    requires ConcurrentExistenceIndex<std::remove_cvref_t<F>> &&
-             (!std::same_as<std::remove_cvref_t<F>,
-                            AnyConcurrentExistenceIndex>)
-  explicit AnyConcurrentExistenceIndex(F&& impl)
-      : impl_(std::make_unique<Holder<std::remove_cvref_t<F>>>(
-            std::forward<F>(impl))) {}
-
-  AnyConcurrentExistenceIndex(AnyConcurrentExistenceIndex&&) noexcept =
-      default;
-  AnyConcurrentExistenceIndex& operator=(
-      AnyConcurrentExistenceIndex&&) noexcept = default;
-
-  bool empty() const { return impl_ == nullptr; }
-
-  bool MightContain(std::string_view key) const {
-    return impl_ != nullptr && impl_->MightContain(key);
-  }
-  bool Insert(std::string_view key) {
-    return impl_ != nullptr && impl_->Insert(key);
-  }
-  void RequestRebuild() {
-    if (impl_ != nullptr) impl_->RequestRebuild();
-  }
-  void WaitForRebuilds() {
-    if (impl_ != nullptr) impl_->WaitForRebuilds();
-  }
-  size_t num_keys() const { return impl_ ? impl_->num_keys() : 0; }
-  size_t SizeBytes() const { return impl_ ? impl_->SizeBytes() : 0; }
-  double MeasuredFpr(std::span<const std::string> non_keys) const {
-    return impl_ ? impl_->MeasuredFpr(non_keys) : 0.0;
-  }
-  ConcurrentIndexStats ConcurrentStats() const {
-    return impl_ ? impl_->ConcurrentStats() : ConcurrentIndexStats{};
-  }
-
- private:
-  struct Iface {
-    virtual ~Iface() = default;
-    virtual bool MightContain(std::string_view key) const = 0;
-    virtual bool Insert(std::string_view key) = 0;
-    virtual void RequestRebuild() = 0;
-    virtual void WaitForRebuilds() = 0;
-    virtual size_t num_keys() const = 0;
-    virtual size_t SizeBytes() const = 0;
-    virtual double MeasuredFpr(
-        std::span<const std::string> non_keys) const = 0;
-    virtual ConcurrentIndexStats ConcurrentStats() const = 0;
-  };
-
-  template <typename F>
-  struct Holder final : Iface {
-    template <typename U>
-    explicit Holder(U&& v) : impl(std::forward<U>(v)) {}
-
-    bool MightContain(std::string_view key) const override {
-      return impl.MightContain(key);
-    }
-    bool Insert(std::string_view key) override { return impl.Insert(key); }
-    void RequestRebuild() override { impl.RequestRebuild(); }
-    void WaitForRebuilds() override { impl.WaitForRebuilds(); }
-    size_t num_keys() const override { return impl.num_keys(); }
-    size_t SizeBytes() const override { return impl.SizeBytes(); }
-    double MeasuredFpr(std::span<const std::string> non_keys) const override {
-      return impl.MeasuredFpr(non_keys);
-    }
-    ConcurrentIndexStats ConcurrentStats() const override {
-      return impl.ConcurrentStats();
-    }
-
-    F impl;
-  };
-
-  std::unique_ptr<Iface> impl_;
-};
 
 }  // namespace li::index
 

@@ -40,18 +40,19 @@
 // point is the serialization point). At any externally quiesced moment
 // reads are exact: Find returns the newest stored record per key,
 // num_records() the exact live count.
+//
+// The concept has no type-erased handle: its one implementation,
+// concurrent::ConcurrentPointIndex<Base> (over the chained, in-place and
+// cuckoo maps), is held concretely wherever it is used, and the
+// conformance suite static_asserts the concept on each instantiation.
 
 #ifndef LI_INDEX_CONCURRENT_POINT_INDEX_H_
 #define LI_INDEX_CONCURRENT_POINT_INDEX_H_
 
-#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <type_traits>
-#include <utility>
 
 #include "common/status.h"
 #include "hash/record.h"
@@ -86,118 +87,6 @@ concept ConcurrentWritablePointIndex =
       { mut.RequestRebuild() } -> std::same_as<void>;
       { mut.WaitForRebuilds() } -> std::same_as<void>;
     };
-
-/// Type-erased ConcurrentWritablePointIndex, mirroring
-/// AnyConcurrentWritableIndexOf on the range side — for holders of
-/// heterogeneous concurrent maps (chained vs in-place vs cuckoo bases)
-/// that still need to quiesce rebuild workers or read contention gauges.
-/// Build is not erased (config types differ per base family); candidates
-/// are built concretely and moved in. The handle itself is as thread-safe
-/// as the wrapped index; moving the handle while ops are in flight is
-/// undefined, as for any container.
-class AnyConcurrentWritablePointIndex {
- public:
-  AnyConcurrentWritablePointIndex() = default;
-
-  template <typename I>
-    requires ConcurrentWritablePointIndex<std::remove_cvref_t<I>> &&
-             (!std::same_as<std::remove_cvref_t<I>,
-                            AnyConcurrentWritablePointIndex>)
-  explicit AnyConcurrentWritablePointIndex(I&& impl)
-      : impl_(std::make_unique<Holder<std::remove_cvref_t<I>>>(
-            std::forward<I>(impl))) {}
-
-  AnyConcurrentWritablePointIndex(AnyConcurrentWritablePointIndex&&) noexcept =
-      default;
-  AnyConcurrentWritablePointIndex& operator=(
-      AnyConcurrentWritablePointIndex&&) noexcept = default;
-
-  /// True when no index has been wrapped yet; reads then answer like an
-  /// empty map and writes are dropped (returning false).
-  bool empty() const { return impl_ == nullptr; }
-
-  bool Find(uint64_t key, hash::Record* out) const {
-    return impl_ != nullptr && impl_->Find(key, out);
-  }
-  void FindBatch(std::span<const uint64_t> keys, std::span<hash::Record> recs,
-                 std::span<uint8_t> found) const {
-    if (impl_ != nullptr) {
-      impl_->FindBatch(keys, recs, found);
-    } else {
-      const size_t n = std::min({keys.size(), recs.size(), found.size()});
-      for (size_t i = 0; i < n; ++i) found[i] = 0;
-    }
-  }
-  bool Insert(const hash::Record& rec) {
-    return impl_ != nullptr && impl_->Insert(rec);
-  }
-  bool Upsert(const hash::Record& rec) {
-    return impl_ != nullptr && impl_->Upsert(rec);
-  }
-  bool Erase(uint64_t key) { return impl_ != nullptr && impl_->Erase(key); }
-  void RequestRebuild() {
-    if (impl_ != nullptr) impl_->RequestRebuild();
-  }
-  void WaitForRebuilds() {
-    if (impl_ != nullptr) impl_->WaitForRebuilds();
-  }
-  size_t num_records() const { return impl_ ? impl_->num_records() : 0; }
-  size_t SizeBytes() const { return impl_ ? impl_->SizeBytes() : 0; }
-  PointIndexStats Stats() const {
-    return impl_ ? impl_->Stats() : PointIndexStats{};
-  }
-  ConcurrentIndexStats ConcurrentStats() const {
-    return impl_ ? impl_->ConcurrentStats() : ConcurrentIndexStats{};
-  }
-
- private:
-  struct Iface {
-    virtual ~Iface() = default;
-    virtual bool Find(uint64_t key, hash::Record* out) const = 0;
-    virtual void FindBatch(std::span<const uint64_t> keys,
-                           std::span<hash::Record> recs,
-                           std::span<uint8_t> found) const = 0;
-    virtual bool Insert(const hash::Record& rec) = 0;
-    virtual bool Upsert(const hash::Record& rec) = 0;
-    virtual bool Erase(uint64_t key) = 0;
-    virtual void RequestRebuild() = 0;
-    virtual void WaitForRebuilds() = 0;
-    virtual size_t num_records() const = 0;
-    virtual size_t SizeBytes() const = 0;
-    virtual PointIndexStats Stats() const = 0;
-    virtual ConcurrentIndexStats ConcurrentStats() const = 0;
-  };
-
-  template <typename I>
-  struct Holder final : Iface {
-    template <typename U>
-    explicit Holder(U&& v) : impl(std::forward<U>(v)) {}
-
-    bool Find(uint64_t key, hash::Record* out) const override {
-      return impl.Find(key, out);
-    }
-    void FindBatch(std::span<const uint64_t> keys,
-                   std::span<hash::Record> recs,
-                   std::span<uint8_t> found) const override {
-      impl.FindBatch(keys, recs, found);
-    }
-    bool Insert(const hash::Record& rec) override { return impl.Insert(rec); }
-    bool Upsert(const hash::Record& rec) override { return impl.Upsert(rec); }
-    bool Erase(uint64_t key) override { return impl.Erase(key); }
-    void RequestRebuild() override { impl.RequestRebuild(); }
-    void WaitForRebuilds() override { impl.WaitForRebuilds(); }
-    size_t num_records() const override { return impl.num_records(); }
-    size_t SizeBytes() const override { return impl.SizeBytes(); }
-    PointIndexStats Stats() const override { return impl.Stats(); }
-    ConcurrentIndexStats ConcurrentStats() const override {
-      return impl.ConcurrentStats();
-    }
-
-    I impl;
-  };
-
-  std::unique_ptr<Iface> impl_;
-};
 
 }  // namespace li::index
 

@@ -17,9 +17,11 @@
 //                                covered LSN, then resume logging
 //
 // The concept is satisfied by DeltaRangeIndex and
-// ConcurrentWritableIndex; ShardedIndex routes per-shard logs through
-// the same machinery behind a directory-based variant (EnableDurability
-// on a directory, RecoverDurable instead of OpenSnapshot).
+// ConcurrentWritableIndex. ShardedIndex does not satisfy it; instead it
+// requires it of every shard (concurrent::Shardable) and routes
+// per-shard logs through it behind a directory-based variant
+// (EnableDurability on a directory, RecoverDurable instead of
+// OpenSnapshot).
 
 #ifndef LI_INDEX_DURABLE_INDEX_H_
 #define LI_INDEX_DURABLE_INDEX_H_

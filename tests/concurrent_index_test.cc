@@ -51,6 +51,13 @@ static_assert(index::WritableRangeIndex<ShardedRmi>);
 static_assert(
     !index::ConcurrentWritableRangeIndex<
         dynamic::DeltaRangeIndex<rmi::LinearRmi>>);
+// Only concurrent, durable, snapshottable front-ends can be shards: the
+// single-threaded delta index would run two writers at once under a
+// shard's shared cutover lock, and a B-Tree base has no snapshot form.
+static_assert(concurrent::Shardable<ConcRmi>);
+static_assert(
+    !concurrent::Shardable<dynamic::DeltaRangeIndex<rmi::LinearRmi>>);
+static_assert(!concurrent::Shardable<ConcBtree>);
 
 // ---- Epoch manager ----
 

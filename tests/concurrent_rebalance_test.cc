@@ -41,8 +41,6 @@ namespace {
 using ConcRmi = concurrent::ConcurrentWritableIndex<rmi::LinearRmi>;
 using ShardedRmi = concurrent::ShardedIndex<ConcRmi>;
 
-static_assert(ShardedRmi::kRebalanceCapable);
-
 /// First failure observed by any thread; asserted on the main thread
 /// (gtest asserts are not thread-safe off-thread).
 class FailureLog {

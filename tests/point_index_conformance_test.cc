@@ -501,53 +501,40 @@ TYPED_TEST(ConcurrentPointConformanceTest, NeverBuiltAnswersAbsent) {
   EXPECT_FALSE(FindPayload(map, 0).has_value());
   EXPECT_FALSE(FindPayload(map, 42).has_value());
   EXPECT_EQ(map.num_records(), 0u);
+  EXPECT_EQ(map.SizeBytes(), 0u);
   EXPECT_FALSE(map.Insert({1, 2, 0}));
+  EXPECT_FALSE(map.Upsert({1, 2, 0}));
   EXPECT_FALSE(map.Erase(1));
   std::vector<uint64_t> probes = {1, 2, 3};
   std::vector<hash::Record> recs(3);
   std::vector<uint8_t> found(3, 2);
   map.FindBatch(probes, recs, found);
   for (const uint8_t f : found) EXPECT_EQ(f, 0);
+  map.RequestRebuild();  // no worker to wake: both are no-ops
+  map.WaitForRebuilds();
 }
 
-// ---- Type erasure: concurrent families behind one writable handle ----
-
-TEST(AnyConcurrentWritablePointIndexTest, ErasesAndForwardsWrites) {
-  using Conc = concurrent::ConcurrentPointIndex<hash::ChainedHashMap>;
-  Conc map;
-  ASSERT_TRUE(
-      map.Build(SharedRecords(), Configs<Conc>()[0].second).ok());
-  index::AnyConcurrentWritablePointIndex any(std::move(map));
-  EXPECT_FALSE(any.empty());
-  EXPECT_EQ(any.num_records(), Oracle().size());
-  CheckOracleAgreement(any, Oracle(), "erased");
-  const uint64_t fresh_key = ~uint64_t{1};
-  EXPECT_TRUE(any.Insert({fresh_key, 7, 0}));
-  EXPECT_EQ(FindPayload(any, fresh_key), std::optional<uint64_t>(7));
-  any.RequestRebuild();
-  any.WaitForRebuilds();
-  EXPECT_EQ(FindPayload(any, fresh_key), std::optional<uint64_t>(7));
-  EXPECT_TRUE(any.Erase(fresh_key));
-  EXPECT_FALSE(FindPayload(any, fresh_key).has_value());
-  EXPECT_GT(any.ConcurrentStats().inserts, 0u);
-}
-
-TEST(AnyConcurrentWritablePointIndexTest, EmptyHandleDropsEverything) {
-  index::AnyConcurrentWritablePointIndex empty;
-  EXPECT_TRUE(empty.empty());
-  EXPECT_FALSE(FindPayload(empty, 7).has_value());
-  EXPECT_EQ(empty.num_records(), 0u);
-  EXPECT_EQ(empty.SizeBytes(), 0u);
-  EXPECT_FALSE(empty.Insert({1, 2, 0}));
-  EXPECT_FALSE(empty.Upsert({1, 2, 0}));
-  EXPECT_FALSE(empty.Erase(1));
-  std::vector<uint64_t> probes = {1, 2, 3};
-  std::vector<hash::Record> recs(3);
-  std::vector<uint8_t> found(3, 2);
-  empty.FindBatch(probes, recs, found);
-  for (const uint8_t f : found) EXPECT_EQ(f, 0);
-  empty.RequestRebuild();
-  empty.WaitForRebuilds();
+// An insert acknowledged before an asynchronous rebuild stays visible
+// through it (the worker folds the log into the new base table), and
+// the insert counter records it.
+TYPED_TEST(ConcurrentPointConformanceTest, InsertVisibleAcrossRequestRebuild) {
+  for (const auto& [name, config] : Configs<TypeParam>()) {
+    TypeParam map;
+    ASSERT_TRUE(map.Build(SharedRecords(), config).ok()) << name;
+    const uint64_t fresh_key = ~uint64_t{1};
+    ASSERT_TRUE(map.Insert({fresh_key, 7, 0})) << name;
+    EXPECT_EQ(FindPayload(map, fresh_key), std::optional<uint64_t>(7))
+        << name;
+    map.RequestRebuild();
+    map.WaitForRebuilds();
+    ASSERT_TRUE(map.last_rebuild_status().ok()) << name;
+    EXPECT_EQ(FindPayload(map, fresh_key), std::optional<uint64_t>(7))
+        << name;
+    CheckOracleAgreement(map, Oracle(), name + "/post-rebuild");
+    EXPECT_EQ(map.ConcurrentStats().inserts, 1u) << name;
+    EXPECT_TRUE(map.Erase(fresh_key)) << name;
+    EXPECT_FALSE(FindPayload(map, fresh_key).has_value()) << name;
+  }
 }
 
 }  // namespace

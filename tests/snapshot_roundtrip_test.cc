@@ -14,7 +14,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -440,6 +443,129 @@ TEST(ShardedRoundTripTest, ManifestComposesPerShardSnapshots) {
   EXPECT_EQ(reopened.value().num_shards(), built.num_shards());
   CheckAndMutate(reopened.value(), oracle, 103);
   std::remove(path.c_str());
+}
+
+// ---- Delta sections checked against their base keys ----
+
+/// Copies the snapshot at `src` to `dst` section by section, swapping in
+/// the payloads named in `replace`. The file envelope and table CRCs are
+/// recomputed, so only the loaders' own checks see the change.
+void CopySnapshot(const std::string& src, const std::string& dst,
+                  const std::map<std::string, std::vector<uint8_t>>& replace) {
+  auto reader = snapshot::SnapshotReader::Open(src);
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  snapshot::SnapshotWriter writer;
+  for (const snapshot::SectionEntry& e : reader.value().sections()) {
+    auto bytes = reader.value().Get(e.name);
+    ASSERT_TRUE(bytes.ok());
+    const auto it = replace.find(e.name);
+    const std::span<const uint8_t> payload =
+        it != replace.end() ? std::span<const uint8_t>(it->second)
+                            : bytes.value();
+    ASSERT_TRUE(writer
+                    .AddSection(e.name,
+                                static_cast<snapshot::SectionKind>(e.kind),
+                                payload.data(), payload.size())
+                    .ok());
+  }
+  ASSERT_TRUE(writer.WriteFile(dst).ok());
+}
+
+std::vector<uint8_t> Bytes(const std::vector<uint64_t>& v) {
+  std::vector<uint8_t> out(v.size() * sizeof(uint64_t));
+  std::memcpy(out.data(), v.data(), out.size());
+  return out;
+}
+
+// DeltaRangeIndex and ConcurrentWritableIndex share one delta layout, so
+// one file drives both. Over base keys {10, 20, ..., 10000} the delta is
+// Erase(5) of an absent key (flags 1), Insert(15) (flags 0) and
+// Erase(20) of a base key (flags 3). Every crafted variant below
+// disagrees with the base keys or with itself, and both classes must
+// refuse it at open. Unchecked, flipping the first entry's in_base bit
+// (1 -> 3) opens cleanly and answers size() 999 and Lookup(6) ==
+// SIZE_MAX: payload CRCs are not verified by the default Open.
+TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 10; k <= 10'000; k += 10) keys.push_back(k);
+  DeltaRmi::Config config;
+  config.base.num_leaf_models = 16;
+  config.policy.trigger = dynamic::MergeTrigger::kManual;
+  DeltaRmi built;
+  ASSERT_TRUE(built.Build(keys, config).ok());
+  ASSERT_FALSE(built.Erase(5));
+  ASSERT_TRUE(built.Insert(15));
+  ASSERT_TRUE(built.Erase(20));
+  const std::string path = TmpSnap("delta_check");
+  ASSERT_TRUE(built.WriteSnapshot(path).ok());
+
+  std::vector<uint64_t> dkeys;
+  std::vector<uint8_t> dmeta;
+  {
+    auto reader = snapshot::SnapshotReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    auto dk = reader.value().GetArray<uint64_t>("dkeys");
+    auto dm = reader.value().GetArray<uint8_t>("dmeta");
+    ASSERT_TRUE(dk.ok() && dm.ok());
+    dkeys.assign(dk.value().begin(), dk.value().end());
+    dmeta.assign(dm.value().begin(), dm.value().end());
+  }
+  ASSERT_EQ(dkeys, (std::vector<uint64_t>{5, 15, 20}));
+  ASSERT_EQ(dmeta, (std::vector<uint8_t>{1, 0, 3}));
+
+  // The consistent file opens in both classes and answers exactly.
+  const std::string crafted = TmpSnap("delta_check_crafted");
+  CopySnapshot(path, crafted, {});
+  {
+    auto delta = DeltaRmi::OpenSnapshot(crafted);
+    ASSERT_TRUE(delta.ok()) << delta.status().message();
+    EXPECT_EQ(delta.value().size(), 1'000u);
+    EXPECT_EQ(delta.value().Lookup(6), 0u);
+    EXPECT_EQ(delta.value().Lookup(21), 2u);
+    auto conc = ConcRmi::OpenSnapshot(crafted);
+    ASSERT_TRUE(conc.ok()) << conc.status().message();
+    EXPECT_EQ(conc.value().size(), 1'000u);
+    EXPECT_EQ(conc.value().Lookup(15), 1u);
+    EXPECT_FALSE(conc.value().Contains(20));
+  }
+
+  struct Variant {
+    const char* what;
+    std::vector<uint64_t> dkeys;
+    std::vector<uint8_t> dmeta;
+  };
+  std::vector<Variant> variants;
+  auto add = [&](const char* what, auto&& mutate) {
+    Variant v{what, dkeys, dmeta};
+    mutate(v.dkeys, v.dmeta);
+    variants.push_back(std::move(v));
+  };
+  add("in_base set on a key the base lacks",
+      [](auto&, auto& m) { m[0] = 3; });
+  add("in_base cleared on a base key", [](auto&, auto& m) { m[2] = 1; });
+  add("dkeys out of order", [](auto& k, auto& m) {
+    std::swap(k[1], k[2]);
+    std::swap(m[1], m[2]);
+  });
+  add("duplicate dkey", [](auto& k, auto& m) {
+    k[1] = k[0];
+    m[1] = m[0];
+  });
+  add("unknown flag bit", [](auto&, auto& m) { m[1] |= 4; });
+  add("dmeta shorter than dkeys", [](auto&, auto& m) { m.pop_back(); });
+
+  for (const Variant& v : variants) {
+    CopySnapshot(path, crafted,
+                 {{"dkeys", Bytes(v.dkeys)}, {"dmeta", v.dmeta}});
+    auto delta = DeltaRmi::OpenSnapshot(crafted);
+    ASSERT_FALSE(delta.ok()) << v.what;
+    EXPECT_EQ(delta.status().code(), StatusCode::kInvalidArgument) << v.what;
+    auto conc = ConcRmi::OpenSnapshot(crafted);
+    ASSERT_FALSE(conc.ok()) << v.what;
+    EXPECT_EQ(conc.status().code(), StatusCode::kInvalidArgument) << v.what;
+  }
+  std::remove(path.c_str());
+  std::remove(crafted.c_str());
 }
 
 // ---- LIF winner ----

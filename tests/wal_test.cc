@@ -44,7 +44,6 @@ static_assert(index::DurableIndex<DeltaRmi>);
 static_assert(index::DurableIndex<ConcRmi>);
 static_assert(DeltaRmi::kDurabilityCapable);
 static_assert(ConcRmi::kDurabilityCapable);
-static_assert(ShardedRmi::kDurabilityCapable);
 
 std::string TmpPath(const std::string& name) {
   return ::testing::TempDir() + "li_wal_" + name;

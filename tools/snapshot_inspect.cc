@@ -9,14 +9,23 @@
 // this shows which layer disagrees and where.
 //
 //   snapshot_inspect <file.snap>            dump header + section table
-//   snapshot_inspect --verify <file.snap>   also recompute payload CRCs
+//   snapshot_inspect --verify <file.snap>   also recompute payload CRCs and
+//                                           check every delta against its
+//                                           base keys
 //   snapshot_inspect <file.wal>             dump WAL summary + tail state
+//
+// The delta check runs dynamic::CheckDelta on each <prefix>keys /
+// <prefix>dkeys / <prefix>dmeta triple (the layout of
+// dynamic/delta_snapshot.h), reading the keys as uint64 — the key type
+// of every writable index the repo's tools and benches persist.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
+#include "dynamic/delta_snapshot.h"
 #include "rangefilter/filter_meta.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
@@ -76,6 +85,42 @@ int InspectWal(const char* path) {
   }
   // A torn tail is a normal post-crash artifact (recovery truncates it),
   // not a tool failure.
+  return 0;
+}
+
+/// CheckDelta over every delta in the file; 0 when all agree with their
+/// base keys (or there are none).
+int VerifyDeltas(const snapshot::SnapshotReader& reader) {
+  constexpr std::string_view kDkeys = "dkeys";
+  int bad = 0;
+  for (const snapshot::SectionEntry& e : reader.sections()) {
+    const std::string_view name = e.name;
+    if (!name.ends_with(kDkeys)) continue;
+    const std::string prefix(name.substr(0, name.size() - kDkeys.size()));
+    auto keys = reader.GetArray<uint64_t>(prefix + "keys");
+    auto dkeys = reader.GetArray<uint64_t>(prefix + "dkeys");
+    auto dmeta = reader.GetArray<uint8_t>(prefix + "dmeta");
+    const Status st = !keys.ok()    ? keys.status()
+                      : !dkeys.ok() ? dkeys.status()
+                      : !dmeta.ok() ? dmeta.status()
+                                    : dynamic::CheckDelta(keys.value(),
+                                                          dkeys.value(),
+                                                          dmeta.value());
+    if (st.ok()) {
+      std::printf("  delta  %-36s OK (%zu entries over %zu keys)\n",
+                  prefix.empty() ? "(root)" : prefix.c_str(),
+                  dkeys.value().size(), keys.value().size());
+    } else {
+      std::printf("  delta  %-36s FAILED: %s\n",
+                  prefix.empty() ? "(root)" : prefix.c_str(),
+                  st.message().c_str());
+      ++bad;
+    }
+  }
+  if (bad != 0) {
+    std::fprintf(stderr, "%d delta(s) disagree with their base keys\n", bad);
+    return 1;
+  }
   return 0;
 }
 
@@ -156,10 +201,12 @@ int Inspect(const char* path, bool verify) {
   }
   if (bad != 0) {
     std::fprintf(stderr, "%d section(s) failed payload verification\n", bad);
-    return 1;
+  } else {
+    std::printf("all payloads verified\n");
   }
-  std::printf("all payloads verified\n");
-  return 0;
+  // The delta check runs either way: a bad payload CRC says the bytes
+  // changed, this says whether the index would misanswer on them.
+  return VerifyDeltas(reader.value()) != 0 || bad != 0 ? 1 : 0;
 }
 
 }  // namespace
