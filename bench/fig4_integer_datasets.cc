@@ -2,12 +2,15 @@
 // (Maps / Weblog / Lognormal).
 //
 // Rows: read-optimized B-Tree with page sizes {32..512}, and 2-stage RMI
-// configurations. The first four RMI rows preserve the paper's
-// keys-per-leaf ratios (10k/50k/100k/200k second-stage models over 200M
-// keys); a final row adds the speed-optimal fine-grained configuration for
-// this scale. Columns: size MB, total lookup ns, model-execution ns with
-// its share of total — with factors against the paper's reference point,
-// the page-128 B-Tree.
+// configurations (routing stage off, K = 1, as in the paper). The first
+// four RMI rows preserve the paper's keys-per-leaf ratios
+// (10k/50k/100k/200k second-stage models over 200M keys); a fifth row
+// adds the speed-optimal fine-grained configuration for this scale, and a
+// last row the library default: a linear top with the routing stage
+// (K = M/64 routing models) over n/64 leaves. Columns: size MB, total
+// lookup ns, model-execution ns with its share of total — with factors
+// against the paper's reference point, the page-128 B-Tree — and the mean
+// search window (the ApproxPos width) over the queries.
 //
 // Top models follow the paper's grid-search outcome ("simple (0 hidden
 // layers) to semi-complex (2 hidden layers and 8- or 16-wide) models for
@@ -20,7 +23,9 @@
 // cache-resident, which flatters it; the paper's larger speedups reappear
 // as REPRO_SCALE_M grows and the B-Tree's lower levels start missing.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "btree/readonly_btree.h"
@@ -37,7 +42,14 @@ struct Row {
   double size_mb;
   double lookup_ns;
   double model_ns;
+  double window = 0.0;  // mean ApproxPos width, learned rows only
 };
+
+std::string Fixed1(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f", v);
+  return buf;
+}
 
 template <typename TopModel>
 bool RunLearned(const std::vector<uint64_t>& keys,
@@ -48,7 +60,13 @@ bool RunLearned(const std::vector<uint64_t>& keys,
   rmi::Rmi<TopModel> index;
   if (!index.Build(keys, config).ok()) return false;
   row->config = std::move(label);
+  if (index.num_route_models() > 1) {
+    row->config += " K=" + std::to_string(index.num_route_models());
+  }
   row->size_mb = index.SizeBytes() / 1e6;
+  double width = 0.0;
+  for (const uint64_t q : queries) width += index.ApproxPos(q).Width();
+  row->window = width / static_cast<double>(queries.size());
   row->model_ns = lif::MeasureNsPerOp(
       queries, 2, [&](uint64_t q) { return index.Predict(q).pos; });
   row->lookup_ns = lif::MeasureNsPerOp(
@@ -57,8 +75,8 @@ bool RunLearned(const std::vector<uint64_t>& keys,
 }
 
 template <typename TopModel>
-void PrintDataset(data::DatasetKind kind, size_t n,
-                  const rmi::RmiConfig& base) {
+void PrintDataset(data::DatasetKind kind, size_t n, rmi::RmiConfig base) {
+  base.num_route_models = 1;  // the paper's two-stage rows
   printf("\n=== %s (%zu keys) ===\n", data::DatasetName(kind), n);
   const std::vector<uint64_t> keys = data::Generate(kind, n);
   const std::vector<uint64_t> queries = data::SampleKeys(keys, 200'000);
@@ -106,21 +124,35 @@ void PrintDataset(data::DatasetKind kind, size_t n,
       learned_rows.push_back(row);
     }
   }
+  // The library default: linear top, routing stage, n/64 leaves.
+  {
+    const size_t stage2 = std::max<size_t>(64, n / 64);
+    Row row;
+    if (RunLearned<models::LinearModel>(
+            keys, queries, stage2, rmi::RmiConfig{},
+            "routed (" + std::to_string(stage2) + ")",
+            &row)) {
+      learned_rows.push_back(row);
+    }
+  }
 
-  lif::Table table({"Config", "Size (MB)", "Lookup (ns)", "Model (ns)"});
+  lif::Table table(
+      {"Config", "Size (MB)", "Lookup (ns)", "Model (ns)", "Window (keys)"});
   table.AddSection("Btree");
   for (const Row& r : btree_rows) {
     table.AddRow({r.config, lif::Table::WithFactor(r.size_mb, r.size_mb / ref_size),
                   lif::Table::WithFactor(r.lookup_ns, ref_lookup / r.lookup_ns, 0),
                   lif::Table::WithPercent(r.model_ns,
-                                          100.0 * r.model_ns / r.lookup_ns)});
+                                          100.0 * r.model_ns / r.lookup_ns),
+                  "-"});
   }
   table.AddSection("Learned Index");
   for (const Row& r : learned_rows) {
     table.AddRow({r.config, lif::Table::WithFactor(r.size_mb, r.size_mb / ref_size),
                   lif::Table::WithFactor(r.lookup_ns, ref_lookup / r.lookup_ns, 0),
                   lif::Table::WithPercent(r.model_ns,
-                                          100.0 * r.model_ns / r.lookup_ns)});
+                                          100.0 * r.model_ns / r.lookup_ns),
+                  Fixed1(r.window)});
   }
   table.Print();
 }

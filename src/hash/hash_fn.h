@@ -206,6 +206,9 @@ class PointHash {
             ? config.cdf_leaf_models
             : std::min<size_t>(100'000,
                                std::max<size_t>(1, sorted_keys.size() / 10));
+    // The hash never searches, so a narrower window buys nothing: keep the
+    // two-stage model and its one-model-per-stage predict throughput.
+    rc.num_route_models = 1;
     return learned_.Build(sorted_keys, num_slots, rc);
   }
 

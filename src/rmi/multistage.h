@@ -1,6 +1,7 @@
 // K-stage Recursive Model Index — the general form of §3.2's architecture
 // ("at stage l there are M_l models ... we iteratively train each stage
-// with loss L_l"). The 2-stage Rmi<> covers the paper's evaluation; this
+// with loss L_l"). Rmi<> (two stages, plus a fixed-size routing stage for
+// linear tops) covers the paper's evaluation and the serving path; this
 // generalization exercises the full Algorithm-1 recursion with linear
 // models at every stage and is used by the stage-count ablation.
 //

@@ -1,5 +1,5 @@
 // RMI with a quantized second stage (§3.7.1's quantization discussion):
-// builds a standard 2-stage linear RMI, then re-encodes the leaf table at
+// builds a standard linear RMI, then re-encodes the leaf table at
 // float32 or int16 precision, folding quantization drift into the error
 // bounds so lower_bound semantics are preserved bit-for-bit.
 
@@ -67,7 +67,7 @@ class QuantizedRmi {
   }
 
   /// Prediction through the quantized leaf table, with the drift-widened
-  /// error window (top routing stays unquantized).
+  /// error window (top and routing models stay unquantized).
   index::Approx ApproxPos(uint64_t key) const {
     if (data_.empty()) return index::Approx{};
     const double x = static_cast<double>(key);
@@ -97,10 +97,9 @@ class QuantizedRmi {
 
   size_t LowerBound(uint64_t key) const { return Lookup(key); }
 
-  /// Top model + quantized leaf table bytes.
-  size_t SizeBytes() const {
-    return rmi_.top().SizeBytes() + table_.SizeBytes();
-  }
+  /// Routing stages (top + routing models, both unquantized) + quantized
+  /// leaf table bytes.
+  size_t SizeBytes() const { return rmi_.RoutingBytes() + table_.SizeBytes(); }
   const models::QuantizedLeafTable& table() const { return table_; }
 
  private:

@@ -1,19 +1,30 @@
 // The Recursive Model Index (§3.2) — the paper's primary contribution.
 //
-// A two-stage model hierarchy: the top model learns the overall CDF shape
-// and routes each key to one of M second-stage models via
-// leaf = clamp(M * f0(key) / N); every leaf model (simple linear — "for
-// the second stage, simple linear models had the best performance",
-// §3.7.1) predicts the absolute position, and per-leaf worst-case error
-// bounds turn the prediction into a B-Tree-grade guarantee: the true
-// position of any *stored* key lies in [pred + min_err, pred + max_err]
-// (§3.4). For absent lookup keys with a non-monotonic model the bound can
-// miss, so lookups finish with a boundary fix-up (exponential search) —
-// the §3.4 "automatically adjust the search area" escape hatch.
+// A stack of model stages ("at stage l there are M_l models"). The top
+// model learns the overall CDF shape; for linear tops a middle stage of K
+// linear "routing" models refines it piecewise, and every key lands on
+// one of M leaves via leaf = clamp(M * f1(key) / N), where f1 is the
+// routing model the top picked by segment = clamp(K * f0(key) / N). With
+// K = 1 the stage is the top itself — the paper's two-stage RMI. Every
+// leaf model (simple linear — "for the second stage, simple linear models
+// had the best performance", §3.7.1) predicts the absolute position, and
+// per-leaf worst-case error bounds turn the prediction into a
+// B-Tree-grade guarantee: the true position of any *stored* key lies in
+// [pred + min_err, pred + max_err] (§3.4). For absent lookup keys with a
+// non-monotonic model the bound can miss, so lookups finish with a
+// boundary fix-up (exponential search) — the §3.4 "automatically adjust
+// the search area" escape hatch.
 //
-// Training is stage-wise per Algorithm 1: fit the top model on all
-// (key, position) pairs, route every key by the top prediction, fit each
-// leaf on its routed subset, then record min/max/std error per leaf.
+// Why the middle stage: a linear top routes a skewed CDF's mass very
+// unevenly (on lognormal keys most leaves stay empty while a few hold
+// hundreds of keys), and the last-mile window is each leaf's worst case.
+// Piecewise routing equalizes leaf mass at the same leaf count, so the
+// window shrinks by an order of magnitude for ~1% more model bytes.
+//
+// Training is stage-wise per Algorithm 1: fit the top model on the §3.6
+// sample, fit each routing model on the sample points its segment
+// receives, route every key to its leaf, fit each leaf on its routed
+// subset, then record min/max/std error per leaf.
 //
 // The core is generic over the key type: index::KeyTraits<Key> maps each
 // key to the real-valued feature the models regress on, so uint64_t,
@@ -50,6 +61,11 @@ namespace li::rmi {
 
 struct RmiConfig {
   size_t num_leaf_models = 10'000;       // "2nd stage models" in Figure 4
+  /// Routing-stage model count K between the top and the leaves. 0 picks
+  /// num_leaf_models / 64 clamped to [1, 4096] (8-64 KB of models, L1/L2
+  /// resident); 1 is the paper's two-stage RMI, the top routing straight
+  /// to a leaf. Capped at num_leaf_models. Non-linear tops always use 1.
+  size_t num_route_models = 0;
   search::Strategy strategy = search::Strategy::kBiasedBinary;
   TrainOptions train;
   /// Cap on keys used to train the *top* model (§3.6: the top model
@@ -106,23 +122,22 @@ class RmiIndex {
     data_ = keys;
     config_ = config;
     snapshot_keepalive_.reset();
+    route_.clear();
     route_factor_ = 0.0;
-    // Retrain-reuse (Appendix D.1 merge cycles): when the leaf table is
-    // owned and already the right size, refit in place — keeping the old
-    // per-leaf error state around long enough to skip re-deriving the 3σ
-    // sweep sub-windows for leaves whose error bounds did not change.
-    const bool refit_in_place = !leaves_.mapped() &&
-                                leaves_.size() == config.num_leaf_models &&
-                                !keys.empty();
-    if (!refit_in_place) leaves_.assign(config.num_leaf_models, Leaf{});
+    segment_factor_ = 0.0;
+    const size_t m = config.num_leaf_models;
+    // Every leaf is rewritten below, so a merge loop (Appendix D.1) that
+    // rebuilds at the same leaf count keeps its owned table.
+    if (keys.empty() || leaves_.mapped() || leaves_.size() != m) {
+      leaves_.assign(m, Leaf{});
+    }
     if (keys.empty()) return Status::OK();
     const size_t n = keys.size();
     // Precomputed M/N rescale: one multiply per key on the routing path
     // instead of a multiply plus a ~20-cycle divide.
-    route_factor_ = static_cast<double>(config.num_leaf_models) /
-                    static_cast<double>(n);
+    route_factor_ = static_cast<double>(m) / static_cast<double>(n);
 
-    // ---- Stage 1: train the top model on (key, position) ----
+    // ---- Stage 0: train the top model on (key, position) ----
     std::vector<double> xs, ys;
     const size_t cap = config.top_train_sample;
     const size_t top_n = (cap == 0 || cap >= n) ? n : cap;
@@ -136,21 +151,44 @@ class RmiIndex {
     }
     LI_RETURN_IF_ERROR(TrainModel(&top_, xs, ys, config.train));
 
-    // ---- Route every key to its leaf (Algorithm 1, lines 8-10) ----
-    const size_t m = config.num_leaf_models;
-    std::vector<uint32_t> leaf_of(n);
-    std::vector<uint32_t> counts(m, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t leaf = RouteFromTop(Traits::ToDouble(keys[i]));
-      leaf_of[i] = leaf;
-      ++counts[leaf];
+    // ---- Stage 1: the routing models, on the same sample ----
+    if constexpr (kTopIsLinear) {
+      const size_t k = RouteModelCount(config);
+      if (k > 1) {
+        // The last key bounds P(x) on the right (the sample may stop short
+        // of it).
+        xs.push_back(Traits::ToDouble(keys.back()));
+        ys.push_back(static_cast<double>(n - 1));
+        TrainRouteStage(xs, ys, k);
+      }
     }
+
+    // ---- Route every key to its leaf (Algorithm 1, lines 8-10) ----
+    // Leaf sizes first. When routing is monotone in the key (a linear top,
+    // and the routing stage's continuous chords, up to rounding) each
+    // leaf's keys are one contiguous run of positions and need no
+    // grouping; otherwise a second pass groups key positions by leaf.
     std::vector<uint32_t> offsets(m + 1, 0);
-    for (size_t j = 0; j < m; ++j) offsets[j + 1] = offsets[j] + counts[j];
-    std::vector<uint32_t> routed(n);  // key indices grouped by leaf
-    {
+    bool monotone = true;
+    uint32_t prev = 0;
+    ForEachRoutedBlock(keys, [&](size_t, const uint32_t* leaf, size_t b) {
+      ForEachRun(leaf, b, [&](size_t k, size_t e, uint32_t j) {
+        offsets[j + 1] += static_cast<uint32_t>(e - k);
+        monotone &= j >= prev;
+        prev = j;
+      });
+    });
+    for (size_t j = 0; j < m; ++j) offsets[j + 1] += offsets[j];
+    std::vector<uint32_t> routed;  // key positions grouped by leaf
+    if (!monotone) {
+      routed.resize(n);
       std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-      for (size_t i = 0; i < n; ++i) routed[cursor[leaf_of[i]]++] = i;
+      ForEachRoutedBlock(keys, [&](size_t base, const uint32_t* leaf,
+                                   size_t b) {
+        for (size_t k = 0; k < b; ++k) {
+          routed[cursor[leaf[k]]++] = static_cast<uint32_t>(base + k);
+        }
+      });
     }
 
     // ---- Stage 2: fit each leaf + error bounds (Alg. 1 lines 11-12) ----
@@ -158,23 +196,20 @@ class RmiIndex {
     double fill_pos = 0.0;  // last seen position, for empty leaves
     for (size_t j = 0; j < m; ++j) {
       Leaf& leaf = leaves_[j];
-      const Leaf prev = leaf;  // pre-refit state, valid iff refit_in_place
+      leaf = Leaf{};
       const uint32_t begin = offsets[j], end = offsets[j + 1];
       if (begin == end) {
         // Empty leaf: constant model at the running position so absent
-        // keys routed here land near the right region. Reset explicitly —
-        // an in-place refit does not get the table-wide wipe.
-        leaf = Leaf{};
+        // keys routed here land near the right region.
         leaf.model = models::LinearModel(0.0, fill_pos);
         continue;
       }
-      lx.clear();
-      ly.clear();
-      lx.reserve(end - begin);
-      ly.reserve(end - begin);
+      lx.resize(end - begin);
+      ly.resize(end - begin);
       for (uint32_t r = begin; r < end; ++r) {
-        lx.push_back(Traits::ToDouble(keys[routed[r]]));
-        ly.push_back(static_cast<double>(routed[r]));
+        const uint32_t i = routed.empty() ? r : routed[r];
+        lx[r - begin] = Traits::ToDouble(keys[i]);
+        ly[r - begin] = static_cast<double>(i);
       }
       LI_RETURN_IF_ERROR(leaf.model.Fit(lx, ly));
       // Error bounds must be computed against the *clamped integer*
@@ -202,18 +237,6 @@ class RmiIndex {
       leaf.max_err = static_cast<int32_t>(std::ceil(max_e));
       leaf.std_err = static_cast<float>(
           std::sqrt(std::max(0.0, sum_sq / cnt - mean * mean)));
-      // Sweep windows are a pure function of (min_err, max_err, std_err):
-      // when a rebuild lands on identical bounds (the common case for an
-      // unchanged key distribution), reuse the previous sub-window
-      // instead of re-deriving it.
-      if (refit_in_place && prev.min_err == leaf.min_err &&
-          prev.max_err == leaf.max_err && prev.std_err == leaf.std_err) {
-        leaf.sweep_lo = prev.sweep_lo;
-        leaf.sweep_hi = prev.sweep_hi;
-        ++sweep_windows_reused_;
-        fill_pos = ly.back();
-        continue;
-      }
       const int64_t two_sigma = 2 * static_cast<int64_t>(leaf.std_err);
       if (two_sigma > static_cast<int64_t>(kMaxSweepHalf)) {
         leaf.sweep_lo = leaf.min_err;  // wide leaf: full worst-case window
@@ -236,16 +259,16 @@ class RmiIndex {
     return Status::OK();
   }
 
-  /// Retrain-reuse hook for delta-merge cycles (Appendix D.1): retrains
-  /// over a new key array with the last Build's configuration. The leaf
-  /// table is re-assigned in place, so a steady-state merge loop reuses
-  /// its allocation instead of paying a fresh one per retrain.
+  /// Retrain hook for delta-merge cycles (Appendix D.1): retrains over a
+  /// new key array with the last Build's configuration. The leaf table is
+  /// rewritten in place, so a steady-state merge loop reuses its
+  /// allocation instead of paying a fresh one per retrain.
   Status Rebuild(std::span<const Key> keys) {
     return Build(keys, RmiConfig(config_));  // copy: Build writes config_
   }
 
   /// The pure model-execution path (what Figure 4's "Model (ns)" column
-  /// times): two model evaluations, no search.
+  /// times): one model evaluation per stage, no search.
   struct Prediction {
     size_t pos = 0;   // clamped position estimate
     size_t lo = 0;    // inclusive search window start
@@ -257,7 +280,7 @@ class RmiIndex {
   Prediction Predict(const Key& key) const {
     if (data_.empty()) return Prediction{};
     const double x = Traits::ToDouble(key);
-    return PredictAtLeaf(RouteFromTop(x), x);
+    return PredictAtLeaf(RouteToLeaf(x), x);
   }
 
   /// The contract's model-only entry point: prediction plus worst-case
@@ -303,16 +326,16 @@ class RmiIndex {
         return;
       }
     }
-    constexpr size_t kBlock = 16;
-    double xs[kBlock];
-    uint32_t leaf[kBlock];
-    Prediction preds[kBlock];
-    for (size_t base = 0; base < n; base += kBlock) {
-      const size_t b = std::min(kBlock, n - base);
+    constexpr size_t kDepth = 16;  // keys in flight per pipeline pass
+    double xs[kDepth];
+    uint32_t leaf[kDepth];
+    Prediction preds[kDepth];
+    for (size_t base = 0; base < n; base += kDepth) {
+      const size_t b = std::min(kDepth, n - base);
       // Phase 1: top-model routing; prefetch each leaf entry.
       for (size_t k = 0; k < b; ++k) {
         xs[k] = Traits::ToDouble(keys[base + k]);
-        leaf[k] = RouteFromTop(xs[k]);
+        leaf[k] = RouteToLeaf(xs[k]);
         PrefetchRead(&leaves_[leaf[k]]);
       }
       // Phase 2: leaf predictions; prefetch the predicted data positions.
@@ -344,15 +367,12 @@ class RmiIndex {
     }
     if constexpr (kSimdCapable) {
       const simd::Kernels& kern = simd::GetKernels();
-      constexpr size_t kBlock = 64;
       alignas(64) double xs[kBlock];
       alignas(64) uint32_t leaf[kBlock];
-      const uint32_t max_leaf = static_cast<uint32_t>(leaves_.size() - 1);
       for (size_t base = 0; base < n; base += kBlock) {
         const size_t b = std::min(kBlock, n - base);
         LoadFeatures(kern, keys.data() + base, b, xs);
-        kern.route(xs, b, top_.slope(), top_.intercept(), route_factor_,
-                   max_leaf, leaf);
+        RouteBlock(kern, xs, b, leaf);
         PredictLeafRuns(kern, xs, leaf, b, pos.data() + base);
       }
     } else {
@@ -368,23 +388,26 @@ class RmiIndex {
     return pos < data_.size() && data_[pos] == key;
   }
 
-  /// Index overhead in bytes (top model + leaf table), excluding the data
-  /// array — the paper's Figure-4 size accounting.
+  /// Index overhead in bytes (top model + routing stage + leaf table),
+  /// excluding the data array — the paper's Figure-4 size accounting.
   size_t SizeBytes() const {
-    return top_.SizeBytes() + leaves_.size() * sizeof(Leaf);
+    return RoutingBytes() + leaves_.size() * sizeof(Leaf);
+  }
+
+  /// Bytes of the stages above the leaves: the top model plus the routing
+  /// models (none when K = 1).
+  size_t RoutingBytes() const {
+    return top_.SizeBytes() + route_.size() * sizeof(models::LinearModel);
   }
 
   const TopModel& top() const { return top_; }
+  /// The routing models; empty when K = 1 (the top routes to the leaves).
+  std::span<const models::LinearModel> route() const { return route_.span(); }
+  /// K, the routing-stage model count (1 = the two-stage RMI).
+  size_t num_route_models() const { return std::max<size_t>(1, route_.size()); }
   std::span<const Leaf> leaves() const { return leaves_.span(); }
   std::span<const Key> data() const { return data_; }
   const RmiConfig& config() const { return config_; }
-
-  /// Cumulative count of leaves whose 3σ sweep sub-window was carried
-  /// over from the previous Build because the error bounds matched
-  /// (retrain-reuse diagnostic; see Rebuild).
-  size_t sweep_windows_reused() const {
-    return static_cast<size_t>(sweep_windows_reused_);
-  }
   /// True when the leaf table is a zero-copy view into an open snapshot.
   bool FromSnapshot() const { return leaves_.mapped(); }
 
@@ -394,6 +417,8 @@ class RmiIndex {
   // snapshot: those are the flat-layout serving configurations; NN and
   // string variants return Unimplemented. Sections under `prefix`:
   //   meta    routing/search scalars + the top model's coefficients
+  //   route   the K routing models verbatim (omitted when K = 1, so a
+  //           file without it opens as the two-stage RMI)
   //   leaves  the Leaf table verbatim (models + error bands + sweeps)
   //   keys    the sorted key array (omitted when the parent owns it)
 
@@ -428,6 +453,10 @@ class RmiIndex {
       meta.top_slope = top_.slope();
       meta.top_intercept = top_.intercept();
       LI_RETURN_IF_ERROR(writer.AddPod(prefix + "meta", meta));
+      if (!route_.empty()) {
+        LI_RETURN_IF_ERROR(writer.AddArray(prefix + "route", route_.span(),
+                                           snapshot::SectionKind::kRoute));
+      }
       LI_RETURN_IF_ERROR(writer.AddArray(prefix + "leaves", leaves_.span(),
                                          snapshot::SectionKind::kLeaves));
       if (include_keys) {
@@ -561,7 +590,24 @@ class RmiIndex {
             reinterpret_cast<const Key*>(leaves.value().data()),
             meta.data_size);
       }
+      // The routing stage is optional: a file without it (K = 1, or
+      // written before the stage existed) routes through the top alone.
+      route_.clear();
+      segment_factor_ = 0.0;
+      if (reader.Find(prefix + "route") != nullptr) {
+        auto route = reader.GetArray<models::LinearModel>(prefix + "route");
+        if (!route.ok()) return route.status();
+        const size_t k = route.value().size();
+        if (k == 0 || k > meta.num_leaf_models) {
+          return Status::InvalidArgument(
+              "RmiIndex snapshot routing stage size is out of range");
+        }
+        route_ = snapshot::FlatVec<models::LinearModel>::View(
+            route.value(), reader.keepalive());
+        segment_factor_ = SegmentFactor(k, meta.data_size);
+      }
       config_.num_leaf_models = meta.num_leaf_models;
+      config_.num_route_models = num_route_models();
       config_.strategy = static_cast<search::Strategy>(meta.strategy);
       config_.top_train_sample = meta.top_train_sample;
       top_ = models::LinearModel(meta.top_slope, meta.top_intercept);
@@ -573,16 +619,100 @@ class RmiIndex {
     }
   }
 
-  uint32_t RouteFromTop(double x) const {
+  /// K for a build: the configured count, or the M/64 rule, capped at M.
+  static size_t RouteModelCount(const RmiConfig& config) {
+    const size_t k =
+        config.num_route_models != 0
+            ? config.num_route_models
+            : std::clamp<size_t>(config.num_leaf_models / 64, 1, 4096);
+    return std::min(k, config.num_leaf_models);
+  }
+
+  /// K/N: the top predicts a position in [0, N), the segment is its
+  /// K-quantile.
+  static double SegmentFactor(size_t k, size_t n) {
+    return static_cast<double>(k) / static_cast<double>(n);
+  }
+
+  /// Fits the K routing models to the sample CDF: P(x) is the piecewise-
+  /// linear interpolation of the (key, position) sample, and segment s's
+  /// model is P's chord over the key range the top sends to s. Adjacent
+  /// chords meet at the shared boundary, so routing stays monotone across
+  /// segments (up to rounding) — a least-squares fit per segment would
+  /// overshoot its neighbours and deal one leaf keys from both sides.
+  /// `xs` is sorted; a top that is not increasing leaves K = 1.
+  void TrainRouteStage(std::span<const double> xs, std::span<const double> ys,
+                       size_t k) {
+    if (!(top_.slope() > 0.0) || xs.size() < 2) return;
+    route_.assign(k, models::LinearModel());
+    segment_factor_ = SegmentFactor(k, data_.size());
+    const double x_first = xs.front(), x_last = xs.back();
+    // First key the top sends to segment s, clamped into the sample range.
+    auto boundary = [&](size_t s) {
+      if (s == 0) return x_first;
+      if (s == k) return x_last;
+      const double x = (static_cast<double>(s) / segment_factor_ -
+                        top_.intercept()) / top_.slope();
+      return std::clamp(x, x_first, x_last);
+    };
+    // P(x); knots are visited in increasing x, so one cursor serves all.
+    size_t i = 0;
+    auto cdf = [&](double x) {
+      while (i + 1 < xs.size() && xs[i + 1] <= x) ++i;
+      if (i + 1 == xs.size() || xs[i + 1] == xs[i]) return ys[i];
+      return ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i]);
+    };
+    double lo = boundary(0), p_lo = cdf(lo);
+    for (size_t s = 0; s < k; ++s) {
+      const double hi = boundary(s + 1), p_hi = cdf(hi);
+      const double slope = hi > lo ? (p_hi - p_lo) / (hi - lo) : 0.0;
+      route_[s] = models::LinearModel(slope, p_lo - slope * lo);
+      lo = hi;
+      p_lo = p_hi;
+    }
+  }
+
+  /// The routing model's segment: the top's prediction as a K-quantile.
+  uint32_t SegmentOf(double x) const {
+    return simd::ScalarRoute1(x, top_.slope(), top_.intercept(),
+                              segment_factor_,
+                              static_cast<uint32_t>(route_.size() - 1));
+  }
+
+  /// Routes every key in order, calling f(base, leaf, b) per block with
+  /// leaf[k] the leaf of keys[base + k]; through the block route kernels
+  /// when the key type has them.
+  template <typename F>
+  void ForEachRoutedBlock(std::span<const Key> keys, F&& f) const {
+    [[maybe_unused]] const simd::Kernels& kern = simd::GetKernels();
+    alignas(64) uint32_t leaf[kBlock];
+    for (size_t base = 0; base < keys.size(); base += kBlock) {
+      const size_t b = std::min(kBlock, keys.size() - base);
+      if constexpr (kSimdCapable) {
+        alignas(64) double xs[kBlock];
+        LoadFeatures(kern, keys.data() + base, b, xs);
+        RouteBlock(kern, xs, b, leaf);
+      } else {
+        for (size_t k = 0; k < b; ++k) {
+          leaf[k] = RouteToLeaf(Traits::ToDouble(keys[base + k]));
+        }
+      }
+      f(base, static_cast<const uint32_t*>(leaf), b);
+    }
+  }
+
+  uint32_t RouteToLeaf(double x) const {
+    const uint32_t max_leaf = static_cast<uint32_t>(leaves_.size() - 1);
     if constexpr (kTopIsLinear) {
       // The shared kernel spec — what the vector route kernel computes.
-      return simd::ScalarRoute1(x, top_.slope(), top_.intercept(),
-                                route_factor_,
-                                static_cast<uint32_t>(leaves_.size() - 1));
+      const models::LinearModel& r =
+          route_.empty() ? top_ : route_[SegmentOf(x)];
+      return simd::ScalarRoute1(x, r.slope(), r.intercept(), route_factor_,
+                                max_leaf);
     } else {
       const double scaled = top_.Predict(x) * route_factor_;
       if (!(scaled > 0.0)) return 0;  // also catches NaN
-      const double cap = static_cast<double>(leaves_.size() - 1);
+      const double cap = static_cast<double>(max_leaf);
       return static_cast<uint32_t>(scaled < cap ? scaled : cap);
     }
   }
@@ -624,20 +754,58 @@ class RmiIndex {
     }
   }
 
-  /// Gather-free leaf predict: keys routed to the same leaf sit in runs
-  /// (routing is monotone in the key for monotone tops, and real batches
-  /// are often sorted or locally clustered), so detect runs and evaluate
-  /// each with one broadcast-coefficient kernel call instead of gathering
-  /// per-lane slopes. Short runs (< half a vector) go through the scalar
-  /// spec directly — same results, no setup cost.
+  /// Calls f(begin, end, id) for every maximal run of equal ids[] in
+  /// [0, b).
+  template <typename F>
+  static void ForEachRun(const uint32_t* ids, size_t b, F&& f) {
+    for (size_t k = 0; k < b;) {
+      size_t e = k + 1;
+      while (e < b && ids[e] == ids[k]) ++e;
+      f(k, e, ids[k]);
+      k = e;
+    }
+  }
+
+  /// Block routing through the kernel table: the top's route kernel to
+  /// segments, then each run of keys sharing a segment through the same
+  /// kernel with that routing model's coefficients. Keys routed alike sit
+  /// in runs (routing is monotone within a segment, and real batches are
+  /// often sorted or locally clustered), so this needs no gather. Short
+  /// runs (< half a vector) go through the scalar spec directly — same
+  /// results, no setup cost.
+  void RouteBlock(const simd::Kernels& kern, const double* xs, size_t b,
+                  uint32_t* leaf) const {
+    const uint32_t max_leaf = static_cast<uint32_t>(leaves_.size() - 1);
+    if (route_.empty()) {
+      kern.route(xs, b, top_.slope(), top_.intercept(), route_factor_,
+                 max_leaf, leaf);
+      return;
+    }
+    alignas(64) uint32_t seg[kBlock];
+    kern.route(xs, b, top_.slope(), top_.intercept(), segment_factor_,
+               static_cast<uint32_t>(route_.size() - 1), seg);
+    ForEachRun(seg, b, [&](size_t k, size_t e, uint32_t s) {
+      const models::LinearModel& r = route_[s];
+      if (e - k >= 4) {
+        kern.route(xs + k, e - k, r.slope(), r.intercept(), route_factor_,
+                   max_leaf, leaf + k);
+      } else {
+        for (size_t t = k; t < e; ++t) {
+          leaf[t] = simd::ScalarRoute1(xs[t], r.slope(), r.intercept(),
+                                       route_factor_, max_leaf);
+        }
+      }
+    });
+  }
+
+  /// Gather-free leaf predict: the same run grouping by leaf, one
+  /// broadcast-coefficient kernel call per run instead of gathering
+  /// per-lane slopes.
   void PredictLeafRuns(const simd::Kernels& kern, const double* xs,
                        const uint32_t* leaf, size_t b, uint64_t* pos) const {
     const uint64_t max_pos = data_.size() - 1;
-    size_t k = 0;
-    while (k < b) {
-      size_t e = k + 1;
-      while (e < b && leaf[e] == leaf[k]) ++e;
-      const models::LinearModel& m = leaves_[leaf[k]].model;
+    ForEachRun(leaf, b, [&](size_t k, size_t e, uint32_t j) {
+      const models::LinearModel& m = leaves_[j].model;
       if (e - k >= 4) {
         kern.predict_run(xs + k, e - k, m.slope(), m.intercept(), max_pos,
                          pos + k);
@@ -647,8 +815,7 @@ class RmiIndex {
                                         max_pos);
         }
       }
-      k = e;
-    }
+    });
   }
 
   /// σ-scaled half-width bounds for the batched last mile. The sweep
@@ -659,6 +826,8 @@ class RmiIndex {
   /// fix-up.
   static constexpr size_t kMinSweepHalf = 8;
   static constexpr size_t kMaxSweepHalf = 31;
+  /// Keys per kernel block on the vectorized paths.
+  static constexpr size_t kBlock = 64;
 
   /// The vectorized batch pipeline: 64-key blocks through the kernel
   /// table — feature conversion, top routing (+ leaf prefetch),
@@ -673,19 +842,16 @@ class RmiIndex {
   /// dispatch levels.
   void LookupBatchSimd(const simd::Kernels& kern, std::span<const Key> keys,
                        std::span<size_t> out, size_t n) const {
-    constexpr size_t kBlock = 64;
     alignas(64) double xs[kBlock];
     alignas(64) uint32_t leaf[kBlock];
     alignas(64) uint64_t pos[kBlock];
     size_t lo[kBlock], hi[kBlock];  // σ-scaled sweep sub-windows
     const Key* data = data_.data();
     const size_t size = data_.size();
-    const uint32_t max_leaf = static_cast<uint32_t>(leaves_.size() - 1);
     for (size_t base = 0; base < n; base += kBlock) {
       const size_t b = std::min(kBlock, n - base);
       LoadFeatures(kern, keys.data() + base, b, xs);
-      kern.route(xs, b, top_.slope(), top_.intercept(), route_factor_,
-                 max_leaf, leaf);
+      RouteBlock(kern, xs, b, leaf);
       for (size_t k = 0; k < b; ++k) PrefetchRead(&leaves_[leaf[k]]);
       PredictLeafRuns(kern, xs, leaf, b, pos);
       const int64_t isize = static_cast<int64_t>(size);
@@ -746,8 +912,11 @@ class RmiIndex {
   /// Owned when built, a zero-copy mapped view when opened from a
   /// snapshot; the read path is identical either way.
   snapshot::FlatVec<Leaf> leaves_;
-  double route_factor_ = 0.0;
-  uint64_t sweep_windows_reused_ = 0;
+  /// The routing stage (K models predicting positions); empty when K = 1.
+  /// Owned or mapped, like leaves_.
+  snapshot::FlatVec<models::LinearModel> route_;
+  double route_factor_ = 0.0;    // M/N: routing model output -> leaf
+  double segment_factor_ = 0.0;  // K/N: top output -> routing model
   /// Pins the mmap that data_ (and leaves_) may point into.
   std::shared_ptr<const void> snapshot_keepalive_;
 };

@@ -55,6 +55,7 @@ enum class SectionKind : uint32_t {
   kManifest = 7,  // composite-index manifest (shards, versions)
   kSegments = 8,  // range-filter segment table (per-segment CDF models)
   kRangeFilterMeta = 9,  // range-filter geometry meta (rangefilter/filter_meta.h)
+  kRoute = 10,    // RMI routing-stage model table
 };
 
 inline const char* SectionKindName(SectionKind k) {
@@ -69,6 +70,7 @@ inline const char* SectionKindName(SectionKind k) {
     case SectionKind::kManifest: return "manifest";
     case SectionKind::kSegments: return "segments";
     case SectionKind::kRangeFilterMeta: return "rf-meta";
+    case SectionKind::kRoute: return "route";
   }
   return "unknown";
 }

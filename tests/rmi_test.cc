@@ -7,14 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
 #include "data/datasets.h"
 #include "data/strings.h"
 #include "rmi/hybrid.h"
+#include "rmi/quantized_rmi.h"
 #include "rmi/rmi.h"
 #include "rmi/string_rmi.h"
+#include "simd/dispatch.h"
 
 namespace li::rmi {
 namespace {
@@ -106,13 +109,21 @@ TEST(RmiTest, MoreLeavesShrinkError) {
 }
 
 TEST(RmiTest, SizeAccounting) {
+  // Top + routing stage (K = 1000 / 64 models) + leaves.
   const auto keys = data::GenUniform(10'000, 2);
   RmiConfig config;
   config.num_leaf_models = 1000;
   LinearRmi rmi;
   ASSERT_TRUE(rmi.Build(keys, config).ok());
-  EXPECT_EQ(rmi.SizeBytes(),
-            rmi.top().SizeBytes() + 1000 * sizeof(Leaf));
+  ASSERT_EQ(rmi.num_route_models(), 15u);
+  EXPECT_EQ(rmi.SizeBytes(), rmi.top().SizeBytes() +
+                                 15 * sizeof(models::LinearModel) +
+                                 1000 * sizeof(Leaf));
+  QuantizedRmi quantized;
+  ASSERT_TRUE(quantized.Build(keys, config, models::QuantLevel::kInt16).ok());
+  EXPECT_EQ(quantized.SizeBytes(), rmi.top().SizeBytes() +
+                                       15 * sizeof(models::LinearModel) +
+                                       quantized.table().SizeBytes());
 }
 
 TEST(RmiTest, DenseSequentialKeysArePerfectlyLearned) {
@@ -298,53 +309,182 @@ TEST(StringRmiTest, ErrorBoundsHoldForStoredStrings) {
   }
 }
 
-// ---- Retrain-reuse (Appendix D.1) ----
+// ---- Rebuild (Appendix D.1 merge cycles) ----
 
-TEST(RebuildReuseTest, UnchangedDistributionReusesSweepWindows) {
+TEST(RebuildTest, RebuildsMatchStdLowerBound) {
   const auto keys = data::Generate(data::DatasetKind::kLognormal, 50'000, 31);
   RmiConfig config;
   config.num_leaf_models = 500;
   LinearRmi rmi;
   ASSERT_TRUE(rmi.Build(keys, config).ok());
-  ASSERT_EQ(rmi.sweep_windows_reused(), 0u);
 
-  // Same keys, same config: every *populated* leaf lands on identical
-  // error bounds, so its sweep sub-window is carried over, not
-  // re-derived (leaves no key routes to never enter the reuse path).
-  ASSERT_TRUE(rmi.Rebuild(keys).ok());
-  const size_t per_cycle = rmi.sweep_windows_reused();
-  EXPECT_GT(per_cycle, 0u);
-  EXPECT_LE(per_cycle, config.num_leaf_models);
-  for (const uint64_t q : MixedQueries(keys, 20'000, 33)) {
-    ASSERT_EQ(rmi.LowerBound(q), StdLowerBound(keys, q)) << q;
+  // Same keys twice: the rewritten leaf table answers exactly.
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    ASSERT_TRUE(rmi.Rebuild(keys).ok());
+    for (const uint64_t q : MixedQueries(keys, 20'000, 33)) {
+      ASSERT_EQ(rmi.LowerBound(q), StdLowerBound(keys, q)) << q;
+    }
   }
-  // The reuse set is a pure function of the key distribution: a second
-  // identical rebuild carries over exactly the same windows again.
-  ASSERT_TRUE(rmi.Rebuild(keys).ok());
-  EXPECT_EQ(rmi.sweep_windows_reused(), 2 * per_cycle);
 
-  // A merge-cycle-sized perturbation: most leaves keep their bounds and
-  // reuse; correctness is unconditional either way.
+  // A merge-cycle-sized change to the keys.
   auto grown = keys;
   Xorshift128Plus rng(35);
   for (int i = 0; i < 500; ++i) grown.push_back(rng.Next());
   std::sort(grown.begin(), grown.end());
   grown.erase(std::unique(grown.begin(), grown.end()), grown.end());
-  const size_t before = rmi.sweep_windows_reused();
   ASSERT_TRUE(rmi.Rebuild(grown).ok());
-  EXPECT_GT(rmi.sweep_windows_reused(), before);
   for (const uint64_t q : MixedQueries(grown, 20'000, 37)) {
     ASSERT_EQ(rmi.LowerBound(q), StdLowerBound(grown, q)) << q;
   }
 
-  // A genuinely different distribution: the counter may tick for the odd
-  // coincidentally-identical leaf, but lookups must stay exact — reuse
-  // is an optimization, never a semantic.
+  // A different distribution.
   const auto other = data::Generate(data::DatasetKind::kMaps, 50'000, 39);
   ASSERT_TRUE(rmi.Rebuild(other).ok());
   for (const uint64_t q : MixedQueries(other, 20'000, 41)) {
     ASSERT_EQ(rmi.LowerBound(q), StdLowerBound(other, q)) << q;
   }
+}
+
+// ---- The routing stage (top -> K routing models -> leaves) ----
+
+std::vector<simd::Level> SupportedLevels() {
+  std::vector<simd::Level> levels;
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (simd::LevelSupported(level)) levels.push_back(level);
+  }
+  return levels;
+}
+
+/// Absent probes around every gap edge plus the extremes.
+std::vector<uint64_t> AbsentQueries(const std::vector<uint64_t>& keys) {
+  std::vector<uint64_t> qs = {0, UINT64_MAX};
+  if (keys.front() > 0) qs.push_back(keys.front() - 1);
+  if (keys.back() < UINT64_MAX) qs.push_back(keys.back() + 1);
+  const size_t step = std::max<size_t>(1, keys.size() / 5'000);
+  for (size_t i = 0; i + 1 < keys.size(); i += step) {
+    if (keys[i] + 1 < keys[i + 1]) {
+      qs.push_back(keys[i] + 1);
+      qs.push_back(keys[i] + (keys[i + 1] - keys[i]) / 2);
+      qs.push_back(keys[i + 1] - 1);
+    }
+  }
+  return qs;
+}
+
+/// Every stored key's Lookup is its rank and every absent probe's is
+/// std::lower_bound, at every SIMD level; the batch paths agree with the
+/// single-key ones bit for bit.
+void ExpectExactAtEveryLevel(const LinearRmi& rmi,
+                             const std::vector<uint64_t>& keys) {
+  std::vector<uint64_t> qs = AbsentQueries(keys);
+  const size_t num_absent = qs.size();
+  qs.insert(qs.end(), keys.begin(), keys.end());
+  std::vector<size_t> want(qs.size());
+  std::vector<uint64_t> want_pos(qs.size());
+  for (size_t i = 0; i < qs.size(); ++i) {
+    want[i] = StdLowerBound(keys, qs[i]);
+    want_pos[i] = rmi.Predict(qs[i]).pos;
+  }
+  for (const simd::Level level : SupportedLevels()) {
+    simd::ScopedLevel pin(level);
+    ASSERT_TRUE(pin.status().ok());
+    for (size_t i = 0; i < qs.size(); ++i) {
+      ASSERT_EQ(rmi.Lookup(qs[i]), want[i])
+          << simd::LevelName(level) << " q=" << qs[i]
+          << (i < num_absent ? " (absent)" : " (stored)");
+    }
+    std::vector<size_t> got(qs.size());
+    rmi.LookupBatch(qs, got);
+    ASSERT_EQ(got, want) << simd::LevelName(level);
+    std::vector<uint64_t> pos(qs.size());
+    rmi.PredictPosBatch(qs, pos);
+    ASSERT_EQ(pos, want_pos) << simd::LevelName(level);
+  }
+}
+
+struct RoutingCase {
+  data::DatasetKind kind;
+  size_t n;
+  size_t leaves;
+};
+
+class RoutingStageTest : public ::testing::TestWithParam<RoutingCase> {};
+
+TEST_P(RoutingStageTest, ExactAtEveryLevel) {
+  const auto keys = data::Generate(GetParam().kind, GetParam().n, 43);
+  RmiConfig config;
+  config.num_leaf_models = GetParam().leaves;
+  LinearRmi rmi;
+  ASSERT_TRUE(rmi.Build(keys, config).ok());
+  EXPECT_EQ(rmi.num_route_models(),
+            std::clamp<size_t>(GetParam().leaves / 64, 1, 4096));
+  ExpectExactAtEveryLevel(rmi, keys);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Datasets, RoutingStageTest,
+    ::testing::Values(
+        RoutingCase{data::DatasetKind::kLognormal, 200'000, 200'000 / 64},
+        RoutingCase{data::DatasetKind::kMaps, 200'000, 200'000 / 64},
+        RoutingCase{data::DatasetKind::kWeblog, 200'000, 200'000 / 64},
+        // More leaves than keys: most leaves and segments stay empty.
+        RoutingCase{data::DatasetKind::kLognormal, 5'000, 20'000}));
+
+TEST(RoutingStageTest, TinyKeySets) {
+  RmiConfig config;
+  config.num_leaf_models = 256;  // K = 4
+  for (const std::vector<uint64_t>& keys :
+       {std::vector<uint64_t>{42}, std::vector<uint64_t>{42, 1'000'000},
+        std::vector<uint64_t>{0, UINT64_MAX - 1}}) {
+    LinearRmi rmi;
+    ASSERT_TRUE(rmi.Build(keys, config).ok());
+    ExpectExactAtEveryLevel(rmi, keys);
+  }
+}
+
+TEST(RoutingStageTest, OneRouteModelIsTheTwoStageRmi) {
+  const auto keys = data::GenLognormal(100'000, 45);
+  RmiConfig config;
+  config.num_leaf_models = 100'000 / 64;
+  config.num_route_models = 1;
+  LinearRmi rmi;
+  ASSERT_TRUE(rmi.Build(keys, config).ok());
+  EXPECT_TRUE(rmi.route().empty());
+  EXPECT_EQ(rmi.num_route_models(), 1u);
+  const double factor = static_cast<double>(config.num_leaf_models) /
+                        static_cast<double>(keys.size());
+  const auto max_leaf = static_cast<uint32_t>(config.num_leaf_models - 1);
+  for (const uint64_t k : keys) {
+    ASSERT_EQ(rmi.Predict(k).leaf,
+              simd::ScalarRoute1(static_cast<double>(k), rmi.top().slope(),
+                                 rmi.top().intercept(), factor, max_leaf))
+        << k;
+  }
+  ExpectExactAtEveryLevel(rmi, keys);
+}
+
+TEST(RoutingStageTest, EqualizesLeafMassOnLognormal) {
+  // The regression guard for the routing stage: at n/64 leaves a linear
+  // top alone leaves ~60-70% of the leaves empty and a mean window of
+  // ~300 keys on 1M lognormal keys.
+  const auto keys = data::GenLognormal(1'000'000, 1);
+  RmiConfig config;
+  config.num_leaf_models = keys.size() / 64;
+  LinearRmi rmi;
+  ASSERT_TRUE(rmi.Build(keys, config).ok());
+  std::vector<bool> occupied(config.num_leaf_models, false);
+  double width = 0.0;
+  for (const uint64_t k : keys) {
+    width += static_cast<double>(rmi.ApproxPos(k).Width());
+    occupied[rmi.Predict(k).leaf] = true;
+  }
+  const double mean_width = width / static_cast<double>(keys.size());
+  const double empty_share =
+      static_cast<double>(std::count(occupied.begin(), occupied.end(), false)) /
+      static_cast<double>(occupied.size());
+  EXPECT_LE(mean_width, 16.0);
+  EXPECT_LE(empty_share, 0.20);
 }
 
 }  // namespace

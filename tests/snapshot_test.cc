@@ -3,10 +3,12 @@
 // corruption matrix — a truncated or bit-flipped file must come back as
 // a clean Status from the envelope checks (or from payload verification
 // when opted in), never as UB. The index-level round trips live in
-// snapshot_roundtrip_test.cc.
+// snapshot_roundtrip_test.cc; the RMI routing-stage section's own
+// corruption cases are at the end of this file.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "data/datasets.h"
+#include "hash/chained_hash_map.h"
+#include "rmi/rmi.h"
 #include "snapshot/arena.h"
 #include "snapshot/crc32c.h"
 #include "snapshot/format.h"
@@ -299,6 +304,149 @@ TEST(SnapshotWriterTest, PublishIsAtomic) {
 
 TEST(SnapshotReaderTest, NonexistentPathIsStatus) {
   EXPECT_FALSE(SnapshotReader::Open(TmpPath("does_not_exist")).ok());
+}
+
+// ---- RMI routing stage (<prefix>route) ----
+
+/// Rewrites `from` into `to` with the section `name` replaced by `payload`
+/// (or dropped when `payload` is null); every other section is copied.
+void RewriteSection(const std::string& from, const std::string& to,
+                    const std::string& name,
+                    const std::vector<uint8_t>* payload) {
+  auto reader = SnapshotReader::Open(from);
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  SnapshotWriter writer;
+  for (const SectionEntry& e : reader.value().sections()) {
+    const auto kind = static_cast<SectionKind>(e.kind);
+    if (e.name != name) {
+      auto bytes = reader.value().Get(e.name);
+      ASSERT_TRUE(bytes.ok());
+      ASSERT_TRUE(writer.AddArray(e.name, bytes.value(), kind).ok());
+    } else if (payload != nullptr) {
+      ASSERT_TRUE(writer
+                      .AddArray(e.name, std::span<const uint8_t>(*payload),
+                                kind)
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(writer.WriteFile(to).ok());
+}
+
+class RmiRouteSectionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    keys_ = data::GenLognormal(20'000, 47);
+    rmi::RmiConfig config;
+    config.num_leaf_models = 640;  // K = 10
+    ASSERT_TRUE(built_.Build(keys_, config).ok());
+    ASSERT_EQ(built_.num_route_models(), 10u);
+    ASSERT_TRUE(built_.WriteSnapshot(path_).ok());
+  }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove(bad_.c_str());
+  }
+
+  /// Route section bytes of the first `models` routing models, plus
+  /// `extra` stray bytes.
+  std::vector<uint8_t> RouteBytes(size_t models, size_t extra = 0) const {
+    const auto* p = reinterpret_cast<const uint8_t*>(built_.route().data());
+    std::vector<uint8_t> bytes(p, p + models * sizeof(models::LinearModel));
+    bytes.resize(bytes.size() + extra, 0x5a);
+    return bytes;
+  }
+
+  std::vector<uint64_t> keys_;
+  rmi::LinearRmi built_;
+  const std::string path_ = TmpPath("rmi_route.snap");
+  const std::string bad_ = TmpPath("rmi_route_bad.snap");
+};
+
+TEST_F(RmiRouteSectionTest, LoadsAsZeroCopyView) {
+  auto reader = SnapshotReader::Open(path_);
+  ASSERT_TRUE(reader.ok());
+  const SectionEntry* e = reader.value().Find("route");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(static_cast<SectionKind>(e->kind), SectionKind::kRoute);
+  rmi::LinearRmi opened;
+  ASSERT_TRUE(opened.LoadSections(reader.value(), "").ok());
+  auto mapped = reader.value().GetArray<models::LinearModel>("route");
+  ASSERT_TRUE(mapped.ok());
+  EXPECT_EQ(opened.route().data(), mapped.value().data());
+  EXPECT_EQ(opened.num_route_models(), built_.num_route_models());
+  EXPECT_EQ(opened.SizeBytes(), built_.SizeBytes());
+}
+
+TEST_F(RmiRouteSectionTest, FileWithoutRouteOpensAsTwoStage) {
+  // A K = 1 index writes no route section: the same bytes as before the
+  // stage existed.
+  rmi::RmiConfig config;
+  config.num_leaf_models = 640;
+  config.num_route_models = 1;
+  rmi::LinearRmi two_stage;
+  ASSERT_TRUE(two_stage.Build(keys_, config).ok());
+  ASSERT_TRUE(two_stage.WriteSnapshot(bad_).ok());
+  {
+    auto reader = SnapshotReader::Open(bad_);
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ(reader.value().Find("route"), nullptr);
+  }
+  auto reopened = rmi::LinearRmi::OpenSnapshot(bad_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ(reopened.value().num_route_models(), 1u);
+  for (size_t i = 0; i < keys_.size(); i += 7) {
+    ASSERT_EQ(reopened.value().Lookup(keys_[i]), two_stage.Lookup(keys_[i]));
+    ASSERT_EQ(reopened.value().Lookup(keys_[i] + 1),
+              two_stage.Lookup(keys_[i] + 1));
+  }
+
+  // Dropping the section from a routed file falls back to the top alone;
+  // the leaves were fitted under other routing, but answers stay exact.
+  RewriteSection(path_, bad_, "route", nullptr);
+  auto fallback = rmi::LinearRmi::OpenSnapshot(bad_);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().message();
+  EXPECT_EQ(fallback.value().num_route_models(), 1u);
+  for (size_t i = 0; i < keys_.size(); i += 7) {
+    ASSERT_EQ(fallback.value().Lookup(keys_[i]), i);
+  }
+}
+
+TEST_F(RmiRouteSectionTest, CorruptRouteSectionIsStatus) {
+  const std::vector<std::pair<const char*, std::vector<uint8_t>>> cases = {
+      {"partial model", RouteBytes(3, sizeof(double))},
+      {"K = 0", RouteBytes(0)},
+      {"K > num_leaf_models", RouteBytes(0, 641 * sizeof(models::LinearModel))},
+  };
+  for (const auto& [what, payload] : cases) {
+    RewriteSection(path_, bad_, "route", &payload);
+    auto opened = rmi::LinearRmi::OpenSnapshot(bad_);
+    EXPECT_FALSE(opened.ok()) << what;
+  }
+  // The untouched file still opens.
+  EXPECT_TRUE(rmi::LinearRmi::OpenSnapshot(path_).ok());
+}
+
+TEST(LearnedHashSnapshotTest, WritesNoRouteSection) {
+  // The learned CDF hash keeps K = 1, so its snapshots keep their layout.
+  const auto keys = data::GenLognormal(20'000, 49);
+  std::vector<hash::Record> records(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    records[i] = {keys[i], keys[i] ^ 0x5a5a, static_cast<uint32_t>(i)};
+  }
+  hash::ChainedHashMapConfig config;
+  config.hash.kind = hash::HashKind::kLearnedCdf;
+  config.hash.cdf_leaf_models = 4096;
+  hash::ChainedHashMap map;
+  ASSERT_TRUE(map.Build(records, config).ok());
+  const std::string path = TmpPath("learned_hash.snap");
+  ASSERT_TRUE(map.WriteSnapshot(path).ok());
+  auto reader = SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  for (const SectionEntry& e : reader.value().sections()) {
+    EXPECT_NE(static_cast<SectionKind>(e.kind), SectionKind::kRoute)
+        << e.name;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // snapshot_inspect: dump an on-disk persistence artifact. Handed a
 // snapshot, it prints the header and section table — names, kinds,
-// offsets, sizes, stored CRCs — and optionally recomputes every payload
-// checksum. Handed a WAL file (auto-detected from the leading magic), it
+// offsets, sizes, stored CRCs — the stage sizes of every RMI in it, and
+// optionally recomputes every payload checksum. Handed a WAL file (auto-detected from the leading magic), it
 // walks the record stream and reports the record count, LSN range, and —
 // for a torn or corrupt tail — the byte offset of the first record that
 // fails validation. The debugging companion to docs/PERSISTENCE.md and
@@ -26,7 +26,9 @@
 #include <string_view>
 
 #include "dynamic/delta_snapshot.h"
+#include "models/linear.h"
 #include "rangefilter/filter_meta.h"
+#include "rmi/rmi.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
 #include "wal/wal.h"
@@ -150,6 +152,26 @@ int Inspect(const char* path, bool verify) {
                 snapshot::SectionKindName(
                     static_cast<snapshot::SectionKind>(e.kind)),
                 e.offset, e.size, e.crc);
+  }
+
+  // RMI summaries: every <prefix>leaves table is one RMI, and its
+  // routing stage is <prefix>route (absent: K = 1, the top routes to the
+  // leaves directly).
+  constexpr std::string_view kLeaves = "leaves";
+  for (const snapshot::SectionEntry& e : reader.value().sections()) {
+    const std::string_view name = e.name;
+    if (static_cast<snapshot::SectionKind>(e.kind) !=
+            snapshot::SectionKind::kLeaves ||
+        !name.ends_with(kLeaves)) {
+      continue;
+    }
+    const std::string prefix(name.substr(0, name.size() - kLeaves.size()));
+    const snapshot::SectionEntry* route = reader.value().Find(prefix + "route");
+    std::printf("\n  rmi %s\n", prefix.empty() ? "(root)" : prefix.c_str());
+    std::printf("    leaves (M)       %" PRIu64 "\n", e.size / sizeof(rmi::Leaf));
+    std::printf("    route models (K) %" PRIu64 "\n",
+                route == nullptr ? uint64_t{1}
+                                 : route->size / sizeof(models::LinearModel));
   }
 
   // Range-filter summaries: every kRangeFilterMeta section is a
