@@ -18,14 +18,10 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  void Reset() { start_ = Clock::now(); }
-
   double ElapsedNanos() const {
     return std::chrono::duration<double, std::nano>(Clock::now() - start_)
         .count();
   }
-  double ElapsedMicros() const { return ElapsedNanos() / 1e3; }
-  double ElapsedMillis() const { return ElapsedNanos() / 1e6; }
   double ElapsedSeconds() const { return ElapsedNanos() / 1e9; }
 
  private:

@@ -99,7 +99,8 @@ class ConcurrentWritableIndex {
     dynamic::MergePolicy policy{};
     /// Write-log capacity: how many writes a version absorbs before the
     /// log is folded into the sorted frozen delta. Larger amortizes the
-    /// fold better; smaller keeps the per-read log scan shorter.
+    /// fold better; smaller keeps the per-read log scan shorter. Raised
+    /// to 2; Build rejects more than 2^20 (dynamic::CheckCfg).
     size_t log_cap = 1024;
   };
   using config_type = Config;
@@ -322,6 +323,8 @@ class ConcurrentWritableIndex {
     Status Build(std::span<const key_type> keys, const Config& config) {
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
+      LI_RETURN_IF_ERROR(dynamic::CheckCfg(
+          dynamic::DeltaSnapshotCfg{config_.policy, config_.log_cap}));
       auto bk = std::make_shared<std::vector<key_type>>(keys.begin(),
                                                         keys.end());
       auto base = std::make_shared<Base>();
@@ -542,7 +545,7 @@ class ConcurrentWritableIndex {
         LI_RETURN_IF_ERROR(dynamic::ReadDeltaSections(
             reader, prefix, &cfg, bk.get(), base.get(), &entries, &wal_));
         config_.policy = cfg.policy;
-        config_.log_cap = std::max<size_t>(cfg.cap, 2);
+        config_.log_cap = cfg.cap;
         if constexpr (requires {
                         {
                           base->config()

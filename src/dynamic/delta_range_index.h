@@ -76,7 +76,8 @@ class DeltaRangeIndex {
     base_config_type base{};
     MergePolicy policy{};
     /// Active-run capacity of the delta buffer: larger absorbs write
-    /// bursts cheaper, smaller keeps consolidation latency lower.
+    /// bursts cheaper, smaller keeps consolidation latency lower. Raised
+    /// to 2; Build rejects more than 2^20 (dynamic::CheckCfg).
     size_t active_cap = 256;
   };
   using config_type = Config;
@@ -93,9 +94,12 @@ class DeltaRangeIndex {
   /// copied — unlike raw bases, the wrapper owns its data because merges
   /// replace it) and starts with an empty delta.
   Status Build(std::span<const key_type> keys, const Config& config) {
+    const size_t active_cap = std::max<size_t>(config.active_cap, 2);
+    LI_RETURN_IF_ERROR(CheckCfg(DeltaSnapshotCfg{config.policy, active_cap}));
     config_ = config;
+    config_.active_cap = active_cap;
     base_keys_.assign(keys.begin(), keys.end());
-    delta_ = DeltaBuffer<key_type>(config.active_cap);
+    delta_ = DeltaBuffer<key_type>(active_cap);
     stats_ = {};
     writes_since_merge_ = 0;
     reads_since_merge_ = 0;
@@ -294,7 +298,7 @@ class DeltaRangeIndex {
       LI_RETURN_IF_ERROR(ReadDeltaSections(reader, prefix, &cfg, &base_keys_,
                                            &base_, &entries, &wal_));
       config_.policy = cfg.policy;
-      config_.active_cap = std::max<size_t>(cfg.cap, 2);
+      config_.active_cap = cfg.cap;
       if constexpr (requires {
                       {
                         base_.config()

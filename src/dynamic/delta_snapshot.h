@@ -9,12 +9,13 @@
 //   dkeys   delta keys, strictly increasing
 //   dmeta   one flags byte per delta key: bit 0 tombstone, bit 1 in_base
 //
-// ReadDeltaSections runs CheckDelta before it touches the caller's state,
-// so a delta that disagrees with its base keys — a key out of order, an
-// in_base bit that contradicts the key array, an unknown flag bit — is
-// an InvalidArgument, never a wrong rank after reopen. The default Open
-// does not verify payload CRCs, so this check is what stands between a
-// flipped bit and the read path.
+// ReadDeltaSections runs CheckCfg and CheckDelta before it touches the
+// caller's state, so a knob no Build accepts (a NaN fraction, a buffer
+// capacity past 2^20) or a delta that disagrees with its base keys — a
+// key out of order, an in_base bit that contradicts the key array, an
+// unknown flag bit — is an InvalidArgument, never UB or a wrong rank
+// after reopen. The default Open does not verify payload CRCs, so these
+// checks are what stands between a flipped bit and the write/read path.
 
 #ifndef LI_DYNAMIC_DELTA_SNAPSHOT_H_
 #define LI_DYNAMIC_DELTA_SNAPSHOT_H_
@@ -48,6 +49,34 @@ static_assert(std::is_trivially_copyable_v<DeltaSnapshotCfg>,
               "the cfg section is persisted verbatim");
 static_assert(sizeof(DeltaSnapshotCfg) == 48,
               "the cfg section's on-disk size is part of the format");
+
+/// Largest buffer capacity (entries) the cfg section may carry.
+inline constexpr uint64_t kMaxDeltaCap = uint64_t{1} << 20;
+
+/// Validates the cfg knobs: a known trigger, max_delta_fraction and
+/// write_ratio in [0, 1] (NaN fails), cap in [2, kMaxDeltaCap]. Both
+/// wrappers' Builds run it on the cfg they would persist, so every file a
+/// Build writes passes it at open.
+inline Status CheckCfg(const DeltaSnapshotCfg& cfg) {
+  const auto trigger =
+      static_cast<std::underlying_type_t<MergeTrigger>>(cfg.policy.trigger);
+  const auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
+  if (trigger < 0 ||
+      trigger > static_cast<std::underlying_type_t<MergeTrigger>>(
+                    MergeTrigger::kManual)) {
+    return Status::InvalidArgument("delta cfg: unknown merge trigger");
+  }
+  if (!in_unit(cfg.policy.max_delta_fraction) ||
+      !in_unit(cfg.policy.write_ratio)) {
+    return Status::InvalidArgument(
+        "delta cfg: max_delta_fraction and write_ratio must lie in [0, 1]");
+  }
+  if (cfg.cap < 2 || cfg.cap > kMaxDeltaCap) {
+    return Status::InvalidArgument(
+        "delta cfg: buffer capacity outside [2, 2^20]");
+  }
+  return Status::OK();
+}
 
 inline constexpr uint8_t kDeltaTombstone = 1;
 inline constexpr uint8_t kDeltaInBase = 2;
@@ -120,7 +149,7 @@ Status WriteDeltaSections(snapshot::SnapshotWriter& writer,
 /// its model against that copy in place, so the caller must keep the
 /// vector's buffer where it is (moving the vector keeps it). `*wal`
 /// takes the covered-LSN watermark and detaches any log. Keys, base,
-/// delta and wal are left untouched unless CheckDelta passes.
+/// delta and wal are left untouched unless CheckCfg and CheckDelta pass.
 template <typename Key, typename Base>
 Status ReadDeltaSections(const snapshot::SnapshotReader& reader,
                          const std::string& prefix, DeltaSnapshotCfg* cfg,
@@ -128,6 +157,7 @@ Status ReadDeltaSections(const snapshot::SnapshotReader& reader,
                          std::vector<DeltaEntry<Key>>* delta,
                          wal::IndexWal* wal) {
   LI_RETURN_IF_ERROR(reader.GetPod(prefix + "cfg", cfg));
+  LI_RETURN_IF_ERROR(CheckCfg(*cfg));
   auto k = reader.GetArray<Key>(prefix + "keys");
   if (!k.ok()) return k.status();
   auto dkeys = reader.GetArray<Key>(prefix + "dkeys");

@@ -31,7 +31,8 @@ struct MergePolicy {
   size_t max_delta_entries = 64 * 1024;
   /// kSizeThreshold: cap as a fraction of the base key count (the tighter
   /// of the two bounds wins, floored at `min_delta_entries` so tiny bases
-  /// don't merge on every write).
+  /// don't merge on every write). In [0, 1], like write_ratio: the
+  /// writable wrappers' Builds reject anything else (CheckCfg).
   double max_delta_fraction = 0.10;
 
   /// kWriteRatio: write-fraction threshold below which a pending merge

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 namespace li::index {
 
@@ -40,6 +41,21 @@ struct Approx {
   /// hash-resolved slot): pos is the answer, the window is one slot.
   static Approx Exact(size_t pos, size_t n) {
     return Approx{pos, pos, std::min(pos + 1, n)};
+  }
+
+  /// The §3.4 window of a learned prediction: `pos` (already in [0, n))
+  /// widened by the model's recorded error band, [pos + min_err,
+  /// pos + max_err], clipped to [0, n) with hi exclusive. A one-sided
+  /// band (e.g. min_err > 0) can exclude the prediction itself, so pos is
+  /// clamped into the window.
+  static Approx FromErrorBand(size_t pos, int32_t min_err, int32_t max_err,
+                              size_t n) {
+    const size_t lo = min_err < 0 && pos < static_cast<size_t>(-min_err)
+                          ? 0
+                          : std::min(pos + min_err, n);
+    const size_t hi = std::min(
+        n, pos + static_cast<size_t>(std::max(max_err, int32_t{0})) + 1);
+    return Approx{std::min(std::max(pos, lo), hi), lo, hi};
   }
 };
 

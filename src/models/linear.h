@@ -74,25 +74,6 @@ class LinearModel {
   double intercept_ = 0.0;
 };
 
-/// The "key itself is the offset" model of the introduction: given dense
-/// keys base..base+N, predicts position exactly with one subtraction.
-class OffsetModel {
- public:
-  OffsetModel() = default;
-
-  Status Fit(std::span<const double> xs, std::span<const double> ys) {
-    if (!xs.empty()) offset_ = xs[0] - ys[0];
-    return Status::OK();
-  }
-
-  double Predict(double x) const { return x - offset_; }
-  size_t SizeBytes() const { return sizeof(double); }
-  static const char* Name() { return "offset"; }
-
- private:
-  double offset_ = 0.0;
-};
-
 }  // namespace li::models
 
 #endif  // LI_MODELS_LINEAR_H_

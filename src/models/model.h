@@ -43,25 +43,28 @@ struct ErrorBounds {
   double MaxAbs() const { return std::max(std::fabs(min_err), max_err); }
 };
 
-/// Evaluates `model` on every (x, y) pair and records the worst over- and
-/// under-prediction — the procedure §2 describes for obtaining B-Tree-like
-/// guarantees from an arbitrary model.
-template <PositionModel M>
-ErrorBounds ComputeErrorBounds(const M& model, std::span<const double> xs,
-                               std::span<const double> ys) {
+/// Records the worst over- and under-prediction of a model over the
+/// stored keys — the procedure §2 describes for obtaining B-Tree-like
+/// guarantees from an arbitrary model. ys[i] is the true position of
+/// stored key i and predict(i) the model's estimate for it: the estimate
+/// the lookup path actually searches from (an RMI leaf passes its rounded,
+/// clamped position), so the bounds cover exactly that path.
+template <typename PredictFn>
+ErrorBounds ComputeErrorBounds(std::span<const double> ys,
+                               PredictFn&& predict) {
   ErrorBounds b;
-  if (xs.empty()) return b;
+  if (ys.empty()) return b;
   b.min_err = std::numeric_limits<double>::infinity();
   b.max_err = -std::numeric_limits<double>::infinity();
   double sum = 0.0, sum_sq = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    const double e = ys[i] - model.Predict(xs[i]);
+  for (size_t i = 0; i < ys.size(); ++i) {
+    const double e = ys[i] - static_cast<double>(predict(i));
     b.min_err = std::min(b.min_err, e);
     b.max_err = std::max(b.max_err, e);
     sum += e;
     sum_sq += e * e;
   }
-  const double n = static_cast<double>(xs.size());
+  const double n = static_cast<double>(ys.size());
   const double mean = sum / n;
   b.std_err = std::sqrt(std::max(0.0, sum_sq / n - mean * mean));
   return b;

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -33,15 +32,6 @@ class StringTokenizer {
     std::vector<double> v(max_len_);
     Tokenize(s, v.data());
     return v;
-  }
-
-  /// Tokenizes a whole corpus into one row-major matrix (n x max_len).
-  std::vector<double> TokenizeAll(std::span<const std::string> strs) const {
-    std::vector<double> m(strs.size() * max_len_);
-    for (size_t i = 0; i < strs.size(); ++i) {
-      Tokenize(strs[i], &m[i * max_len_]);
-    }
-    return m;
   }
 
  private:

@@ -80,7 +80,7 @@ Status PagedLearnedIndex::Build(std::span<const uint64_t> keys,
 std::optional<size_t> PagedLearnedIndex::Find(uint64_t key) const {
   if (translation_.empty()) return std::nullopt;
   const size_t kpp = disk_->keys_per_page();
-  const auto pred = rmi_.Predict(key);
+  const index::Approx pred = rmi_.ApproxPos(key);
 
   // Candidate logical pages from the error window, then pick the page
   // whose fence key covers `key` (at most a handful of fence compares).
@@ -129,7 +129,7 @@ size_t PagedLearnedIndex::CountRange(uint64_t lo_key, uint64_t hi_key) const {
   if (translation_.empty() || lo_key >= hi_key) return 0;
   const size_t kpp = disk_->keys_per_page();
   // Locate the starting page via the model window + fences.
-  const auto pred = rmi_.Predict(lo_key);
+  const index::Approx pred = rmi_.ApproxPos(lo_key);
   size_t lp = std::min(pred.lo / kpp, translation_.size() - 1);
   while (lp > 0 && translation_[lp].first_key > lo_key) --lp;
   while (lp + 1 < translation_.size() &&

@@ -1,21 +1,17 @@
 // Hybrid RMI (§3.3, Algorithm 1 lines 11-14): after stage-wise training,
-// any second-stage model whose absolute min/max-error exceeds `threshold`
-// is replaced with a B-Tree over the key range routed to it. This bounds
-// the worst-case at B-Tree performance: "in the case of an extremely
-// difficult to learn data distribution, all models would be automatically
-// replaced by B-Trees, making it virtually an entire B-Tree."
+// any leaf model whose absolute min/max-error exceeds `threshold` is
+// replaced with a B-Tree over the key range routed to it (the shared
+// BTreeLeaves swap, rmi/leaf_layer.h).
 
 #ifndef LI_RMI_HYBRID_H_
 #define LI_RMI_HYBRID_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "btree/readonly_btree.h"
 #include "index/approx.h"
+#include "rmi/leaf_layer.h"
 #include "rmi/rmi.h"
 
 namespace li::rmi {
@@ -36,43 +32,10 @@ class HybridRmi {
     config_ = config;
     data_ = keys;
     LI_RETURN_IF_ERROR(rmi_.Build(keys, config.rmi));
-    btree_leaves_.clear();
-    leaf_to_btree_.assign(config.rmi.num_leaf_models, kNoBTree);
-    if (keys.empty()) return Status::OK();
-
-    // Find, per leaf, the contiguous position span of keys routed to it.
-    const size_t m = config.rmi.num_leaf_models;
-    std::vector<uint32_t> span_begin(m, UINT32_MAX), span_end(m, 0);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const uint32_t j = rmi_.Predict(keys[i]).leaf;
-      span_begin[j] = std::min(span_begin[j], static_cast<uint32_t>(i));
-      span_end[j] = std::max(span_end[j], static_cast<uint32_t>(i + 1));
-    }
-    // Replace over-threshold leaves (Algorithm 1 lines 13-14). Leaves
-    // whose routed keys scatter across a large slice of the data signal a
-    // non-monotonic routing artifact rather than a hard-to-learn region;
-    // a B-Tree over such a span would duplicate separators massively, so
-    // those leaves keep their model (the lookup fix-up stays correct).
-    const auto leaves = rmi_.leaves();
-    const uint32_t span_cap = static_cast<uint32_t>(
-        std::min<size_t>(keys.size(), 16 * (keys.size() / m + 1)));
-    for (size_t j = 0; j < m; ++j) {
-      if (span_begin[j] == UINT32_MAX) continue;  // empty leaf
-      if (span_end[j] - span_begin[j] > span_cap) continue;
-      const int64_t abs_err = std::max<int64_t>(-int64_t{leaves[j].min_err},
-                                                int64_t{leaves[j].max_err});
-      if (abs_err <= config.threshold) continue;
-      BTreeLeaf bl;
-      bl.begin = span_begin[j];
-      bl.end = span_end[j];
-      bl.tree = std::make_unique<btree::ReadOnlyBTree>();
-      LI_RETURN_IF_ERROR(bl.tree->Build(
-          keys.subspan(bl.begin, bl.end - bl.begin),
-          config.btree_keys_per_page));
-      leaf_to_btree_[j] = static_cast<uint32_t>(btree_leaves_.size());
-      btree_leaves_.push_back(std::move(bl));
-    }
-    return Status::OK();
+    return trees_.Build(
+        keys, rmi_.leaves(),
+        [&](size_t i) { return rmi_.Predict(keys[i]).leaf; },
+        config.threshold, config.btree_keys_per_page);
   }
 
   /// Model-only window: the underlying RMI's error-bound window, which is
@@ -83,21 +46,10 @@ class HybridRmi {
   size_t Lookup(uint64_t key) const {
     if (data_.empty()) return 0;
     const auto p = rmi_.Predict(key);
-    const uint32_t bt = leaf_to_btree_[p.leaf];
-    if (bt == kNoBTree) {
-      return search::FindInWindow(config_.rmi.strategy, data_.data(),
-                                  data_.size(), key,
-                                  index::Approx{p.pos, p.lo, p.hi},
-                                  static_cast<size_t>(p.std_err) + 1);
-    }
-    const BTreeLeaf& bl = btree_leaves_[bt];
-    size_t pos = bl.begin + bl.tree->LowerBound(key);
-    // Boundary fix-up at the span edges, same escape hatch as the RMI.
-    if (LI_UNLIKELY((pos == bl.begin && bl.begin > 0) ||
-                    (pos == bl.end && bl.end < data_.size()))) {
-      pos = search::ExponentialSearch(data_.data(), data_.size(), key, pos);
-    }
-    return pos;
+    if (trees_.Swapped(p.leaf)) return trees_.LowerBound(p.leaf, data_, key);
+    return search::FindInWindow(config_.rmi.strategy, data_.data(),
+                                data_.size(), key, p.window,
+                                static_cast<size_t>(p.std_err) + 1);
   }
 
   size_t LowerBound(uint64_t key) const { return Lookup(key); }
@@ -107,29 +59,16 @@ class HybridRmi {
     return pos < data_.size() && data_[pos] == key;
   }
 
-  size_t SizeBytes() const {
-    size_t bytes = rmi_.SizeBytes() +
-                   leaf_to_btree_.size() * sizeof(uint32_t);
-    for (const BTreeLeaf& bl : btree_leaves_) bytes += bl.tree->SizeBytes();
-    return bytes;
-  }
+  size_t SizeBytes() const { return rmi_.SizeBytes() + trees_.SizeBytes(); }
 
-  size_t num_btree_leaves() const { return btree_leaves_.size(); }
+  size_t num_btree_leaves() const { return trees_.size(); }
   const Rmi<TopModel>& rmi() const { return rmi_; }
 
  private:
-  static constexpr uint32_t kNoBTree = UINT32_MAX;
-
-  struct BTreeLeaf {
-    uint32_t begin = 0, end = 0;
-    std::unique_ptr<btree::ReadOnlyBTree> tree;
-  };
-
   std::span<const uint64_t> data_;
   HybridConfig config_;
   Rmi<TopModel> rmi_;
-  std::vector<uint32_t> leaf_to_btree_;
-  std::vector<BTreeLeaf> btree_leaves_;
+  BTreeLeaves<btree::ReadOnlyBTree> trees_;
 };
 
 }  // namespace li::rmi

@@ -13,6 +13,7 @@
 #include "index/approx.h"
 #include "models/quantized.h"
 #include "rmi/rmi.h"
+#include "simd/dispatch.h"
 
 namespace li::rmi {
 
@@ -72,21 +73,9 @@ class QuantizedRmi {
     if (data_.empty()) return index::Approx{};
     const double x = static_cast<double>(key);
     const uint32_t j = rmi_.Predict(key).leaf;
-    const double raw = table_.Predict(j, x);
-    size_t pos = 0;
-    if (raw > 0.0) {
-      pos = std::min(static_cast<size_t>(raw + 0.5), data_.size() - 1);
-    }
-    const int32_t min_e = table_.min_err(j);
-    const int32_t max_e = table_.max_err(j);
-    const size_t lo = min_e < 0 && pos < static_cast<size_t>(-min_e)
-                          ? 0
-                          : pos + min_e;
-    const size_t hi = std::min(
-        data_.size(), pos + static_cast<size_t>(std::max(max_e, 0)) + 1);
-    const size_t lo_c = std::min(lo, data_.size());
-    // One-sided error bands can put the raw estimate outside its window.
-    return index::Approx{std::clamp(pos, lo_c, hi), lo_c, hi};
+    const size_t pos = simd::ClampPos(table_.Predict(j, x), data_.size() - 1);
+    return index::Approx::FromErrorBand(pos, table_.min_err(j),
+                                        table_.max_err(j), data_.size());
   }
 
   size_t Lookup(uint64_t key) const {

@@ -36,7 +36,6 @@
 #define LI_RMI_RMI_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -50,7 +49,7 @@
 #include "index/key_traits.h"
 #include "index/snapshottable.h"
 #include "models/linear.h"
-#include "models/model.h"
+#include "rmi/leaf_layer.h"
 #include "rmi/trainers.h"
 #include "search/search.h"
 #include "simd/dispatch.h"
@@ -212,31 +211,11 @@ class RmiIndex {
         ly[r - begin] = static_cast<double>(i);
       }
       LI_RETURN_IF_ERROR(leaf.model.Fit(lx, ly));
-      // Error bounds must be computed against the *clamped integer*
-      // prediction the lookup path will actually use — i.e. the shared
-      // kernel spec, so the bounds cover every dispatch level.
-      double min_e = 0.0, max_e = 0.0, sum = 0.0, sum_sq = 0.0;
-      bool first = true;
-      for (size_t i = 0; i < lx.size(); ++i) {
-        const double pred =
-            static_cast<double>(PredictPos1(leaf.model, lx[i]));
-        const double e = ly[i] - pred;
-        if (first) {
-          min_e = max_e = e;
-          first = false;
-        } else {
-          min_e = std::min(min_e, e);
-          max_e = std::max(max_e, e);
-        }
-        sum += e;
-        sum_sq += e * e;
-      }
-      const double cnt = static_cast<double>(lx.size());
-      const double mean = sum / cnt;
-      leaf.min_err = static_cast<int32_t>(std::floor(min_e));
-      leaf.max_err = static_cast<int32_t>(std::ceil(max_e));
-      leaf.std_err = static_cast<float>(
-          std::sqrt(std::max(0.0, sum_sq / cnt - mean * mean)));
+      // Against the shared kernel spec, so the band covers every dispatch
+      // level.
+      FitErrorBand(
+          ly, [&](size_t i) { return PredictPos1(leaf.model, lx[i]); },
+          &leaf);
       const int64_t two_sigma = 2 * static_cast<int64_t>(leaf.std_err);
       if (two_sigma > static_cast<int64_t>(kMaxSweepHalf)) {
         leaf.sweep_lo = leaf.min_err;  // wide leaf: full worst-case window
@@ -270,9 +249,8 @@ class RmiIndex {
   /// The pure model-execution path (what Figure 4's "Model (ns)" column
   /// times): one model evaluation per stage, no search.
   struct Prediction {
-    size_t pos = 0;   // clamped position estimate
-    size_t lo = 0;    // inclusive search window start
-    size_t hi = 0;    // exclusive search window end
+    size_t pos = 0;        // clamped position estimate
+    index::Approx window;  // its error-band search window
     uint32_t leaf = 0;
     float std_err = 0.0f;
   };
@@ -284,14 +262,8 @@ class RmiIndex {
   }
 
   /// The contract's model-only entry point: prediction plus worst-case
-  /// window, as an index::Approx. The raw estimate is clamped into the
-  /// window: a leaf whose model under/over-shoots every routed key has a
-  /// one-sided error band (e.g. min_err > 0), putting the unclamped
-  /// prediction outside its own bound.
-  index::Approx ApproxPos(const Key& key) const {
-    const Prediction p = Predict(key);
-    return index::Approx{std::clamp(p.pos, p.lo, p.hi), p.lo, p.hi};
-  }
+  /// window, as an index::Approx.
+  index::Approx ApproxPos(const Key& key) const { return Predict(key).window; }
 
   /// Full lookup: model + bounded search + boundary fix-up. Returns
   /// lower_bound semantics over the data array for *any* key.
@@ -299,7 +271,7 @@ class RmiIndex {
     if (data_.empty()) return 0;
     const Prediction p = Predict(key);
     return search::FindInWindow(config_.strategy, data_.data(), data_.size(),
-                                key, index::Approx{p.pos, p.lo, p.hi},
+                                key, p.window,
                                 static_cast<size_t>(p.std_err) + 1);
   }
 
@@ -347,8 +319,7 @@ class RmiIndex {
       for (size_t k = 0; k < b; ++k) {
         out[base + k] = search::FindInWindow(
             config_.strategy, data_.data(), data_.size(), keys[base + k],
-            index::Approx{preds[k].pos, preds[k].lo, preds[k].hi},
-            static_cast<size_t>(preds[k].std_err) + 1);
+            preds[k].window, static_cast<size_t>(preds[k].std_err) + 1);
       }
     }
   }
@@ -717,30 +688,19 @@ class RmiIndex {
     }
   }
 
-  /// Clamped integer position via the kernel spec: round-to-nearest
-  /// (truncation would bias half of all predictions one position low,
-  /// ~25% extra hash conflicts, §4.2), clamped to [0, size-1].
+  /// Clamped integer position via the kernel spec (simd::ClampPos).
   size_t PredictPos1(const models::LinearModel& m, double x) const {
     return static_cast<size_t>(simd::ScalarPredict1(
         x, m.slope(), m.intercept(), data_.size() - 1));
   }
 
-  /// The worst-case search window around a clamped prediction.
-  index::Approx WindowOf(const Leaf& leaf, size_t pos) const {
-    const size_t lo =
-        leaf.min_err < 0 && pos < static_cast<size_t>(-leaf.min_err)
-            ? 0
-            : pos + leaf.min_err;
-    const size_t hi =
-        std::min(data_.size(), pos + static_cast<size_t>(std::max(
-                                         leaf.max_err, int32_t{0})) + 1);
-    return index::Approx{pos, std::min(lo, data_.size()), hi};
-  }
-
   Prediction PredictAtLeaf(uint32_t j, double x) const {
     const Leaf& leaf = leaves_[j];
-    const index::Approx w = WindowOf(leaf, PredictPos1(leaf.model, x));
-    return Prediction{w.pos, w.lo, w.hi, j, leaf.std_err};
+    const size_t pos = PredictPos1(leaf.model, x);
+    return Prediction{pos,
+                      index::Approx::FromErrorBand(pos, leaf.min_err,
+                                                   leaf.max_err, data_.size()),
+                      j, leaf.std_err};
   }
 
   /// Feature extraction for one block (the kernel analogue of
@@ -888,8 +848,9 @@ class RmiIndex {
           // full worst-case window; only a pin at the *window* edge takes
           // the global §3.4 exponential fix-up.
           const Key& key = keys[base + k];
-          const index::Approx w =
-              WindowOf(leaves_[leaf[k]], static_cast<size_t>(pos[k]));
+          const Leaf& lf = leaves_[leaf[k]];
+          const index::Approx w = index::Approx::FromErrorBand(
+              static_cast<size_t>(pos[k]), lf.min_err, lf.max_err, size);
           if (lo[k] != w.lo || hi[k] != w.hi) {
             if constexpr (std::is_same_v<Key, uint64_t>) {
               r = kern.lower_bound_u64(data, w.lo, w.hi, key);

@@ -1,7 +1,8 @@
 #include "rmi/string_rmi.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "simd/dispatch.h"
 
 namespace li::rmi {
 
@@ -12,13 +13,6 @@ uint32_t StringRmi::Route(const double* features) const {
   if (!(scaled > 0.0)) return 0;
   const size_t j = static_cast<size_t>(scaled);
   return static_cast<uint32_t>(std::min(j, leaves_.size() - 1));
-}
-
-size_t StringRmi::ClampPos(double pred) const {
-  // Round to nearest (see Rmi::ClampPos).
-  if (!(pred > 0.0)) return 0;
-  const size_t p = static_cast<size_t>(pred + 0.5);
-  return std::min(p, data_.size() - 1);
 }
 
 Status StringRmi::Build(std::span<const std::string> keys,
@@ -34,8 +28,7 @@ Status StringRmi::Build(std::span<const std::string> keys,
   config_ = config;
   tokenizer_ = models::StringTokenizer(config.max_len);
   leaves_.assign(config.num_leaf_models, Leaf{});
-  leaf_to_btree_.assign(config.num_leaf_models, kNoBTree);
-  btree_leaves_.clear();
+  trees_ = {};
   if (keys.empty()) return Status::OK();
   const size_t n = keys.size();
   const size_t d = config.max_len;
@@ -76,19 +69,9 @@ Status StringRmi::Build(std::span<const std::string> keys,
 
   // ---- Fit leaves + error bounds; optionally swap in B-Trees ----
   std::vector<double> lf, ly;
-  double fill_pos = 0.0;
-  std::vector<uint32_t> span_begin(m, UINT32_MAX), span_end(m, 0);
   for (size_t j = 0; j < m; ++j) {
     Leaf& leaf = leaves_[j];
     const uint32_t begin = offsets[j], end = offsets[j + 1];
-    if (begin == end) {
-      std::vector<double> empty_feats;
-      leaf.model.Fit(empty_feats, 0, d, {});
-      // VecLinearModel with zero rows is a zero model; bias via refit below
-      // is unnecessary — route fix-up covers absent keys. Record fill.
-      (void)fill_pos;
-      continue;
-    }
     const size_t cnt = end - begin;
     lf.assign(cnt * d, 0.0);
     ly.resize(cnt);
@@ -96,97 +79,46 @@ Status StringRmi::Build(std::span<const std::string> keys,
       tokenizer_.Tokenize(keys[routed[r]], &lf[(r - begin) * d]);
       ly[r - begin] = static_cast<double>(routed[r]);
     }
+    // An empty leaf fits the zero model; absent keys routed there recover
+    // through the lookup fix-up.
     LI_RETURN_IF_ERROR(leaf.model.Fit(lf, cnt, d, ly));
-    double min_e = 0.0, max_e = 0.0, sum = 0.0, sum_sq = 0.0;
-    bool first = true;
-    for (size_t i = 0; i < cnt; ++i) {
-      const double pred = static_cast<double>(
-          ClampPos(leaf.model.PredictVec({&lf[i * d], d})));
-      const double e = ly[i] - pred;
-      if (first) {
-        min_e = max_e = e;
-        first = false;
-      } else {
-        min_e = std::min(min_e, e);
-        max_e = std::max(max_e, e);
-      }
-      sum += e;
-      sum_sq += e * e;
-      span_begin[j] = std::min(span_begin[j],
-                               static_cast<uint32_t>(ly[i]));
-      span_end[j] =
-          std::max(span_end[j], static_cast<uint32_t>(ly[i]) + 1);
-    }
-    const double dc = static_cast<double>(cnt);
-    const double mean = sum / dc;
-    leaf.min_err = static_cast<int32_t>(std::floor(min_e));
-    leaf.max_err = static_cast<int32_t>(std::ceil(max_e));
-    leaf.std_err =
-        static_cast<float>(std::sqrt(std::max(0.0, sum_sq / dc - mean * mean)));
-    fill_pos = ly.back();
+    FitErrorBand(
+        ly,
+        [&](size_t i) {
+          return simd::ClampPos(leaf.model.PredictVec({&lf[i * d], d}), n - 1);
+        },
+        &leaf);
   }
 
   if (config.hybrid_threshold > 0) {
-    // Span cap: a leaf whose routed keys scatter across a large slice of
-    // the data signals a *routing* problem (non-monotonic top model), not
-    // a hard-to-learn region; replacing it with a B-Tree over that slice
-    // would duplicate separators massively. Such leaves stay models.
-    const uint32_t span_cap = static_cast<uint32_t>(
-        std::min<size_t>(n, 16 * (n / m + 1)));
-    for (size_t j = 0; j < m; ++j) {
-      if (span_begin[j] == UINT32_MAX) continue;
-      if (span_end[j] - span_begin[j] > span_cap) continue;
-      const int64_t abs_err = std::max<int64_t>(
-          -int64_t{leaves_[j].min_err}, int64_t{leaves_[j].max_err});
-      if (abs_err <= config.hybrid_threshold) continue;
-      BTreeLeaf bl;
-      bl.begin = span_begin[j];
-      bl.end = span_end[j];
-      bl.tree = std::make_unique<btree::StringBTree>();
-      LI_RETURN_IF_ERROR(
-          bl.tree->Build(keys.subspan(bl.begin, bl.end - bl.begin),
-                         config.btree_keys_per_page));
-      leaf_to_btree_[j] = static_cast<uint32_t>(btree_leaves_.size());
-      btree_leaves_.push_back(std::move(bl));
-    }
+    LI_RETURN_IF_ERROR(trees_.Build(
+        keys, std::span<const Leaf>(leaves_),
+        [&](size_t i) { return leaf_of[i]; }, config.hybrid_threshold,
+        config.btree_keys_per_page));
   }
   return Status::OK();
 }
 
 StringRmi::Prediction StringRmi::Predict(const std::string& key) const {
-  if (data_.empty()) return Prediction{0, 0, 0, 0, 0.0f, false};
+  if (data_.empty()) return Prediction{};
   double buf[models::NeuralNet::kMaxWidth];
   tokenizer_.Tokenize(key, buf);
   const uint32_t j = Route(buf);
   const Leaf& leaf = leaves_[j];
-  const size_t pos =
-      ClampPos(leaf.model.PredictVec({buf, config_.max_len}));
-  const size_t lo =
-      leaf.min_err < 0 && pos < static_cast<size_t>(-leaf.min_err)
-          ? 0
-          : pos + leaf.min_err;
-  const size_t hi = std::min(
-      data_.size(),
-      pos + static_cast<size_t>(std::max(leaf.max_err, int32_t{0})) + 1);
-  return Prediction{pos,  std::min(lo, data_.size()),
-                    hi,   j,
-                    leaf.std_err, leaf_to_btree_[j] != kNoBTree};
+  const size_t pos = simd::ClampPos(
+      leaf.model.PredictVec({buf, config_.max_len}), data_.size() - 1);
+  return Prediction{pos,
+                    index::Approx::FromErrorBand(pos, leaf.min_err,
+                                                 leaf.max_err, data_.size()),
+                    j, leaf.std_err};
 }
 
 size_t StringRmi::Lookup(const std::string& key) const {
   if (data_.empty()) return 0;
   const Prediction p = Predict(key);
-  if (p.is_btree_leaf) {
-    const BTreeLeaf& bl = btree_leaves_[leaf_to_btree_[p.leaf]];
-    size_t pos = bl.begin + bl.tree->LowerBound(key);
-    if (LI_UNLIKELY((pos == bl.begin && bl.begin > 0) ||
-                    (pos == bl.end && bl.end < data_.size()))) {
-      pos = search::ExponentialSearch(data_.data(), data_.size(), key, pos);
-    }
-    return pos;
-  }
+  if (trees_.Swapped(p.leaf)) return trees_.LowerBound(p.leaf, data_, key);
   return search::FindInWindow(config_.strategy, data_.data(), data_.size(),
-                              key, index::Approx{p.pos, p.lo, p.hi},
+                              key, p.window,
                               static_cast<size_t>(p.std_err) + 1);
 }
 
@@ -196,9 +128,7 @@ size_t StringRmi::SizeBytes() const {
   bytes += leaves_.size() *
            ((config_.max_len + 1) * sizeof(double) + 2 * sizeof(int32_t) +
             sizeof(float));
-  bytes += leaf_to_btree_.size() * sizeof(uint32_t);
-  for (const BTreeLeaf& bl : btree_leaves_) bytes += bl.tree->SizeBytes();
-  return bytes;
+  return bytes + trees_.SizeBytes();
 }
 
 }  // namespace li::rmi

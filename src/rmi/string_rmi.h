@@ -10,9 +10,7 @@
 #ifndef LI_RMI_STRING_RMI_H_
 #define LI_RMI_STRING_RMI_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +21,7 @@
 #include "models/nn.h"
 #include "models/tokenizer.h"
 #include "models/vec_linear.h"
+#include "rmi/leaf_layer.h"
 #include "search/search.h"
 
 namespace li::rmi {
@@ -51,20 +50,18 @@ class StringRmi {
                const StringRmiConfig& config);
 
   struct Prediction {
-    size_t pos, lo, hi;
-    uint32_t leaf;
-    float std_err;
-    bool is_btree_leaf;
+    size_t pos = 0;        // clamped position estimate
+    index::Approx window;  // its error-band search window
+    uint32_t leaf = 0;
+    float std_err = 0.0f;
   };
 
   /// Model execution only (tokenize + top NN + leaf linear).
   Prediction Predict(const std::string& key) const;
 
-  /// Contract view of Predict: the error-bound window, with the raw
-  /// estimate clamped in (one-sided error bands can exclude it).
+  /// Contract view of Predict: the error-bound window.
   index::Approx ApproxPos(const std::string& key) const {
-    const Prediction p = Predict(key);
-    return index::Approx{std::clamp(p.pos, p.lo, p.hi), p.lo, p.hi};
+    return Predict(key).window;
   }
 
   /// Full lookup with bounded search + boundary fix-up.
@@ -78,33 +75,24 @@ class StringRmi {
   }
 
   size_t SizeBytes() const;
-  size_t num_btree_leaves() const { return btree_leaves_.size(); }
+  size_t num_btree_leaves() const { return trees_.size(); }
   const models::NeuralNet& top() const { return top_; }
 
  private:
-  static constexpr uint32_t kNoBTree = UINT32_MAX;
-
   struct Leaf {
     models::VecLinearModel model;
     int32_t min_err = 0;
     int32_t max_err = 0;
     float std_err = 0.0f;
   };
-  struct BTreeLeaf {
-    uint32_t begin = 0, end = 0;
-    std::unique_ptr<btree::StringBTree> tree;
-  };
-
   uint32_t Route(const double* features) const;
-  size_t ClampPos(double pred) const;
 
   std::span<const std::string> data_;
   StringRmiConfig config_;
   models::StringTokenizer tokenizer_{20};
   models::NeuralNet top_;
   std::vector<Leaf> leaves_;
-  std::vector<uint32_t> leaf_to_btree_;
-  std::vector<BTreeLeaf> btree_leaves_;
+  BTreeLeaves<btree::StringBTree> trees_;
 };
 
 }  // namespace li::rmi

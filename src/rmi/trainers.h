@@ -26,11 +26,6 @@ inline Status TrainModel(models::LinearModel* m, std::span<const double> xs,
   return m->Fit(xs, ys);
 }
 
-inline Status TrainModel(models::OffsetModel* m, std::span<const double> xs,
-                         std::span<const double> ys, const TrainOptions&) {
-  return m->Fit(xs, ys);
-}
-
 inline Status TrainModel(models::MultivariateModel* m,
                          std::span<const double> xs,
                          std::span<const double> ys, const TrainOptions&) {

@@ -85,13 +85,6 @@ class Arena {
     return off;
   }
 
-  template <typename T>
-  uint64_t AppendArray(std::span<const T> v) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "arena arrays must be trivially copyable");
-    return Append(v.data(), v.size_bytes(), kArenaAlign);
-  }
-
   uint8_t* at(uint64_t off) { return buf_.get() + off; }
   const uint8_t* at(uint64_t off) const { return buf_.get() + off; }
   const uint8_t* data() const { return buf_.get(); }

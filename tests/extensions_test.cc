@@ -1,6 +1,5 @@
 // Tests for the extension modules: isotonic (monotonic) models, histogram
-// CDF baselines, quantized leaf tables / quantized RMI, and the K-stage
-// RMI generalization.
+// CDF baselines, and quantized leaf tables / quantized RMI.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "models/isotonic.h"
 #include "models/model.h"
 #include "models/quantized.h"
-#include "rmi/multistage.h"
 #include "rmi/quantized_rmi.h"
 
 namespace li {
@@ -144,7 +142,8 @@ TEST(QuantizedTableTest, PredictionsCloseAndBoundsWiden) {
     }
     models::LinearModel m;
     ASSERT_TRUE(m.Fit(xs, ys).ok());
-    const auto b = models::ComputeErrorBounds(m, xs, ys);
+    const auto b = models::ComputeErrorBounds(
+        ys, [&](size_t i) { return m.Predict(xs[i]); });
     refs.push_back({m.slope(), m.intercept(),
                     static_cast<int32_t>(std::floor(b.min_err)),
                     static_cast<int32_t>(std::ceil(b.max_err)), xs.front(),
@@ -213,36 +212,30 @@ TEST(QuantizedRmiTest, SizeShrinksWithPrecision) {
   EXPECT_GT(f32.SizeBytes(), i16.SizeBytes());
 }
 
-class MultiStageTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(MultiStageTest, LowerBoundMatchesStdAcrossStageCounts) {
-  const auto keys = data::GenWeblog(50'000, 11);
-  rmi::MultiStageConfig config;
-  switch (GetParam()) {
-    case 2: config.stage_sizes = {2000}; break;
-    case 3: config.stage_sizes = {50, 2000}; break;
-    case 4: config.stage_sizes = {10, 200, 2000}; break;
+// Keys past the last stored key drive the quantized leaf's prediction far
+// beyond the data; it must saturate into the window, not overflow the
+// float-to-integer conversion, and the lookup must land on n.
+TEST(QuantizedRmiTest, ExtremeKeysOverDenseKeys) {
+  constexpr size_t kN = 10'000;
+  std::vector<uint64_t> keys(kN);
+  for (size_t i = 0; i < kN; ++i) keys[i] = i;
+  for (const auto level :
+       {models::QuantLevel::kFloat32, models::QuantLevel::kInt16}) {
+    rmi::RmiConfig config;
+    config.num_leaf_models = 100;
+    rmi::QuantizedRmi index;
+    ASSERT_TRUE(index.Build(keys, config, level).ok());
+    for (const uint64_t q : {uint64_t{0}, uint64_t{kN - 1}, uint64_t{kN},
+                             uint64_t{1} << 63, UINT64_MAX}) {
+      const index::Approx a = index.ApproxPos(q);
+      EXPECT_LE(a.lo, a.pos) << QuantLevelName(level) << " q=" << q;
+      EXPECT_LE(a.pos, a.hi) << QuantLevelName(level) << " q=" << q;
+      EXPECT_LE(a.hi, kN) << QuantLevelName(level) << " q=" << q;
+      EXPECT_EQ(index.Lookup(q), StdLowerBound(keys, q))
+          << QuantLevelName(level) << " q=" << q;
+    }
+    EXPECT_EQ(index.Lookup(UINT64_MAX), kN) << QuantLevelName(level);
   }
-  rmi::MultiStageRmi index;
-  ASSERT_TRUE(index.Build(keys, config).ok());
-  EXPECT_EQ(index.num_stages(), static_cast<size_t>(GetParam()));
-  Xorshift128Plus rng(12);
-  for (int i = 0; i < 20'000; ++i) {
-    const uint64_t k = keys[rng.NextBounded(keys.size())];
-    const uint64_t q = rng.NextBounded(3) == 0 ? k + 1 : k;
-    ASSERT_EQ(index.LowerBound(q), StdLowerBound(keys, q)) << q;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Stages, MultiStageTest, ::testing::Values(2, 3, 4));
-
-TEST(MultiStageTest, Validation) {
-  rmi::MultiStageRmi index;
-  rmi::MultiStageConfig config;
-  config.stage_sizes = {};
-  EXPECT_FALSE(index.Build({}, config).ok());
-  config.stage_sizes = {0};
-  EXPECT_FALSE(index.Build({}, config).ok());
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "hash/cuckoo_map.h"
 #include "hash/hash_fn.h"
 #include "hash/inplace_chained_map.h"
-#include "rmi/multistage.h"
 #include "rmi/quantized_rmi.h"
 #include "rmi/rmi.h"
 #include "test_seed.h"
@@ -51,10 +50,12 @@ TEST_P(RangeIndexDifferentialTest, SixImplementationsAgree) {
   ASSERT_TRUE(rmi.Build(keys, rmi_cfg).ok());
   rmi::QuantizedRmi quantized;
   ASSERT_TRUE(quantized.Build(keys, rmi_cfg, models::QuantLevel::kInt16).ok());
-  rmi::MultiStageRmi multi;
-  rmi::MultiStageConfig ms_cfg;
-  ms_cfg.stage_sizes = {1 + rng.NextBounded(64), 1 + rng.NextBounded(n)};
-  ASSERT_TRUE(multi.Build(keys, ms_cfg).ok());
+  // The routing stage at an explicit K (the RMI above runs the default).
+  rmi::LinearRmi routed;
+  rmi::RmiConfig routed_cfg;
+  routed_cfg.num_leaf_models = 1 + rng.NextBounded(n);
+  routed_cfg.num_route_models = 1 + rng.NextBounded(64);
+  ASSERT_TRUE(routed.Build(keys, routed_cfg).ok());
 
   for (int probe = 0; probe < 5000; ++probe) {
     uint64_t q;
@@ -71,7 +72,8 @@ TEST_P(RangeIndexDifferentialTest, SixImplementationsAgree) {
     ASSERT_EQ(lookup.LowerBound(q), expect) << "lookup q=" << q;
     ASSERT_EQ(rmi.LowerBound(q), expect) << "rmi q=" << q;
     ASSERT_EQ(quantized.LowerBound(q), expect) << "quantized q=" << q;
-    ASSERT_EQ(multi.LowerBound(q), expect) << "multistage q=" << q;
+    ASSERT_EQ(routed.LowerBound(q), expect)
+        << "routed K=" << routed_cfg.num_route_models << " q=" << q;
   }
 }
 
@@ -167,8 +169,8 @@ TEST(DeterminismTest, RebuildIsBitIdentical) {
     const auto pa = a.Predict(q);
     const auto pb = b.Predict(q);
     ASSERT_EQ(pa.pos, pb.pos);
-    ASSERT_EQ(pa.lo, pb.lo);
-    ASSERT_EQ(pa.hi, pb.hi);
+    ASSERT_EQ(pa.window.lo, pb.window.lo);
+    ASSERT_EQ(pa.window.hi, pb.window.hi);
     ASSERT_EQ(a.LowerBound(q), b.LowerBound(q));
   }
 }

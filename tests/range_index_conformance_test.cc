@@ -26,7 +26,6 @@
 #include "index/any_range_index.h"
 #include "index/range_index.h"
 #include "rmi/hybrid.h"
-#include "rmi/multistage.h"
 #include "rmi/quantized_rmi.h"
 #include "rmi/rmi.h"
 #include "rmi/string_rmi.h"
@@ -43,7 +42,6 @@ static_assert(index::RangeIndex<rmi::PrefixStringRmi>);
 static_assert(index::RangeIndex<rmi::HybridRmi<models::LinearModel>>);
 static_assert(index::RangeIndex<rmi::QuantizedRmi>);
 static_assert(index::RangeIndex<rmi::StringRmi>);
-static_assert(index::RangeIndex<rmi::MultiStageRmi>);
 static_assert(index::RangeIndex<btree::ReadOnlyBTree>);
 static_assert(index::RangeIndex<btree::BTreeMap>);
 static_assert(index::RangeIndex<btree::InterpolationBTree>);
@@ -85,12 +83,6 @@ rmi::QuantizedRmiConfig DefaultConfig<rmi::QuantizedRmi>() {
   rmi::QuantizedRmiConfig c;
   c.rmi.num_leaf_models = 500;
   c.level = models::QuantLevel::kFloat32;
-  return c;
-}
-template <>
-rmi::MultiStageConfig DefaultConfig<rmi::MultiStageRmi>() {
-  rmi::MultiStageConfig c;
-  c.stage_sizes = {64, 512};
   return c;
 }
 template <>
@@ -148,7 +140,7 @@ class Uint64ConformanceTest : public ::testing::Test {};
 
 using Uint64Impls =
     ::testing::Types<rmi::LinearRmi, rmi::HybridRmi<models::LinearModel>,
-                     rmi::QuantizedRmi, rmi::MultiStageRmi,
+                     rmi::QuantizedRmi,
                      btree::ReadOnlyBTree, btree::BTreeMap,
                      btree::InterpolationBTree, btree::FastTree,
                      btree::LookupTable,

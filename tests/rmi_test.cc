@@ -91,9 +91,9 @@ TEST(RmiTest, ErrorBoundsHoldForAllStoredKeys) {
   LinearRmi rmi;
   ASSERT_TRUE(rmi.Build(keys, config).ok());
   for (size_t i = 0; i < keys.size(); ++i) {
-    const auto p = rmi.Predict(keys[i]);
-    ASSERT_GE(i, p.lo) << "key idx " << i;
-    ASSERT_LT(i, p.hi) << "key idx " << i;
+    const auto w = rmi.Predict(keys[i]).window;
+    ASSERT_GE(i, w.lo) << "key idx " << i;
+    ASSERT_LT(i, w.hi) << "key idx " << i;
   }
 }
 
@@ -302,10 +302,9 @@ TEST(StringRmiTest, ErrorBoundsHoldForStoredStrings) {
   StringRmi rmi;
   ASSERT_TRUE(rmi.Build(ids, config).ok());
   for (size_t i = 0; i < ids.size(); i += 7) {
-    const auto p = rmi.Predict(ids[i]);
-    if (p.is_btree_leaf) continue;
-    ASSERT_GE(i, p.lo) << ids[i];
-    ASSERT_LT(i, p.hi) << ids[i];
+    const auto w = rmi.Predict(ids[i]).window;
+    ASSERT_GE(i, w.lo) << ids[i];
+    ASSERT_LT(i, w.hi) << ids[i];
   }
 }
 

@@ -14,7 +14,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <span>
@@ -31,6 +33,7 @@
 #include "data/datasets.h"
 #include "data/strings.h"
 #include "dynamic/delta_range_index.h"
+#include "dynamic/delta_snapshot.h"
 #include "dynamic/merge_policy.h"
 #include "hash/chained_hash_map.h"
 #include "lif/synthesizer.h"
@@ -477,14 +480,39 @@ std::vector<uint8_t> Bytes(const std::vector<uint64_t>& v) {
   return out;
 }
 
+/// Write-path knobs dynamic::CheckCfg refuses, each as an edit of a valid
+/// (policy, buffer capacity) pair.
+std::vector<std::pair<const char*,
+                      std::function<void(dynamic::MergePolicy&, uint64_t&)>>>
+BadDeltaCfgs() {
+  return {
+      {"NaN max_delta_fraction",
+       [](auto& p, auto&) { p.max_delta_fraction = std::nan(""); }},
+      {"max_delta_fraction above 1",
+       [](auto& p, auto&) { p.max_delta_fraction = 1.5; }},
+      {"negative write_ratio", [](auto& p, auto&) { p.write_ratio = -0.1; }},
+      {"infinite write_ratio",
+       [](auto& p, auto&) { p.write_ratio = HUGE_VAL; }},
+      {"unknown trigger",
+       [](auto& p, auto&) {
+         p.trigger = static_cast<dynamic::MergeTrigger>(7);
+       }},
+      {"cap 2^40", [](auto&, auto& cap) { cap = uint64_t{1} << 40; }},
+      {"cap 2^20 + 1", [](auto&, auto& cap) { cap = (uint64_t{1} << 20) + 1; }},
+  };
+}
+
 // DeltaRangeIndex and ConcurrentWritableIndex share one delta layout, so
 // one file drives both. Over base keys {10, 20, ..., 10000} the delta is
 // Erase(5) of an absent key (flags 1), Insert(15) (flags 0) and
 // Erase(20) of a base key (flags 3). Every crafted variant below
-// disagrees with the base keys or with itself, and both classes must
-// refuse it at open. Unchecked, flipping the first entry's in_base bit
-// (1 -> 3) opens cleanly and answers size() 999 and Lookup(6) ==
-// SIZE_MAX: payload CRCs are not verified by the default Open.
+// disagrees with the base keys or with itself, or carries a cfg knob no
+// Build accepts, and both classes must refuse it at open. Unchecked,
+// flipping the first entry's in_base bit (1 -> 3) opens cleanly and
+// answers size() 999 and Lookup(6) == SIZE_MAX; a NaN max_delta_fraction
+// opens and makes the first Insert a float-cast UB; a 2^40 cap makes
+// ConcurrentWritableIndex's open throw bad_alloc. Payload CRCs are not
+// verified by the default Open.
 TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
   std::vector<uint64_t> keys;
   for (uint64_t k = 10; k <= 10'000; k += 10) keys.push_back(k);
@@ -501,9 +529,11 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
 
   std::vector<uint64_t> dkeys;
   std::vector<uint8_t> dmeta;
+  dynamic::DeltaSnapshotCfg cfg;
   {
     auto reader = snapshot::SnapshotReader::Open(path);
     ASSERT_TRUE(reader.ok());
+    ASSERT_TRUE(reader.value().GetPod("cfg", &cfg).ok());
     auto dk = reader.value().GetArray<uint64_t>("dkeys");
     auto dm = reader.value().GetArray<uint8_t>("dmeta");
     ASSERT_TRUE(dk.ok() && dm.ok());
@@ -533,11 +563,17 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
     const char* what;
     std::vector<uint64_t> dkeys;
     std::vector<uint8_t> dmeta;
+    dynamic::DeltaSnapshotCfg cfg;
   };
   std::vector<Variant> variants;
   auto add = [&](const char* what, auto&& mutate) {
-    Variant v{what, dkeys, dmeta};
+    Variant v{what, dkeys, dmeta, cfg};
     mutate(v.dkeys, v.dmeta);
+    variants.push_back(std::move(v));
+  };
+  auto add_cfg = [&](const char* what, auto&& mutate) {
+    Variant v{what, dkeys, dmeta, cfg};
+    mutate(v.cfg);
     variants.push_back(std::move(v));
   };
   add("in_base set on a key the base lacks",
@@ -553,10 +589,17 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
   });
   add("unknown flag bit", [](auto&, auto& m) { m[1] |= 4; });
   add("dmeta shorter than dkeys", [](auto&, auto& m) { m.pop_back(); });
+  for (const auto& [what, bad] : BadDeltaCfgs()) {
+    add_cfg(what, [&](auto& c) { bad(c.policy, c.cap); });
+  }
 
   for (const Variant& v : variants) {
+    std::vector<uint8_t> cfg_bytes(sizeof(v.cfg));
+    std::memcpy(cfg_bytes.data(), &v.cfg, sizeof(v.cfg));
     CopySnapshot(path, crafted,
-                 {{"dkeys", Bytes(v.dkeys)}, {"dmeta", v.dmeta}});
+                 {{"dkeys", Bytes(v.dkeys)},
+                  {"dmeta", v.dmeta},
+                  {"cfg", cfg_bytes}});
     auto delta = DeltaRmi::OpenSnapshot(crafted);
     ASSERT_FALSE(delta.ok()) << v.what;
     EXPECT_EQ(delta.status().code(), StatusCode::kInvalidArgument) << v.what;
@@ -566,6 +609,50 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
   }
   std::remove(path.c_str());
   std::remove(crafted.c_str());
+}
+
+// Both Builds refuse exactly the knobs the open path refuses, so every
+// file a Build writes reopens; a capacity below 2 is raised to 2 (and
+// persisted as 2) rather than refused.
+TEST(DeltaSectionsTest, BuildsRejectWhatOpenRejects) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 10; k <= 10'000; k += 10) keys.push_back(k);
+  for (const auto& [what, bad] : BadDeltaCfgs()) {
+    DeltaRmi::Config dc;
+    dc.base.num_leaf_models = 16;
+    uint64_t cap = dc.active_cap;
+    bad(dc.policy, cap);
+    dc.active_cap = cap;
+    DeltaRmi delta;
+    const Status ds = delta.Build(keys, dc);
+    EXPECT_EQ(ds.code(), StatusCode::kInvalidArgument) << what;
+    ConcRmi::Config cc;
+    cc.base.num_leaf_models = 16;
+    cap = cc.log_cap;
+    bad(cc.policy, cap);
+    cc.log_cap = cap;
+    ConcRmi conc;
+    const Status cs = conc.Build(keys, cc);
+    EXPECT_EQ(cs.code(), StatusCode::kInvalidArgument) << what;
+  }
+  const std::string path = TmpSnap("delta_cfg_edges");
+  for (const uint64_t cap : {uint64_t{0}, uint64_t{1} << 20}) {
+    DeltaRmi::Config dc;
+    dc.base.num_leaf_models = 16;
+    dc.active_cap = cap;
+    DeltaRmi delta;
+    ASSERT_TRUE(delta.Build(keys, dc).ok()) << cap;
+    ASSERT_TRUE(delta.WriteSnapshot(path).ok()) << cap;
+    EXPECT_TRUE(DeltaRmi::OpenSnapshot(path).ok()) << cap;
+    ConcRmi::Config cc;
+    cc.base.num_leaf_models = 16;
+    cc.log_cap = cap;
+    ConcRmi conc;
+    ASSERT_TRUE(conc.Build(keys, cc).ok()) << cap;
+    ASSERT_TRUE(conc.WriteSnapshot(path).ok()) << cap;
+    EXPECT_TRUE(ConcRmi::OpenSnapshot(path).ok()) << cap;
+  }
+  std::remove(path.c_str());
 }
 
 // ---- LIF winner ----

@@ -10,14 +10,15 @@
 //
 //   snapshot_inspect <file.snap>            dump header + section table
 //   snapshot_inspect --verify <file.snap>   also recompute payload CRCs and
-//                                           check every delta against its
-//                                           base keys
+//                                           check every delta's cfg knobs
+//                                           and its base keys
 //   snapshot_inspect <file.wal>             dump WAL summary + tail state
 //
-// The delta check runs dynamic::CheckDelta on each <prefix>keys /
-// <prefix>dkeys / <prefix>dmeta triple (the layout of
-// dynamic/delta_snapshot.h), reading the keys as uint64 — the key type
-// of every writable index the repo's tools and benches persist.
+// The delta check runs dynamic::CheckCfg on each <prefix>cfg and
+// dynamic::CheckDelta on each <prefix>keys / <prefix>dkeys /
+// <prefix>dmeta triple (the layout of dynamic/delta_snapshot.h), reading
+// the keys as uint64 — the key type of every writable index the repo's
+// tools and benches persist.
 
 #include <cinttypes>
 #include <cstdio>
@@ -90,8 +91,8 @@ int InspectWal(const char* path) {
   return 0;
 }
 
-/// CheckDelta over every delta in the file; 0 when all agree with their
-/// base keys (or there are none).
+/// CheckCfg and CheckDelta over every delta in the file; 0 when all pass
+/// (or there are none).
 int VerifyDeltas(const snapshot::SnapshotReader& reader) {
   constexpr std::string_view kDkeys = "dkeys";
   int bad = 0;
@@ -102,12 +103,16 @@ int VerifyDeltas(const snapshot::SnapshotReader& reader) {
     auto keys = reader.GetArray<uint64_t>(prefix + "keys");
     auto dkeys = reader.GetArray<uint64_t>(prefix + "dkeys");
     auto dmeta = reader.GetArray<uint8_t>(prefix + "dmeta");
-    const Status st = !keys.ok()    ? keys.status()
-                      : !dkeys.ok() ? dkeys.status()
-                      : !dmeta.ok() ? dmeta.status()
-                                    : dynamic::CheckDelta(keys.value(),
-                                                          dkeys.value(),
-                                                          dmeta.value());
+    dynamic::DeltaSnapshotCfg cfg;
+    Status st = reader.GetPod(prefix + "cfg", &cfg);
+    if (st.ok()) st = dynamic::CheckCfg(cfg);
+    if (st.ok()) {
+      st = !keys.ok()    ? keys.status()
+           : !dkeys.ok() ? dkeys.status()
+           : !dmeta.ok() ? dmeta.status()
+                         : dynamic::CheckDelta(keys.value(), dkeys.value(),
+                                               dmeta.value());
+    }
     if (st.ok()) {
       std::printf("  delta  %-36s OK (%zu entries over %zu keys)\n",
                   prefix.empty() ? "(root)" : prefix.c_str(),
@@ -120,7 +125,8 @@ int VerifyDeltas(const snapshot::SnapshotReader& reader) {
     }
   }
   if (bad != 0) {
-    std::fprintf(stderr, "%d delta(s) disagree with their base keys\n", bad);
+    std::fprintf(stderr, "%d delta(s) failed their cfg or base-key check\n",
+                 bad);
     return 1;
   }
   return 0;
