@@ -11,7 +11,9 @@
 //
 // Readers pin an epoch (concurrent/epoch.h), load the current version
 // with one atomic load, and answer from base + frozen + log-prefix with
-// no locks: rank = base.Lookup + frozen.RankAdjustBelow + Σ log nets.
+// no locks: rank = bi + frozen.RankAdjustBelow + Σ log nets, where the
+// base rank bi = base.Lookup also positions the frozen seek (the frozen
+// run's base fence, dynamic/delta_buffer.h).
 // The log is two columns of one length: the written keys, contiguous so
 // the per-read passes over them vectorize, and one flags byte per write
 // (tombstone, and whether the key was live just before the write). The
@@ -81,6 +83,7 @@
 #include "index/range_index.h"
 #include "index/snapshottable.h"
 #include "index/writable_range_index.h"
+#include "search/search.h"
 #include "simd/dispatch.h"
 #include "snapshot/snapshot.h"
 #include "wal/index_wal.h"
@@ -144,7 +147,8 @@ class ConcurrentWritableIndex {
     return impl_ != nullptr && impl_->Contains(key);
   }
   /// Up to `limit` live keys >= `from`, ascending, from one version. Cost:
-  /// one model lookup, two vector passes over the log's key column,
+  /// one model lookup (which also positions the frozen seek), one vector
+  /// pass over the log's key column (two when the log holds an erase),
   /// O(limit + E) merge work for E log erases >= `from`, and a sort of
   /// the log writes in the window.
   std::vector<key_type> Scan(const key_type& from, size_t limit) const {
@@ -303,12 +307,16 @@ class ConcurrentWritableIndex {
 
     std::shared_ptr<const std::vector<key_type>> base_keys;
     std::shared_ptr<const Base> base;  // spans *base_keys
-    dynamic::DeltaBuffer<key_type> frozen;
+    dynamic::DeltaBuffer<key_type> frozen;  // paired with *base_keys
     // The write log: the key column, whose published count covers both
     // columns, and a flags byte per write, filled before its key's
     // Append (the release store) so a reader's acquire covers it too.
     AppendLog<key_type> log;
     std::unique_ptr<uint8_t[]> flags;
+    // Index of the log's first tombstone (UINT32_MAX while it has none),
+    // stored once before that write's Append: a reader that loaded count
+    // n knows its prefix holds a tombstone iff n > first_tombstone.
+    std::atomic<uint32_t> first_tombstone{UINT32_MAX};
   };
   using Cell = VersionedCell<State>;
 
@@ -358,13 +366,15 @@ class ConcurrentWritableIndex {
       const auto s = cell_.Pin();
       const uint32_t n = s->log.count();
       // Base ranks through the base's native batch path (the RMI software
-      // pipeline), then the delta adjustment per key — with an empty
-      // delta this runs at base batch throughput.
+      // pipeline), then the delta adjustment per key, its frozen seek
+      // positioned by that rank — with an empty delta this runs at base
+      // batch throughput.
       index::LookupBatch(*s->base, keys, out);
       if (s->frozen.empty() && n == 0) return;
       for (size_t i = 0; i < m; ++i) {
-        const int64_t adj = s->frozen.RankAdjustBelow(keys[i]) +
-                            LogAdjustBelow(*s, n, keys[i]);
+        const int64_t adj =
+            s->frozen.RankAdjustBelow(s->frozen.Seek(keys[i], out[i])) +
+            LogAdjustBelow(*s, n, keys[i]);
         out[i] = static_cast<size_t>(static_cast<int64_t>(out[i]) + adj);
       }
     }
@@ -374,16 +384,9 @@ class ConcurrentWritableIndex {
       st.lookups.fetch_add(1, std::memory_order_relaxed);
       st.contains.fetch_add(1, std::memory_order_relaxed);
       const auto s = cell_.Pin();
-      const uint32_t n = s->log.count();
-      if (const uint32_t w = NewestWrite(*s, n, key); w < n) {
-        st.delta_hits.fetch_add(1, std::memory_order_relaxed);
-        return (s->flags[w] & kTombstone) == 0;
-      }
-      if (const auto e = s->frozen.Find(key)) {
-        st.delta_hits.fetch_add(1, std::memory_order_relaxed);
-        return !e->tombstone;
-      }
-      return BaseContainsIn(*s, key);
+      const Liveness l = LiveIn(*s, s->log.count(), key);
+      if (l.delta_hit) st.delta_hits.fetch_add(1, std::memory_order_relaxed);
+      return l.live;
     }
 
     std::vector<key_type> Scan(const key_type& from, size_t limit) const {
@@ -397,11 +400,15 @@ class ConcurrentWritableIndex {
       // sort of the whole log.
       //
       // 1. Window. The log's tombstones at or above `from` number E, so
-      //    the log removes at most E distinct keys from any range. Take
-      //    the first limit + E live keys >= `from` of base + frozen (the
-      //    streamed merge DeltaRangeIndex::Scan runs: base drained up to
+      //    the log removes at most E distinct keys from any range (E = 0
+      //    without a pass when the prefix holds no tombstone). Take the
+      //    first limit + E live keys >= `from` of base + frozen (the
+      //    streamed merge DeltaRangeIndex::Scan runs: base copied up to
       //    each frozen entry, frozen shadowing and cancelling base keys).
-      const size_t erases = CountTombstonesFrom(keys, flags, n, from);
+      const size_t erases =
+          n > s->first_tombstone.load(std::memory_order_relaxed)
+              ? CountTombstonesFrom(keys, flags, n, from)
+              : 0;
       const size_t cap = limit + std::min(erases, SIZE_MAX - limit);
       std::vector<key_type> window = dynamic::LiveKeys(
           std::span<const key_type>(*s->base_keys), s->frozen,
@@ -471,10 +478,15 @@ class ConcurrentWritableIndex {
       State* s = w.get();
       if (s->log.full_locked()) s = FreezeLocked(w, *s);
       const uint32_t n = s->log.count_locked();
-      const bool live_before = LiveLocked(*s, n, key);
+      // Under the writer mutex no pin is needed: only writers swap state.
+      const bool live_before = LiveIn(*s, n, key).live;
       const uint8_t flags = static_cast<uint8_t>(
           (tombstone ? kTombstone : 0) | (live_before ? kLiveBefore : 0));
       s->flags[n] = flags;  // before the Append that publishes it
+      if (tombstone &&
+          n < s->first_tombstone.load(std::memory_order_relaxed)) {
+        s->first_tombstone.store(n, std::memory_order_relaxed);
+      }
       s->log.Append(key);
       live_count_.fetch_add(Net(flags), std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
@@ -641,13 +653,18 @@ class ConcurrentWritableIndex {
       worker_.Start([this](bool*) { return DoBackgroundMerge(); });
     }
 
-    State* NewState(std::shared_ptr<const std::vector<key_type>> keys,
-                    std::shared_ptr<const Base> base,
-                    std::span<const DeltaEntry> frozen) const {
+    /// A version over `keys` whose frozen run holds `frozen`; `prev` is
+    /// the frozen run of a version over the same keys, if any (it speeds
+    /// up the fence build).
+    State* NewState(
+        std::shared_ptr<const std::vector<key_type>> keys,
+        std::shared_ptr<const Base> base, std::span<const DeltaEntry> frozen,
+        const dynamic::DeltaBuffer<key_type>* prev = nullptr) const {
       State* s = new State(config_.log_cap);
       s->base_keys = std::move(keys);
       s->base = std::move(base);
-      s->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(frozen, 2);
+      s->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
+          frozen, *s->base_keys, 2, prev);
       return s;
     }
 
@@ -668,12 +685,20 @@ class ConcurrentWritableIndex {
     }
 
     /// Index of the newest of the first n log writes to `key`, or n if
-    /// there is none: one select per entry, no data-dependent branch.
+    /// there is none. uint64_t keys step through the matches with the
+    /// window kernel (lo == hi == key); others take one select per entry.
     static uint32_t NewestWrite(const State& s, uint32_t n,
                                 const key_type& key) {
       const key_type* keys = s.log.data();
       uint32_t newest = n;
-      for (uint32_t i = 0; i < n; ++i) newest = keys[i] == key ? i : newest;
+      if constexpr (kSimdLog) {
+        for (uint32_t i = NextInWindow(keys, 0, n, key, &key); i < n;
+             i = NextInWindow(keys, i + 1, n, key, &key)) {
+          newest = i;
+        }
+      } else {
+        for (uint32_t i = 0; i < n; ++i) newest = keys[i] == key ? i : newest;
+      }
       return newest;
     }
 
@@ -732,8 +757,9 @@ class ConcurrentWritableIndex {
 
     size_t RawLookupIn(const State& s, uint32_t n,
                        const key_type& key) const {
-      const int64_t rank = static_cast<int64_t>(s.base->Lookup(key)) +
-                           s.frozen.RankAdjustBelow(key) +
+      const size_t bi = s.base->Lookup(key);
+      const int64_t rank = static_cast<int64_t>(bi) +
+                           s.frozen.RankAdjustBelow(s.frozen.Seek(key, bi)) +
                            LogAdjustBelow(s, n, key);
       return rank > 0 ? static_cast<size_t>(rank) : 0;
     }
@@ -745,19 +771,22 @@ class ConcurrentWritableIndex {
       return c > 0 ? static_cast<size_t>(c) : 0;
     }
 
-    bool BaseContainsIn(const State& s, const key_type& key) const {
-      return index::ContainsViaLookup(
-          *s.base, std::span<const key_type>(*s.base_keys), key);
-    }
-
-    /// Liveness of `key` under the writer mutex (no pin needed: only
-    /// writers swap state, and we hold the writer mutex).
-    bool LiveLocked(const State& s, uint32_t n, const key_type& key) const {
+    struct Liveness {
+      bool live = false;
+      bool delta_hit = false;  // the log or the frozen delta answered
+    };
+    /// Liveness of `key` as of the first n log writes of `s`: its newest
+    /// log write, else its frozen entry, else base membership read off
+    /// the base rank that positioned the frozen seek.
+    static Liveness LiveIn(const State& s, uint32_t n, const key_type& key) {
       if (const uint32_t w = NewestWrite(s, n, key); w < n) {
-        return (s.flags[w] & kTombstone) == 0;
+        return {(s.flags[w] & kTombstone) == 0, true};
       }
-      if (const auto e = s.frozen.Find(key)) return !e->tombstone;
-      return BaseContainsIn(s, key);
+      const size_t bi = s.base->Lookup(key);
+      if (const auto e = s.frozen.Find(key, bi)) return {!e->tombstone, true};
+      return {dynamic::BaseHolds(std::span<const key_type>(*s.base_keys), bi,
+                                 key),
+              false};
     }
 
     /// Newest-wins fold of `s.frozen` + `s.log[0..n)` into one sorted
@@ -809,7 +838,8 @@ class ConcurrentWritableIndex {
       State* ns = NewState(
           s.base_keys, s.base,
           FoldedEntries(s, s.log.count_locked(),
-                        /*drop_redundant=*/!merge_rebase_pending_));
+                        /*drop_redundant=*/!merge_rebase_pending_),
+          &s.frozen);
       w.Publish(ns);
       freezes_.fetch_add(1, std::memory_order_relaxed);
       return ns;
@@ -849,13 +879,18 @@ class ConcurrentWritableIndex {
       {
         // Phase 3 — publish: rebase the delta that accumulated during the
         // build onto the new base, swap the version in, retire the old.
+        // The folded entries ascend, so one forward gallop over the new
+        // base finds each one's membership.
         typename Cell::Writer w(cell_);
         const State& s = *w.get();
         std::vector<DeltaEntry> rebased;
+        size_t pos = 0;
         for (const DeltaEntry& e :
              FoldedEntries(s, s.log.count_locked(), /*drop_redundant=*/false)) {
-          const bool in_nb =
-              std::binary_search(merged->begin(), merged->end(), e.key);
+          pos += search::ExponentialSearch(merged->data() + pos,
+                                           merged->size() - pos, e.key, 0);
+          const bool in_nb = dynamic::BaseHolds(
+              std::span<const key_type>(*merged), pos, e.key);
           // Keep only entries the new base does not already reflect.
           if (e.tombstone == in_nb) {
             rebased.push_back(DeltaEntry{e.key, e.tombstone, in_nb});

@@ -16,10 +16,22 @@
 // key absent from the base, -1 for an erase of a base key, 0 otherwise
 // (re-insert of a base key, erase of a never-present key). Both runs keep
 // prefix sums of contributions, so
-//   #live keys < k  =  base.lower_bound(k) + RankAdjustBelow(k)
-// costs two binary searches and two prefix reads. An active entry that
+//   #live keys < k  =  base.lower_bound(k) + RankAdjustBelow(Seek(k, bi))
+// costs one seek per run and two prefix reads. An active entry that
 // shadows a consolidated one stores the shadowed contribution and
 // subtracts it, so nothing is double-counted.
+//
+// The consolidated run is sought from the base's own answer. Every read
+// that needs the delta also needs bi = base.lower_bound(k) — the model
+// lookup — so the run keeps a *base fence*: slot j holds the run's
+// lower_bound of base[j·S]. Since base[bi-1] < k <= base[bi], the cursor
+// of k lies between the slots around bi, and a seek reads two slots and
+// searches the few entries between them instead of the whole run. S is a
+// power of two, max(64, ⌈base / entries⌉), so the fence has at most one
+// uint32 slot per entry and one forward walk over the run builds it.
+// A skewed run (every entry in one base gap) degrades to one search over
+// the whole run, never worse. The fence is derived state: rebuilt
+// whenever the run is, never persisted.
 
 #ifndef LI_DYNAMIC_DELTA_BUFFER_H_
 #define LI_DYNAMIC_DELTA_BUFFER_H_
@@ -32,6 +44,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.h"
+#include "search/search.h"
+
 namespace li::dynamic {
 
 /// The newest buffered write for one key, as seen by consumers (the
@@ -43,6 +58,15 @@ struct DeltaEntry {
   bool in_base = false;    // key was present in the base at upsert time
 };
 
+/// Base membership read off the base's lower_bound `bi` of `key`.
+template <typename Key>
+bool BaseHolds(std::span<const Key> base, size_t bi, const Key& key) {
+  return bi < base.size() && base[bi] == key;
+}
+
+/// A buffer is paired with one immutable base key array: every call that
+/// takes `base` or `bi` must pass that array, or its lower_bound of the
+/// key, until Clear() (the wrapping index's merge) pairs it anew.
 template <typename Key>
 class DeltaBuffer {
  public:
@@ -55,12 +79,55 @@ class DeltaBuffer {
     return in_base ? int8_t{0} : int8_t{1};
   }
 
-  /// Records the newest write for `key`. `in_base` must be the key's
-  /// membership in the *current immutable base* (frozen until the next
-  /// merge clears this buffer, so it never goes stale).
-  void Upsert(const Key& key, bool tombstone, bool in_base) {
+  /// One key's lower_bound in both runs, so a caller that needs the rank
+  /// adjustment, the entry and the visit at the same key seeks once.
+  /// The default cursor sits before every entry.
+  struct Cursor {
+    size_t consolidated = 0;
+    size_t active = 0;
+  };
+
+  /// The cursor of `key`, given bi = base.lower_bound(key) in the paired
+  /// base: two fence slots bound the consolidated cursor, a lower_bound
+  /// between them finds it.
+  Cursor Seek(const Key& key, size_t bi) const {
+    const std::vector<uint32_t>& f = fence_.slot;
+    size_t lo = 0;
+    if (bi > 0) {
+      const size_t j = (bi - 1) >> fence_.shift;
+      if (j < f.size()) lo = f[j];
+    }
+    const size_t j = (bi + (size_t{1} << fence_.shift) - 1) >> fence_.shift;
+    const size_t hi = j < f.size() ? f[j] : keys_.size();
+    return Cursor{search::BinarySearch(keys_.data(), lo, hi, key),
+                  search::BinarySearch(active_keys_.data(), 0,
+                                       active_keys_.size(), key)};
+  }
+
+  /// The newest buffered write for `key`, if any; `at` is Seek(key, ..).
+  std::optional<DeltaEntry<Key>> At(Cursor at, const Key& key) const {
+    const size_t a = at.active, c = at.consolidated;
+    if (a < active_keys_.size() && active_keys_[a] == key) {
+      return DeltaEntry<Key>{key, active_meta_[a].tombstone,
+                             active_meta_[a].in_base};
+    }
+    if (c < keys_.size() && keys_[c] == key) {
+      return DeltaEntry<Key>{key, meta_[c].tombstone, meta_[c].in_base};
+    }
+    return std::nullopt;
+  }
+  /// The same from the base rank: At(Seek(key, bi), key).
+  std::optional<DeltaEntry<Key>> Find(const Key& key, size_t bi) const {
+    return At(Seek(key, bi), key);
+  }
+
+  /// Records the newest write for `key` at its cursor `at`. `in_base`
+  /// must be the key's membership in the paired base (frozen until the
+  /// next merge clears this buffer, so it never goes stale).
+  void Upsert(Cursor at, const Key& key, bool tombstone, bool in_base,
+              std::span<const Key> base) {
     const int8_t own = Contribution(tombstone, in_base);
-    size_t a = LowerBoundActive(key);
+    const size_t a = at.active, c = at.consolidated;
     if (a < active_keys_.size() && active_keys_[a] == key) {
       active_meta_[a].own_c = own;
       active_meta_[a].tombstone = tombstone;
@@ -68,7 +135,6 @@ class DeltaBuffer {
       return;
     }
     int8_t shadow = 0;
-    const size_t c = LowerBoundConsolidated(key);
     if (c < keys_.size() && keys_[c] == key) {
       shadow = Contribution(meta_[c].tombstone, meta_[c].in_base);
     }
@@ -77,40 +143,12 @@ class DeltaBuffer {
     active_meta_.insert(active_meta_.begin() + static_cast<ptrdiff_t>(a),
                         ActiveMeta{own, shadow, tombstone, in_base});
     RebuildActivePrefixFrom(a);
-    if (active_keys_.size() >= active_cap_) Consolidate();
+    if (active_keys_.size() >= active_cap_) Consolidate(base);
   }
 
-  /// The newest buffered write for `key`, if any.
-  std::optional<DeltaEntry<Key>> Find(const Key& key) const {
-    const size_t a = LowerBoundActive(key);
-    if (a < active_keys_.size() && active_keys_[a] == key) {
-      return DeltaEntry<Key>{key, active_meta_[a].tombstone,
-                             active_meta_[a].in_base};
-    }
-    const size_t c = LowerBoundConsolidated(key);
-    if (c < keys_.size() && keys_[c] == key) {
-      return DeltaEntry<Key>{key, meta_[c].tombstone, meta_[c].in_base};
-    }
-    return std::nullopt;
-  }
-
-  /// One key's lower_bound in both runs, so a caller that needs the rank
-  /// adjustment and the visit at the same key searches each run once.
-  /// The default cursor sits before every entry.
-  struct Cursor {
-    size_t consolidated = 0;
-    size_t active = 0;
-  };
-  Cursor Seek(const Key& key) const {
-    return Cursor{LowerBoundConsolidated(key), LowerBoundActive(key)};
-  }
-
-  /// Net rank contribution of all buffered writes on keys strictly below
-  /// `key` — see the header comment for why this makes Lookup exact.
-  int64_t RankAdjustBelow(const Key& key) const {
-    return RankAdjustBelow(Seek(key));
-  }
-  /// The same at a cursor: the writes before it.
+  /// Net rank contribution of the buffered writes before cursor `at`
+  /// (Seek(k, ..): on keys strictly below k) — see the header comment for
+  /// why this makes Lookup exact.
   int64_t RankAdjustBelow(Cursor at) const {
     return static_cast<int64_t>(prefix_[at.consolidated]) +
            static_cast<int64_t>(active_prefix_[at.active]);
@@ -131,6 +169,7 @@ class DeltaBuffer {
     return keys_.capacity() * sizeof(Key) +
            meta_.capacity() * sizeof(Meta) +
            prefix_.capacity() * sizeof(int32_t) +
+           fence_.slot.capacity() * sizeof(uint32_t) +
            active_keys_.capacity() * sizeof(Key) +
            active_meta_.capacity() * sizeof(ActiveMeta) +
            active_prefix_.capacity() * sizeof(int32_t);
@@ -140,12 +179,13 @@ class DeltaBuffer {
     keys_.clear();
     meta_.clear();
     prefix_.assign(1, 0);
+    fence_ = Fence{};
     active_keys_.clear();
     active_meta_.clear();
     active_prefix_.assign(1, 0);
   }
 
-  /// Visits buffered writes from cursor `at` (Seek(lo): key >= lo) in
+  /// Visits buffered writes from cursor `at` (Seek(lo, ..): key >= lo) in
   /// ascending key order, the newest write per key (active shadows
   /// consolidated). `fn` returns false to stop early.
   template <typename Fn>
@@ -161,18 +201,20 @@ class DeltaBuffer {
 
   /// Immutable-snapshot handoff for the concurrent layer: bulk-loads
   /// `entries` (ascending keys, one newest write per key, `in_base`
-  /// relative to whatever base the caller pairs this buffer with)
-  /// straight into the consolidated run with its prefix sums — no per-key
-  /// Upserts, no active run. The result is a fully functional buffer; the
+  /// relative to `base`, the array the caller pairs this buffer with)
+  /// straight into the consolidated run with its prefix sums and fence —
+  /// no per-key Upserts, no active run. `prev`, a buffer paired with the
+  /// same base (the version this one replaces), lets the fence walk skip
+  /// most base reads. The result is a fully functional buffer; the
   /// concurrent index publishes it as the frozen half of a state version
   /// and never mutates it again.
   static DeltaBuffer FromSortedEntries(
-      std::span<const DeltaEntry<Key>> entries, size_t active_cap = 256) {
+      std::span<const DeltaEntry<Key>> entries, std::span<const Key> base,
+      size_t active_cap = 256, const DeltaBuffer* prev = nullptr) {
     DeltaBuffer buf(active_cap);
     buf.keys_.reserve(entries.size());
     buf.meta_.reserve(entries.size());
     buf.prefix_.resize(entries.size() + 1);
-    buf.prefix_[0] = 0;
     for (size_t i = 0; i < entries.size(); ++i) {
       const DeltaEntry<Key>& e = entries[i];
       buf.keys_.push_back(e.key);
@@ -180,6 +222,7 @@ class DeltaBuffer {
       buf.prefix_[i + 1] =
           buf.prefix_[i] + Contribution(e.tombstone, e.in_base);
     }
+    buf.fence_ = Fence::Build(buf.keys_, base, prev);
     return buf;
   }
 
@@ -217,16 +260,6 @@ class DeltaBuffer {
     bool in_base = false;
   };
 
-  size_t LowerBoundConsolidated(const Key& key) const {
-    return static_cast<size_t>(
-        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
-  }
-  size_t LowerBoundActive(const Key& key) const {
-    return static_cast<size_t>(
-        std::lower_bound(active_keys_.begin(), active_keys_.end(), key) -
-        active_keys_.begin());
-  }
-
   /// active_prefix_[i] = sum over active entries j < i of (own - shadow).
   /// Rebuilding the suffix costs O(cap), the same as the vector insert
   /// that triggered it.
@@ -239,9 +272,70 @@ class DeltaBuffer {
     }
   }
 
+  /// A run's base fence: slot[j] = lower_bound of base[j << shift] in the
+  /// run; empty when the run or its base is. Cursors fit a uint32 as the
+  /// int32 prefix sums already require.
+  struct Fence {
+    std::vector<uint32_t> slot;
+    size_t shift = 6;
+
+    /// One forward walk over `keys`, O(entries): S = 1 << shift keeps the
+    /// slot count at most the entry count. `prev` is a run over the same
+    /// base: where its fence has the same slots, its cursor f brackets
+    /// base[j·S] in (prev keys[f-1], prev keys[f]], so the base key — a
+    /// cache miss per slot — is read only for slots whose bracket holds a
+    /// key new to `keys`.
+    static Fence Build(std::span<const Key> keys, std::span<const Key> base,
+                       const DeltaBuffer* prev) {
+      constexpr uint32_t kUnknown = UINT32_MAX;
+      Fence out;
+      if (keys.empty() || base.empty()) return out;
+      while (((base.size() - 1) >> out.shift) >= keys.size()) ++out.shift;
+      out.slot.assign(((base.size() - 1) >> out.shift) + 1, kUnknown);
+      if (prev != nullptr && prev->fence_.shift == out.shift &&
+          prev->fence_.slot.size() == out.slot.size()) {
+        const std::vector<Key>& pk = prev->keys_;
+        size_t c = 0, f_last = 0;
+        for (size_t j = 0; j < out.slot.size(); ++j) {
+          // c becomes the cursor just past pk[f-1]. Where the run kept
+          // prev's keys since the last slot, it moved as prev's did.
+          const size_t f = prev->fence_.slot[j];
+          if (f > 0) {
+            const size_t x = c + (f - f_last);
+            if (x > 0 && x <= keys.size() && keys[x - 1] == pk[f - 1]) {
+              c = x;
+            } else {
+              while (c < keys.size() && !(pk[f - 1] < keys[c])) ++c;
+            }
+          }
+          f_last = f;
+          if (c == keys.size() || (f < pk.size() && !(keys[c] < pk[f]))) {
+            out.slot[j] = static_cast<uint32_t>(c);
+          }
+        }
+      }
+      // The slots left read their base key, fetched a few slots ahead so
+      // the misses overlap.
+      size_t c = 0;
+      for (size_t j = 0; j < out.slot.size(); ++j) {
+        if (out.slot[j] != kUnknown) {
+          c = out.slot[j];
+          continue;
+        }
+        if (j + 8 < out.slot.size() && out.slot[j + 8] == kUnknown) {
+          PrefetchRead(&base[(j + 8) << out.shift]);
+        }
+        const Key& b = base[j << out.shift];
+        while (c < keys.size() && keys[c] < b) ++c;
+        out.slot[j] = static_cast<uint32_t>(c);
+      }
+      return out;
+    }
+  };
+
   /// Merges the active run into the consolidated one (newest write wins)
-  /// and rebuilds the consolidated prefix sums.
-  void Consolidate() {
+  /// and rebuilds the consolidated prefix sums and fence against `base`.
+  void Consolidate(std::span<const Key> base) {
     std::vector<Key> merged_keys;
     std::vector<Meta> merged_meta;
     merged_keys.reserve(keys_.size() + active_keys_.size());
@@ -263,6 +357,7 @@ class DeltaBuffer {
         ++c;
       }
     }
+    fence_ = Fence::Build(merged_keys, base, this);
     keys_ = std::move(merged_keys);
     meta_ = std::move(merged_meta);
     prefix_.resize(keys_.size() + 1);
@@ -277,10 +372,11 @@ class DeltaBuffer {
   }
 
   size_t active_cap_;
-  // Consolidated run (struct-of-arrays for binary-search locality).
+  // Consolidated run (struct-of-arrays for search locality).
   std::vector<Key> keys_;
   std::vector<Meta> meta_;
   std::vector<int32_t> prefix_{0};  // size keys_.size() + 1
+  Fence fence_;  // keys_' base fence
   // Active run.
   std::vector<Key> active_keys_;
   std::vector<ActiveMeta> active_meta_;
@@ -291,35 +387,52 @@ class DeltaBuffer {
 /// delta-tombstones that are >= `*from` (all of them when `from` is
 /// null), ascending, one copy per key (a delta entry shadows an equal
 /// base key). `bi` is base's lower_bound of `*from` (0 when null) — the
-/// caller's model lookup. The ONE walk over base + delta, shared by both
-/// Scans and the merge step: base keys are drained up to each delta entry
-/// and the visit stops as soon as the result fills, so the work is
-/// O(limit + delta entries before the stop), after one lower_bound per
-/// delta run. Exactly one allocation: the live count past `from` is known
-/// from the delta's rank prefix sums.
+/// caller's model lookup, which also positions the delta seek. The ONE
+/// walk over base + delta, shared by both Scans and the merge step: each
+/// run of base keys below the next delta entry is found by galloping and
+/// copied whole, and the visit stops as soon as the result fills, so the
+/// work is O(limit + delta entries before the stop). Exactly one
+/// allocation: the live count past `from` is known from the delta's rank
+/// prefix sums.
 template <typename Key>
 std::vector<Key> LiveKeys(std::span<const Key> base,
                           const DeltaBuffer<Key>& delta, size_t bi,
                           const Key* from, size_t limit) {
   std::vector<Key> out;
   const typename DeltaBuffer<Key>::Cursor at =
-      from != nullptr ? delta.Seek(*from)
+      from != nullptr ? delta.Seek(*from, bi)
                       : typename DeltaBuffer<Key>::Cursor{};
   const int64_t before = static_cast<int64_t>(bi) + delta.RankAdjustBelow(at);
   const int64_t live =
       static_cast<int64_t>(base.size()) + delta.LiveAdjustTotal();
   out.reserve(std::min(limit, static_cast<size_t>(live - before)));
+  // The walk reads base keys from bi on: fetch the lines of the first
+  // 128 ahead so their misses overlap instead of queueing behind the
+  // walk's compares.
+  const size_t ahead =
+      std::min(base.size(), bi + std::min(limit, size_t{128}));
+  for (size_t k = bi + 8; k < ahead; k += 8) PrefetchRead(&base[k]);
+  // Copies the base keys from bi on that are below `*below` (all when
+  // null), as many as fit.
+  auto copy_base = [&](const Key* below) {
+    const size_t room = std::min(limit - out.size(), base.size() - bi);
+    const size_t run =
+        below != nullptr
+            ? search::ExponentialSearch(base.data() + bi, room, *below, 0)
+            : room;
+    out.insert(out.end(), base.begin() + static_cast<ptrdiff_t>(bi),
+               base.begin() + static_cast<ptrdiff_t>(bi + run));
+    bi += run;
+  };
   auto visit = [&](const DeltaEntry<Key>& e) {
-    while (bi < base.size() && base[bi] < e.key && out.size() < limit) {
-      out.push_back(base[bi++]);
-    }
+    copy_base(&e.key);
     if (out.size() >= limit) return false;
-    if (bi < base.size() && base[bi] == e.key) ++bi;  // shadowed base copy
+    if (BaseHolds(base, bi, e.key)) ++bi;  // shadowed base copy
     if (!e.tombstone) out.push_back(e.key);
     return out.size() < limit;
   };
   delta.VisitFrom(at, visit);
-  while (bi < base.size() && out.size() < limit) out.push_back(base[bi++]);
+  copy_base(nullptr);
   return out;
 }
 

@@ -3,14 +3,16 @@
 // array, plus a DeltaBuffer of unmerged writes, behind the library-wide
 // WritableRangeIndex contract.
 //
-//  * Reads serve from base + delta: Lookup stays exact lower_bound over
-//    the live key set (base rank + delta rank adjustment, two binary
-//    searches over the delta runs); Contains checks the delta first
-//    (newest write wins) and falls back to the base; Scan merges the two
-//    sorted views, applying tombstones.
+//  * Reads serve from base + delta: every read takes the base rank first
+//    (one model lookup) and seeks the delta from it — the consolidated
+//    run through its base fence, the small active run by binary search.
+//    Lookup stays exact lower_bound over the live key set (base rank +
+//    delta rank adjustment); Contains answers from the delta entry at the
+//    key (newest write wins), else from base membership at the rank; Scan
+//    merges the two sorted views, applying tombstones.
 //  * Writes go to the delta only. Each write resolves the key's base
-//    membership once (one base lookup) and freezes it in the entry, which
-//    is what keeps the rank arithmetic exact until the next merge.
+//    membership once (the same base lookup) and freezes it in the entry,
+//    which is what keeps the rank arithmetic exact until the next merge.
 //  * Merge() folds the delta into a fresh sorted array and retrains the
 //    base — through the base's Rebuild() retrain-reuse hook when it has
 //    one (the RMI reuses its stored config and leaf-table allocation),
@@ -134,8 +136,9 @@ class DeltaRangeIndex {
     reads_since_merge_ += n;
     if (delta_.empty()) return;
     for (size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<size_t>(static_cast<int64_t>(out[i]) +
-                                   delta_.RankAdjustBelow(keys[i]));
+      out[i] = static_cast<size_t>(
+          static_cast<int64_t>(out[i]) +
+          delta_.RankAdjustBelow(delta_.Seek(keys[i], out[i])));
     }
   }
 
@@ -148,41 +151,22 @@ class DeltaRangeIndex {
 
   /// Buffers an insert; true iff `key` was not live before. With
   /// durability on, the WAL append happens first (log-then-apply).
-  bool Insert(const key_type& key) {
-    WalAppend(wal::WalRecordType::kInsert, key);
-    ++stats_.inserts;
-    ++writes_since_merge_;
-    const auto prev = delta_.Find(key);
-    const bool in_base = prev ? prev->in_base : BaseContains(key);
-    const bool was_live = prev ? !prev->tombstone : in_base;
-    delta_.Upsert(key, /*tombstone=*/false, in_base);
-    MaybeMerge();
-    return !was_live;
-  }
+  bool Insert(const key_type& key) { return !Write(key, false); }
 
   /// Buffers an erase (tombstone); true iff `key` was live before.
-  bool Erase(const key_type& key) {
-    WalAppend(wal::WalRecordType::kErase, key);
-    ++stats_.erases;
-    ++writes_since_merge_;
-    const auto prev = delta_.Find(key);
-    const bool in_base = prev ? prev->in_base : BaseContains(key);
-    const bool was_live = prev ? !prev->tombstone : in_base;
-    delta_.Upsert(key, /*tombstone=*/true, in_base);
-    MaybeMerge();
-    return was_live;
-  }
+  bool Erase(const key_type& key) { return Write(key, true); }
 
   /// Membership over the live key set; the delta answers first.
   bool Contains(const key_type& key) const {
     ++stats_.lookups;
     ++stats_.contains;
     ++reads_since_merge_;
-    if (const auto e = delta_.Find(key)) {
+    const size_t bi = base_.Lookup(key);
+    if (const auto e = delta_.Find(key, bi)) {
       ++stats_.delta_hits;
       return !e->tombstone;
     }
-    return BaseContains(key);
+    return BaseHolds(base_keys(), bi, key);
   }
 
   /// Up to `limit` live keys >= `from`, ascending: a three-way merge of
@@ -307,7 +291,8 @@ class DeltaRangeIndex {
         config_.base = base_.config();
       }
       delta_ = DeltaBuffer<key_type>::FromSortedEntries(
-          std::span<const DeltaEntry<key_type>>(entries), config_.active_cap);
+          std::span<const DeltaEntry<key_type>>(entries), base_keys(),
+          config_.active_cap);
       stats_ = {};
       writes_since_merge_ = 0;
       reads_since_merge_ = 0;
@@ -392,14 +377,29 @@ class DeltaRangeIndex {
   Status SyncWal() { return wal_.Sync(); }
 
  private:
-  bool BaseContains(const key_type& key) const {
-    return index::ContainsViaLookup(
-        base_, std::span<const key_type>(base_keys_), key);
+  /// Buffers one write; returns whether `key` was live before it.
+  bool Write(const key_type& key, bool tombstone) {
+    WalAppend(tombstone ? wal::WalRecordType::kErase
+                        : wal::WalRecordType::kInsert,
+              key);
+    ++(tombstone ? stats_.erases : stats_.inserts);
+    ++writes_since_merge_;
+    const size_t bi = base_.Lookup(key);
+    const auto at = delta_.Seek(key, bi);
+    const auto prev = delta_.At(at, key);
+    const bool in_base =
+        prev ? prev->in_base : BaseHolds(base_keys(), bi, key);
+    const bool was_live = prev ? !prev->tombstone : in_base;
+    delta_.Upsert(at, key, tombstone, in_base, base_keys());
+    MaybeMerge();
+    return was_live;
   }
 
   size_t RawLookup(const key_type& key) const {
-    const int64_t rank = static_cast<int64_t>(base_.Lookup(key)) +
-                         (delta_.empty() ? 0 : delta_.RankAdjustBelow(key));
+    const size_t bi = base_.Lookup(key);
+    const int64_t rank =
+        static_cast<int64_t>(bi) +
+        (delta_.empty() ? 0 : delta_.RankAdjustBelow(delta_.Seek(key, bi)));
     return static_cast<size_t>(rank);
   }
 

@@ -87,18 +87,6 @@ concept RangeIndex =
       { idx.SizeBytes() } -> std::same_as<size_t>;
     };
 
-/// Membership probe through an index over its backing sorted array:
-/// true iff `key` is stored. The shared base-membership primitive of the
-/// delta wrappers (the rank from Lookup is exact, so one comparison at
-/// the returned position decides). O(Lookup). Const-safe.
-template <RangeIndex I>
-bool ContainsViaLookup(const I& idx,
-                       std::span<const typename I::key_type> keys,
-                       const typename I::key_type& key) {
-  const size_t pos = idx.Lookup(key);
-  return pos < keys.size() && keys[pos] == key;
-}
-
 /// True when the index ships its own batched lookup (e.g. the RMI core).
 template <typename I>
 concept HasNativeLookupBatch =

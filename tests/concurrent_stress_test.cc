@@ -325,6 +325,88 @@ TEST(ConcurrentStressTest, UnserializedWritersRaceShardedFrontEnd) {
   RunUnserializedWriters(idx, keys);
 }
 
+// Scan skips the log's tombstone count while the published log prefix
+// holds no erase, so the boundary — the first erase of a version's log —
+// must be exact for every prefix a reader loads. Writers insert only
+// (above the base, outside every watched window) until, mid-log, one of
+// them erases a watched base key; readers scan windows that hold it.
+// A window is right only as the whole base window with the key or
+// without it: a miscounted tombstone shows as a short or shifted scan.
+TEST(ConcurrentStressTest, ScansSeeTheFirstLogEraseExactly) {
+  const std::vector<uint64_t> keys = SeedKeys(20'000, testing::TestSeed(63));
+  ConcRmi::Config cfg;
+  cfg.base.num_leaf_models = 256;
+  cfg.policy.trigger = dynamic::MergeTrigger::kManual;
+  cfg.log_cap = 1'024;  // a few erases per log, each after many inserts
+  ConcRmi idx;
+  ASSERT_TRUE(idx.Build(keys, cfg).ok());
+
+  constexpr size_t kBefore = 4, kLimit = 12, kRounds = 12;
+  std::vector<size_t> targets;  // base positions of the erased keys
+  for (size_t r = 0; r < kRounds; ++r) {
+    targets.push_back(kBefore + (r + 1) * (keys.size() - 2 * kLimit) /
+                                    (kRounds + 1));
+  }
+  FailureLog log;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> read_ops{0};
+  const size_t max_live = keys.size() + 3 * kRounds * 400 + 1;
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {
+    ReaderBody(idx, stop, log, testing::TestSeed(6'300), max_live, read_ops);
+  });
+  readers.emplace_back([&] {
+    Xorshift128Plus rng(testing::TestSeed(6'301));
+    while (!stop.load(std::memory_order_relaxed) && log.ok()) {
+      const size_t t = targets[rng.NextBounded(targets.size())];
+      const auto first = keys.begin() + static_cast<ptrdiff_t>(t - kBefore);
+      const std::vector<uint64_t> with(first, first + kLimit);
+      std::vector<uint64_t> without = with;
+      without.erase(without.begin() + kBefore);
+      without.push_back(keys[t - kBefore + kLimit]);
+      const std::vector<uint64_t> got = idx.Scan(keys[t - kBefore], kLimit);
+      if (got != with && got != without) {
+        log.Record("Scan of the window around " + std::to_string(keys[t]) +
+                   " returned " + std::to_string(got.size()) +
+                   " keys, neither with nor without it");
+        return;
+      }
+    }
+  });
+  std::set<uint64_t> oracle(keys.begin(), keys.end());
+  std::mutex oracle_mu;
+  for (size_t r = 0; r < kRounds; ++r) {
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < 3; ++w) {
+      writers.emplace_back([&, w, r] {
+        for (size_t i = 0; i < 400 && log.ok(); ++i) {
+          std::lock_guard<std::mutex> lk(oracle_mu);
+          if (w == 0 && i == 200) {
+            const uint64_t k = keys[targets[r]];
+            if (!idx.Erase(k) || oracle.erase(k) != 1) {
+              log.Record("Erase of a live base key returned false");
+              return;
+            }
+          }
+          const uint64_t k = keys.back() + 1 + (r * 3 + w) * 400 + i;
+          if (!idx.Insert(k) || !oracle.insert(k).second) {
+            log.Record("Insert of a fresh key returned false");
+            return;
+          }
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    ASSERT_TRUE(log.ok()) << log.first();
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  ASSERT_TRUE(log.ok()) << log.first();
+  VerifySnapshot(idx, oracle, 0x7e57, 0);
+  EXPECT_GT(idx.ConcurrentStats().freezes, 0u);
+  EXPECT_GT(read_ops.load(), 0u);
+}
+
 TEST(ConcurrentStressTest, ReadersSurviveAMergeStorm) {
   // Merges forced back-to-back while readers run: exercises the
   // rotate/build/publish pipeline and epoch reclamation under constant

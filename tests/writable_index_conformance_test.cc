@@ -8,7 +8,9 @@
 // same suite is the source of truth for *every* writable index:
 // dynamic::DeltaRangeIndex and the concurrent wrappers
 // (ConcurrentWritableIndex, ShardedIndex) driven single-threaded — their
-// multi-threaded behavior is covered by concurrent_stress_test.cc.
+// multi-threaded behavior is covered by concurrent_stress_test.cc. The
+// delta's base-fence seek gets edge-case streams of its own (skewed
+// runs, empty base, delta keys on base keys) for both index classes.
 //
 // Also hosts the Scan allocation regression: this translation unit
 // replaces the global operator new/delete with counting versions, and
@@ -25,6 +27,7 @@
 #include <new>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "btree/dynamic_btree.h"
@@ -39,6 +42,7 @@
 #include "index/range_index.h"
 #include "index/writable_range_index.h"
 #include "rmi/rmi.h"
+#include "test_seed.h"
 #include "wal/wal.h"
 
 // ---- Counting allocator hooks (for the Scan regression) ----
@@ -510,6 +514,205 @@ TEST(WritableOracleTest, WalEnabledDeltaMatchesSetAndRecovers) {
   std::remove(dcfg.path.c_str());
 }
 
+// ---- Base-fence edge cases ----
+// A delta run is sought from the base rank through its base fence: the
+// run's cursor at every S-th base key. These streams put the run where
+// the fence has least to go on — every insert past the base max, in one
+// gap between adjacent base keys, or below the base min; an empty base;
+// a one-entry run — and put delta keys on base keys (shadowing inserts
+// and tombstones). Every read is checked against the oracle at 0,
+// UINT64_MAX, each stored or written key and its neighbours: as written,
+// after a snapshot round trip (which rebuilds the fence), and after a
+// merge plus a second batch of the same shape.
+
+enum class FenceShape { kPastMax, kOneGap, kBelowMin, kOneEntry, kOnBaseKeys };
+
+struct FenceOp {
+  uint64_t key;
+  bool erase;
+};
+
+/// One batch of `shape` over the live set `oracle` (whose keys are the
+/// base at the first batch); `base` is the built base.
+std::vector<FenceOp> FenceBatch(FenceShape shape,
+                                const std::vector<uint64_t>& base,
+                                const std::set<uint64_t>& oracle,
+                                Xorshift128Plus& rng) {
+  std::vector<FenceOp> ops;
+  const uint64_t max = oracle.empty() ? 0 : *oracle.rbegin();
+  switch (shape) {
+    case FenceShape::kPastMax:
+      for (int i = 0; i < 300; ++i) {
+        ops.push_back({max + 1 + rng.NextBounded(1'000'000), false});
+      }
+      ops.push_back({UINT64_MAX, false});
+      ops.push_back({UINT64_MAX - 1, false});
+      break;
+    case FenceShape::kOneGap: {
+      // The widest gap between adjacent base keys, the one nearest the
+      // middle among equals.
+      uint64_t lo = 0, width = 0;
+      for (size_t i = 0; i + 1 < base.size(); ++i) {
+        const uint64_t w = base[i + 1] - base[i];
+        if (w > width || (w == width && i <= base.size() / 2)) {
+          lo = base[i];
+          width = w;
+        }
+      }
+      for (int i = 0; i < 300 && width > 1; ++i) {
+        ops.push_back({lo + 1 + rng.NextBounded(width - 1), false});
+      }
+      break;
+    }
+    case FenceShape::kBelowMin: {
+      // After the first batch the min is 0: the second one rewrites it.
+      const uint64_t min = base.empty() ? 1'000 : base.front();
+      for (int i = 0; i < 300; ++i) {
+        ops.push_back({rng.NextBounded(min), false});
+      }
+      ops.push_back({0, false});
+      break;
+    }
+    case FenceShape::kOneEntry:
+      ops.push_back({base.empty() ? 77 : base[base.size() / 3] + 1, false});
+      break;
+    case FenceShape::kOnBaseKeys:
+      // Tombstones on base keys, shadowing re-inserts of some of them,
+      // inserts of live base keys and erases of absent keys.
+      for (int i = 0; i < 300 && !base.empty(); ++i) {
+        const uint64_t k = base[rng.NextBounded(base.size())];
+        ops.push_back({k, true});
+        if (i % 3 == 0) ops.push_back({k, false});
+        if (i % 5 == 0) {
+          ops.push_back({base[rng.NextBounded(base.size())], false});
+        }
+        if (i % 7 == 0) ops.push_back({k + 1, true});
+      }
+      break;
+  }
+  return ops;
+}
+
+/// Lookup, LookupBatch, Scan and Contains against the oracle at 0,
+/// UINT64_MAX and every key of `touched` with its neighbours.
+template <typename Idx>
+void ExpectFenceReads(const Idx& idx, const std::set<uint64_t>& oracle,
+                      const std::vector<uint64_t>& touched,
+                      const std::string& where) {
+  const std::vector<uint64_t> ref(oracle.begin(), oracle.end());
+  std::vector<uint64_t> probes = {0, 1, UINT64_MAX - 1, UINT64_MAX};
+  for (const uint64_t k : touched) {
+    probes.push_back(k);
+    if (k > 0) probes.push_back(k - 1);
+    if (k < UINT64_MAX) probes.push_back(k + 1);
+  }
+  ASSERT_EQ(idx.size(), ref.size()) << where;
+  ASSERT_EQ(idx.Scan(0, ref.size() + 10), ref) << where;
+  std::vector<size_t> batch(probes.size());
+  index::LookupBatch(idx, std::span<const uint64_t>(probes),
+                     std::span<size_t>(batch));
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const uint64_t q = probes[i];
+    const size_t rank = OracleRank(ref, q);
+    ASSERT_EQ(idx.Lookup(q), rank) << where << " q=" << q;
+    ASSERT_EQ(batch[i], rank) << where << " batch q=" << q;
+    ASSERT_EQ(idx.Contains(q), oracle.count(q) > 0) << where << " q=" << q;
+    const size_t limit = 1 + i % 40;
+    ASSERT_EQ(idx.Scan(q, limit), OracleScan(ref, q, limit))
+        << where << " scan q=" << q << " limit " << limit;
+  }
+}
+
+/// Applies `ops` to idx and the oracle, checking each liveness answer,
+/// and records the written keys in `touched`.
+template <typename Idx>
+void ApplyFenceOps(Idx& idx, std::set<uint64_t>& oracle,
+                   const std::vector<FenceOp>& ops,
+                   std::vector<uint64_t>& touched) {
+  for (const FenceOp& op : ops) {
+    touched.push_back(op.key);
+    if (op.erase) {
+      ASSERT_EQ(idx.Erase(op.key), oracle.erase(op.key) > 0) << op.key;
+    } else {
+      ASSERT_EQ(idx.Insert(op.key), oracle.insert(op.key).second) << op.key;
+    }
+  }
+}
+
+template <typename Idx>
+void RunFenceCase(FenceShape shape, bool empty_base,
+                  const typename Idx::config_type& cfg,
+                  const std::string& name) {
+  std::vector<uint64_t> base;
+  if (!empty_base) {
+    for (uint64_t i = 1; i <= 4'000; ++i) base.push_back(1'000 * i);
+  }
+  Xorshift128Plus rng(testing::TestSeed(2100 + static_cast<uint64_t>(shape) +
+                                        (empty_base ? 50 : 0)));
+  Idx idx;
+  ASSERT_TRUE(idx.Build(base, cfg).ok()) << name;
+  std::set<uint64_t> oracle(base.begin(), base.end());
+  std::vector<uint64_t> touched = base;
+  ApplyFenceOps(idx, oracle, FenceBatch(shape, base, oracle, rng), touched);
+  ExpectFenceReads(idx, oracle, touched, name + " written");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const std::string path = ::testing::TempDir() + "li_fence_" + name + ".snap";
+  ASSERT_TRUE(idx.WriteSnapshot(path).ok()) << name;
+  auto reopened = Idx::OpenSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reopened.ok()) << name << ": " << reopened.status().message();
+  Idx re = reopened.take();
+  ExpectFenceReads(re, oracle, touched, name + " reopened");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  ASSERT_TRUE(idx.Merge().ok()) << name;
+  ExpectFenceReads(idx, oracle, touched, name + " merged");
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::vector<uint64_t> merged_base(oracle.begin(), oracle.end());
+  ApplyFenceOps(idx, oracle, FenceBatch(shape, merged_base, oracle, rng),
+                touched);
+  ExpectFenceReads(idx, oracle, touched, name + " second batch");
+}
+
+const struct {
+  FenceShape shape;
+  bool empty_base;
+  const char* name;
+} kFenceCases[] = {
+    {FenceShape::kPastMax, false, "past_max"},
+    {FenceShape::kOneGap, false, "one_gap"},
+    {FenceShape::kBelowMin, false, "below_min"},
+    {FenceShape::kOneEntry, false, "one_entry"},
+    {FenceShape::kOnBaseKeys, false, "on_base_keys"},
+    {FenceShape::kPastMax, true, "empty_base"},
+    {FenceShape::kOneEntry, true, "empty_base_one_entry"},
+};
+
+TEST(FenceEdgeTest, DeltaIndexMatchesSet) {
+  dynamic::MergePolicy manual;
+  manual.trigger = dynamic::MergeTrigger::kManual;
+  // A tiny active run: nearly every write lands in the consolidated run.
+  const DeltaRmi::Config cfg = RmiConfigFor(4'000, manual, 4);
+  for (const auto& c : kFenceCases) {
+    RunFenceCase<DeltaRmi>(c.shape, c.empty_base, cfg,
+                           std::string("delta_") + c.name);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(FenceEdgeTest, ConcurrentIndexMatchesSet) {
+  ConcRmi::Config cfg;
+  cfg.base.num_leaf_models = 40;
+  cfg.policy.trigger = dynamic::MergeTrigger::kManual;
+  cfg.log_cap = 2;  // every second write freezes into the frozen run
+  for (const auto& c : kFenceCases) {
+    RunFenceCase<ConcRmi>(c.shape, c.empty_base, cfg,
+                          std::string("conc_") + c.name);
+    if (HasFatalFailure()) return;
+  }
+}
+
 // ---- Scan allocation regression ----
 // DeltaRangeIndex::Scan used to reserve a fixed 1024-entry guess and grow
 // from there, re-deriving the result size it could have read off the rank
@@ -607,22 +810,28 @@ TEST(MergePolicyTest, ManualNeverAutoMerges) {
 
 TEST(DeltaBufferTest, RankContributionsAndShadowing) {
   dynamic::DeltaBuffer<uint64_t> buf(4);  // tiny active run: consolidate often
-  // Keys 10,20,30 "in base"; 15,25 new.
-  buf.Upsert(15, false, false);  // +1
-  buf.Upsert(25, false, false);  // +1
-  buf.Upsert(20, true, true);    // -1 (erase base key)
-  buf.Upsert(10, false, true);   // 0 (re-insert of base key)
+  // Keys 10,20,30 in the paired base; 15,25 new.
+  const std::vector<uint64_t> base = {10, 20, 30};
+  const std::span<const uint64_t> b(base);
+  auto seek = [&](uint64_t k) { return buf.Seek(k, OracleRank(base, k)); };
+  auto upsert = [&](uint64_t k, bool tombstone, bool in_base) {
+    buf.Upsert(seek(k), k, tombstone, in_base, b);
+  };
+  upsert(15, false, false);  // +1
+  upsert(25, false, false);  // +1
+  upsert(20, true, true);    // -1 (erase base key)
+  upsert(10, false, true);   // 0 (re-insert of base key)
   EXPECT_EQ(buf.LiveAdjustTotal(), 1);
-  EXPECT_EQ(buf.RankAdjustBelow(10), 0);
-  EXPECT_EQ(buf.RankAdjustBelow(16), 1);   // the +1 at 15
-  EXPECT_EQ(buf.RankAdjustBelow(21), 0);   // +1 at 15, -1 at 20
-  EXPECT_EQ(buf.RankAdjustBelow(100), 1);
+  EXPECT_EQ(buf.RankAdjustBelow(seek(10)), 0);
+  EXPECT_EQ(buf.RankAdjustBelow(seek(16)), 1);   // the +1 at 15
+  EXPECT_EQ(buf.RankAdjustBelow(seek(21)), 0);   // +1 at 15, -1 at 20
+  EXPECT_EQ(buf.RankAdjustBelow(seek(100)), 1);
   // Newest write wins, and shadowing does not double-count: un-erase 20.
-  buf.Upsert(20, false, true);  // now 0; consolidated -1 must be cancelled
-  EXPECT_EQ(buf.RankAdjustBelow(21), 1);
+  upsert(20, false, true);  // now 0; consolidated -1 must be cancelled
+  EXPECT_EQ(buf.RankAdjustBelow(seek(21)), 1);
   EXPECT_EQ(buf.LiveAdjustTotal(), 2);
-  ASSERT_TRUE(buf.Find(20).has_value());
-  EXPECT_FALSE(buf.Find(20)->tombstone);
+  ASSERT_TRUE(buf.Find(20, OracleRank(base, 20)).has_value());
+  EXPECT_FALSE(buf.Find(20, OracleRank(base, 20))->tombstone);
   // Visit sees the newest state per key, in order.
   std::vector<uint64_t> visited;
   buf.VisitAll([&](const dynamic::DeltaEntry<uint64_t>& e) {
@@ -631,6 +840,68 @@ TEST(DeltaBufferTest, RankContributionsAndShadowing) {
     return true;
   });
   EXPECT_EQ(visited, (std::vector<uint64_t>{10, 15, 20, 25}));
+}
+
+// A frozen run built from the run it replaces (the freeze path) takes
+// most fence slots from that run's fence. Whatever entries the new run
+// gained or lost, every seek must land where a lower_bound over the run
+// does, and so must a fence built from scratch.
+TEST(DeltaBufferTest, FenceFromThePreviousRunSeeksExactly) {
+  using Buf = dynamic::DeltaBuffer<uint64_t>;
+  Xorshift128Plus rng(testing::TestSeed(2200));
+  std::vector<uint64_t> base;
+  for (uint64_t i = 1; i <= 5'000; ++i) base.push_back(100 * i);
+  auto entries_of = [&](const std::set<uint64_t>& keys) {
+    std::vector<dynamic::DeltaEntry<uint64_t>> out;
+    for (const uint64_t k : keys) {
+      const bool in_base = k % 100 == 0 && k >= 100 && k <= base.back();
+      out.push_back({k, rng.NextBounded(4) == 0, in_base});
+    }
+    return out;
+  };
+  auto expect_exact = [&](const Buf& buf, const std::set<uint64_t>& keys,
+                          const std::string& where) {
+    const std::vector<uint64_t> run(keys.begin(), keys.end());
+    std::vector<uint64_t> probes = {0, UINT64_MAX};
+    auto add = [&](uint64_t k) {
+      probes.insert(probes.end(), {k - 1, k, k + 1});
+    };
+    for (const uint64_t k : run) add(k);
+    for (const uint64_t k : base) add(k);
+    for (const uint64_t q : probes) {
+      ASSERT_EQ(buf.Seek(q, OracleRank(base, q)).consolidated,
+                OracleRank(run, q))
+          << where << " q=" << q;
+    }
+  };
+  std::set<uint64_t> keys;
+  while (keys.size() < 600) keys.insert(rng.NextBounded(base.back() + 5'000));
+  Buf prev = Buf::FromSortedEntries(entries_of(keys), base, 2);
+  expect_exact(prev, keys, "first run");
+  for (int round = 0; round < 30 && !HasFatalFailure(); ++round) {
+    // Drop some keys, add some — in clusters, so whole fence brackets
+    // change — and now and then shrink the run below the fence's
+    // slot count, which forces a fresh walk.
+    std::set<uint64_t> next;
+    for (const uint64_t k : keys) {
+      if (rng.NextBounded(8) != 0) next.insert(k);
+    }
+    const uint64_t at = rng.NextBounded(base.back());
+    for (int i = 0; i < 40; ++i) next.insert(at + rng.NextBounded(2'000));
+    for (int i = 0; i < 40; ++i) {
+      next.insert(rng.NextBounded(base.back() + 5'000));
+    }
+    if (round % 10 == 9) {
+      while (next.size() > 50) next.erase(next.begin());
+    }
+    const auto entries = entries_of(next);
+    const Buf buf = Buf::FromSortedEntries(entries, base, 2, &prev);
+    expect_exact(buf, next, "round " + std::to_string(round));
+    expect_exact(Buf::FromSortedEntries(entries, base, 2), next,
+                 "fresh round " + std::to_string(round));
+    prev = buf;
+    keys = std::move(next);
+  }
 }
 
 }  // namespace
