@@ -34,15 +34,6 @@
 // against the shard-grouped LookupBatch on uniform probes (acceptance:
 // grouped is faster — the recovered RMI software-pipeline win).
 //
-// The point and existence sweeps (ISSUE 9) drive the other two index
-// classes' concurrent front-ends through the same scheduled stream:
-// concurrent::ConcurrentPointIndex over the chained and cuckoo families
-// (mixed Find/Insert, quiesced exact-record check, background rebuild
-// counts), and concurrent::RebuildableExistence over a plain Bloom
-// (mixed MightContain/Insert, zero-false-negative check across hot
-// filter swaps). Both emit "concurrent/point/..." and
-// "concurrent/existence/..." JSON rows.
-//
 // Scale knobs: BENCH_CONC_KEYS (default REPRO_SCALE_M million),
 // BENCH_CONC_OPS (ops per cell, default keys/10), BENCH_CONC_THREADS
 // (comma list, default "1,2,4,8,16"), BENCH_CONC_SHARDS (default 8),
@@ -61,18 +52,12 @@
 
 #include "json_out.h"
 
-#include "bloom/bloom_filter.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "concurrent/concurrent_point_index.h"
 #include "concurrent/concurrent_writable_index.h"
-#include "concurrent/rebuildable_existence.h"
 #include "concurrent/sharded_index.h"
 #include "data/datasets.h"
 #include "dynamic/merge_policy.h"
-#include "hash/chained_hash_map.h"
-#include "hash/cuckoo_map.h"
-#include "hash/record.h"
 #include "lif/measure.h"
 #include "rmi/rmi.h"
 
@@ -514,233 +499,6 @@ int main() {
     emit("concurrent/sharded/lookup/perkey_ns", perkey_ns);
     emit("concurrent/sharded/lookup/grouped_ns", batched_ns);
     emit("concurrent/sharded/lookup/batch_speedup_factor", speedup);
-  }
-
-  // ---- point sweep: the concurrent point front-end over the chained
-  // and cuckoo families, mixed Find/Insert at 10% inserts ----
-  {
-    std::vector<hash::Record> records;
-    records.reserve(keys.size());
-    for (const uint64_t k : keys) {
-      // Payload is a function of the key so the quiesced check catches
-      // torn or stale records, not just missing ones.
-      records.push_back(hash::Record{k, k * 0x9E3779B97F4A7C15ULL + 1, 0});
-    }
-    const lif::PointReadWriteWorkload pw = lif::MakePointReadWriteWorkload(
-        records, ops, 0.10, 1 << 14, 577);
-    // The schedule is budget-guarded and the harness consumes insert
-    // slots in prefix order, so every scheduled insert executes.
-    const size_t executed = static_cast<size_t>(
-        std::count_if(pw.is_insert.begin(), pw.is_insert.end(),
-                      [](uint8_t op) { return op != 0; }));
-    printf(
-        "\n== concurrent point sweep: %zu records, %zu ops/cell, 10%% "
-        "inserts ==\n",
-        records.size(), ops);
-    lif::Table pt({"config", "threads", "agg ns/op", "Mops/s", "speedup",
-                   "rebuilds", "freezes", "contention%"});
-    // Quiesced exact-map check: records must come back with the payload
-    // they were inserted with, and the live count must reconcile.
-    auto check_point = [&](auto& idx) {
-      idx.WaitForRebuilds();
-      if (!idx.last_rebuild_status().ok()) {
-        fprintf(stderr, "FAIL: point rebuild: %s\n",
-                idx.last_rebuild_status().message().c_str());
-        return false;
-      }
-      if (idx.num_records() != pw.base.size() + executed) {
-        fprintf(stderr, "FAIL: point live count %zu != %zu\n",
-                idx.num_records(), pw.base.size() + executed);
-        return false;
-      }
-      Xorshift128Plus rng(4243);
-      for (int i = 0; i < 2000; ++i) {
-        const hash::Record& want =
-            i < 1000 && executed > 0
-                ? pw.inserts[rng.NextBounded(executed)]
-                : pw.base[rng.NextBounded(pw.base.size())];
-        hash::Record got{};
-        if (!idx.Find(want.key, &got) || got.payload != want.payload) {
-          fprintf(stderr, "FAIL: point record %llu wrong or missing\n",
-                  static_cast<unsigned long long>(want.key));
-          return false;
-        }
-      }
-      return true;
-    };
-    for (int cand = 0; cand < 2; ++cand) {
-      const bool cuckoo = cand == 1;
-      const std::string name = cuckoo ? "concurrent-point[cuckoo]"
-                                      : "concurrent-point[chained]";
-      const std::string tag = cuckoo ? "cuckoo" : "chained";
-      double t1_ns = 0.0;
-      for (const size_t threads : thread_list) {
-        double agg_ns = 0.0;
-        index::ConcurrentIndexStats cs;
-        bool ok = true;
-        if (cuckoo) {
-          using ConcCuckoo =
-              concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>>;
-          ConcCuckoo::Config cfg;
-          cfg.base.load_factor = 0.95;
-          cfg.base.careful = true;
-          cfg.base.seed = 4201;
-          cfg.log_cap = 1024;
-          cfg.rebuild_entries = 8192;
-          ConcCuckoo idx;
-          if (!idx.Build(std::span<const hash::Record>(pw.base), cfg).ok()) {
-            fprintf(stderr, "concurrent point cuckoo build failed\n");
-            return 1;
-          }
-          Timer timer;
-          lif::RunPointMixedStreamNs(idx, pw, threads);
-          idx.WaitForRebuilds();
-          agg_ns = timer.ElapsedNanos() /
-                   static_cast<double>(
-                       std::max<size_t>(pw.is_insert.size(), 1));
-          ok = check_point(idx);
-          cs = idx.ConcurrentStats();
-        } else {
-          using ConcChained =
-              concurrent::ConcurrentPointIndex<hash::ChainedHashMap>;
-          ConcChained::Config cfg;
-          cfg.base.num_slots = std::max<size_t>(1, pw.base.size());
-          cfg.base.hash.kind = hash::HashKind::kRandom;
-          cfg.base.hash.seed = 4201;
-          cfg.log_cap = 1024;
-          cfg.rebuild_entries = 8192;
-          ConcChained idx;
-          if (!idx.Build(std::span<const hash::Record>(pw.base), cfg).ok()) {
-            fprintf(stderr, "concurrent point chained build failed\n");
-            return 1;
-          }
-          Timer timer;
-          lif::RunPointMixedStreamNs(idx, pw, threads);
-          idx.WaitForRebuilds();
-          agg_ns = timer.ElapsedNanos() /
-                   static_cast<double>(
-                       std::max<size_t>(pw.is_insert.size(), 1));
-          ok = check_point(idx);
-          cs = idx.ConcurrentStats();
-        }
-        all_consistent &= ok;
-        if (threads == 1) t1_ns = agg_ns;
-        const double speedup =
-            agg_ns > 0.0 && t1_ns > 0.0 ? t1_ns / agg_ns : 0.0;
-        pt.AddRow({name, std::to_string(threads), Fmt(agg_ns),
-                   Fmt(agg_ns > 0.0 ? 1e3 / agg_ns : 0.0, 2),
-                   Fmt(speedup, 2) + "x",
-                   std::to_string(cs.background_merges),
-                   std::to_string(cs.freezes),
-                   Fmt(cs.WriterContentionRate() * 100.0)});
-        const std::string prefix = "concurrent/point/" + tag + "/ins10/t" +
-                                   std::to_string(threads);
-        emit(prefix + "/agg_ns", agg_ns);
-        emit(prefix + "/rebuilds", static_cast<double>(cs.background_merges));
-      }
-    }
-    pt.Print();
-  }
-
-  // ---- existence sweep: the rebuildable filter front-end, mixed
-  // MightContain/Insert at 10% inserts across background rebuilds ----
-  {
-    const size_t en = std::min<size_t>(n, 200'000);
-    std::vector<std::string> ekeys;
-    std::vector<std::string> enon;
-    ekeys.reserve(en);
-    enon.reserve(1 << 14);
-    char kbuf[32];
-    for (size_t i = 0; i < en; ++i) {
-      snprintf(kbuf, sizeof(kbuf), "k%018llu",
-               static_cast<unsigned long long>(keys[i]));
-      ekeys.emplace_back(kbuf);
-    }
-    Xorshift128Plus nrng(910);
-    for (size_t i = 0; i < (1u << 14); ++i) {
-      // The "n" prefix keeps non-keys disjoint from every key string.
-      snprintf(kbuf, sizeof(kbuf), "n%018llu",
-               static_cast<unsigned long long>(nrng.Next()));
-      enon.emplace_back(kbuf);
-    }
-    const lif::ExistenceReadWriteWorkload ew =
-        lif::MakeExistenceReadWriteWorkload(ekeys, enon, ops, 0.10, 1 << 14,
-                                            733);
-    const size_t executed = static_cast<size_t>(
-        std::count_if(ew.is_insert.begin(), ew.is_insert.end(),
-                      [](uint8_t op) { return op != 0; }));
-    printf(
-        "\n== concurrent existence sweep: %zu corpus keys, %zu ops/cell, "
-        "10%% inserts ==\n",
-        ew.base.size(), ops);
-    lif::Table et({"config", "threads", "agg ns/op", "Mops/s", "speedup",
-                   "rebuilds", "freezes", "fpr%"});
-    double t1_ns = 0.0;
-    for (const size_t threads : thread_list) {
-      using ConcBloom = concurrent::RebuildableExistence<bloom::BloomFilter>;
-      ConcBloom::Config cfg;
-      cfg.rebuild = concurrent::PlainBloomRebuilder(0.01);
-      // Low staleness so even the CI smoke preset crosses the rebuild
-      // threshold and the sweep exercises a hot filter swap.
-      cfg.staleness = 0.01;
-      cfg.log_cap = 1024;
-      ConcBloom f;
-      if (!f.Build(std::span<const std::string>(ew.base), cfg).ok()) {
-        fprintf(stderr, "concurrent existence build failed\n");
-        return 1;
-      }
-      Timer timer;
-      lif::RunExistenceMixedStreamNs(f, ew, threads);
-      f.WaitForRebuilds();
-      const double agg_ns =
-          timer.ElapsedNanos() /
-          static_cast<double>(std::max<size_t>(ew.is_insert.size(), 1));
-      // Zero-false-negative check over the full corpus plus every
-      // executed insert: the §5 guarantee must hold across filter swaps.
-      bool ok = f.last_rebuild_status().ok();
-      if (!ok) {
-        fprintf(stderr, "FAIL: existence rebuild: %s\n",
-                f.last_rebuild_status().message().c_str());
-      }
-      for (const std::string& k : ew.base) {
-        if (!f.MightContain(std::string_view(k))) {
-          fprintf(stderr, "FAIL: false negative on corpus key %s\n",
-                  k.c_str());
-          ok = false;
-          break;
-        }
-      }
-      for (size_t i = 0; ok && i < executed; ++i) {
-        if (!f.MightContain(std::string_view(ew.inserts[i]))) {
-          fprintf(stderr, "FAIL: false negative on inserted key %s\n",
-                  ew.inserts[i].c_str());
-          ok = false;
-        }
-      }
-      if (f.num_keys() != ew.base.size() + executed) {
-        fprintf(stderr, "FAIL: existence key count %zu != %zu\n",
-                f.num_keys(), ew.base.size() + executed);
-        ok = false;
-      }
-      all_consistent &= ok;
-      const double fpr = f.MeasuredFpr(enon);
-      const auto cs = f.ConcurrentStats();
-      if (threads == 1) t1_ns = agg_ns;
-      const double speedup =
-          agg_ns > 0.0 && t1_ns > 0.0 ? t1_ns / agg_ns : 0.0;
-      et.AddRow({"concurrent-existence[plain bloom]",
-                 std::to_string(threads), Fmt(agg_ns),
-                 Fmt(agg_ns > 0.0 ? 1e3 / agg_ns : 0.0, 2),
-                 Fmt(speedup, 2) + "x",
-                 std::to_string(cs.background_merges),
-                 std::to_string(cs.freezes), Fmt(fpr * 100.0, 2)});
-      const std::string prefix =
-          "concurrent/existence/plain/ins10/t" + std::to_string(threads);
-      emit(prefix + "/agg_ns", agg_ns);
-      emit(prefix + "/rebuilds", static_cast<double>(cs.background_merges));
-      emit(prefix + "/fpr", fpr);
-    }
-    et.Print();
   }
 
   if (const char* env = getenv("BENCH_MICRO_JSON")) {

@@ -1,8 +1,8 @@
-// The versioned-state core of the concurrent wrappers
-// (ConcurrentWritableIndex, ConcurrentPointIndex, RebuildableExistence,
-// ShardedIndex). Each wrapper serves the paper's static models under
-// writes through the Appendix-D.1 delta-and-retrain design, and each
-// does it with the same three pieces:
+// The versioned-state core of the two concurrent range front-ends,
+// which serve the paper's static models under writes through the
+// Appendix-D.1 delta-and-retrain design. ConcurrentWritableIndex uses
+// all three pieces below; ShardedIndex publishes its shard map through a
+// VersionedCell and rebalances on a BackgroundWorker.
 //
 //  * VersionedCell<State> — one atomic pointer to the published,
 //    immutable version. Readers Pin() it (epoch pin, then one load) and
@@ -17,9 +17,9 @@
 //    WritesByKey (or GroupByKey over writes a caller picked) + FoldNewest
 //    turn a log prefix into its newest write per key and fold it over a
 //    sorted frozen run.
-//  * BackgroundWorker — the thread that runs the wrapper's rebuild cycle
-//    (merge, rehash, filter rebuild, rebalance) on request, with a
-//    synchronous run, a quiesce point and the last cycle's status.
+//  * BackgroundWorker — the thread that runs the wrapper's background
+//    cycle (merge, rebalance) on request, with a synchronous run, a
+//    quiesce point and the last cycle's status.
 //
 // A wrapper's State says what a version holds; its cycle body says how
 // a new version is built. The lifecycle around both lives here.
@@ -191,21 +191,6 @@ class AppendLog {
     const uint32_t n = count_locked();
     entries_[n] = std::move(e);
     count_.store(n + 1, std::memory_order_release);
-  }
-
-  /// Copies the first `n` entries of `other` into this unpublished log.
-  void CopyPrefix(const AppendLog& other, uint32_t n) {
-    std::copy(other.entries_.get(), other.entries_.get() + n, entries_.get());
-    count_.store(n, std::memory_order_relaxed);
-  }
-
-  /// The newest of the first `n` entries matching `pred`, or nullptr.
-  template <typename Pred>
-  const Entry* FindNewest(uint32_t n, Pred&& pred) const {
-    for (uint32_t i = n; i-- > 0;) {
-      if (pred(entries_[i])) return &entries_[i];
-    }
-    return nullptr;
   }
 
  private:

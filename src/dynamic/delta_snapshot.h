@@ -11,11 +11,12 @@
 //
 // ReadDeltaSections runs CheckCfg and CheckDelta before it touches the
 // caller's state, so a knob no Build accepts (a NaN fraction, a buffer
-// capacity past 2^20) or a delta that disagrees with its base keys — a
-// key out of order, an in_base bit that contradicts the key array, an
-// unknown flag bit — is an InvalidArgument, never UB or a wrong rank
-// after reopen. The default Open does not verify payload CRCs, so these
-// checks are what stands between a flipped bit and the write/read path.
+// capacity past 2^20), base keys out of order, or a delta that disagrees
+// with its base keys — a key out of order, an in_base bit that
+// contradicts the key array, an unknown flag bit — is an
+// InvalidArgument, never UB or a wrong rank after reopen. The default
+// Open does not verify payload CRCs, so these checks are what stands
+// between a flipped bit and the write/read path.
 
 #ifndef LI_DYNAMIC_DELTA_SNAPSHOT_H_
 #define LI_DYNAMIC_DELTA_SNAPSHOT_H_
@@ -82,12 +83,19 @@ inline constexpr uint8_t kDeltaTombstone = 1;
 inline constexpr uint8_t kDeltaInBase = 2;
 
 /// Validates a delta against the base key array it is paired with:
-/// equal lengths, strictly increasing `dkeys`, no flag bit beyond
-/// tombstone/in_base, and every in_base bit equal to the key's
-/// membership in `keys`. O(d log n).
+/// strictly increasing `keys` (the rank search below and every read
+/// after open assume it), equal lengths, strictly increasing `dkeys`, no
+/// flag bit beyond tombstone/in_base, and every in_base bit equal to the
+/// key's membership in `keys`. O(n + d log n).
 template <typename Key>
 Status CheckDelta(std::span<const Key> keys, std::span<const Key> dkeys,
                   std::span<const uint8_t> dmeta) {
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (!(keys[i - 1] < keys[i])) {
+      return Status::InvalidArgument(
+          "delta snapshot: base keys are not strictly increasing");
+    }
+  }
   if (dkeys.size() != dmeta.size()) {
     return Status::InvalidArgument(
         "delta snapshot: dkeys and dmeta disagree in length");

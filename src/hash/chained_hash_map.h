@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -222,6 +223,8 @@ class ChainedHashMap {
   };
   static_assert(std::is_trivially_copyable_v<Slot>,
                 "Slot tables are persisted verbatim in snapshots");
+  static_assert(std::has_unique_object_representations_v<Slot>,
+                "no padding bytes: snapshots must be deterministic");
 
   struct SnapshotMeta {
     uint64_t num_slots = 0;

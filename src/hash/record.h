@@ -7,6 +7,7 @@
 #define LI_HASH_RECORD_H_
 
 #include <cstdint>
+#include <type_traits>
 
 namespace li::hash {
 
@@ -14,8 +15,13 @@ struct Record {
   uint64_t key = 0;
   uint64_t payload = 0;
   uint32_t meta = 0;
+  /// The 4 bytes the compiler would pad to 24 anyway, named so every
+  /// copy carries a defined value: hash maps persist records verbatim.
+  uint32_t pad = 0;
 };
-static_assert(sizeof(Record) <= 24, "Record must stay compact");
+static_assert(sizeof(Record) == 24, "Record must stay compact");
+static_assert(std::has_unique_object_representations_v<Record>,
+              "no padding bytes: persisted records must be deterministic");
 
 }  // namespace li::hash
 

@@ -40,9 +40,7 @@
 //     Const-safe.
 //
 // Thread-safety baseline: const members are safe from many threads after
-// Build. The concurrent write path lives one contract over:
-// index::ConcurrentWritablePointIndex (concurrent_point_index.h) wraps
-// these same map families behind epoch-pinned copy-out reads.
+// Build. The contract is build-once: a point index takes no writes.
 //
 // This is what lets the LIF synthesizer (§3.1) enumerate point-index
 // candidates uniformly (via AnyPointIndex), the §4 benches compare map

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "common/random.h"
 #include "data/datasets.h"
@@ -84,25 +85,19 @@ namespace {
 /// Deterministic interleaved op schedule at the target insert ratio.
 /// Fine-grained (2^-20) ratio resolution so small ratios still schedule
 /// inserts; the budget guard keeps the stream honest when the held-out
-/// pool is smaller than ratio * ops. One definition for every workload
-/// class (range keys, point records, existence strings).
-void FillScheduleVec(std::vector<uint8_t>& is_insert, size_t insert_pool,
-                     size_t ops, double ratio, uint64_t seed) {
+/// pool is smaller than ratio * ops.
+void FillSchedule(ReadWriteWorkload& w, size_t ops, double ratio,
+                  uint64_t seed) {
   Xorshift128Plus rng(seed ^ 0x9E3779B97F4A7C15ULL);
-  is_insert.resize(ops);
-  size_t budget = insert_pool;
+  w.is_insert.resize(ops);
+  size_t budget = w.inserts.size();
   for (size_t i = 0; i < ops; ++i) {
     const bool ins = budget > 0 &&
                      static_cast<double>(rng.NextBounded(1u << 20)) <
                          ratio * static_cast<double>(1u << 20);
     if (ins) --budget;
-    is_insert[i] = ins ? 1 : 0;
+    w.is_insert[i] = ins ? 1 : 0;
   }
-}
-
-void FillSchedule(ReadWriteWorkload& w, size_t ops, double ratio,
-                  uint64_t seed) {
-  FillScheduleVec(w.is_insert, w.inserts.size(), ops, ratio, seed);
 }
 
 }  // namespace
@@ -128,85 +123,6 @@ ReadWriteWorkload MakeReadWriteWorkload(std::span<const uint64_t> keys,
   w.lookups =
       data::SampleKeys(w.base, std::max<size_t>(lookup_probes, 1), seed);
   FillSchedule(w, ops, ratio, seed);
-  return w;
-}
-
-PointReadWriteWorkload MakePointReadWriteWorkload(
-    std::span<const hash::Record> records, size_t ops, double insert_ratio,
-    size_t lookup_probes, uint64_t seed) {
-  PointReadWriteWorkload w;
-  const double ratio = std::clamp(insert_ratio, 0.0, 1.0);
-  // First-wins dedup, sorted by key so the held-out stride samples the
-  // key distribution evenly (the same discipline as the range maker).
-  std::vector<hash::Record> uniq(records.begin(), records.end());
-  std::stable_sort(uniq.begin(), uniq.end(),
-                   [](const hash::Record& a, const hash::Record& b) {
-                     return a.key < b.key;
-                   });
-  uniq.erase(std::unique(uniq.begin(), uniq.end(),
-                         [](const hash::Record& a, const hash::Record& b) {
-                           return a.key == b.key;
-                         }),
-             uniq.end());
-  const size_t want =
-      std::min(uniq.size() / 2,
-               static_cast<size_t>(static_cast<double>(ops) * ratio));
-  const size_t stride =
-      want == 0 ? 0 : std::max<size_t>(2, uniq.size() / want);
-  w.base.reserve(uniq.size());
-  for (size_t i = 0; i < uniq.size(); ++i) {
-    if (stride != 0 && i % stride == 1 && w.inserts.size() < want) {
-      w.inserts.push_back(uniq[i]);
-    } else {
-      w.base.push_back(uniq[i]);
-    }
-  }
-  const size_t probes = std::max<size_t>(lookup_probes, 1);
-  w.lookups.reserve(probes);
-  Xorshift128Plus rng(seed ^ 0xC2B2AE3D27D4EB4FULL);
-  for (size_t i = 0; i < probes && !w.base.empty(); ++i) {
-    w.lookups.push_back(w.base[rng.NextBounded(w.base.size())].key);
-  }
-  if (w.lookups.empty()) w.lookups.push_back(0);
-  FillScheduleVec(w.is_insert, w.inserts.size(), ops, ratio, seed);
-  return w;
-}
-
-ExistenceReadWriteWorkload MakeExistenceReadWriteWorkload(
-    std::span<const std::string> keys, std::span<const std::string> non_keys,
-    size_t ops, double insert_ratio, size_t lookup_probes, uint64_t seed) {
-  ExistenceReadWriteWorkload w;
-  const double ratio = std::clamp(insert_ratio, 0.0, 1.0);
-  std::vector<std::string> uniq(keys.begin(), keys.end());
-  std::sort(uniq.begin(), uniq.end());
-  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-  const size_t want =
-      std::min(uniq.size() / 2,
-               static_cast<size_t>(static_cast<double>(ops) * ratio));
-  const size_t stride =
-      want == 0 ? 0 : std::max<size_t>(2, uniq.size() / want);
-  w.base.reserve(uniq.size());
-  for (size_t i = 0; i < uniq.size(); ++i) {
-    if (stride != 0 && i % stride == 1 && w.inserts.size() < want) {
-      w.inserts.push_back(std::move(uniq[i]));
-    } else {
-      w.base.push_back(std::move(uniq[i]));
-    }
-  }
-  // Probes alternate members and non-members so the stream exercises the
-  // filter's false-positive path, not just guaranteed hits.
-  const size_t probes = std::max<size_t>(lookup_probes, 1);
-  w.lookups.reserve(probes);
-  Xorshift128Plus rng(seed ^ 0x165667B19E3779F9ULL);
-  for (size_t i = 0; i < probes; ++i) {
-    if ((i % 2 == 0 || non_keys.empty()) && !w.base.empty()) {
-      w.lookups.push_back(w.base[rng.NextBounded(w.base.size())]);
-    } else if (!non_keys.empty()) {
-      w.lookups.push_back(non_keys[rng.NextBounded(non_keys.size())]);
-    }
-  }
-  if (w.lookups.empty()) w.lookups.push_back(std::string("\x01"));
-  FillScheduleVec(w.is_insert, w.inserts.size(), ops, ratio, seed);
   return w;
 }
 

@@ -11,13 +11,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/timer.h"
-#include "hash/record.h"
 
 namespace li::lif {
 
@@ -133,25 +130,25 @@ ReadWriteWorkload MakeSkewedReadWriteWorkload(std::span<const uint64_t> keys,
                                               uint64_t seed,
                                               const InsertSkew& skew);
 
-/// The multi-threaded scheduled-stream core every mixed-workload driver
-/// delegates to — range, point and existence streams are all the same
-/// harness, only the per-op callables differ. The op schedule is cut
-/// into per-thread slices (disjoint insert sub-streams, decorrelated
-/// lookup offsets), all threads start on one flag, and the score is
-/// aggregate wall-time per op. `ins(ii)` consumes insert-stream slot
-/// `ii` (< insert_pool, strictly increasing per thread); `look(li)`
-/// takes a raw probe counter and handles its own modulo. Both must be
-/// thread-safe and return something accumulable.
-template <typename InsertFn, typename LookupFn>
-double RunScheduledStreamNs(std::span<const uint8_t> is_insert,
-                            size_t insert_pool, size_t threads,
-                            InsertFn&& ins, LookupFn&& look) {
+/// Multi-threaded mixed-stream harness over a ReadWriteWorkload. The ONE
+/// definition of this harness: the LIF writable synthesizer qualifies
+/// concurrent candidates with it and bench_concurrent reports it, so the
+/// qualification metric and the benched numbers cannot drift apart. The
+/// op schedule is cut into per-thread slices (disjoint insert
+/// sub-streams, decorrelated lookup offsets), all threads start on one
+/// flag, and the score is aggregate wall-time per op. With threads == 1
+/// it degenerates to the sequential stream. `idx` must be safe for the
+/// given thread count (any ConcurrentWritableRangeIndex; 1 for
+/// everything else).
+template <typename Idx>
+double RunMixedStreamNs(Idx& idx, const ReadWriteWorkload& w,
+                        size_t threads) {
   threads = std::max<size_t>(threads, 1);
-  const size_t ops = is_insert.size();
+  const size_t ops = w.is_insert.size();
   if (ops == 0) return 0.0;
   std::vector<size_t> ins_prefix(ops + 1, 0);
   for (size_t i = 0; i < ops; ++i) {
-    ins_prefix[i + 1] = ins_prefix[i] + (is_insert[i] != 0 ? 1 : 0);
+    ins_prefix[i + 1] = ins_prefix[i] + (w.is_insert[i] != 0 ? 1 : 0);
   }
   std::atomic<size_t> ready{0};
   std::atomic<bool> go{false};
@@ -167,10 +164,11 @@ double RunScheduledStreamNs(std::span<const uint8_t> is_insert,
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       uint64_t sink = 0;
       for (size_t i = lo; i < hi; ++i) {
-        if (is_insert[i] != 0 && ii < insert_pool) {
-          sink += static_cast<uint64_t>(ins(ii++));
+        if (w.is_insert[i] != 0 && ii < w.inserts.size()) {
+          sink += idx.Insert(w.inserts[ii++]) ? 1 : 0;
         } else {
-          sink += static_cast<uint64_t>(look(li++));
+          sink += static_cast<uint64_t>(
+              idx.Lookup(w.lookups[li++ % w.lookups.size()]));
         }
       }
       DoNotOptimize(sink);
@@ -183,91 +181,6 @@ double RunScheduledStreamNs(std::span<const uint8_t> is_insert,
   go.store(true, std::memory_order_release);
   for (std::thread& th : pool) th.join();
   return timer.ElapsedNanos() / static_cast<double>(ops);
-}
-
-/// Multi-threaded mixed-stream driver over a ReadWriteWorkload. The ONE
-/// definition of this harness: the LIF writable synthesizer qualifies
-/// concurrent candidates with it and bench_concurrent reports it, so the
-/// qualification metric and the benched numbers cannot drift apart. With
-/// threads == 1 it degenerates to the sequential stream. `idx` must be
-/// safe for the given thread count (any ConcurrentWritableRangeIndex;
-/// 1 for everything else).
-template <typename Idx>
-double RunMixedStreamNs(Idx& idx, const ReadWriteWorkload& w,
-                        size_t threads) {
-  return RunScheduledStreamNs(
-      std::span<const uint8_t>(w.is_insert), w.inserts.size(), threads,
-      [&idx, &w](size_t ii) -> uint64_t {
-        return idx.Insert(w.inserts[ii]) ? 1 : 0;
-      },
-      [&idx, &w](size_t li) -> uint64_t {
-        return idx.Lookup(w.lookups[li % w.lookups.size()]);
-      });
-}
-
-/// Mixed read/write workload over keyed records — the point-class twin of
-/// ReadWriteWorkload: held-out records form the insert stream, probe keys
-/// sample the build split (so lookups hit), and the shared schedule
-/// interleaves at the target ratio.
-struct PointReadWriteWorkload {
-  std::vector<hash::Record> base;     // build split (first-wins dedup'd)
-  std::vector<hash::Record> inserts;  // held-out insert stream
-  std::vector<uint64_t> lookups;      // probe keys over the build split
-  std::vector<uint8_t> is_insert;     // op schedule, one entry per op
-};
-
-PointReadWriteWorkload MakePointReadWriteWorkload(
-    std::span<const hash::Record> records, size_t ops, double insert_ratio,
-    size_t lookup_probes, uint64_t seed);
-
-/// Point-stream driver: Insert(record) / Find(key, &rec) through the
-/// shared scheduled-stream core. `idx` must be a
-/// ConcurrentWritablePointIndex for threads > 1.
-template <typename Idx>
-double RunPointMixedStreamNs(Idx& idx, const PointReadWriteWorkload& w,
-                             size_t threads) {
-  return RunScheduledStreamNs(
-      std::span<const uint8_t>(w.is_insert), w.inserts.size(), threads,
-      [&idx, &w](size_t ii) -> uint64_t {
-        return idx.Insert(w.inserts[ii]) ? 1 : 0;
-      },
-      [&idx, &w](size_t li) -> uint64_t {
-        hash::Record rec;
-        return idx.Find(w.lookups[li % w.lookups.size()], &rec) ? 1 : 0;
-      });
-}
-
-/// Mixed insert/probe workload over string keys — the existence-class
-/// twin: held-out keys form the insert stream, probes mix members with
-/// non-members (so the FPR path is exercised, not just hits).
-struct ExistenceReadWriteWorkload {
-  std::vector<std::string> base;     // corpus build split
-  std::vector<std::string> inserts;  // held-out insert stream
-  std::vector<std::string> lookups;  // probes: members + non-members
-  std::vector<uint8_t> is_insert;    // op schedule, one entry per op
-};
-
-ExistenceReadWriteWorkload MakeExistenceReadWriteWorkload(
-    std::span<const std::string> keys, std::span<const std::string> non_keys,
-    size_t ops, double insert_ratio, size_t lookup_probes, uint64_t seed);
-
-/// Existence-stream driver: Insert(key) / MightContain(key) through the
-/// shared scheduled-stream core. `f` must be a ConcurrentExistenceIndex
-/// for threads > 1.
-template <typename F>
-double RunExistenceMixedStreamNs(F& f, const ExistenceReadWriteWorkload& w,
-                                 size_t threads) {
-  return RunScheduledStreamNs(
-      std::span<const uint8_t>(w.is_insert), w.inserts.size(), threads,
-      [&f, &w](size_t ii) -> uint64_t {
-        return f.Insert(std::string_view(w.inserts[ii])) ? 1 : 0;
-      },
-      [&f, &w](size_t li) -> uint64_t {
-        return f.MightContain(
-                   std::string_view(w.lookups[li % w.lookups.size()]))
-                   ? 1
-                   : 0;
-      });
 }
 
 }  // namespace li::lif

@@ -87,9 +87,17 @@ struct Leaf {
   /// so the lookup window stage is two adds and two clamps per key.
   int32_t sweep_lo = 0;
   int32_t sweep_hi = 1;
+  /// The 4 bytes the compiler would pad to 40 anyway, named so every
+  /// copy carries a defined value into the snapshot.
+  int32_t pad = 0;
 };
 static_assert(std::is_trivially_copyable_v<Leaf>,
               "Leaf is persisted verbatim in snapshot leaf sections");
+// The float members rule out has_unique_object_representations, so the
+// no-padding check is a size sum.
+static_assert(sizeof(Leaf) == sizeof(models::LinearModel) +
+                                  5 * sizeof(int32_t) + sizeof(float),
+              "no padding bytes: snapshots must be deterministic");
 
 template <typename Key, typename TopModel>
 class RmiIndex {

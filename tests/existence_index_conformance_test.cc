@@ -7,11 +7,6 @@
 // bounded for a calibrated filter, and the type-erased AnyExistenceIndex
 // answering exactly like the concrete filter it wraps.
 //
-// The same CheckContract core drives concurrent::RebuildableExistence —
-// the insertable wrapper must pass the read-only matrix verbatim, keep
-// inserted keys visible through background filter rebuilds (the
-// no-false-negative invariant extends to the side set).
-//
 // The family edges ride at the bottom: never-built and empty-built
 // filters answer as the empty set (a leg the suite long lacked — it hid
 // a plain-Bloom "contains everything" bug), out-of-domain probes stay
@@ -29,9 +24,7 @@
 #include "bloom/model_hash_bloom.h"
 #include "classifier/ngram_logistic.h"
 #include "common/random.h"
-#include "concurrent/rebuildable_existence.h"
 #include "data/strings.h"
-#include "index/concurrent_existence_index.h"
 #include "index/existence_index.h"
 #include "rangefilter/interval_bitmap_filter.h"
 #include "rangefilter/learned_range_filter.h"
@@ -49,12 +42,6 @@ static_assert(index::ExistenceIndex<
 // The erased handle itself satisfies the concept, so erased filters can
 // be re-erased / stored wherever a concrete filter is expected.
 static_assert(index::ExistenceIndex<index::AnyExistenceIndex>);
-// The insertable wrapper satisfies both the read-only and the concurrent
-// contract.
-static_assert(index::ExistenceIndex<
-              concurrent::RebuildableExistence<bloom::BloomFilter>>);
-static_assert(index::ConcurrentExistenceIndex<
-              concurrent::RebuildableExistence<bloom::BloomFilter>>);
 
 class ExistenceConformanceTest : public ::testing::Test {
  protected:
@@ -155,93 +142,6 @@ TEST_F(ExistenceConformanceTest, ModelHashBloomSatisfiesContract) {
   CheckContract(erased, 0.05);
 }
 
-// ---- The concurrent wrapper through the same matrix ----
-
-TEST_F(ExistenceConformanceTest, RebuildableBloomSatisfiesContract) {
-  concurrent::RebuildableExistence<bloom::BloomFilter> filter;
-  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
-  config.rebuild = concurrent::PlainBloomRebuilder(0.01);
-  config.staleness = 0;  // rebuilds only when the test asks
-  ASSERT_TRUE(filter.Build(corpus_->keys, config).ok());
-  EXPECT_EQ(filter.num_keys(), corpus_->keys.size());
-  CheckContract(filter, 0.03);
-}
-
-TEST_F(ExistenceConformanceTest, RebuildableBloomInsertsSurviveRebuilds) {
-  concurrent::RebuildableExistence<bloom::BloomFilter> filter;
-  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
-  config.rebuild = concurrent::PlainBloomRebuilder(0.01);
-  config.staleness = 0;
-  config.log_cap = 64;  // force side-log freezes during the churn
-  ASSERT_TRUE(filter.Build(corpus_->keys, config).ok());
-
-  // Exact-membership semantics: a corpus key is already present, a fresh
-  // key inserts exactly once.
-  ASSERT_FALSE(filter.Insert(corpus_->keys.front()));
-  std::vector<std::string> fresh;
-  for (int i = 0; i < 1'000; ++i) {
-    fresh.push_back("http://inserted.example/" + std::to_string(i));
-  }
-  for (const std::string& k : fresh) {
-    ASSERT_TRUE(filter.Insert(k)) << k;
-    ASSERT_FALSE(filter.Insert(k)) << k;  // duplicate is a no-op
-    ASSERT_TRUE(filter.MightContain(k)) << k;  // immediately visible
-  }
-  EXPECT_EQ(filter.num_keys(), corpus_->keys.size() + fresh.size());
-
-  // A background rebuild folds the side set into a fresh filter; the
-  // no-false-negative invariant must hold before, across, and after.
-  filter.RequestRebuild();
-  filter.WaitForRebuilds();
-  ASSERT_TRUE(filter.last_rebuild_status().ok())
-      << filter.last_rebuild_status().message();
-  EXPECT_GT(filter.ConcurrentStats().background_merges, 0u);
-  // Only the inserts that added a key count.
-  EXPECT_EQ(filter.ConcurrentStats().inserts, fresh.size());
-  for (const std::string& k : fresh) {
-    ASSERT_TRUE(filter.MightContain(k)) << k << " lost by rebuild";
-  }
-  CheckContract(filter, 0.03);
-  EXPECT_EQ(filter.num_keys(), corpus_->keys.size() + fresh.size());
-
-  // Inserts keep landing after a rebuild cycle.
-  ASSERT_TRUE(filter.Insert("http://post.rebuild/0"));
-  EXPECT_TRUE(filter.MightContain("http://post.rebuild/0"));
-}
-
-TEST_F(ExistenceConformanceTest, RebuildableBloomSizeCountsCorpusFromBuild) {
-  concurrent::RebuildableExistence<bloom::BloomFilter> filter;
-  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
-  config.rebuild = concurrent::PlainBloomRebuilder(0.01);
-  config.staleness = 0;  // no rebuild: the size is Build's alone
-  ASSERT_TRUE(filter.Build(corpus_->keys, config).ok());
-  // The corpus is the rebuild input the structure owns, so SizeBytes
-  // counts it from the start, not only after the first rebuild.
-  size_t key_bytes = 0;
-  for (const std::string& k : corpus_->keys) key_bytes += k.size();
-  EXPECT_GE(filter.SizeBytes(), key_bytes);
-}
-
-TEST_F(ExistenceConformanceTest, RebuildableBloomAutoRebuildsAtStaleness) {
-  concurrent::RebuildableExistence<bloom::BloomFilter> filter;
-  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
-  config.rebuild = concurrent::PlainBloomRebuilder(0.01);
-  config.staleness = 0.02;  // 2% of 15k keys = 300 side keys arm it
-  config.min_side_keys = 256;
-  ASSERT_TRUE(filter.Build(corpus_->keys, config).ok());
-  for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(filter.Insert("http://stale.example/" + std::to_string(i)));
-  }
-  filter.WaitForRebuilds();
-  ASSERT_TRUE(filter.last_rebuild_status().ok());
-  EXPECT_GT(filter.ConcurrentStats().background_merges, 0u);
-  for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(filter.MightContain("http://stale.example/" +
-                                    std::to_string(i)));
-  }
-  CheckContract(filter, 0.03);
-}
-
 TEST_F(ExistenceConformanceTest, EmptyHandleIsTheEmptySet) {
   index::AnyExistenceIndex empty;
   EXPECT_TRUE(empty.empty());
@@ -265,15 +165,6 @@ TEST_F(ExistenceConformanceTest, NeverBuiltFiltersAnswerEmptySet) {
   EXPECT_FALSE(plain.MightContain(uint64_t{42}));
   std::vector<std::string> probes = {"a", "b", "c"};
   EXPECT_DOUBLE_EQ(plain.MeasuredFpr(probes), 0.0);
-  // The insertable wrapper, never built, is the empty set and drops
-  // writes; its rebuild controls have no worker to wake.
-  concurrent::RebuildableExistence<bloom::BloomFilter> unbuilt;
-  EXPECT_FALSE(unbuilt.MightContain("anything"));
-  EXPECT_FALSE(unbuilt.Insert("anything"));
-  EXPECT_EQ(unbuilt.num_keys(), 0u);
-  EXPECT_EQ(unbuilt.SizeBytes(), 0u);
-  unbuilt.RequestRebuild();
-  unbuilt.WaitForRebuilds();
 }
 
 TEST_F(ExistenceConformanceTest, EmptyBuiltFiltersAnswerEmptySet) {

@@ -8,29 +8,18 @@
 // answers nullptr; Stats must be internally consistent. The chained
 // family additionally sweeps the Figure-11 slot budgets (75/100/125%)
 // under both hash families.
-//
-// The same oracle matrix is templatized over the Find calling convention
-// (pointer for the static families, value-copy-out for the concurrent
-// wrappers), so concurrent::ConcurrentPointIndex<Base> runs the full
-// single-threaded suite — duplicate keys, erase-then-reinsert churn
-// across log freezes and background rebuilds, and the slot sweep —
-// proving it degenerates to exact map semantics when one thread drives
-// it.
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
-#include "concurrent/concurrent_point_index.h"
 #include "data/datasets.h"
 #include "hash/chained_hash_map.h"
 #include "hash/cuckoo_map.h"
 #include "hash/hash_fn.h"
 #include "hash/inplace_chained_map.h"
-#include "index/concurrent_point_index.h"
 #include "index/point_index.h"
 
 namespace li {
@@ -44,32 +33,6 @@ static_assert(index::PointIndex<hash::CuckooMap<hash::Record>>);
 static_assert(index::HasNativeFindBatch<hash::ChainedHashMap>);
 static_assert(index::HasNativeFindBatch<hash::InplaceChainedMap>);
 static_assert(index::HasNativeFindBatch<hash::CuckooMap<hash::Record>>);
-// Every family's concurrent wrapper satisfies the concurrent contract.
-static_assert(index::ConcurrentWritablePointIndex<
-              concurrent::ConcurrentPointIndex<hash::ChainedHashMap>>);
-static_assert(index::ConcurrentWritablePointIndex<
-              concurrent::ConcurrentPointIndex<hash::InplaceChainedMap>>);
-static_assert(index::ConcurrentWritablePointIndex<
-              concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>>>);
-
-/// Calling-convention bridge: the static families return a stable
-/// pointer; the concurrent wrappers copy the record out (a pointer would
-/// dangle once a rebuild retires its version). Normalizing both to an
-/// optional payload lets one oracle matrix drive every implementation.
-template <typename I>
-std::optional<uint64_t> FindPayload(const I& map, uint64_t q) {
-  if constexpr (requires(const I& m) {
-                  { m.Find(q) } -> std::same_as<const hash::Record*>;
-                }) {
-    const hash::Record* r = map.Find(q);
-    if (r == nullptr) return std::nullopt;
-    return r->payload;
-  } else {
-    hash::Record rec{};
-    if (!map.Find(q, &rec)) return std::nullopt;
-    return rec.payload;
-  }
-}
 
 // ---- Shared dataset: 30k records with ~10% duplicate keys ----
 const std::vector<hash::Record>& SharedRecords() {
@@ -115,20 +78,19 @@ std::vector<uint64_t> SharedProbes() {
 }
 
 /// The shared dynamic core: Find agrees with `oracle` (first-record-wins)
-/// for present, absent, and extreme keys — one definition for the static
-/// families and the concurrent wrappers.
+/// for present, absent, and extreme keys.
 template <typename I>
 void CheckOracleAgreement(
     const I& map, const std::unordered_map<uint64_t, uint64_t>& oracle,
     const std::string& name) {
   for (const uint64_t q : SharedProbes()) {
-    const std::optional<uint64_t> got = FindPayload(map, q);
+    const hash::Record* got = map.Find(q);
     const auto it = oracle.find(q);
     if (it == oracle.end()) {
-      ASSERT_FALSE(got.has_value()) << name << " q=" << q;
+      ASSERT_EQ(got, nullptr) << name << " q=" << q;
     } else {
-      ASSERT_TRUE(got.has_value()) << name << " q=" << q;
-      ASSERT_EQ(*got, it->second) << name << " q=" << q;
+      ASSERT_NE(got, nullptr) << name << " q=" << q;
+      ASSERT_EQ(got->payload, it->second) << name << " q=" << q;
     }
   }
 }
@@ -168,50 +130,6 @@ Configs<hash::CuckooMap<hash::Record>>() {
   careful.load_factor = 0.95;
   careful.careful = true;
   return {{"avx-style", fast}, {"careful", careful}};
-}
-
-/// Concurrent wrappers inherit the base families' config matrix. A tiny
-/// log forces freezes mid-matrix; automatic rebuilds stay off so the
-/// churn tests trigger them at deterministic points.
-template <typename Base>
-std::vector<std::pair<
-    std::string, typename concurrent::ConcurrentPointIndex<Base>::Config>>
-WrapConfigs() {
-  std::vector<std::pair<
-      std::string, typename concurrent::ConcurrentPointIndex<Base>::Config>>
-      out;
-  for (const auto& [name, base_cfg] : Configs<Base>()) {
-    typename concurrent::ConcurrentPointIndex<Base>::Config cfg;
-    cfg.base = base_cfg;
-    cfg.log_cap = 64;
-    cfg.rebuild_entries = 0;
-    out.push_back({name, cfg});
-  }
-  return out;
-}
-
-template <>
-std::vector<std::pair<
-    std::string,
-    concurrent::ConcurrentPointIndex<hash::ChainedHashMap>::Config>>
-Configs<concurrent::ConcurrentPointIndex<hash::ChainedHashMap>>() {
-  return WrapConfigs<hash::ChainedHashMap>();
-}
-
-template <>
-std::vector<std::pair<
-    std::string,
-    concurrent::ConcurrentPointIndex<hash::InplaceChainedMap>::Config>>
-Configs<concurrent::ConcurrentPointIndex<hash::InplaceChainedMap>>() {
-  return WrapConfigs<hash::InplaceChainedMap>();
-}
-
-template <>
-std::vector<std::pair<
-    std::string,
-    concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>>::Config>>
-Configs<concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>>>() {
-  return WrapConfigs<hash::CuckooMap<hash::Record>>();
 }
 
 template <typename I>
@@ -357,184 +275,6 @@ TEST(AnyPointIndexTest, EmptyHandleAnswersLikeNeverBuiltMap) {
                                        reinterpret_cast<const hash::Record*>(1));
   empty.FindBatch(probes, out);
   for (const hash::Record* r : out) EXPECT_EQ(r, nullptr);
-}
-
-// ---- The same matrix over the concurrent wrappers (single-threaded:
-// the wrapper must degenerate to exact map semantics) ----
-
-template <typename I>
-class ConcurrentPointConformanceTest : public ::testing::Test {};
-
-using ConcurrentPointImpls = ::testing::Types<
-    concurrent::ConcurrentPointIndex<hash::ChainedHashMap>,
-    concurrent::ConcurrentPointIndex<hash::InplaceChainedMap>,
-    concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>>>;
-TYPED_TEST_SUITE(ConcurrentPointConformanceTest, ConcurrentPointImpls);
-
-TYPED_TEST(ConcurrentPointConformanceTest, FindMatchesOracleFirstRecordWins) {
-  for (const auto& [name, config] : Configs<TypeParam>()) {
-    TypeParam map;
-    ASSERT_TRUE(map.Build(SharedRecords(), config).ok()) << name;
-    EXPECT_EQ(map.num_records(), Oracle().size()) << name;
-    CheckOracleAgreement(map, Oracle(), name);
-    // A rebuild folds nothing here (no writes) but must not perturb
-    // answers — the published version swap is invisible to readers.
-    ASSERT_TRUE(map.Rebuild().ok()) << name;
-    CheckOracleAgreement(map, Oracle(), name);
-  }
-}
-
-TYPED_TEST(ConcurrentPointConformanceTest, FindBatchMatchesFind) {
-  for (const auto& [name, config] : Configs<TypeParam>()) {
-    TypeParam map;
-    ASSERT_TRUE(map.Build(SharedRecords(), config).ok()) << name;
-    const auto probes = SharedProbes();
-    std::vector<hash::Record> recs(probes.size());
-    std::vector<uint8_t> found(probes.size(), 2);
-    map.FindBatch(probes, recs, found);
-    for (size_t i = 0; i < probes.size(); ++i) {
-      const std::optional<uint64_t> got = FindPayload(map, probes[i]);
-      ASSERT_EQ(found[i] != 0, got.has_value())
-          << name << " q=" << probes[i];
-      if (found[i] != 0) {
-        ASSERT_EQ(recs[i].payload, *got) << name << " q=" << probes[i];
-      }
-    }
-  }
-}
-
-// Duplicate-key / erase-then-reinsert churn: every 10th oracle key is
-// erased, probed absent, reinserted with a fresh payload (insert-after-
-// erase must land: first-wins applies to *live* keys only), then
-// shadow-upserted. The 64-entry log forces freezes throughout, and a
-// mid-churn plus an end-of-churn rebuild force the overlay through the
-// fold-and-rebase path; the full probe matrix must agree with the
-// updated oracle after every phase.
-TYPED_TEST(ConcurrentPointConformanceTest, EraseThenReinsertAcrossRebuilds) {
-  for (const auto& [name, config] : Configs<TypeParam>()) {
-    TypeParam map;
-    ASSERT_TRUE(map.Build(SharedRecords(), config).ok()) << name;
-    std::unordered_map<uint64_t, uint64_t> oracle = Oracle();
-
-    std::vector<uint64_t> victims;
-    for (size_t i = 0; i < SharedRecords().size(); i += 10) {
-      victims.push_back(SharedRecords()[i].key);
-    }
-    std::sort(victims.begin(), victims.end());
-    victims.erase(std::unique(victims.begin(), victims.end()),
-                  victims.end());
-
-    size_t step = 0;
-    for (const uint64_t k : victims) {
-      ASSERT_TRUE(map.Erase(k)) << name << " k=" << k;
-      ASSERT_FALSE(map.Erase(k)) << name << " double erase k=" << k;
-      ASSERT_FALSE(FindPayload(map, k).has_value()) << name << " k=" << k;
-      const uint64_t fresh = k ^ 0xBEEF;
-      ASSERT_TRUE(map.Insert({k, fresh, 0})) << name << " k=" << k;
-      // First-wins: a second insert of a live key must not overwrite.
-      ASSERT_FALSE(map.Insert({k, 0xDEAD, 0})) << name << " k=" << k;
-      ASSERT_EQ(FindPayload(map, k), std::optional<uint64_t>(fresh))
-          << name << " k=" << k;
-      // Upsert overwrites and reports the key was present.
-      ASSERT_FALSE(map.Upsert({k, fresh + 1, 0})) << name << " k=" << k;
-      oracle[k] = fresh + 1;
-      if (++step == victims.size() / 2) {
-        ASSERT_TRUE(map.Rebuild().ok()) << name;
-      }
-    }
-    EXPECT_EQ(map.num_records(), oracle.size()) << name;
-    CheckOracleAgreement(map, oracle, name + "/pre-rebuild");
-    ASSERT_TRUE(map.Rebuild().ok()) << name;
-    EXPECT_EQ(map.num_records(), oracle.size()) << name;
-    CheckOracleAgreement(map, oracle, name + "/post-rebuild");
-    // After a full fold the overlay is empty: everything lives in the
-    // rebuilt base table.
-    EXPECT_EQ(map.ConcurrentStats().delta_entries, 0u) << name;
-  }
-}
-
-// The Figure-11 slot sweep through the concurrent wrapper: an explicit
-// slot budget becomes a slots-per-record ratio, so a rebuild after
-// insert churn resizes the table instead of pinning the build-time
-// count. Only the chained family exposes a slot budget.
-TYPED_TEST(ConcurrentPointConformanceTest, SlotSweepResizesAcrossRebuilds) {
-  typename TypeParam::Config probe_cfg{};
-  if constexpr (requires { probe_cfg.base.num_slots; }) {
-    const auto& records = SharedRecords();
-    for (const auto& [name, base_config] : Configs<TypeParam>()) {
-      for (const int pct : {75, 100, 125}) {
-        auto config = base_config;
-        config.base.num_slots = records.size() * pct / 100;
-        TypeParam map;
-        ASSERT_TRUE(map.Build(records, config).ok()) << name << " " << pct;
-        CheckOracleAgreement(map, Oracle(), name);
-        std::unordered_map<uint64_t, uint64_t> oracle = Oracle();
-        // Grow by 10% fresh keys, then rebuild: the slot count must
-        // track the record count at the configured ratio.
-        Xorshift128Plus rng(53);
-        for (size_t i = 0; i < records.size() / 10; ++i) {
-          const uint64_t k = (uint64_t{1} << 45) + rng.NextBounded(1u << 30);
-          if (oracle.emplace(k, k + 1).second) {
-            ASSERT_TRUE(map.Insert({k, k + 1, 0})) << name;
-          }
-        }
-        ASSERT_TRUE(map.Rebuild().ok()) << name << " " << pct;
-        EXPECT_EQ(map.num_records(), oracle.size()) << name;
-        const size_t want_slots = static_cast<size_t>(
-            static_cast<double>(config.base.num_slots) /
-                static_cast<double>(Oracle().size()) *
-                static_cast<double>(oracle.size()) +
-            0.5);
-        EXPECT_NEAR(static_cast<double>(map.Stats().num_slots),
-                    static_cast<double>(want_slots), 2.0)
-            << name << " " << pct;
-        CheckOracleAgreement(map, oracle, name + "/resized");
-      }
-    }
-  } else {
-    GTEST_SKIP() << "family has no explicit slot budget";
-  }
-}
-
-TYPED_TEST(ConcurrentPointConformanceTest, NeverBuiltAnswersAbsent) {
-  TypeParam map;
-  EXPECT_FALSE(FindPayload(map, 0).has_value());
-  EXPECT_FALSE(FindPayload(map, 42).has_value());
-  EXPECT_EQ(map.num_records(), 0u);
-  EXPECT_EQ(map.SizeBytes(), 0u);
-  EXPECT_FALSE(map.Insert({1, 2, 0}));
-  EXPECT_FALSE(map.Upsert({1, 2, 0}));
-  EXPECT_FALSE(map.Erase(1));
-  std::vector<uint64_t> probes = {1, 2, 3};
-  std::vector<hash::Record> recs(3);
-  std::vector<uint8_t> found(3, 2);
-  map.FindBatch(probes, recs, found);
-  for (const uint8_t f : found) EXPECT_EQ(f, 0);
-  map.RequestRebuild();  // no worker to wake: both are no-ops
-  map.WaitForRebuilds();
-}
-
-// An insert acknowledged before an asynchronous rebuild stays visible
-// through it (the worker folds the log into the new base table), and
-// the insert counter records it.
-TYPED_TEST(ConcurrentPointConformanceTest, InsertVisibleAcrossRequestRebuild) {
-  for (const auto& [name, config] : Configs<TypeParam>()) {
-    TypeParam map;
-    ASSERT_TRUE(map.Build(SharedRecords(), config).ok()) << name;
-    const uint64_t fresh_key = ~uint64_t{1};
-    ASSERT_TRUE(map.Insert({fresh_key, 7, 0})) << name;
-    EXPECT_EQ(FindPayload(map, fresh_key), std::optional<uint64_t>(7))
-        << name;
-    map.RequestRebuild();
-    map.WaitForRebuilds();
-    ASSERT_TRUE(map.last_rebuild_status().ok()) << name;
-    EXPECT_EQ(FindPayload(map, fresh_key), std::optional<uint64_t>(7))
-        << name;
-    CheckOracleAgreement(map, Oracle(), name + "/post-rebuild");
-    EXPECT_EQ(map.ConcurrentStats().inserts, 1u) << name;
-    EXPECT_TRUE(map.Erase(fresh_key)) << name;
-    EXPECT_FALSE(FindPayload(map, fresh_key).has_value()) << name;
-  }
 }
 
 }  // namespace

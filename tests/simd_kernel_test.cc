@@ -3,11 +3,7 @@
 // inputs (empty / 1-key / odd-length batches, duplicate keys, window ends,
 // denormal and extreme doubles, NaN/infinity products) and end-to-end
 // (RmiIndex::LookupBatch, hash SlotBatch/FindBatch) under forced-level
-// dispatch. The concurrent point wrapper rides the same matrix: its
-// overlay-aware Find/FindBatch must stay bit-exact across levels when
-// quiesced, and level-pinned batch reads must hold the payload invariant
-// while a writer floods inserts and background rehashes republish the
-// base mid-probe. The concurrent range wrapper's Scan runs its write-log
+// dispatch. The concurrent range wrapper's Scan runs its write-log
 // passes through the table, so it rides the matrix too: identical answers
 // at every level, equal to a std::set oracle. The CI matrix runs this
 // suite under ASan/UBSan and in the portable LI_NATIVE_ARCH=OFF build at
@@ -16,16 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/random.h"
-#include "concurrent/concurrent_point_index.h"
 #include "concurrent/concurrent_writable_index.h"
 #include "data/datasets.h"
 #include "dynamic/merge_policy.h"
@@ -565,88 +558,6 @@ TEST(SimdEndToEndTest, CuckooFindBatchBitExactAcrossLevels) {
   }
 }
 
-// The concurrent wrapper's read path funnels into the same batch kernels
-// (slot hashing, probe loops) but layers the write-log and frozen-delta
-// scan on top. Quiesced, every forced level must produce identical
-// found-flags and record copies over a state whose overlay is live (log
-// appends, frozen folds, tombstones) — the overlay scan is scalar and
-// must splice into the SIMD base probe without divergence.
-TEST(SimdEndToEndTest, ConcurrentPointFindBatchBitExactAcrossLevels) {
-  const auto keys = data::GenUniform(30'000, /*seed=*/83);
-  std::vector<hash::Record> records;
-  records.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    records.push_back(hash::Record{keys[i], i, 0});
-  }
-
-  const auto check = [&](auto& map) {
-    // Put the overlay in play: tombstone every 50th base key, insert a
-    // fresh strided range (some frozen, some still in the live log).
-    for (size_t i = 0; i < keys.size(); i += 50) {
-      ASSERT_TRUE(map.Erase(keys[i]));
-    }
-    for (uint64_t k = 0; k < 2'000; ++k) {
-      ASSERT_TRUE(map.Insert({(uint64_t{1} << 50) + k, k, 0}));
-    }
-    std::vector<uint64_t> queries = EdgeUints(6'000, 89);
-    Xorshift128Plus rng(97);
-    for (size_t i = 0; i < queries.size(); i += 2) {
-      queries[i] = (i % 4 == 0) ? (uint64_t{1} << 50) + rng.NextBounded(2'500)
-                                : keys[rng.NextBounded(keys.size())];
-    }
-    std::vector<hash::Record> ref_recs(queries.size());
-    std::vector<uint8_t> ref_found(queries.size(), 2);
-    {
-      ScopedLevel pin(Level::kScalar);
-      ASSERT_TRUE(pin.status().ok());
-      map.FindBatch(queries, ref_recs, ref_found);
-      // The scalar batch path must agree with the single-key path.
-      for (size_t i = 0; i < queries.size(); ++i) {
-        hash::Record rec{};
-        ASSERT_EQ(ref_found[i] != 0, map.Find(queries[i], &rec)) << i;
-        if (ref_found[i] != 0) ASSERT_EQ(ref_recs[i].payload, rec.payload);
-      }
-    }
-    for (const Level level : SupportedLevels()) {
-      ScopedLevel pin(level);
-      ASSERT_TRUE(pin.status().ok());
-      std::vector<hash::Record> got_recs(queries.size());
-      std::vector<uint8_t> got_found(queries.size(), 3);
-      map.FindBatch(queries, got_recs, got_found);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        ASSERT_EQ(got_found[i] != 0, ref_found[i] != 0)
-            << LevelName(level) << " i=" << i;
-        if (ref_found[i] != 0) {
-          ASSERT_EQ(got_recs[i].key, ref_recs[i].key)
-              << LevelName(level) << " i=" << i;
-          ASSERT_EQ(got_recs[i].payload, ref_recs[i].payload)
-              << LevelName(level) << " i=" << i;
-        }
-      }
-    }
-  };
-
-  {
-    concurrent::ConcurrentPointIndex<hash::ChainedHashMap> map;
-    concurrent::ConcurrentPointIndex<hash::ChainedHashMap>::Config cfg;
-    cfg.base.num_slots = keys.size();
-    cfg.log_cap = 256;        // live log + frozen folds both populated
-    cfg.rebuild_entries = 0;  // keep the overlay in place while probing
-    ASSERT_TRUE(map.Build(records, cfg).ok());
-    check(map);
-  }
-  {
-    concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>> map;
-    concurrent::ConcurrentPointIndex<hash::CuckooMap<hash::Record>>::Config
-        cfg;
-    cfg.base.load_factor = 0.9;
-    cfg.log_cap = 256;
-    cfg.rebuild_entries = 0;
-    ASSERT_TRUE(map.Build(records, cfg).ok());
-    check(map);
-  }
-}
-
 // ConcurrentWritableIndex::Scan counts the log's tombstones at or above
 // its start and collects the log writes inside its window through the
 // kernel table. With every write still in the live log (large log_cap,
@@ -754,75 +665,6 @@ TEST(SimdEndToEndTest, ConcurrentScanBitExactAcrossLevels) {
       }
     }
   }
-}
-
-// Level-pinned reads racing a rehash: one writer floods fresh keys and
-// keeps the background rebuild churning (small rebuild_entries), while
-// the main thread walks every forced level probing base keys the writer
-// never touches. Whatever version or kernel a probe lands on, a stable
-// key must be found with its exact build-time payload — the epoch-
-// protected publish may never tear a batch mid-flight.
-TEST(SimdEndToEndTest, ConcurrentPointBatchReadsStableMidRehash) {
-  const auto keys = data::GenUniform(20'000, /*seed=*/101, uint64_t{1} << 40);
-  std::vector<hash::Record> records;
-  records.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    records.push_back(hash::Record{keys[i], keys[i] * 3 + 1, 0});
-  }
-  using Conc = concurrent::ConcurrentPointIndex<hash::ChainedHashMap>;
-  Conc map;
-  Conc::Config cfg;
-  cfg.base.num_slots = keys.size();
-  cfg.log_cap = 128;          // frequent freezes under the flood
-  cfg.rebuild_entries = 512;  // rehash storms throughout the probe loop
-  ASSERT_TRUE(map.Build(records, cfg).ok());
-
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    uint64_t k = uint64_t{1} << 50;  // disjoint from every probed key
-    // At least 32 bursts even if the probe loop wins every race — the
-    // final rebuild-happened assertion must not depend on scheduling.
-    for (int bursts = 0;
-         bursts < 32 || !stop.load(std::memory_order_relaxed); ++bursts) {
-      for (int burst = 0; burst < 256; ++burst) {
-        map.Insert({k, k + 1, 0});
-        ++k;
-      }
-      map.RequestRebuild();
-    }
-  });
-
-  Xorshift128Plus rng(103);
-  std::vector<uint64_t> probes(512);
-  std::vector<hash::Record> recs(probes.size());
-  std::vector<uint8_t> found(probes.size());
-  // Probe until the worker has republished under us a few times (or a
-  // generous round cap on starved machines).
-  for (int round = 0;
-       round < 400 && map.ConcurrentStats().background_merges < 3;
-       ++round) {
-    for (const Level level : SupportedLevels()) {
-      ScopedLevel pin(level);
-      ASSERT_TRUE(pin.status().ok());
-      for (uint64_t& p : probes) p = keys[rng.NextBounded(keys.size())];
-      map.FindBatch(probes, recs, found);
-      for (size_t i = 0; i < probes.size(); ++i) {
-        ASSERT_NE(found[i], 0)
-            << LevelName(level) << " lost stable key " << probes[i];
-        ASSERT_EQ(recs[i].key, probes[i]) << LevelName(level);
-        ASSERT_EQ(recs[i].payload, probes[i] * 3 + 1) << LevelName(level);
-      }
-      hash::Record rec{};
-      ASSERT_TRUE(map.Find(probes[0], &rec)) << LevelName(level);
-      ASSERT_EQ(rec.payload, probes[0] * 3 + 1) << LevelName(level);
-    }
-  }
-  stop.store(true);
-  writer.join();
-  map.WaitForRebuilds();
-  ASSERT_TRUE(map.last_rebuild_status().ok())
-      << map.last_rebuild_status().message();
-  EXPECT_GT(map.ConcurrentStats().background_merges, 0u);
 }
 
 }  // namespace

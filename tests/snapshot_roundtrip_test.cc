@@ -506,8 +506,9 @@ BadDeltaCfgs() {
 // one file drives both. Over base keys {10, 20, ..., 10000} the delta is
 // Erase(5) of an absent key (flags 1), Insert(15) (flags 0) and
 // Erase(20) of a base key (flags 3). Every crafted variant below
-// disagrees with the base keys or with itself, or carries a cfg knob no
-// Build accepts, and both classes must refuse it at open. Unchecked,
+// disagrees with the base keys or with itself, has base keys out of
+// order, or carries a cfg knob no Build accepts, and both classes must
+// refuse it at open. Unchecked,
 // flipping the first entry's in_base bit (1 -> 3) opens cleanly and
 // answers size() 999 and Lookup(6) == SIZE_MAX; a NaN max_delta_fraction
 // opens and makes the first Insert a float-cast UB; a 2^40 cap makes
@@ -561,18 +562,24 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
 
   struct Variant {
     const char* what;
+    std::vector<uint64_t> keys;
     std::vector<uint64_t> dkeys;
     std::vector<uint8_t> dmeta;
     dynamic::DeltaSnapshotCfg cfg;
   };
   std::vector<Variant> variants;
   auto add = [&](const char* what, auto&& mutate) {
-    Variant v{what, dkeys, dmeta, cfg};
+    Variant v{what, keys, dkeys, dmeta, cfg};
     mutate(v.dkeys, v.dmeta);
     variants.push_back(std::move(v));
   };
+  auto add_keys = [&](const char* what, auto&& mutate) {
+    Variant v{what, keys, dkeys, dmeta, cfg};
+    mutate(v.keys);
+    variants.push_back(std::move(v));
+  };
   auto add_cfg = [&](const char* what, auto&& mutate) {
-    Variant v{what, dkeys, dmeta, cfg};
+    Variant v{what, keys, dkeys, dmeta, cfg};
     mutate(v.cfg);
     variants.push_back(std::move(v));
   };
@@ -589,6 +596,10 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
   });
   add("unknown flag bit", [](auto&, auto& m) { m[1] |= 4; });
   add("dmeta shorter than dkeys", [](auto&, auto& m) { m.pop_back(); });
+  // Past every delta key, so only the base-key order check can see them.
+  add_keys("base keys out of order",
+           [](auto& k) { std::swap(k[500], k[501]); });
+  add_keys("duplicate base key", [](auto& k) { k[501] = k[500]; });
   for (const auto& [what, bad] : BadDeltaCfgs()) {
     add_cfg(what, [&](auto& c) { bad(c.policy, c.cap); });
   }
@@ -597,7 +608,8 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
     std::vector<uint8_t> cfg_bytes(sizeof(v.cfg));
     std::memcpy(cfg_bytes.data(), &v.cfg, sizeof(v.cfg));
     CopySnapshot(path, crafted,
-                 {{"dkeys", Bytes(v.dkeys)},
+                 {{"keys", Bytes(v.keys)},
+                  {"dkeys", Bytes(v.dkeys)},
                   {"dmeta", v.dmeta},
                   {"cfg", cfg_bytes}});
     auto delta = DeltaRmi::OpenSnapshot(crafted);

@@ -449,5 +449,63 @@ TEST(LearnedHashSnapshotTest, WritesNoRouteSection) {
   std::remove(path.c_str());
 }
 
+// ---- Deterministic bytes ----
+
+/// Fills 64 KiB of stack below the caller with 0xAB, so any byte a later
+/// call at the same depth leaves uninitialized reads as 0xAB.
+[[gnu::noinline]] void DirtyStack() {
+  volatile uint8_t buf[64 * 1024];
+  for (size_t i = 0; i < sizeof(buf); ++i) buf[i] = 0xAB;
+}
+
+/// Runs `write(path)` twice, the second time on a dirtied stack, and
+/// expects byte-identical files: padding bytes copied from the stack into
+/// a persisted struct would show up as a difference.
+template <typename WriteFn>
+void ExpectIdenticalOnDirtyStack(const std::string& name, WriteFn&& write) {
+  const std::string clean = TmpPath(name + "_clean.snap");
+  const std::string dirty = TmpPath(name + "_dirty.snap");
+  write(clean);
+  DirtyStack();
+  write(dirty);
+  const std::vector<uint8_t> a = ReadAll(clean);
+  const std::vector<uint8_t> b = ReadAll(dirty);
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  size_t differing = 0;
+  for (size_t i = 0; i < a.size(); ++i) differing += a[i] != b[i];
+  EXPECT_EQ(differing, 0u) << "of " << a.size() << " bytes";
+  std::remove(clean.c_str());
+  std::remove(dirty.c_str());
+}
+
+TEST(DeterministicSnapshotTest, ChainedHashMapBuiltTwiceIsByteIdentical) {
+  // Half as many slots as records, so most records land in overflow.
+  const auto keys = data::GenUniform(4'096, 71);
+  std::vector<hash::Record> records;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    records.push_back({keys[i], i, static_cast<uint32_t>(i)});
+  }
+  hash::ChainedHashMapConfig config;
+  config.num_slots = records.size() / 2;
+  config.hash.seed = 73;
+  ExpectIdenticalOnDirtyStack("det_chained", [&](const std::string& path) {
+    hash::ChainedHashMap map;
+    ASSERT_TRUE(map.Build(records, config).ok());
+    ASSERT_TRUE(map.WriteSnapshot(path).ok());
+  });
+}
+
+TEST(DeterministicSnapshotTest, RmiBuiltTwiceIsByteIdentical) {
+  const auto keys = data::GenLognormal(20'000, 79);
+  rmi::RmiConfig config;
+  config.num_leaf_models = 256;
+  ExpectIdenticalOnDirtyStack("det_rmi", [&](const std::string& path) {
+    rmi::LinearRmi rmi;
+    ASSERT_TRUE(rmi.Build(keys, config).ok());
+    ASSERT_TRUE(rmi.WriteSnapshot(path).ok());
+  });
+}
+
 }  // namespace
 }  // namespace li::snapshot
