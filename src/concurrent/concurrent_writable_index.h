@@ -2,8 +2,8 @@
 // Appendix-D.1 delta architecture, behind the library-wide
 // index::ConcurrentWritableRangeIndex contract.
 //
-// Published state is an immutable *version* (the version cell, write log
-// and background worker are the shared core in concurrent/versioned.h):
+// Published state is an immutable *version* (the version cell and the
+// background worker are the shared core in concurrent/versioned.h):
 //
 //   State = { base keys + built Base index   (shared with older versions)
 //           , frozen delta                   (sorted runs + rank prefix sums)
@@ -14,13 +14,11 @@
 // no locks: rank = bi + frozen.RankAdjustBelow + Σ log nets, where the
 // base rank bi = base.Lookup also positions the frozen seek (the frozen
 // run's base fence, dynamic/delta_buffer.h).
-// The log is two columns of one length: the written keys, contiguous so
-// the per-read passes over them vectorize, and one flags byte per write
-// (tombstone, and whether the key was live just before the write). The
-// flags fix each write's *liveness delta* net = !tombstone - live_before
-// ∈ {-1,0,+1} at append time, so any published log prefix yields an exact
-// lower_bound rank over the live set as of that prefix — the log-count
-// store, which publishes both columns, is the serialization point.
+// The log (WriteLog, below) fixes each write's *liveness delta*
+// net = !tombstone - live_before ∈ {-1,0,+1} at append time, so any
+// published log prefix yields an exact lower_bound rank over the live set
+// as of that prefix — the log-count store, which publishes the write, is
+// the serialization point.
 //
 // Writers serialize on one mutex (contention is counted, and sharding —
 // sharded_index.h — is the documented escape hatch), append to the log,
@@ -60,6 +58,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -68,7 +67,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -91,7 +89,152 @@
 
 namespace li::concurrent {
 
+/// The bounded, append-only write log of one ConcurrentWritableIndex
+/// version, as two columns of one length: the written keys, contiguous so
+/// the per-read passes over them vectorize (they run through the SIMD
+/// kernel table), and one flags byte per write — tombstone, and whether
+/// the key was live just before the write.
+///
+/// Thread-safety: Append runs under the owning index's writer mutex and
+/// is the only code that stores to the log. A reader loads count() once
+/// (acquire) and hands that prefix n to the passes below, which read
+/// nothing past it.
+class WriteLog {
+ public:
+  explicit WriteLog(size_t cap)
+      : keys_(std::make_unique<uint64_t[]>(cap)),
+        flags_(std::make_unique<uint8_t[]>(cap)),
+        cap_(cap) {}
+
+  size_t SizeBytes() const { return cap_ * (sizeof(uint64_t) + 1); }
+  /// Published write count (readers).
+  uint32_t count() const { return count_.load(std::memory_order_acquire); }
+  /// Write count for the writer-mutex holder.
+  uint32_t count_locked() const {
+    return count_.load(std::memory_order_relaxed);
+  }
+  bool full_locked() const { return count_locked() == cap_; }
+
+  /// Appends and publishes one write; returns its liveness delta. Writer
+  /// mutex held, log not full. The flags byte and the first-tombstone
+  /// index are stored before the key, and the count's release store
+  /// publishes all three, so a reader's acquire covers them.
+  int Append(uint64_t key, bool tombstone, bool live_before) {
+    const uint32_t n = count_locked();
+    flags_[n] = static_cast<uint8_t>((tombstone ? kTombstone : 0) |
+                                     (live_before ? kLiveBefore : 0));
+    if (tombstone && n < first_tombstone_.load(std::memory_order_relaxed)) {
+      first_tombstone_.store(n, std::memory_order_relaxed);
+    }
+    keys_[n] = key;
+    count_.store(n + 1, std::memory_order_release);
+    return Net(flags_[n]);
+  }
+
+  bool tombstone(uint32_t i) const { return (flags_[i] & kTombstone) != 0; }
+  bool live_before(uint32_t i) const {
+    return (flags_[i] & kLiveBefore) != 0;
+  }
+
+  // ---- passes over a published prefix [0, n) ----
+
+  /// Index of the newest write to `key`, or n if there is none: the
+  /// window kernel steps through the matches (lo == hi == key).
+  uint32_t NewestWrite(uint32_t n, uint64_t key) const {
+    uint32_t newest = n;
+    for (uint32_t i = NextInWindow(0, n, key, key); i < n;
+         i = NextInWindow(i + 1, n, key, key)) {
+      newest = i;
+    }
+    return newest;
+  }
+
+  /// Σ nets of the writes on keys below `key`.
+  int64_t NetBelow(uint32_t n, uint64_t key) const {
+    int64_t adj = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      adj += static_cast<int>(keys_[i] < key) * Net(flags_[i]);
+    }
+    return adj;
+  }
+
+  /// Σ nets of every write.
+  int64_t NetTotal(uint32_t n) const {
+    int64_t c = 0;
+    for (uint32_t i = 0; i < n; ++i) c += Net(flags_[i]);
+    return c;
+  }
+
+  /// Tombstones among the writes with key >= `lo`; 0 without a pass when
+  /// the prefix holds no tombstone.
+  size_t TombstonesFrom(uint32_t n, uint64_t lo) const {
+    if (n <= first_tombstone_.load(std::memory_order_relaxed)) return 0;
+    return simd::GetKernels().count_at_least_flagged_u64(
+        keys_.get(), flags_.get(), n, lo, kTombstone);
+  }
+
+  /// One key's writes within a prefix: its oldest and newest write.
+  struct KeyHistory {
+    uint64_t key;
+    uint32_t oldest;
+    uint32_t newest;
+  };
+
+  /// The keys written inside [lo, hi], ascending, each with its oldest
+  /// and newest write: one window-kernel pass, then a sort of the writes
+  /// it found — O(m log m) in those m writes.
+  std::vector<KeyHistory> NewestPerKey(uint32_t n, uint64_t lo,
+                                       uint64_t hi) const {
+    std::vector<KeyHistory> w;
+    for (uint32_t i = NextInWindow(0, n, lo, hi); i < n;
+         i = NextInWindow(i + 1, n, lo, hi)) {
+      w.push_back({keys_[i], i, i});
+    }
+    std::sort(w.begin(), w.end(),
+              [](const KeyHistory& a, const KeyHistory& b) {
+                return a.key < b.key ||
+                       (a.key == b.key && a.oldest < b.oldest);
+              });
+    size_t out = 0;
+    for (size_t i = 0; i < w.size(); ++i) {
+      if (out > 0 && w[out - 1].key == w[i].key) {
+        w[out - 1].newest = w[i].newest;
+      } else {
+        w[out++] = w[i];
+      }
+    }
+    w.resize(out);
+    return w;
+  }
+
+ private:
+  static constexpr uint8_t kTombstone = 1;   // Erase vs Insert
+  static constexpr uint8_t kLiveBefore = 2;  // key was live just before
+
+  /// Liveness delta of a write: !tombstone - live_before ∈ {-1, 0, +1}.
+  static int Net(uint8_t flags) {
+    return static_cast<int>((flags & kTombstone) == 0) -
+           static_cast<int>((flags & kLiveBefore) != 0);
+  }
+
+  /// First i in [begin, n) with lo <= keys[i] <= hi, or n.
+  uint32_t NextInWindow(uint32_t begin, uint32_t n, uint64_t lo,
+                        uint64_t hi) const {
+    return static_cast<uint32_t>(
+        simd::GetKernels().next_in_range_u64(keys_.get(), begin, n, lo, hi));
+  }
+
+  std::unique_ptr<uint64_t[]> keys_;
+  std::unique_ptr<uint8_t[]> flags_;
+  size_t cap_;
+  std::atomic<uint32_t> count_{0};
+  // Index of the first tombstone (UINT32_MAX while there is none): a
+  // prefix of n writes holds a tombstone iff n > first_tombstone_.
+  std::atomic<uint32_t> first_tombstone_{UINT32_MAX};
+};
+
 template <index::RangeIndex Base>
+  requires std::same_as<typename Base::key_type, uint64_t>
 class ConcurrentWritableIndex {
  public:
   using key_type = typename Base::key_type;
@@ -190,10 +333,6 @@ class ConcurrentWritableIndex {
 
   // ---- Durability (index::DurableIndex; docs/DURABILITY.md) ----
 
-  /// WAL support needs a flat key type (records carry the raw key bytes).
-  static constexpr bool kDurabilityCapable =
-      std::is_trivially_copyable_v<key_type>;
-
   /// Attach a fresh write-ahead log at cfg.path; subsequent writes are
   /// log-then-apply. Call after Build (or after a snapshot): earlier
   /// writes are only recoverable through a snapshot containing them.
@@ -239,11 +378,9 @@ class ConcurrentWritableIndex {
   // the base model loads against the copy without retraining, and the
   // background merge worker restarts.
 
-  /// Snapshot support needs a flat key type and a base that can persist
-  /// its model against a caller-owned key span (the RMI family).
-  static constexpr bool kSnapshotCapable =
-      std::is_trivially_copyable_v<key_type> &&
-      index::DataSpanSnapshottable<Base>;
+  /// Snapshot support needs a base that can persist its model against a
+  /// caller-owned key span (the RMI family).
+  static constexpr bool kSnapshotCapable = index::DataSpanSnapshottable<Base>;
 
   Status WriteSections(snapshot::SnapshotWriter& writer,
                        const std::string& prefix) const {
@@ -287,36 +424,17 @@ class ConcurrentWritableIndex {
 
  private:
   using DeltaEntry = dynamic::DeltaEntry<key_type>;
-
-  // The flags byte of one log write.
-  static constexpr uint8_t kTombstone = 1;   // Erase vs Insert
-  static constexpr uint8_t kLiveBefore = 2;  // key was live just before
-
-  /// Liveness delta of a write: !tombstone - live_before ∈ {-1, 0, +1}.
-  static int Net(uint8_t flags) {
-    return static_cast<int>((flags & kTombstone) == 0) -
-           static_cast<int>((flags & kLiveBefore) != 0);
-  }
+  using KeyHistory = WriteLog::KeyHistory;
 
   /// One immutable published version. Only the log tail changes after
   /// publication, and only under the writer mutex.
   struct State {
-    explicit State(size_t log_cap)
-        : log(log_cap), flags(std::make_unique<uint8_t[]>(log_cap)) {}
-    size_t LogBytes() const { return log.SizeBytes() + log.capacity(); }
+    explicit State(size_t log_cap) : log(log_cap) {}
 
     std::shared_ptr<const std::vector<key_type>> base_keys;
     std::shared_ptr<const Base> base;  // spans *base_keys
     dynamic::DeltaBuffer<key_type> frozen;  // paired with *base_keys
-    // The write log: the key column, whose published count covers both
-    // columns, and a flags byte per write, filled before its key's
-    // Append (the release store) so a reader's acquire covers it too.
-    AppendLog<key_type> log;
-    std::unique_ptr<uint8_t[]> flags;
-    // Index of the log's first tombstone (UINT32_MAX while it has none),
-    // stored once before that write's Append: a reader that loaded count
-    // n knows its prefix holds a tombstone iff n > first_tombstone.
-    std::atomic<uint32_t> first_tombstone{UINT32_MAX};
+    WriteLog log;
   };
   using Cell = VersionedCell<State>;
 
@@ -374,7 +492,7 @@ class ConcurrentWritableIndex {
       for (size_t i = 0; i < m; ++i) {
         const int64_t adj =
             s->frozen.RankAdjustBelow(s->frozen.Seek(keys[i], out[i])) +
-            LogAdjustBelow(*s, n, keys[i]);
+            s->log.NetBelow(n, keys[i]);
         out[i] = static_cast<size_t>(static_cast<int64_t>(out[i]) + adj);
       }
     }
@@ -394,21 +512,15 @@ class ConcurrentWritableIndex {
       if (limit == 0) return out;
       const auto s = cell_.Pin();
       const uint32_t n = s->log.count();
-      const key_type* keys = s->log.data();
-      const uint8_t* flags = s->flags.get();
       // Two bounded stages over this version and its log prefix, never a
       // sort of the whole log.
       //
       // 1. Window. The log's tombstones at or above `from` number E, so
-      //    the log removes at most E distinct keys from any range (E = 0
-      //    without a pass when the prefix holds no tombstone). Take the
-      //    first limit + E live keys >= `from` of base + frozen (the
+      //    the log removes at most E distinct keys from any range. Take
+      //    the first limit + E live keys >= `from` of base + frozen (the
       //    streamed merge DeltaRangeIndex::Scan runs: base copied up to
       //    each frozen entry, frozen shadowing and cancelling base keys).
-      const size_t erases =
-          n > s->first_tombstone.load(std::memory_order_relaxed)
-              ? CountTombstonesFrom(keys, flags, n, from)
-              : 0;
+      const size_t erases = s->log.TombstonesFrom(n, from);
       const size_t cap = limit + std::min(erases, SIZE_MAX - limit);
       std::vector<key_type> window = dynamic::LiveKeys(
           std::span<const key_type>(*s->base_keys), s->frozen,
@@ -418,36 +530,29 @@ class ConcurrentWritableIndex {
       //    (limit + E) - E = limit keys after the log's writes, so the
       //    answer ends at or before hi: only log writes inside
       //    [from, hi] (all >= from when the window is short) can reach
-      //    it. Fold their newest write per key over the window — an
+      //    it. Merge their newest write per key into the window — an
       //    insert adds its key, an erase drops it.
-      const key_type* hi = window.size() == cap ? &window.back() : nullptr;
-      std::vector<KeyWrites<key_type>> writes;
-      for (uint32_t i = NextInWindow(keys, 0, n, from, hi); i < n;
-           i = NextInWindow(keys, i + 1, n, from, hi)) {
-        writes.push_back({keys[i], i, i});
-      }
+      const std::vector<KeyHistory> writes = s->log.NewestPerKey(
+          n, from, window.size() == cap ? window.back() : UINT64_MAX);
       if (writes.empty()) {
         if (window.size() > limit) window.resize(limit);
         return window;
       }
-      GroupByKey(writes);
       out.reserve(std::min(limit, window.size() + writes.size()));
-      FoldNewest(
-          writes,
-          [&](auto&& fn) {
-            for (const key_type& k : window) {
-              if (!fn(k)) return;
-            }
-          },
-          [](const key_type& k) -> const key_type& { return k; },
-          [&](const key_type& k) {
-            out.push_back(k);
-            return out.size() < limit;
-          },
-          [&](const KeyWrites<key_type>& w, const key_type*) {
-            if ((flags[w.newest] & kTombstone) == 0) out.push_back(w.key);
-            return out.size() < limit;
-          });
+      size_t i = 0, wi = 0;
+      while (out.size() < limit &&
+             (i < window.size() || wi < writes.size())) {
+        if (wi == writes.size() ||
+            (i < window.size() && window[i] < writes[wi].key)) {
+          out.push_back(window[i++]);
+          continue;
+        }
+        if (i < window.size() && window[i] == writes[wi].key) ++i;
+        if (!s->log.tombstone(writes[wi].newest)) {
+          out.push_back(writes[wi].key);
+        }
+        ++wi;
+      }
       return out;
     }
 
@@ -458,7 +563,8 @@ class ConcurrentWritableIndex {
 
     size_t SizeBytes() const {
       const auto s = cell_.Pin();
-      return s->base->SizeBytes() + s->frozen.SizeBytes() + s->LogBytes();
+      return s->base->SizeBytes() + s->frozen.SizeBytes() +
+             s->log.SizeBytes();
     }
 
     // ---- write path ----
@@ -470,25 +576,16 @@ class ConcurrentWritableIndex {
       // order == acknowledgement order, and a crash after the append
       // but before the publish at worst replays a write the caller was
       // never acked for (safe: replay goes through this same path).
-      if constexpr (kDurabilityCapable) {
-        wal_.Append(tombstone ? wal::WalRecordType::kErase
-                              : wal::WalRecordType::kInsert,
-                    &key, sizeof(key));
-      }
+      wal_.Append(tombstone ? wal::WalRecordType::kErase
+                            : wal::WalRecordType::kInsert,
+                  &key, sizeof(key));
       State* s = w.get();
       if (s->log.full_locked()) s = FreezeLocked(w, *s);
       const uint32_t n = s->log.count_locked();
       // Under the writer mutex no pin is needed: only writers swap state.
       const bool live_before = LiveIn(*s, n, key).live;
-      const uint8_t flags = static_cast<uint8_t>(
-          (tombstone ? kTombstone : 0) | (live_before ? kLiveBefore : 0));
-      s->flags[n] = flags;  // before the Append that publishes it
-      if (tombstone &&
-          n < s->first_tombstone.load(std::memory_order_relaxed)) {
-        s->first_tombstone.store(n, std::memory_order_relaxed);
-      }
-      s->log.Append(key);
-      live_count_.fetch_add(Net(flags), std::memory_order_relaxed);
+      live_count_.fetch_add(s->log.Append(key, tombstone, live_before),
+                            std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
       ++writes_since_merge_;
       const size_t delta_entries = s->frozen.entry_count() + n + 1;
@@ -577,31 +674,21 @@ class ConcurrentWritableIndex {
     // ---- durability (wal_ is guarded by the writer mutex) ----
 
     Status EnableDurability(const wal::DurabilityConfig& cfg) {
-      if constexpr (!kDurabilityCapable) {
-        return Status::Unimplemented(
-            "ConcurrentWritableIndex durability needs a flat key type");
-      } else {
-        std::lock_guard<std::mutex> lk(cell_.mutex());
-        return wal_.Enable(cfg, sizeof(key_type));
-      }
+      std::lock_guard<std::mutex> lk(cell_.mutex());
+      return wal_.Enable(cfg, sizeof(key_type));
     }
 
     Status RecoverFromWal(const wal::DurabilityConfig& cfg) {
-      if constexpr (!kDurabilityCapable) {
-        return Status::Unimplemented(
-            "ConcurrentWritableIndex durability needs a flat key type");
-      } else {
-        // Replay through the normal write path (no log attached yet, so
-        // nothing re-logs); recovery is single-threaded by contract.
-        return wal_.Recover(
-            cfg, sizeof(key_type),
-            [&](wal::WalRecordType type, const void* payload) {
-              key_type k;
-              std::memcpy(&k, payload, sizeof(k));
-              Write(k, type == wal::WalRecordType::kErase);
-            },
-            &cell_.mutex());
-      }
+      // Replay through the normal write path (no log attached yet, so
+      // nothing re-logs); recovery is single-threaded by contract.
+      return wal_.Recover(
+          cfg, sizeof(key_type),
+          [&](wal::WalRecordType type, const void* payload) {
+            key_type k;
+            std::memcpy(&k, payload, sizeof(k));
+            Write(k, type == wal::WalRecordType::kErase);
+          },
+          &cell_.mutex());
     }
 
     Status TruncateWalAfterPublish() const {
@@ -684,90 +771,18 @@ class ConcurrentWritableIndex {
       return ReadTotal() - reads_baseline_.load(std::memory_order_relaxed);
     }
 
-    /// Index of the newest of the first n log writes to `key`, or n if
-    /// there is none. uint64_t keys step through the matches with the
-    /// window kernel (lo == hi == key); others take one select per entry.
-    static uint32_t NewestWrite(const State& s, uint32_t n,
-                                const key_type& key) {
-      const key_type* keys = s.log.data();
-      uint32_t newest = n;
-      if constexpr (kSimdLog) {
-        for (uint32_t i = NextInWindow(keys, 0, n, key, &key); i < n;
-             i = NextInWindow(keys, i + 1, n, key, &key)) {
-          newest = i;
-        }
-      } else {
-        for (uint32_t i = 0; i < n; ++i) newest = keys[i] == key ? i : newest;
-      }
-      return newest;
-    }
-
-    /// Σ nets of the first n log writes on keys below `key`.
-    static int64_t LogAdjustBelow(const State& s, uint32_t n,
-                                  const key_type& key) {
-      const key_type* keys = s.log.data();
-      const uint8_t* flags = s.flags.get();
-      int64_t adj = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        adj += static_cast<int>(keys[i] < key) * Net(flags[i]);
-      }
-      return adj;
-    }
-
-    // The two per-Scan passes over the log's key column. uint64_t keys
-    // run them through the SIMD kernel table (a compile-time gate, as
-    // RmiIndex::kSimdCapable is); other key types take the scalar loop
-    // the kernels' reference level runs.
-    static constexpr bool kSimdLog = std::is_same_v<key_type, uint64_t>;
-
-    /// Tombstones among the first n log writes with key >= `lo`.
-    static size_t CountTombstonesFrom(const key_type* keys,
-                                      const uint8_t* flags, uint32_t n,
-                                      const key_type& lo) {
-      if constexpr (kSimdLog) {
-        return simd::GetKernels().count_at_least_flagged_u64(
-            keys, flags, n, lo, kTombstone);
-      } else {
-        size_t count = 0;
-        for (uint32_t i = 0; i < n; ++i) {
-          count += static_cast<size_t>(!(keys[i] < lo)) &
-                   static_cast<size_t>(flags[i] & kTombstone);
-        }
-        return count;
-      }
-    }
-
-    /// First i in [begin, n) with lo <= keys[i] <= *hi (no upper bound
-    /// when `hi` is null), or n.
-    static uint32_t NextInWindow(const key_type* keys, uint32_t begin,
-                                 uint32_t n, const key_type& lo,
-                                 const key_type* hi) {
-      if constexpr (kSimdLog) {
-        return static_cast<uint32_t>(simd::GetKernels().next_in_range_u64(
-            keys, begin, n, lo, hi != nullptr ? *hi : UINT64_MAX));
-      } else {
-        for (uint32_t i = begin; i < n; ++i) {
-          if (!(keys[i] < lo) & (hi == nullptr || !(*hi < keys[i]))) {
-            return i;
-          }
-        }
-        return n;
-      }
-    }
-
     size_t RawLookupIn(const State& s, uint32_t n,
                        const key_type& key) const {
       const size_t bi = s.base->Lookup(key);
       const int64_t rank = static_cast<int64_t>(bi) +
                            s.frozen.RankAdjustBelow(s.frozen.Seek(key, bi)) +
-                           LogAdjustBelow(s, n, key);
+                           s.log.NetBelow(n, key);
       return rank > 0 ? static_cast<size_t>(rank) : 0;
     }
 
     size_t LiveCountIn(const State& s, uint32_t n) const {
-      int64_t c = static_cast<int64_t>(s.base_keys->size()) +
-                  s.frozen.LiveAdjustTotal();
-      for (uint32_t i = 0; i < n; ++i) c += Net(s.flags[i]);
+      const int64_t c = static_cast<int64_t>(s.base_keys->size()) +
+                        s.frozen.LiveAdjustTotal() + s.log.NetTotal(n);
       return c > 0 ? static_cast<size_t>(c) : 0;
     }
 
@@ -779,8 +794,8 @@ class ConcurrentWritableIndex {
     /// log write, else its frozen entry, else base membership read off
     /// the base rank that positioned the frozen seek.
     static Liveness LiveIn(const State& s, uint32_t n, const key_type& key) {
-      if (const uint32_t w = NewestWrite(s, n, key); w < n) {
-        return {(s.flags[w] & kTombstone) == 0, true};
+      if (const uint32_t w = s.log.NewestWrite(n, key); w < n) {
+        return {!s.log.tombstone(w), true};
       }
       const size_t bi = s.base->Lookup(key);
       if (const auto e = s.frozen.Find(key, bi)) return {!e->tombstone, true};
@@ -796,30 +811,35 @@ class ConcurrentWritableIndex {
     /// valid only when the result is paired with the *same* base.
     std::vector<DeltaEntry> FoldedEntries(const State& s, uint32_t n,
                                           bool drop_redundant) const {
+      const std::vector<KeyHistory> writes =
+          s.log.NewestPerKey(n, 0, UINT64_MAX);
       std::vector<DeltaEntry> out;
-      out.reserve(s.frozen.entry_count() + n);
-      FoldNewest(
-          WritesByKey<key_type>(
-              s.log, n, [](const key_type& k) -> const key_type& { return k; }),
-          [&](auto&& fn) { s.frozen.VisitAll(fn); },
-          [](const DeltaEntry& e) -> const key_type& { return e.key; },
-          [&](const DeltaEntry& fe) {
-            out.push_back(fe);
-            return true;
-          },
-          [&](const KeyWrites<key_type>& w, const DeltaEntry* shadowed) {
-            // in_base: the shadowed frozen entry knows it; otherwise the
-            // oldest log write's prior liveness *is* base membership (no
-            // frozen or log predecessor existed).
-            const bool in_base = shadowed != nullptr
-                                     ? shadowed->in_base
-                                     : (s.flags[w.oldest] & kLiveBefore) != 0;
-            const bool tombstone = (s.flags[w.newest] & kTombstone) != 0;
-            if (!drop_redundant || tombstone == in_base) {
-              out.push_back(DeltaEntry{w.key, tombstone, in_base});
-            }
-            return true;
-          });
+      out.reserve(s.frozen.entry_count() + writes.size());
+      // A key's newest write decides its state; in_base comes from the
+      // frozen entry it shadows, else from its oldest write's prior
+      // liveness, which *is* base membership (no frozen or log
+      // predecessor existed).
+      auto add_write = [&](const KeyHistory& w, const DeltaEntry* shadowed) {
+        const bool in_base = shadowed != nullptr ? shadowed->in_base
+                                                 : s.log.live_before(w.oldest);
+        const bool tombstone = s.log.tombstone(w.newest);
+        if (!drop_redundant || tombstone == in_base) {
+          out.push_back(DeltaEntry{w.key, tombstone, in_base});
+        }
+      };
+      size_t wi = 0;
+      s.frozen.VisitAll([&](const DeltaEntry& fe) {
+        for (; wi < writes.size() && writes[wi].key < fe.key; ++wi) {
+          add_write(writes[wi], nullptr);
+        }
+        if (wi < writes.size() && writes[wi].key == fe.key) {
+          add_write(writes[wi++], &fe);
+        } else {
+          out.push_back(fe);
+        }
+        return true;
+      });
+      for (; wi < writes.size(); ++wi) add_write(writes[wi], nullptr);
       return out;
     }
 
@@ -927,7 +947,7 @@ class ConcurrentWritableIndex {
           total_merge_ns_.load(std::memory_order_relaxed));
       const auto st = cell_.Pin();
       s.delta_entries = st->frozen.entry_count() + st->log.count();
-      s.delta_bytes = st->frozen.SizeBytes() + st->LogBytes();
+      s.delta_bytes = st->frozen.SizeBytes() + st->log.SizeBytes();
       s.base_keys = st->base_keys->size();
       return s;
     }

@@ -45,10 +45,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -85,7 +85,7 @@ template <typename I>
 concept Shardable =
     index::ConcurrentWritableRangeIndex<I> && index::DurableIndex<I> &&
     index::Snapshottable<I> && index::SectionSnapshottable<I> &&
-    I::kDurabilityCapable && I::kSnapshotCapable &&
+    I::kSnapshotCapable &&
     requires(const I& idx) {
       { idx.config() } -> std::convertible_to<typename I::config_type>;
     };
@@ -129,6 +129,7 @@ struct ShardRebalanceConfig {
 };
 
 template <Shardable Inner>
+  requires std::same_as<typename Inner::key_type, uint64_t>
 class ShardedIndex {
  public:
   using key_type = typename Inner::key_type;
@@ -442,15 +443,6 @@ class ShardedIndex {
   static_assert(std::is_trivially_copyable_v<ShardRebalanceConfig>,
                 "rebalance knobs are persisted verbatim in snapshots");
 
-  /// Smallest representable key — the snapshot scan's starting probe.
-  static key_type MinKey() {
-    if constexpr (std::is_arithmetic_v<key_type>) {
-      return std::numeric_limits<key_type>::lowest();
-    } else {
-      return key_type{};
-    }
-  }
-
   using Cell = VersionedCell<ShardMap>;
 
   /// The documented knob invariants, applied wherever knobs come in
@@ -596,26 +588,19 @@ class ShardedIndex {
         prefix[s + 1] = prefix[s] + m->slots[s]->index.size();
       }
       // Group by shard (counting sort, stable within a shard), dispatch
-      // each group to the shard's native batch path, scatter back. For
-      // uint64 keys the boundary route runs through the branchless
-      // upper_bound kernel — the boundary array is small and cached, so
-      // mispredicted compare branches, not memory, bound the scalar route.
+      // each group to the shard's native batch path, scatter back. The
+      // boundary route runs through the branchless upper_bound kernel —
+      // the boundary array is small and cached, so mispredicted compare
+      // branches, not memory, would bound a scalar route.
       std::vector<uint32_t> sid(n);
       std::vector<size_t> count(shards, 0);
-      if constexpr (std::is_same_v<key_type, uint64_t>) {
-        const simd::Kernels& kern = simd::GetKernels();
-        const uint64_t* bd = m->boundaries.data();
-        const size_t nb = m->boundaries.size();
-        for (size_t i = 0; i < n; ++i) {
-          sid[i] = static_cast<uint32_t>(kern.upper_bound_u64(bd, 0, nb,
-                                                              keys[i]));
-          ++count[sid[i]];
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          sid[i] = static_cast<uint32_t>(ShardOf(*m, keys[i]));
-          ++count[sid[i]];
-        }
+      const simd::Kernels& kern = simd::GetKernels();
+      const uint64_t* bd = m->boundaries.data();
+      const size_t nb = m->boundaries.size();
+      for (size_t i = 0; i < n; ++i) {
+        sid[i] =
+            static_cast<uint32_t>(kern.upper_bound_u64(bd, 0, nb, keys[i]));
+        ++count[sid[i]];
       }
       std::vector<size_t> start(shards + 1, 0);
       for (size_t s = 0; s < shards; ++s) start[s + 1] = start[s] + count[s];
@@ -1052,7 +1037,7 @@ class ShardedIndex {
     std::vector<key_type> SnapshotKeys(const Inner& idx) const {
       std::vector<key_type> out;
       const size_t chunk = config_.rebalance.scan_chunk;
-      key_type from = MinKey();
+      key_type from = 0;  // the smallest key
       for (;;) {
         std::vector<key_type> part = idx.Scan(from, chunk);
         size_t begin = 0;

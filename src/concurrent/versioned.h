@@ -1,8 +1,9 @@
 // The versioned-state core of the two concurrent range front-ends,
 // which serve the paper's static models under writes through the
-// Appendix-D.1 delta-and-retrain design. ConcurrentWritableIndex uses
-// all three pieces below; ShardedIndex publishes its shard map through a
-// VersionedCell and rebalances on a BackgroundWorker.
+// Appendix-D.1 delta-and-retrain design. ConcurrentWritableIndex
+// publishes its versions through a VersionedCell and merges on a
+// BackgroundWorker; ShardedIndex publishes its shard map through one and
+// rebalances on the other.
 //
 //  * VersionedCell<State> — one atomic pointer to the published,
 //    immutable version. Readers Pin() it (epoch pin, then one load) and
@@ -11,12 +12,6 @@
 //    no reader can reach any more are collected under the mutex and
 //    freed after it is released, so no writer pays a multi-megabyte free
 //    inside the lock.
-//  * AppendLog<Entry> — the bounded write log of one version: filled
-//    under the writer mutex, each entry published by a release store of
-//    the count, scanned by readers over the prefix they loaded.
-//    WritesByKey (or GroupByKey over writes a caller picked) + FoldNewest
-//    turn a log prefix into its newest write per key and fold it over a
-//    sorted frozen run.
 //  * BackgroundWorker — the thread that runs the wrapper's background
 //    cycle (merge, rebalance) on request, with a synchronous run, a
 //    quiesce point and the last cycle's status.
@@ -27,13 +22,10 @@
 #ifndef LI_CONCURRENT_VERSIONED_H_
 #define LI_CONCURRENT_VERSIONED_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -161,111 +153,6 @@ class VersionedCell {
   std::atomic<uint64_t> contended_{0};
   std::atomic<uint64_t> published_{0};
 };
-
-/// The bounded, append-only write log of one version. The writer fills
-/// entry `n` under the writer mutex and publishes it with a release store
-/// of the count; a reader loads the count once (acquire) and reads that
-/// prefix, newest entry last.
-template <typename Entry>
-class AppendLog {
- public:
-  explicit AppendLog(size_t cap)
-      : entries_(std::make_unique<Entry[]>(cap)), cap_(cap) {}
-
-  size_t SizeBytes() const { return cap_ * sizeof(Entry); }
-  size_t capacity() const { return cap_; }
-  /// Published entry count (readers).
-  uint32_t count() const { return count_.load(std::memory_order_acquire); }
-  /// Entry count for the writer-mutex holder.
-  uint32_t count_locked() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  bool full_locked() const { return count_locked() == cap_; }
-  const Entry& operator[](size_t i) const { return entries_[i]; }
-  /// The entries as one contiguous column; a reader may touch only the
-  /// prefix it loaded the count for.
-  const Entry* data() const { return entries_.get(); }
-
-  /// Appends and publishes `e`. Writer mutex held, log not full.
-  void Append(Entry e) {
-    const uint32_t n = count_locked();
-    entries_[n] = std::move(e);
-    count_.store(n + 1, std::memory_order_release);
-  }
-
- private:
-  std::unique_ptr<Entry[]> entries_;
-  size_t cap_;
-  std::atomic<uint32_t> count_{0};
-};
-
-/// One key's writes within a log prefix: its oldest and newest entry.
-template <typename Key>
-struct KeyWrites {
-  Key key;
-  uint32_t oldest;
-  uint32_t newest;
-};
-
-/// Sorts `w` — one entry per write, oldest == newest == its log index —
-/// by key, oldest write first, and merges each key's writes into one
-/// entry with its oldest and newest index. O(m log m) in the m writes.
-template <typename Key>
-void GroupByKey(std::vector<KeyWrites<Key>>& w) {
-  std::sort(w.begin(), w.end(), [](const KeyWrites<Key>& a,
-                                   const KeyWrites<Key>& b) {
-    return a.key < b.key || (!(b.key < a.key) && a.oldest < b.oldest);
-  });
-  size_t out = 0;
-  for (size_t i = 0; i < w.size(); ++i) {
-    if (out > 0 && w[out - 1].key == w[i].key) {
-      w[out - 1].newest = w[i].newest;
-    } else {
-      w[out++] = w[i];
-    }
-  }
-  w.resize(out);
-}
-
-/// The keys written in `log[0, n)`, ascending, each with its oldest and
-/// newest write. One pass over the log, then GroupByKey: O(n log n).
-template <typename Key, typename Entry, typename KeyOf>
-std::vector<KeyWrites<Key>> WritesByKey(const AppendLog<Entry>& log,
-                                        uint32_t n, KeyOf&& key_of) {
-  std::vector<KeyWrites<Key>> w;
-  for (uint32_t i = 0; i < n; ++i) w.push_back({key_of(log[i]), i, i});
-  GroupByKey(w);
-  return w;
-}
-
-/// Newest-wins fold of a sorted frozen run with a log's `writes`, in key
-/// order. A key the log wrote goes to `on_log(writes, shadowed)`, where
-/// `shadowed` is the frozen entry it hides or nullptr; every other frozen
-/// entry goes to `on_frozen(entry)`. `visit_frozen(fn)` feeds the frozen
-/// entries in key order and stops when `fn` returns false; `frozen_key`
-/// reads an entry's key. Either callback returns false to stop the fold.
-template <typename Key, typename VisitFrozen, typename FrozenKey,
-          typename OnFrozen, typename OnLog>
-void FoldNewest(const std::vector<KeyWrites<Key>>& writes,
-                VisitFrozen&& visit_frozen, FrozenKey&& frozen_key,
-                OnFrozen&& on_frozen, OnLog&& on_log) {
-  size_t wi = 0;
-  bool go = true;
-  visit_frozen([&](const auto& fe) {
-    const Key& fk = frozen_key(fe);
-    while (go && wi < writes.size() && writes[wi].key < fk) {
-      go = on_log(writes[wi++], nullptr);
-    }
-    if (!go) return false;
-    if (wi < writes.size() && writes[wi].key == fk) {
-      go = on_log(writes[wi++], &fe);
-    } else {
-      go = on_frozen(fe);
-    }
-    return go;
-  });
-  while (go && wi < writes.size()) go = on_log(writes[wi++], nullptr);
-}
 
 /// One background thread running a wrapper's cycle body on request.
 /// Requests coalesce: any number made while no cycle has picked them up

@@ -211,18 +211,16 @@ class DeltaBuffer {
   static DeltaBuffer FromSortedEntries(
       std::span<const DeltaEntry<Key>> entries, std::span<const Key> base,
       size_t active_cap = 256, const DeltaBuffer* prev = nullptr) {
-    DeltaBuffer buf(active_cap);
-    buf.keys_.reserve(entries.size());
-    buf.meta_.reserve(entries.size());
-    buf.prefix_.resize(entries.size() + 1);
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const DeltaEntry<Key>& e = entries[i];
-      buf.keys_.push_back(e.key);
-      buf.meta_.push_back(Meta{e.tombstone, e.in_base});
-      buf.prefix_[i + 1] =
-          buf.prefix_[i] + Contribution(e.tombstone, e.in_base);
+    std::vector<Key> keys;
+    std::vector<Meta> meta;
+    keys.reserve(entries.size());
+    meta.reserve(entries.size());
+    for (const DeltaEntry<Key>& e : entries) {
+      keys.push_back(e.key);
+      meta.push_back(Meta{e.tombstone, e.in_base});
     }
-    buf.fence_ = Fence::Build(buf.keys_, base, prev);
+    DeltaBuffer buf(active_cap);
+    buf.SetConsolidated(std::move(keys), std::move(meta), base, prev);
     return buf;
   }
 
@@ -333,6 +331,24 @@ class DeltaBuffer {
     }
   };
 
+  /// Installs `keys`/`meta` as the consolidated run with its prefix sums
+  /// and its base fence against `base`. `prev` is a run over the same
+  /// base (this buffer's own current run included); its fence is read
+  /// before the run is replaced.
+  void SetConsolidated(std::vector<Key> keys, std::vector<Meta> meta,
+                       std::span<const Key> base, const DeltaBuffer* prev) {
+    Fence fence = Fence::Build(keys, base, prev);
+    keys_ = std::move(keys);
+    meta_ = std::move(meta);
+    fence_ = std::move(fence);
+    prefix_.resize(keys_.size() + 1);
+    prefix_[0] = 0;
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      prefix_[i + 1] =
+          prefix_[i] + Contribution(meta_[i].tombstone, meta_[i].in_base);
+    }
+  }
+
   /// Merges the active run into the consolidated one (newest write wins)
   /// and rebuilds the consolidated prefix sums and fence against `base`.
   void Consolidate(std::span<const Key> base) {
@@ -357,15 +373,8 @@ class DeltaBuffer {
         ++c;
       }
     }
-    fence_ = Fence::Build(merged_keys, base, this);
-    keys_ = std::move(merged_keys);
-    meta_ = std::move(merged_meta);
-    prefix_.resize(keys_.size() + 1);
-    prefix_[0] = 0;
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      prefix_[i + 1] =
-          prefix_[i] + Contribution(meta_[i].tombstone, meta_[i].in_base);
-    }
+    SetConsolidated(std::move(merged_keys), std::move(merged_meta), base,
+                    this);
     active_keys_.clear();
     active_meta_.clear();
     active_prefix_.assign(1, 0);

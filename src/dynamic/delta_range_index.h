@@ -13,16 +13,15 @@
 //  * Writes go to the delta only. Each write resolves the key's base
 //    membership once (the same base lookup) and freezes it in the entry,
 //    which is what keeps the rank arithmetic exact until the next merge.
-//  * Merge() folds the delta into a fresh sorted array and retrains the
-//    base — through the base's Rebuild() retrain-reuse hook when it has
-//    one (the RMI reuses its stored config and leaf-table allocation),
-//    otherwise via a transactional Build of a fresh base. Pluggable
+//  * Merge() folds the delta into a fresh sorted array, builds a fresh
+//    base over it and swaps both in only when that build succeeds — the
+//    same build-then-swap ConcurrentWritableIndex's merge runs. Pluggable
 //    policies (merge_policy.h) decide when writes trigger this
 //    automatically.
 //
-// Base can be *any* RangeIndex with uint64/double/string keys — the same
-// genericity seam the rest of the library builds on — so a learned RMI, a
-// read-only B-Tree or a lookup table all become writable by wrapping.
+// Base can be any RangeIndex over uint64_t keys — the same genericity
+// seam the rest of the library builds on — so a learned RMI, a read-only
+// B-Tree or a lookup table all become writable by wrapping.
 //
 // Durability (index::DurableIndex; docs/DURABILITY.md): with
 // EnableDurability attached, every Insert/Erase appends a CRC-framed
@@ -35,13 +34,13 @@
 #define LI_DYNAMIC_DELTA_RANGE_INDEX_H_
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -60,15 +59,8 @@
 
 namespace li::dynamic {
 
-/// True when the base ships a retrain hook that reuses its stored config
-/// (and internal allocations) instead of a from-scratch Build.
-template <typename B>
-concept HasRebuild =
-    requires(B& base, std::span<const typename B::key_type> keys) {
-      { base.Rebuild(keys) } -> std::same_as<Status>;
-    };
-
 template <index::RangeIndex Base>
+  requires std::same_as<typename Base::key_type, uint64_t>
 class DeltaRangeIndex {
  public:
   using key_type = typename Base::key_type;
@@ -192,25 +184,11 @@ class DeltaRangeIndex {
     if (delta_.empty()) return Status::OK();
     Timer timer;
     std::vector<key_type> merged = MergedLiveKeys();
-    if constexpr (HasRebuild<Base>) {
-      // In-place retrain. On failure, restore the previous key array and
-      // retrain over it (that configuration built successfully before),
-      // so the index stays consistent — delta intact, in_base flags still
-      // valid against the restored base.
-      std::swap(base_keys_, merged);
-      const Status s = base_.Rebuild(std::span<const key_type>(base_keys_));
-      if (!s.ok()) {
-        std::swap(base_keys_, merged);
-        (void)base_.Rebuild(std::span<const key_type>(base_keys_));
-        return s;
-      }
-    } else {
-      Base fresh;
-      LI_RETURN_IF_ERROR(
-          fresh.Build(std::span<const key_type>(merged), config_.base));
-      base_keys_ = std::move(merged);  // heap buffer (and span) unmoved
-      base_ = std::move(fresh);
-    }
+    Base fresh;
+    LI_RETURN_IF_ERROR(
+        fresh.Build(std::span<const key_type>(merged), config_.base));
+    base_keys_ = std::move(merged);  // heap buffer (and span) unmoved
+    base_ = std::move(fresh);
     stats_.merged_keys += base_keys_.size();
     ++stats_.merges;
     stats_.last_merge_ns = timer.ElapsedNanos();
@@ -241,11 +219,9 @@ class DeltaRangeIndex {
   // open. The key array is *copied* rather than mapped: merges replace
   // it, so the wrapper stays writable after restart.
 
-  /// Snapshot support needs a flat key type and a base that can persist
-  /// its model against a caller-owned key span (the RMI family).
-  static constexpr bool kSnapshotCapable =
-      std::is_trivially_copyable_v<key_type> &&
-      index::DataSpanSnapshottable<Base>;
+  /// Snapshot support needs a base that can persist its model against a
+  /// caller-owned key span (the RMI family).
+  static constexpr bool kSnapshotCapable = index::DataSpanSnapshottable<Base>;
 
   Status WriteSections(snapshot::SnapshotWriter& writer,
                        const std::string& prefix) const {
@@ -315,7 +291,7 @@ class DeltaRangeIndex {
 
   /// Outcome of the most recent policy-triggered merge. Insert/Erase keep
   /// their boolean liveness contract, so a failed auto-merge (possible
-  /// only with bases whose Build/Rebuild can fail) surfaces here; the
+  /// only with bases whose Build can fail) surfaces here; the
   /// index itself stays consistent either way (Merge is transactional).
   const Status& last_auto_merge_status() const {
     return last_auto_merge_status_;
@@ -323,21 +299,12 @@ class DeltaRangeIndex {
 
   // ---- Durability (index::DurableIndex; docs/DURABILITY.md) ----
 
-  /// WAL support needs a flat key type (records carry the raw key bytes).
-  static constexpr bool kDurabilityCapable =
-      std::is_trivially_copyable_v<key_type>;
-
   /// Attach a fresh write-ahead log at cfg.path. Every subsequent
   /// Insert/Erase appends before applying. Call right after Build (or
   /// after a snapshot): writes made before enabling are only recoverable
   /// through a snapshot that contains them.
   Status EnableDurability(const wal::DurabilityConfig& cfg) {
-    if constexpr (!kDurabilityCapable) {
-      return Status::Unimplemented(
-          "DeltaRangeIndex durability needs a flat key type");
-    } else {
-      return wal_.Enable(cfg, sizeof(key_type));
-    }
+    return wal_.Enable(cfg, sizeof(key_type));
   }
 
   /// Replay the log at cfg.path on top of the current state (fresh Build
@@ -346,21 +313,16 @@ class DeltaRangeIndex {
   /// missing file starts a fresh log. Gap detection: a log whose records
   /// begin after the snapshot watermark is rejected.
   Status RecoverFromWal(const wal::DurabilityConfig& cfg) {
-    if constexpr (!kDurabilityCapable) {
-      return Status::Unimplemented(
-          "DeltaRangeIndex durability needs a flat key type");
-    } else {
-      return wal_.Recover(cfg, sizeof(key_type),
-                          [&](wal::WalRecordType type, const void* payload) {
-                            key_type k;
-                            std::memcpy(&k, payload, sizeof(k));
-                            if (type == wal::WalRecordType::kInsert) {
-                              Insert(k);
-                            } else {
-                              Erase(k);
-                            }
-                          });
-    }
+    return wal_.Recover(cfg, sizeof(key_type),
+                        [&](wal::WalRecordType type, const void* payload) {
+                          key_type k;
+                          std::memcpy(&k, payload, sizeof(k));
+                          if (type == wal::WalRecordType::kInsert) {
+                            Insert(k);
+                          } else {
+                            Erase(k);
+                          }
+                        });
   }
 
   bool durable() const { return wal_.attached(); }
@@ -379,9 +341,9 @@ class DeltaRangeIndex {
  private:
   /// Buffers one write; returns whether `key` was live before it.
   bool Write(const key_type& key, bool tombstone) {
-    WalAppend(tombstone ? wal::WalRecordType::kErase
-                        : wal::WalRecordType::kInsert,
-              key);
+    wal_.Append(tombstone ? wal::WalRecordType::kErase
+                          : wal::WalRecordType::kInsert,
+                &key, sizeof(key));
     ++(tombstone ? stats_.erases : stats_.inserts);
     ++writes_since_merge_;
     const size_t bi = base_.Lookup(key);
@@ -401,10 +363,6 @@ class DeltaRangeIndex {
         static_cast<int64_t>(bi) +
         (delta_.empty() ? 0 : delta_.RankAdjustBelow(delta_.Seek(key, bi)));
     return static_cast<size_t>(rank);
-  }
-
-  void WalAppend(wal::WalRecordType type, const key_type& key) {
-    if constexpr (kDurabilityCapable) wal_.Append(type, &key, sizeof(key));
   }
 
   void MaybeMerge() {

@@ -316,37 +316,15 @@ inline Status BuildRecordHash(std::span<const Record> records,
 }
 
 /// The shared software pipeline behind every single-home-slot map's
-/// FindBatch: per 16-key block, phase 1 resolves each key's head slot via
-/// `head_of(key)` and prefetches it, phase 2 answers via
-/// `probe(head, key)` — so the per-probe cache miss of neighboring keys
-/// overlaps instead of serializing (the same structure as the RMI
-/// LookupBatch). Mismatched span lengths clamp to the shorter one.
-template <typename HeadFn, typename ProbeFn>
-void PipelinedFindBatch(std::span<const uint64_t> keys,
-                        std::span<const Record*> out, HeadFn&& head_of,
-                        ProbeFn&& probe) {
-  using HeadPtr = std::invoke_result_t<HeadFn&, uint64_t>;
-  const size_t n = std::min(keys.size(), out.size());
-  constexpr size_t kBlock = 16;
-  HeadPtr heads[kBlock];
-  for (size_t base = 0; base < n; base += kBlock) {
-    const size_t b = std::min(kBlock, n - base);
-    for (size_t k = 0; k < b; ++k) {
-      heads[k] = head_of(keys[base + k]);
-      PrefetchRead(heads[k]);
-    }
-    for (size_t k = 0; k < b; ++k) {
-      out[base + k] = probe(heads[k], keys[base + k]);
-    }
-  }
-}
-
-/// Batch-slot variant of PipelinedFindBatch: phase 0 computes the whole
-/// block's home slots with one `slots_of(keys, b, slots)` call (the
-/// vectorized SlotBatch of the map's hash function), phase 1 resolves
-/// slot -> head pointer and prefetches, phase 2 probes. The wider 64-key
-/// block matches the SIMD kernel block so a LearnedHash's model execution
-/// vectorizes fully; prefetch distance stays bounded by the block.
+/// FindBatch, per 64-key block: phase 0 computes the block's home slots
+/// with one `slots_of(keys, b, slots)` call (the vectorized SlotBatch of
+/// the map's hash function), phase 1 resolves slot -> head pointer and
+/// prefetches it, phase 2 probes — so the per-probe cache miss of
+/// neighboring keys overlaps instead of serializing (the same structure
+/// as the RMI LookupBatch). Mismatched span lengths clamp to the shorter
+/// one. The 64-key block matches the SIMD kernel block so a LearnedHash's
+/// model execution vectorizes fully; prefetch distance stays bounded by
+/// the block.
 template <typename SlotsFn, typename HeadAtFn, typename ProbeFn>
 void PipelinedFindBatchSlots(std::span<const uint64_t> keys,
                              std::span<const Record*> out, SlotsFn&& slots_of,

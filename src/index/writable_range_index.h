@@ -38,8 +38,8 @@
 //     Live key count (base + net delta). O(1). Const.
 //
 //   Merge() -> Status
-//     Folds buffered writes into the base and retrains it (through the
-//     base's Rebuild() retrain-reuse hook when present). Transactional:
+//     Folds buffered writes into the base and retrains it (a fresh base
+//     built over the merged keys, swapped in on success). Transactional:
 //     on failure the previous base and delta remain intact. Cost:
 //     O(n + delta) + base training. Also what the automatic merge
 //     policies (dynamic/merge_policy.h) invoke.
@@ -54,7 +54,7 @@
 // under concurrent writers and background merges.
 //
 // The canonical implementation is dynamic::DeltaRangeIndex<Base>, which
-// wraps *any* RangeIndex base; the concept itself is implementation-
+// wraps any RangeIndex base over uint64_t keys; the concept itself is implementation-
 // agnostic so the LIF synthesizer and conformance suite can enumerate
 // writable candidates the same way they enumerate read-only ones.
 

@@ -246,14 +246,6 @@ class RmiIndex {
     return Status::OK();
   }
 
-  /// Retrain hook for delta-merge cycles (Appendix D.1): retrains over a
-  /// new key array with the last Build's configuration. The leaf table is
-  /// rewritten in place, so a steady-state merge loop reuses its
-  /// allocation instead of paying a fresh one per retrain.
-  Status Rebuild(std::span<const Key> keys) {
-    return Build(keys, RmiConfig(config_));  // copy: Build writes config_
-  }
-
   /// The pure model-execution path (what Figure 4's "Model (ns)" column
   /// times): one model evaluation per stage, no search.
   struct Prediction {

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <set>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -469,6 +471,73 @@ TEST(ConcurrentIndexTest, ScanOverlaysOnlyWindowLogWrites) {
           << "from " << from << " limit " << limit;
     }
   }
+}
+
+// A key written several times inside one log prefix: its newest write
+// decides its state, and its oldest write's prior liveness is its base
+// membership, which the fold must carry into the frozen entry. One base
+// key and one absent key each take insert, erase, insert and erase,
+// insert, erase; reads, the freeze fold, a snapshot round trip and a
+// merge must all agree with the oracle.
+TEST(ConcurrentIndexTest, RepeatedWritesInOneLogPrefixFoldExactly) {
+  std::vector<uint64_t> keys(500);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = 10 * (i + 1);
+  ConcRmi idx;
+  // 16 writes fill the log; the 17th freezes it.
+  ASSERT_TRUE(idx.Build(keys, ManualConfig(keys.size(), 16)).ok());
+  std::set<uint64_t> live(keys.begin(), keys.end());
+  auto insert = [&](uint64_t k) {
+    EXPECT_EQ(idx.Insert(k), live.insert(k).second) << k;
+  };
+  auto erase = [&](uint64_t k) {
+    EXPECT_EQ(idx.Erase(k), live.erase(k) > 0) << k;
+  };
+  for (const uint64_t k : {1'000, 1'005}) {  // base key, absent key
+    insert(k);
+    erase(k);
+    insert(k);
+  }
+  for (const uint64_t k : {2'000, 2'005}) {
+    erase(k);
+    insert(k);
+    erase(k);
+  }
+  auto check = [&](const ConcRmi& ix, const char* stage) {
+    SCOPED_TRACE(stage);
+    const std::vector<uint64_t> ref(live.begin(), live.end());
+    ASSERT_EQ(ix.size(), ref.size());
+    ASSERT_EQ(ix.Scan(0, ref.size() + 1), ref);
+    for (uint64_t q = 990; q <= 2'015; q += 5) {
+      EXPECT_EQ(ix.Contains(q), live.count(q) > 0) << q;
+      EXPECT_EQ(ix.Lookup(q),
+                static_cast<size_t>(std::lower_bound(ref.begin(), ref.end(),
+                                                     q) -
+                                    ref.begin()))
+          << q;
+      EXPECT_EQ(ix.Scan(q, 3), OracleScan(live, q, 3)) << q;
+    }
+  };
+  ASSERT_EQ(idx.ConcurrentStats().freezes, 0u);
+  ASSERT_EQ(idx.ConcurrentStats().log_entries, 12u);
+  check(idx, "one log prefix");
+
+  for (uint64_t k = 100'001; k <= 100'005; ++k) insert(k);
+  ASSERT_EQ(idx.ConcurrentStats().freezes, 1u);
+  check(idx, "after the freeze fold");
+
+  const std::string path = ::testing::TempDir() + "li_conc_repeated.snap";
+  ASSERT_TRUE(idx.WriteSnapshot(path).ok());
+  auto opened = ConcRmi::OpenSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ConcRmi reopened = opened.take();
+  check(reopened, "snapshot round trip");
+
+  ASSERT_TRUE(idx.Merge().ok());
+  EXPECT_EQ(idx.Stats().delta_entries, 0u);
+  check(idx, "after merge");
+  ASSERT_TRUE(reopened.Merge().ok());
+  check(reopened, "reopened, after merge");
 }
 
 TEST(ConcurrentIndexTest, BatchLookupMatchesSingleKeyPath) {

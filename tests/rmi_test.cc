@@ -309,6 +309,8 @@ TEST(StringRmiTest, ErrorBoundsHoldForStoredStrings) {
 }
 
 // ---- Rebuild (Appendix D.1 merge cycles) ----
+// One RMI retrained over new keys with its own last config. The config
+// passes as a copy: Build overwrites the one config() refers to.
 
 TEST(RebuildTest, RebuildsMatchStdLowerBound) {
   const auto keys = data::Generate(data::DatasetKind::kLognormal, 50'000, 31);
@@ -319,7 +321,7 @@ TEST(RebuildTest, RebuildsMatchStdLowerBound) {
 
   // Same keys twice: the rewritten leaf table answers exactly.
   for (int cycle = 0; cycle < 2; ++cycle) {
-    ASSERT_TRUE(rmi.Rebuild(keys).ok());
+    ASSERT_TRUE(rmi.Build(keys, RmiConfig(rmi.config())).ok());
     for (const uint64_t q : MixedQueries(keys, 20'000, 33)) {
       ASSERT_EQ(rmi.LowerBound(q), StdLowerBound(keys, q)) << q;
     }
@@ -331,14 +333,14 @@ TEST(RebuildTest, RebuildsMatchStdLowerBound) {
   for (int i = 0; i < 500; ++i) grown.push_back(rng.Next());
   std::sort(grown.begin(), grown.end());
   grown.erase(std::unique(grown.begin(), grown.end()), grown.end());
-  ASSERT_TRUE(rmi.Rebuild(grown).ok());
+  ASSERT_TRUE(rmi.Build(grown, RmiConfig(rmi.config())).ok());
   for (const uint64_t q : MixedQueries(grown, 20'000, 37)) {
     ASSERT_EQ(rmi.LowerBound(q), StdLowerBound(grown, q)) << q;
   }
 
   // A different distribution.
   const auto other = data::Generate(data::DatasetKind::kMaps, 50'000, 39);
-  ASSERT_TRUE(rmi.Rebuild(other).ok());
+  ASSERT_TRUE(rmi.Build(other, RmiConfig(rmi.config())).ok());
   for (const uint64_t q : MixedQueries(other, 20'000, 41)) {
     ASSERT_EQ(rmi.LowerBound(q), StdLowerBound(other, q)) << q;
   }

@@ -42,8 +42,6 @@ using ShardedRmi = concurrent::ShardedIndex<ConcRmi>;
 // ---- Static acceptance gate ----
 static_assert(index::DurableIndex<DeltaRmi>);
 static_assert(index::DurableIndex<ConcRmi>);
-static_assert(DeltaRmi::kDurabilityCapable);
-static_assert(ConcRmi::kDurabilityCapable);
 
 std::string TmpPath(const std::string& name) {
   return ::testing::TempDir() + "li_wal_" + name;

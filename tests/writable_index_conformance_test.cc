@@ -86,9 +86,6 @@ static_assert(index::HasNativeLookupBatch<DeltaRmi>);
 static_assert(!index::WritableRangeIndex<rmi::LinearRmi>);
 static_assert(!index::WritableRangeIndex<btree::ReadOnlyBTree>);
 static_assert(!index::WritableRangeIndex<btree::BTreeMap>);
-// The retrain-reuse hook: present on the RMI core, absent on the B-Tree.
-static_assert(dynamic::HasRebuild<rmi::LinearRmi>);
-static_assert(!dynamic::HasRebuild<btree::ReadOnlyBTree>);
 
 DeltaRmi::Config RmiConfigFor(size_t n, dynamic::MergePolicy policy,
                               size_t active_cap = 256) {
