@@ -41,9 +41,7 @@
 // evaluated by writers and executed by the worker.
 //
 // Single-threaded use degenerates to exact DeltaRangeIndex semantics
-// (same oracle conformance suite), which is what lets the LIF synthesizer
-// qualify concurrent candidates with the same contract as everything
-// else.
+// (same oracle conformance suite).
 //
 // Durability (index::DurableIndex; docs/DURABILITY.md): with
 // EnableDurability attached, Write appends a CRC-framed record to the
@@ -587,11 +585,8 @@ class ConcurrentWritableIndex {
       live_count_.fetch_add(s->log.Append(key, tombstone, live_before),
                             std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
-      ++writes_since_merge_;
-      const size_t delta_entries = s->frozen.entry_count() + n + 1;
-      if (dynamic::ShouldMerge(config_.policy, delta_entries,
-                               s->base_keys->size(), writes_since_merge_,
-                               ReadsSinceMerge())) {
+      if (dynamic::ShouldMerge(config_.policy, s->frozen.entry_count() + n + 1,
+                               s->base_keys->size())) {
         worker_.Request();
       }
       return tombstone ? live_before : !live_before;
@@ -759,18 +754,6 @@ class ConcurrentWritableIndex {
       return read_stripes_[ThisThreadIndex() % kStripes];
     }
 
-    uint64_t ReadTotal() const {
-      uint64_t t = 0;
-      for (const ReadStripe& s : read_stripes_) {
-        t += s.lookups.load(std::memory_order_relaxed);
-      }
-      return t;
-    }
-
-    uint64_t ReadsSinceMerge() const {
-      return ReadTotal() - reads_baseline_.load(std::memory_order_relaxed);
-    }
-
     size_t RawLookupIn(const State& s, uint32_t n,
                        const key_type& key) const {
       const size_t bi = s.base->Lookup(key);
@@ -920,8 +903,6 @@ class ConcurrentWritableIndex {
         merge_rebase_pending_ = false;
         merges_.fetch_add(1, std::memory_order_relaxed);
         merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
-        writes_since_merge_ = 0;
-        reads_baseline_.store(ReadTotal(), std::memory_order_relaxed);
       }
       const uint64_t ns_elapsed = static_cast<uint64_t>(timer.ElapsedNanos());
       last_merge_ns_.store(ns_elapsed, std::memory_order_relaxed);
@@ -959,7 +940,6 @@ class ConcurrentWritableIndex {
 
     // Counters. Read stripes keep reader increments off one shared line.
     mutable ReadStripe read_stripes_[kStripes];
-    std::atomic<uint64_t> reads_baseline_{0};
     std::atomic<uint64_t> inserts_{0};
     std::atomic<uint64_t> erases_{0};
     std::atomic<uint64_t> merges_{0};
@@ -967,7 +947,6 @@ class ConcurrentWritableIndex {
     std::atomic<uint64_t> freezes_{0};
     std::atomic<uint64_t> last_merge_ns_{0};
     std::atomic<uint64_t> total_merge_ns_{0};
-    uint64_t writes_since_merge_ = 0;  // writer-mutex holders only
     // True between merge rotation and publish (writer-mutex holders
     // only): freeze folds must not drop entries then — see FreezeLocked.
     bool merge_rebase_pending_ = false;

@@ -54,7 +54,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -105,28 +104,31 @@ struct ShardRebalanceConfig {
   /// worker converges to: max/mean <= max_imbalance. Values in [1.5, 4]
   /// are the useful range (see docs/SHARDING.md); Build clamps to
   /// >= 1.1 (at or below 1, any non-uniform mass would split — rebuild
-  /// churn up to the max_shards cap).
+  /// churn up to the kMaxShards cap).
   double max_imbalance = 2.0;
-  /// Coalesce an adjacent shard pair when their combined mass is below
-  /// `coalesce_fraction` x the mean — the merged shard stays under the
-  /// mean, so a coalesce can never create the next hotspot. Build
-  /// clamps to < max_imbalance / 2 (a higher value would re-coalesce a
-  /// freshly split pair: oscillation).
-  double coalesce_fraction = 0.5;
   /// Never split a shard below this mass, whatever the imbalance says —
   /// tiny shards cost routing fan-out without relieving any contention.
   size_t min_split_keys = 1024;
-  /// Hard cap on the shard count (runaway-split backstop).
-  size_t max_shards = 64;
   /// Writer-side monitor cadence: one O(#shards) mass scan per this many
   /// writes (across all shards).
   size_t check_stride = 1024;
-  /// Snapshot scans page the shard's live keys out in chunks of this
-  /// many keys (bounds per-Scan allocation during a split).
-  size_t scan_chunk = 64 * 1024;
-  /// Upper bound on split/coalesce actions per worker cycle.
-  size_t max_actions_per_cycle = 8;
 };
+
+/// Keys sampled from the build set to estimate the CDF the initial shard
+/// boundaries are cut from: the sample's equal-mass quantiles balance
+/// shards under skew, and a few thousand points pin every boundary to
+/// within a fraction of a percent of mass.
+inline constexpr size_t kShardCdfSample = 8192;
+/// Coalesce an adjacent shard pair when their combined mass is below this
+/// fraction of the mean: the merged shard stays under the mean, so a
+/// coalesce never creates the next hotspot. Held below 0.45 x
+/// max_imbalance, or a freshly split pair would re-coalesce (oscillation).
+inline constexpr double kShardCoalesceFraction = 0.5;
+/// Hard cap on the shard count (runaway-split backstop).
+inline constexpr size_t kMaxShards = 64;
+/// Split/coalesce actions per rebalance-worker cycle; the worker re-arms
+/// itself when the conditions still fire at the cap.
+inline constexpr size_t kMaxRebalanceActionsPerCycle = 8;
 
 template <Shardable Inner>
   requires std::same_as<typename Inner::key_type, uint64_t>
@@ -137,12 +139,9 @@ class ShardedIndex {
 
   struct Config {
     inner_config_type inner{};
+    /// Initial shard count; boundaries are cut at equal-mass quantiles of
+    /// a kShardCdfSample-key sample of the build set.
     size_t num_shards = 8;
-    /// Keys sampled from the build set to estimate the CDF the shard
-    /// boundaries are cut from. The sample's equal-mass quantiles balance
-    /// shards under skew; a few thousand points pin every boundary to
-    /// within a fraction of a percent of mass.
-    size_t cdf_sample = 8192;
     /// Online split/coalesce knobs.
     ShardRebalanceConfig rebalance{};
   };
@@ -434,31 +433,49 @@ class ShardedIndex {
     std::vector<std::shared_ptr<Slot>> slots;
   };
 
-  struct SnapshotManifest {
-    uint64_t shard_count = 0;
-    uint64_t num_shards_cfg = 0;
-    uint64_t cdf_sample = 0;
-    ShardRebalanceConfig rebalance{};
+  /// The record of the snapshot "manifest" section and of MANIFEST's,
+  /// 88 bytes with no padding. Five slots are retired: the CDF sample,
+  /// the coalesce fraction, the shard cap, a snapshot-scan chunk size and
+  /// the per-cycle action cap are constants. They are written as the
+  /// values in effect, so older readers adopt the same behaviour, and
+  /// ignored on open.
+  struct ManifestRecord {
+    uint64_t shard_count;
+    uint64_t num_shards;
+    uint64_t cdf_sample;  // retired
+    uint8_t rebalance_enabled;
+    uint8_t pad[7];  // zero
+    double max_imbalance;
+    double coalesce_fraction;  // retired
+    uint64_t min_split_keys;
+    uint64_t max_shards;  // retired
+    uint64_t check_stride;
+    uint64_t scan_chunk;             // retired
+    uint64_t max_actions_per_cycle;  // retired
   };
-  static_assert(std::is_trivially_copyable_v<ShardRebalanceConfig>,
-                "rebalance knobs are persisted verbatim in snapshots");
+  static_assert(sizeof(ManifestRecord) == 8 * sizeof(uint64_t) +
+                                              2 * sizeof(double) +
+                                              8 * sizeof(uint8_t),
+                "no padding bytes: snapshots must be deterministic");
+  static_assert(sizeof(ManifestRecord) == 88,
+                "the manifest's on-disk size is part of the format");
 
   using Cell = VersionedCell<ShardMap>;
 
   /// The documented knob invariants, applied wherever knobs come in
   /// (Build, LoadSections, RecoverDurable — a corrupt or hand-edited
-  /// manifest included): a zero stride would be a modulo by zero and a
-  /// scan chunk below 2 could not advance; a factor at or below 1 would
-  /// split on any non-uniform mass (rebuild churn to the max_shards
-  /// cap), and a coalesce threshold at or above factor/2 would
-  /// re-coalesce freshly split halves (oscillation).
+  /// manifest included): a zero stride would be a modulo by zero, and a
+  /// factor at or below 1 would split on any non-uniform mass (rebuild
+  /// churn to the kMaxShards cap).
   static ShardRebalanceConfig Clamped(ShardRebalanceConfig rc) {
     rc.check_stride = std::max<size_t>(rc.check_stride, 1);
-    rc.scan_chunk = std::max<size_t>(rc.scan_chunk, 2);
     rc.max_imbalance = std::max(rc.max_imbalance, 1.1);
-    rc.coalesce_fraction =
-        std::clamp(rc.coalesce_fraction, 0.0, rc.max_imbalance * 0.45);
     return rc;
+  }
+
+  /// kShardCoalesceFraction held below 0.45 x the (clamped) factor.
+  static double CoalesceFraction(const ShardRebalanceConfig& rc) {
+    return std::min(kShardCoalesceFraction, rc.max_imbalance * 0.45);
   }
 
   struct Impl {
@@ -471,8 +488,8 @@ class ShardedIndex {
       // Boundary i = the sample's (i+1)/shards quantile.
       std::vector<key_type> sample;
       if (!keys.empty() && shards > 1) {
-        const size_t want = std::min(
-            keys.size(), std::max<size_t>(config.cdf_sample, shards));
+        const size_t want =
+            std::min(keys.size(), std::max<size_t>(kShardCdfSample, shards));
         sample.reserve(want);
         const double stride = static_cast<double>(keys.size()) /
                               static_cast<double>(want);
@@ -525,7 +542,7 @@ class ShardedIndex {
     /// Checks a persisted manifest header against its boundaries
     /// (`what` names the source in errors), then adopts its knobs,
     /// clamped.
-    Status ApplyManifest(const SnapshotManifest& man,
+    Status ApplyManifest(const ManifestRecord& man,
                          std::span<const key_type> bounds,
                          const std::string& what) {
       if (man.shard_count == 0) {
@@ -544,9 +561,11 @@ class ShardedIndex {
               " boundaries are not strictly increasing");
         }
       }
-      config_.num_shards = man.num_shards_cfg;
-      config_.cdf_sample = man.cdf_sample;
-      config_.rebalance = Clamped(man.rebalance);
+      config_.num_shards = man.num_shards;
+      config_.rebalance = Clamped({.enabled = man.rebalance_enabled != 0,
+                                   .max_imbalance = man.max_imbalance,
+                                   .min_split_keys = man.min_split_keys,
+                                   .check_stride = man.check_stride});
       return Status::OK();
     }
 
@@ -786,7 +805,7 @@ class ShardedIndex {
       dur_cfg_ = cfg;
       auto reader = snapshot::SnapshotReader::Open(ManifestPath());
       if (!reader.ok()) return reader.status();
-      SnapshotManifest man;
+      ManifestRecord man{};
       LI_RETURN_IF_ERROR(reader.value().GetPod("manifest", &man));
       auto bounds = reader.value().template GetArray<key_type>("bounds");
       if (!bounds.ok()) return bounds.status();
@@ -885,7 +904,7 @@ class ShardedIndex {
     /// Impl only (build-then-share discipline, same as Build).
     Status LoadSections(const snapshot::SnapshotReader& reader,
                         const std::string& prefix) {
-      SnapshotManifest man;
+      ManifestRecord man{};
       LI_RETURN_IF_ERROR(reader.GetPod(prefix + "manifest", &man));
       auto bounds = reader.GetArray<key_type>(prefix + "bounds");
       if (!bounds.ok()) return bounds.status();
@@ -1009,16 +1028,17 @@ class ShardedIndex {
                           static_cast<double>(shards);
       const size_t hot = static_cast<size_t>(
           std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
-      if (shards < rc.max_shards && sizes[hot] >= rc.min_split_keys &&
+      if (shards < kMaxShards && sizes[hot] >= rc.min_split_keys &&
           static_cast<double>(sizes[hot]) > rc.max_imbalance * mean) {
         act.kind = RebalanceAction::Kind::kSplit;
         act.shard = hot;
         return act;
       }
+      const double coalesce_below = CoalesceFraction(rc) * mean;
       size_t cold_mass = 0;
       for (size_t i = 0; i + 1 < shards; ++i) {
         const size_t combined = sizes[i] + sizes[i + 1];
-        if (static_cast<double>(combined) < rc.coalesce_fraction * mean &&
+        if (static_cast<double>(combined) < coalesce_below &&
             (act.kind == RebalanceAction::Kind::kNone ||
              combined < cold_mass)) {
           act.kind = RebalanceAction::Kind::kCoalesce;
@@ -1029,37 +1049,21 @@ class ShardedIndex {
       return act;
     }
 
-    /// Pages the full live key set of a shard out through lock-free
-    /// chunked scans. Individual chunks need not form one consistent
-    /// snapshot: every key the chunks miss or over-report was written
-    /// after the seal, and the catch-up replay settles those (see
-    /// docs/SHARDING.md, "why the snapshot may be fuzzy").
-    std::vector<key_type> SnapshotKeys(const Inner& idx) const {
-      std::vector<key_type> out;
-      const size_t chunk = config_.rebalance.scan_chunk;
-      key_type from = 0;  // the smallest key
-      for (;;) {
-        std::vector<key_type> part = idx.Scan(from, chunk);
-        size_t begin = 0;
-        // The pivot key re-appears at the head of the next chunk
-        // (Scan's `from` is inclusive); drop it.
-        if (!out.empty() && !part.empty() && !(out.back() < part.front())) {
-          begin = 1;
-        }
-        out.insert(out.end(), part.begin() + begin, part.end());
-        if (part.size() < chunk) break;
-        from = out.back();
-      }
-      return out;
-    }
-
     /// The routing-manifest header for a map of `shards` shards.
-    SnapshotManifest Manifest(size_t shards) const {
-      SnapshotManifest man;
+    ManifestRecord Manifest(size_t shards) const {
+      const ShardRebalanceConfig& rc = config_.rebalance;
+      ManifestRecord man{};
       man.shard_count = shards;
-      man.num_shards_cfg = config_.num_shards;
-      man.cdf_sample = config_.cdf_sample;
-      man.rebalance = config_.rebalance;
+      man.num_shards = config_.num_shards;
+      man.cdf_sample = kShardCdfSample;
+      man.rebalance_enabled = rc.enabled ? 1 : 0;
+      man.max_imbalance = rc.max_imbalance;
+      man.coalesce_fraction = CoalesceFraction(rc);
+      man.min_split_keys = rc.min_split_keys;
+      man.max_shards = kMaxShards;
+      man.check_stride = rc.check_stride;
+      man.scan_chunk = 64 * 1024;  // its last default
+      man.max_actions_per_cycle = kMaxRebalanceActionsPerCycle;
       return man;
     }
 
@@ -1187,11 +1191,15 @@ class ShardedIndex {
       auto unseal = [&] {
         for (const auto& slot : old) Unseal(*slot);
       };
-      // Adjacent shards hold disjoint ascending ranges, so the
-      // concatenated snapshots are sorted and strictly increasing.
+      // One lock-free scan per shard. It need not be a consistent
+      // snapshot: every key it misses or over-reports was written after
+      // the seal, and the catch-up replay settles those (see
+      // docs/SHARDING.md, "why the snapshot may be fuzzy"). Adjacent
+      // shards hold disjoint ascending ranges, so the concatenated scans
+      // are sorted and strictly increasing.
       std::vector<key_type> snap;
       for (const auto& slot : old) {
-        const std::vector<key_type> part = SnapshotKeys(slot->index);
+        const std::vector<key_type> part = slot->index.Scan(0, SIZE_MAX);
         snap.insert(snap.end(), part.begin(), part.end());
       }
       std::vector<size_t> at{0};  // first snapshot index of each new shard
@@ -1315,7 +1323,7 @@ class ShardedIndex {
     Status DoRebalance(bool* work_left) {
       Status st = Status::OK();
       bool capped = true;
-      for (size_t a = 0; a < config_.rebalance.max_actions_per_cycle; ++a) {
+      for (size_t a = 0; a < kMaxRebalanceActionsPerCycle; ++a) {
         // The pin keeps `m` alive across the action; the worker is the
         // only map publisher, so `m` is also the map it replaces.
         const auto m = cell_.Pin();

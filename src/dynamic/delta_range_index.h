@@ -95,8 +95,6 @@ class DeltaRangeIndex {
     base_keys_.assign(keys.begin(), keys.end());
     delta_ = DeltaBuffer<key_type>(active_cap);
     stats_ = {};
-    writes_since_merge_ = 0;
-    reads_since_merge_ = 0;
     wal_ = wal::IndexWal();
     return base_.Build(std::span<const key_type>(base_keys_), config.base);
   }
@@ -106,7 +104,6 @@ class DeltaRangeIndex {
   /// lower_bound rank over the live keys: #live keys < `key`.
   size_t Lookup(const key_type& key) const {
     ++stats_.lookups;
-    ++reads_since_merge_;
     return RawLookup(key);
   }
 
@@ -125,7 +122,6 @@ class DeltaRangeIndex {
     index::LookupBatch(base_, keys, out);
     const size_t n = std::min(keys.size(), out.size());
     stats_.lookups += n;
-    reads_since_merge_ += n;
     if (delta_.empty()) return;
     for (size_t i = 0; i < n; ++i) {
       out[i] = static_cast<size_t>(
@@ -152,7 +148,6 @@ class DeltaRangeIndex {
   bool Contains(const key_type& key) const {
     ++stats_.lookups;
     ++stats_.contains;
-    ++reads_since_merge_;
     const size_t bi = base_.Lookup(key);
     if (const auto e = delta_.Find(key, bi)) {
       ++stats_.delta_hits;
@@ -194,8 +189,6 @@ class DeltaRangeIndex {
     stats_.last_merge_ns = timer.ElapsedNanos();
     stats_.total_merge_ns += stats_.last_merge_ns;
     delta_.Clear();
-    writes_since_merge_ = 0;
-    reads_since_merge_ = 0;
     return Status::OK();
   }
 
@@ -270,8 +263,6 @@ class DeltaRangeIndex {
           std::span<const DeltaEntry<key_type>>(entries), base_keys(),
           config_.active_cap);
       stats_ = {};
-      writes_since_merge_ = 0;
-      reads_since_merge_ = 0;
       last_auto_merge_status_ = Status::OK();
       return Status::OK();
     }
@@ -345,7 +336,6 @@ class DeltaRangeIndex {
                           : wal::WalRecordType::kInsert,
                 &key, sizeof(key));
     ++(tombstone ? stats_.erases : stats_.inserts);
-    ++writes_since_merge_;
     const size_t bi = base_.Lookup(key);
     const auto at = delta_.Seek(key, bi);
     const auto prev = delta_.At(at, key);
@@ -366,8 +356,7 @@ class DeltaRangeIndex {
   }
 
   void MaybeMerge() {
-    if (ShouldMerge(config_.policy, delta_.entry_count(), base_keys_.size(),
-                    writes_since_merge_, reads_since_merge_)) {
+    if (ShouldMerge(config_.policy, delta_.entry_count(), base_keys_.size())) {
       last_auto_merge_status_ = Merge();
     }
   }
@@ -382,8 +371,6 @@ class DeltaRangeIndex {
   Base base_{};
   DeltaBuffer<key_type> delta_{};
   mutable index::WritableIndexStats stats_{};
-  mutable uint64_t writes_since_merge_ = 0;
-  mutable uint64_t reads_since_merge_ = 0;
   Status last_auto_merge_status_{};
   // mutable: the const snapshot path stashes the covered LSN and
   // truncates the log after publish.

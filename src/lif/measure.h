@@ -130,13 +130,13 @@ ReadWriteWorkload MakeSkewedReadWriteWorkload(std::span<const uint64_t> keys,
                                               uint64_t seed,
                                               const InsertSkew& skew);
 
-/// Multi-threaded mixed-stream harness over a ReadWriteWorkload. The ONE
-/// definition of this harness: the LIF writable synthesizer qualifies
-/// concurrent candidates with it and bench_concurrent reports it, so the
-/// qualification metric and the benched numbers cannot drift apart. The
-/// op schedule is cut into per-thread slices (disjoint insert
-/// sub-streams, decorrelated lookup offsets), all threads start on one
-/// flag, and the score is aggregate wall-time per op. With threads == 1
+/// Multi-threaded mixed-stream harness over a ReadWriteWorkload.
+/// bench_concurrent is its one multi-threaded caller; the LIF writable
+/// synthesizer scores its candidates with the sequential stream (threads
+/// == 1), so both report the same ns/op currency. The op schedule is cut
+/// into per-thread slices (disjoint insert sub-streams, decorrelated
+/// lookup offsets), all threads start on one flag, and the score is
+/// aggregate wall-time per op. With threads == 1
 /// it degenerates to the sequential stream. `idx` must be safe for the
 /// given thread count (any ConcurrentWritableRangeIndex; 1 for
 /// everything else).

@@ -10,8 +10,6 @@
 #include "bloom/model_hash_bloom.h"
 #include "btree/readonly_btree.h"
 #include "classifier/ngram_logistic.h"
-#include "concurrent/concurrent_writable_index.h"
-#include "concurrent/sharded_index.h"
 #include "data/datasets.h"
 #include "dynamic/delta_range_index.h"
 #include "hash/chained_hash_map.h"
@@ -593,33 +591,6 @@ Status EvaluateWritableCandidate(const ReadWriteWorkload& w,
   return Status::OK();
 }
 
-/// Concurrent-candidate counterpart: mixed_ns additionally charges the
-/// drain of deferred background work (WaitForRebalances + WaitForMerges
-/// inside the timed window, in that order — a split publishes fresh
-/// shards whose merges the second call then covers), so a config cannot
-/// win by postponing merge or rebalance CPU past the measured stream —
-/// single-threaded candidates pay their merges inline inside the same
-/// metric. lookup_ns is post-quiesce (delta drained, boundaries
-/// settled): the steady-state read latency the background workers are
-/// buying, vs the populated-delta lookup_ns of the inline candidates.
-template <typename Idx>
-void MeasureConcurrentCandidate(Idx& idx, const ReadWriteWorkload& w,
-                                size_t threads, CandidateReport* report) {
-  Timer timer;
-  RunMixedStreamNs(idx, w, threads);
-  if constexpr (requires { idx.WaitForRebalances(); }) {
-    idx.WaitForRebalances();
-  }
-  idx.WaitForMerges();
-  report->mixed_ns =
-      timer.ElapsedNanos() /
-      static_cast<double>(std::max<size_t>(w.is_insert.size(), 1));
-  report->threads = threads;
-  report->lookup_ns = MeasureNsPerOp(
-      w.lookups, 1, [&](uint64_t q) { return idx.Lookup(q); });
-  report->size_bytes = idx.SizeBytes();
-}
-
 /// The writable sweep's Handle. The measured instance absorbed the
 /// held-out insert stream, so each candidate is offered as a closure that
 /// rebuilds its configuration over the *full* key set into `*winner`;
@@ -682,78 +653,6 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
           &report));
       sweep.Offer(RebuildOnFullKeys<DeltaBtree>(keys, cfg, &winner_),
                   std::move(report));
-    }
-  }
-
-  // ---- concurrent axis: thread-safe front-ends under a multi-threaded
-  // stream (aggregate ns/op, same throughput currency) ----
-  if (spec.try_concurrent) {
-    using ConcRmi = concurrent::ConcurrentWritableIndex<rmi::LinearRmi>;
-    for (const size_t m : spec.stage2_sizes) {
-      ConcRmi::Config cfg;
-      cfg.base.num_leaf_models = m;
-      cfg.base.strategy = spec.strategy;
-      cfg.policy = spec.policy;
-      cfg.log_cap = spec.log_cap;
-      ConcRmi idx;
-      LI_RETURN_IF_ERROR(idx.Build(std::span<const uint64_t>(w.base), cfg));
-      CandidateReport report;
-      report.description = "concurrent[rmi linear / " + std::to_string(m) +
-                           " leaves] x" +
-                           std::to_string(spec.eval_threads) + "T";
-      report.stage2 = m;
-      MeasureConcurrentCandidate(idx, w, spec.eval_threads, &report);
-      sweep.Offer(RebuildOnFullKeys<ConcRmi>(keys, cfg, &winner_),
-                  std::move(report));
-    }
-  }
-  if (spec.try_sharded) {
-    using ConcRmi = concurrent::ConcurrentWritableIndex<rmi::LinearRmi>;
-    using Sharded = concurrent::ShardedIndex<ConcRmi>;
-    const size_t m = spec.stage2_sizes.empty() ? 10'000
-                                               : spec.stage2_sizes.front();
-    // Sharded candidates qualify under the spec's insert skew (uniform
-    // stays on the shared stream), so the rebalance axis is measured on
-    // exactly the drift it exists to absorb.
-    const bool skewed = spec.insert_skew.kind != InsertSkew::Kind::kUniform;
-    const ReadWriteWorkload skewed_w =
-        skewed ? MakeSkewedReadWriteWorkload(keys, spec.eval_ops,
-                                             spec.insert_ratio, spec.eval_ops,
-                                             spec.seed, spec.insert_skew)
-               : ReadWriteWorkload{};
-    const ReadWriteWorkload& sw = skewed ? skewed_w : w;
-    const std::vector<double> factors = spec.shard_imbalance_factors.empty()
-                                            ? std::vector<double>{0.0}
-                                            : spec.shard_imbalance_factors;
-    for (const size_t shards : spec.shard_counts) {
-      for (const double factor : factors) {
-        Sharded::Config cfg;
-        // Leaf budget splits across shards: each shard indexes ~1/shards
-        // of the keys, so the total model table stays comparable.
-        cfg.inner.base.num_leaf_models =
-            std::max<size_t>(64, m / std::max<size_t>(shards, 1));
-        cfg.inner.base.strategy = spec.strategy;
-        cfg.inner.policy = spec.policy;
-        cfg.inner.log_cap = spec.log_cap;
-        cfg.num_shards = shards;
-        cfg.rebalance.enabled = factor > 0.0;
-        if (factor > 0.0) cfg.rebalance.max_imbalance = factor;
-        Sharded idx;
-        LI_RETURN_IF_ERROR(
-            idx.Build(std::span<const uint64_t>(sw.base), cfg));
-        CandidateReport report;
-        report.description =
-            "sharded[" + std::to_string(shards) + " x rmi linear / " +
-            std::to_string(cfg.inner.base.num_leaf_models) + " leaves" +
-            (factor > 0.0
-                 ? " / rebal@" + std::to_string(factor).substr(0, 3)
-                 : "") +
-            "] x" + std::to_string(spec.eval_threads) + "T";
-        report.stage2 = m;
-        MeasureConcurrentCandidate(idx, sw, spec.eval_threads, &report);
-        sweep.Offer(RebuildOnFullKeys<Sharded>(keys, cfg, &winner_),
-                    std::move(report));
-      }
     }
   }
 

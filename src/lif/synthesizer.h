@@ -22,10 +22,8 @@
 //    segment sizes at a fixed target range-FPR; erases the smallest
 //    qualifying filter into AnyRangeFilter.
 //  * SynthesizedWritableIndex  (writable, App. D.1) — grid-searches
-//    delta-wrapped bases under a mixed insert/lookup stream, and — when
-//    the spec opts in — concurrent and range-sharded front-ends
-//    (src/concurrent/) qualified under the same stream driven by
-//    multiple threads; erases the fastest into AnyWritableRangeIndex.
+//    delta-wrapped bases (RMI, read-only B-Tree) under a mixed
+//    insert/lookup stream; erases the fastest into AnyWritableRangeIndex.
 //
 // Each class is a grid plus an objective. Every grid point is built,
 // measured on a sampled workload with the measure.h harness and offered
@@ -44,7 +42,6 @@
 
 #include "common/status.h"
 #include "dynamic/merge_policy.h"
-#include "lif/measure.h"
 #include "snapshot/snapshot.h"
 #include "index/any_range_index.h"
 #include "index/existence_index.h"
@@ -82,10 +79,7 @@ struct CandidateReport {
   double valid_fpr = 0.0;     // filters: FPR on the validation split
                               // (the qualification gate)
   double mixed_ns = 0.0;      // writable: ns/op over the read/write stream
-                              // (the qualification metric for that class;
-                              // for concurrent candidates this is
-                              // *aggregate* wall-time ns/op at `threads`)
-  size_t threads = 1;         // writable: threads driving the mixed stream
+                              // (the qualification metric for that class)
   bool within_budget = true;
 };
 
@@ -307,30 +301,6 @@ struct WritableSynthesisSpec {
   double insert_ratio = 0.10;
   size_t eval_ops = 40'000;
   dynamic::MergePolicy policy{};
-  /// Concurrent candidate axis (opt in when the index will serve
-  /// multi-threaded traffic): wrap delta-RMI bases in the thread-safe
-  /// front-ends — concurrent::ConcurrentWritableIndex and
-  /// concurrent::ShardedIndex — and qualify them under the same mixed
-  /// stream driven by `eval_threads` threads. Their mixed_ns is aggregate
-  /// wall-time per op, directly comparable with the single-threaded
-  /// candidates' as a throughput score.
-  bool try_concurrent = false;
-  bool try_sharded = false;
-  std::vector<size_t> shard_counts = {4};
-  size_t eval_threads = 4;
-  /// Write-log capacity for the concurrent candidates' front-ends.
-  size_t log_cap = 1024;
-  /// Online shard-rebalance axis for sharded candidates: each entry is an
-  /// imbalance factor to qualify as its own grid point (0 = rebalancing
-  /// off, the fixed-boundary front-end). Meaningful under a skewed
-  /// insert stream (below), where adaptive boundaries keep shard mass —
-  /// and so merge latency and writer contention — even.
-  std::vector<double> shard_imbalance_factors = {0.0};
-  /// Insert-stream shape the *sharded* candidates are qualified under
-  /// (every other candidate class keeps the uniform stream, so their
-  /// scores stay comparable across specs). kUniform leaves the shared
-  /// stream in place.
-  InsertSkew insert_skew{};
   search::Strategy strategy = search::Strategy::kBiasedBinary;
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
   uint64_t seed = 99;

@@ -82,7 +82,6 @@ ShardedRmi::Config RebalancingConfig(size_t shards, double factor) {
   cfg.rebalance.max_imbalance = factor;
   cfg.rebalance.min_split_keys = 512;
   cfg.rebalance.check_stride = 64;
-  cfg.rebalance.scan_chunk = 4096;
   return cfg;
 }
 
@@ -328,14 +327,12 @@ TEST(ShardRebalanceTest, ManualRequestWorksWithAutoTriggerOff) {
   EXPECT_LE(idx.CurrentImbalance(), cfg.rebalance.max_imbalance + 0.05);
 }
 
-TEST(ShardRebalanceTest, ZeroStrideAndChunkAreClampedAtBuild) {
-  // A stride of 0 would be a modulo by zero in the writer-side monitor
-  // and a chunk of 0 a snapshot scan that never advances; Build clamps
-  // both (to 1 and 2) instead of trusting the knobs.
+TEST(ShardRebalanceTest, ZeroStrideIsClampedAtBuild) {
+  // A stride of 0 would be a modulo by zero in the writer-side monitor;
+  // Build clamps it to 1 instead of trusting the knob.
   const auto keys = SeedKeys(4'000, testing::TestSeed(101));
   auto cfg = RebalancingConfig(4, 2.0);
   cfg.rebalance.check_stride = 0;
-  cfg.rebalance.scan_chunk = 0;
   ShardedRmi idx;
   ASSERT_TRUE(idx.Build(keys, cfg).ok());
   std::set<uint64_t> oracle(keys.begin(), keys.end());

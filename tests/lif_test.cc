@@ -120,77 +120,6 @@ TEST(WritableSynthesizerTest, QualifiesDeltaWrappedCandidatesOnMixedLoad) {
   EXPECT_GT(index.Stats().merges, 0u);
 }
 
-TEST(WritableSynthesizerTest, ConcurrentAxisQualifiesUnderThreadedStream) {
-  const auto keys = data::GenLognormal(30'000, 66);
-  WritableSynthesisSpec spec;
-  spec.stage2_sizes = {500};
-  spec.btree_pages = {};
-  spec.try_delta_btree = false;
-  spec.try_concurrent = true;
-  spec.try_sharded = true;
-  spec.shard_counts = {2, 4};
-  spec.eval_threads = 2;
-  spec.insert_ratio = 0.10;
-  spec.eval_ops = 6'000;
-  spec.log_cap = 256;
-  SynthesizedWritableIndex index;
-  ASSERT_TRUE(index.Synthesize(keys, spec).ok());
-  // 1 delta-RMI + 1 concurrent + 2 sharded configs, all reported.
-  ASSERT_EQ(index.reports().size(), 4u);
-  size_t threaded = 0;
-  for (const auto& r : index.reports()) {
-    EXPECT_GT(r.mixed_ns, 0.0) << r.description;
-    if (r.threads > 1) ++threaded;
-  }
-  EXPECT_EQ(threaded, 3u) << "concurrent candidates carry their thread count";
-  // Whatever won is a fully functional writable index over the full keys.
-  for (size_t i = 0; i < keys.size(); i += 97) {
-    ASSERT_EQ(index.Lookup(keys[i]), i);
-  }
-  const uint64_t fresh = keys.back() + 23;
-  EXPECT_TRUE(index.Insert(fresh));
-  EXPECT_TRUE(index.Contains(fresh));
-  EXPECT_TRUE(index.Merge().ok());
-  EXPECT_TRUE(index.Contains(fresh));
-}
-
-TEST(WritableSynthesizerTest, RebalanceAxisQualifiesUnderSkewedStream) {
-  const auto keys = data::GenLognormal(30'000, 67);
-  WritableSynthesisSpec spec;
-  spec.stage2_sizes = {500};
-  spec.btree_pages = {};
-  spec.try_delta_rmi = false;
-  spec.try_delta_btree = false;
-  spec.try_sharded = true;
-  spec.shard_counts = {4};
-  spec.shard_imbalance_factors = {0.0, 2.0};  // fixed vs adaptive boundaries
-  spec.insert_skew.kind = InsertSkew::Kind::kZipf;
-  spec.insert_skew.zipf_s = 1.2;
-  spec.eval_threads = 2;
-  spec.insert_ratio = 0.5;
-  spec.eval_ops = 6'000;
-  spec.log_cap = 256;
-  SynthesizedWritableIndex index;
-  ASSERT_TRUE(index.Synthesize(keys, spec).ok());
-  // One sharded candidate per imbalance factor, both reported.
-  ASSERT_EQ(index.reports().size(), 2u);
-  EXPECT_EQ(index.reports()[0].description.find("rebal@"), std::string::npos);
-  EXPECT_NE(index.reports()[1].description.find("rebal@"), std::string::npos);
-  for (const auto& r : index.reports()) {
-    EXPECT_GT(r.mixed_ns, 0.0) << r.description;
-    EXPECT_EQ(r.threads, 2u) << r.description;
-  }
-  // The winner rebuilt over the full key set keeps exact semantics.
-  for (size_t i = 0; i < keys.size(); i += 97) {
-    ASSERT_EQ(index.Lookup(keys[i]), i);
-  }
-  const uint64_t fresh = keys.back() + 29;
-  EXPECT_TRUE(index.Insert(fresh));
-  EXPECT_TRUE(index.Contains(fresh));
-  EXPECT_TRUE(index.Merge().ok());
-  EXPECT_TRUE(index.Contains(fresh));
-}
-
 TEST(WritableSynthesizerTest, BadInputsRejected) {
   SynthesizedWritableIndex index;
   EXPECT_FALSE(index.Synthesize({}, WritableSynthesisSpec{}).ok());

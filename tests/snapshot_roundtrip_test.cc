@@ -480,25 +480,36 @@ std::vector<uint8_t> Bytes(const std::vector<uint64_t>& v) {
   return out;
 }
 
-/// Write-path knobs dynamic::CheckCfg refuses, each as an edit of a valid
-/// (policy, buffer capacity) pair.
-std::vector<std::pair<const char*,
-                      std::function<void(dynamic::MergePolicy&, uint64_t&)>>>
-BadDeltaCfgs() {
+/// A cfg no open accepts, as two edits of a valid one: `slot` edits the
+/// persisted record (the crafted-file path) and `knob`, when a Config can
+/// express the same fault, edits the (policy, buffer capacity) pair a
+/// Build takes. The write_ratio rows edit the retired slot, which no
+/// Config reaches.
+struct BadDeltaCfg {
+  const char* what;
+  std::function<void(dynamic::DeltaCfgRecord&)> slot;
+  std::function<void(dynamic::MergePolicy&, uint64_t&)> knob;
+};
+
+std::vector<BadDeltaCfg> BadDeltaCfgs() {
   return {
       {"NaN max_delta_fraction",
+       [](auto& r) { r.max_delta_fraction = std::nan(""); },
        [](auto& p, auto&) { p.max_delta_fraction = std::nan(""); }},
       {"max_delta_fraction above 1",
+       [](auto& r) { r.max_delta_fraction = 1.5; },
        [](auto& p, auto&) { p.max_delta_fraction = 1.5; }},
-      {"negative write_ratio", [](auto& p, auto&) { p.write_ratio = -0.1; }},
-      {"infinite write_ratio",
-       [](auto& p, auto&) { p.write_ratio = HUGE_VAL; }},
-      {"unknown trigger",
+      {"negative write_ratio", [](auto& r) { r.write_ratio = -0.1; }, nullptr},
+      {"infinite write_ratio", [](auto& r) { r.write_ratio = HUGE_VAL; },
+       nullptr},
+      {"unknown trigger", [](auto& r) { r.trigger = 7; },
        [](auto& p, auto&) {
          p.trigger = static_cast<dynamic::MergeTrigger>(7);
        }},
-      {"cap 2^40", [](auto&, auto& cap) { cap = uint64_t{1} << 40; }},
-      {"cap 2^20 + 1", [](auto&, auto& cap) { cap = (uint64_t{1} << 20) + 1; }},
+      {"cap 2^40", [](auto& r) { r.cap = uint64_t{1} << 40; },
+       [](auto&, auto& cap) { cap = uint64_t{1} << 40; }},
+      {"cap 2^20 + 1", [](auto& r) { r.cap = (uint64_t{1} << 20) + 1; },
+       [](auto&, auto& cap) { cap = (uint64_t{1} << 20) + 1; }},
   };
 }
 
@@ -530,7 +541,7 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
 
   std::vector<uint64_t> dkeys;
   std::vector<uint8_t> dmeta;
-  dynamic::DeltaSnapshotCfg cfg;
+  dynamic::DeltaCfgRecord cfg{};
   {
     auto reader = snapshot::SnapshotReader::Open(path);
     ASSERT_TRUE(reader.ok());
@@ -565,7 +576,7 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
     std::vector<uint64_t> keys;
     std::vector<uint64_t> dkeys;
     std::vector<uint8_t> dmeta;
-    dynamic::DeltaSnapshotCfg cfg;
+    dynamic::DeltaCfgRecord cfg;
   };
   std::vector<Variant> variants;
   auto add = [&](const char* what, auto&& mutate) {
@@ -600,9 +611,7 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
   add_keys("base keys out of order",
            [](auto& k) { std::swap(k[500], k[501]); });
   add_keys("duplicate base key", [](auto& k) { k[501] = k[500]; });
-  for (const auto& [what, bad] : BadDeltaCfgs()) {
-    add_cfg(what, [&](auto& c) { bad(c.policy, c.cap); });
-  }
+  for (const BadDeltaCfg& bad : BadDeltaCfgs()) add_cfg(bad.what, bad.slot);
 
   for (const Variant& v : variants) {
     std::vector<uint8_t> cfg_bytes(sizeof(v.cfg));
@@ -629,23 +638,24 @@ TEST(DeltaSectionsTest, DeltaDisagreeingWithBaseKeysIsRejected) {
 TEST(DeltaSectionsTest, BuildsRejectWhatOpenRejects) {
   std::vector<uint64_t> keys;
   for (uint64_t k = 10; k <= 10'000; k += 10) keys.push_back(k);
-  for (const auto& [what, bad] : BadDeltaCfgs()) {
+  for (const BadDeltaCfg& bad : BadDeltaCfgs()) {
+    if (!bad.knob) continue;  // a retired slot: no Config reaches it
     DeltaRmi::Config dc;
     dc.base.num_leaf_models = 16;
     uint64_t cap = dc.active_cap;
-    bad(dc.policy, cap);
+    bad.knob(dc.policy, cap);
     dc.active_cap = cap;
     DeltaRmi delta;
     const Status ds = delta.Build(keys, dc);
-    EXPECT_EQ(ds.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_EQ(ds.code(), StatusCode::kInvalidArgument) << bad.what;
     ConcRmi::Config cc;
     cc.base.num_leaf_models = 16;
     cap = cc.log_cap;
-    bad(cc.policy, cap);
+    bad.knob(cc.policy, cap);
     cc.log_cap = cap;
     ConcRmi conc;
     const Status cs = conc.Build(keys, cc);
-    EXPECT_EQ(cs.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_EQ(cs.code(), StatusCode::kInvalidArgument) << bad.what;
   }
   const std::string path = TmpSnap("delta_cfg_edges");
   for (const uint64_t cap : {uint64_t{0}, uint64_t{1} << 20}) {
@@ -665,6 +675,82 @@ TEST(DeltaSectionsTest, BuildsRejectWhatOpenRejects) {
     EXPECT_TRUE(ConcRmi::OpenSnapshot(path).ok()) << cap;
   }
   std::remove(path.c_str());
+}
+
+/// size, Lookup and Scan of `idx` against the live set `oracle`.
+template <typename Idx>
+void ExpectMatchesSet(const Idx& idx, const std::set<uint64_t>& oracle) {
+  const std::vector<uint64_t> ref(oracle.begin(), oracle.end());
+  ASSERT_EQ(idx.size(), ref.size());
+  for (uint64_t q = 0; q <= ref.back() + 20; q += 3) {
+    ASSERT_EQ(idx.Lookup(q), StdLowerBound(ref, q)) << q;
+  }
+  EXPECT_EQ(idx.Scan(0, SIZE_MAX), ref);
+  const auto it = oracle.lower_bound(4'321);
+  EXPECT_EQ(idx.Scan(4'321, 7),
+            std::vector<uint64_t>(it, std::next(it, 7)));
+}
+
+// Trigger value 1 in a cfg record names a retired trigger (it merged in
+// read-mostly lulls). Such a file opens in both classes as the size
+// threshold over the record's own thresholds: it reads exactly, and the
+// next writes past the threshold merge.
+TEST(DeltaSectionsTest, RetiredTriggerOpensAsSizeThreshold) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 10; k <= 10'000; k += 10) keys.push_back(k);
+  DeltaRmi::Config config;
+  config.base.num_leaf_models = 16;
+  config.policy.trigger = dynamic::MergeTrigger::kManual;
+  DeltaRmi built;
+  ASSERT_TRUE(built.Build(keys, config).ok());
+  std::set<uint64_t> written(keys.begin(), keys.end());
+  for (const uint64_t k : {5, 15, 25}) {
+    ASSERT_TRUE(built.Insert(k));
+    written.insert(k);
+  }
+  ASSERT_TRUE(built.Erase(20));
+  written.erase(20);
+  const std::string path = TmpSnap("retired_trigger");
+  ASSERT_TRUE(built.WriteSnapshot(path).ok());
+
+  dynamic::DeltaCfgRecord r{};
+  {
+    auto reader = snapshot::SnapshotReader::Open(path);
+    ASSERT_TRUE(reader.ok());
+    ASSERT_TRUE(reader.value().GetPod("cfg", &r).ok());
+  }
+  r.trigger = 1;
+  r.write_ratio = 0.9;
+  r.min_delta_entries = 64;
+  r.max_delta_entries = 64;
+  r.max_delta_fraction = 1.0;
+  std::vector<uint8_t> bytes(sizeof(r));
+  std::memcpy(bytes.data(), &r, sizeof(r));
+  const std::string crafted = TmpSnap("retired_trigger_crafted");
+  CopySnapshot(path, crafted, {{"cfg", bytes}});
+
+  auto exercise = [&](auto& idx) {
+    EXPECT_EQ(idx.config().policy.trigger,
+              dynamic::MergeTrigger::kSizeThreshold);
+    EXPECT_EQ(idx.config().policy.max_delta_entries, 64u);
+    std::set<uint64_t> oracle = written;
+    ExpectMatchesSet(idx, oracle);
+    for (uint64_t k = 10'001; k < 10'001 + 2 * 100; k += 2) {
+      ASSERT_TRUE(idx.Insert(k));
+      oracle.insert(k);
+    }
+    if constexpr (requires { idx.WaitForMerges(); }) idx.WaitForMerges();
+    EXPECT_GT(idx.Stats().merges, 0u);
+    ExpectMatchesSet(idx, oracle);
+  };
+  auto delta = DeltaRmi::OpenSnapshot(crafted);
+  ASSERT_TRUE(delta.ok()) << delta.status().message();
+  exercise(delta.value());
+  auto conc = ConcRmi::OpenSnapshot(crafted);
+  ASSERT_TRUE(conc.ok()) << conc.status().message();
+  exercise(conc.value());
+  std::remove(path.c_str());
+  std::remove(crafted.c_str());
 }
 
 // ---- LIF winner ----

@@ -12,13 +12,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <utility>
 #include <string>
 #include <vector>
 
+#include "concurrent/concurrent_writable_index.h"
+#include "concurrent/sharded_index.h"
 #include "data/datasets.h"
+#include "dynamic/delta_range_index.h"
 #include "hash/chained_hash_map.h"
 #include "rmi/rmi.h"
 #include "snapshot/arena.h"
@@ -451,32 +456,49 @@ TEST(LearnedHashSnapshotTest, WritesNoRouteSection) {
 
 // ---- Deterministic bytes ----
 
-/// Fills 64 KiB of stack below the caller with 0xAB, so any byte a later
-/// call at the same depth leaves uninitialized reads as 0xAB.
+/// The byte DirtyStack writes: 0 during a harness's first run, 0xAB
+/// during its second.
+uint8_t stack_fill = 0;
+
+/// Fills 64 KiB of stack below the caller with `stack_fill`, so any byte
+/// a later call at the same depth leaves uninitialized reads as that
+/// byte. A write function whose build runs deep calls again right
+/// before it writes: the build's own stack traffic would wash the fill
+/// out.
 [[gnu::noinline]] void DirtyStack() {
   volatile uint8_t buf[64 * 1024];
-  for (size_t i = 0; i < sizeof(buf); ++i) buf[i] = 0xAB;
+  for (size_t i = 0; i < sizeof(buf); ++i) buf[i] = stack_fill;
 }
 
 /// Runs `write(path)` twice, the second time on a dirtied stack, and
 /// expects byte-identical files: padding bytes copied from the stack into
-/// a persisted struct would show up as a difference.
+/// a persisted struct would show up as a difference. `write` may also
+/// leave files at `path + suffix` for each of `suffixes`; those are
+/// compared the same way.
 template <typename WriteFn>
-void ExpectIdenticalOnDirtyStack(const std::string& name, WriteFn&& write) {
+void ExpectIdenticalOnDirtyStack(const std::string& name, WriteFn&& write,
+                                 const std::vector<std::string>& suffixes =
+                                     {}) {
   const std::string clean = TmpPath(name + "_clean.snap");
   const std::string dirty = TmpPath(name + "_dirty.snap");
+  stack_fill = 0;
   write(clean);
+  stack_fill = 0xAB;
   DirtyStack();
   write(dirty);
-  const std::vector<uint8_t> a = ReadAll(clean);
-  const std::vector<uint8_t> b = ReadAll(dirty);
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  size_t differing = 0;
-  for (size_t i = 0; i < a.size(); ++i) differing += a[i] != b[i];
-  EXPECT_EQ(differing, 0u) << "of " << a.size() << " bytes";
-  std::remove(clean.c_str());
-  std::remove(dirty.c_str());
+  std::vector<std::string> all = {""};
+  all.insert(all.end(), suffixes.begin(), suffixes.end());
+  for (const std::string& suffix : all) {
+    const std::vector<uint8_t> a = ReadAll(clean + suffix);
+    const std::vector<uint8_t> b = ReadAll(dirty + suffix);
+    ASSERT_FALSE(a.empty()) << suffix;
+    ASSERT_EQ(a.size(), b.size()) << suffix;
+    size_t differing = 0;
+    for (size_t i = 0; i < a.size(); ++i) differing += a[i] != b[i];
+    EXPECT_EQ(differing, 0u) << "of " << a.size() << " bytes" << suffix;
+    std::remove((clean + suffix).c_str());
+    std::remove((dirty + suffix).c_str());
+  }
 }
 
 TEST(DeterministicSnapshotTest, ChainedHashMapBuiltTwiceIsByteIdentical) {
@@ -505,6 +527,102 @@ TEST(DeterministicSnapshotTest, RmiBuiltTwiceIsByteIdentical) {
     ASSERT_TRUE(rmi.Build(keys, config).ok());
     ASSERT_TRUE(rmi.WriteSnapshot(path).ok());
   });
+}
+
+using DeltaRmi = dynamic::DeltaRangeIndex<rmi::LinearRmi>;
+using ConcRmi = concurrent::ConcurrentWritableIndex<rmi::LinearRmi>;
+using ShardedRmi = concurrent::ShardedIndex<ConcRmi>;
+
+/// Inserts `writes` keys past the build set and erases as many base keys
+/// (every 7th), so the snapshot carries a delta.
+template <typename Idx>
+void WriteSome(Idx& idx, const std::vector<uint64_t>& keys, size_t writes) {
+  for (size_t i = 0; i < writes; ++i) {
+    idx.Insert(keys.back() + 2 * (i + 1));
+    idx.Erase(keys[(7 * i) % keys.size()]);
+  }
+}
+
+std::vector<uint64_t> DistinctKeys(size_t n, uint64_t seed) {
+  auto keys = data::GenLognormal(n, seed);
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// The snapshot path's own calls rewrite the stack slot the cfg record
+// is encoded in, so the dirty-stack cases below cannot see its pad:
+// encode straight into storage filled with 0xAB instead.
+TEST(DeterministicSnapshotTest, DeltaCfgRecordPadIsZero) {
+  using Record = dynamic::DeltaCfgRecord;
+  alignas(Record) uint8_t buf[sizeof(Record)];
+  std::memset(buf, 0xAB, sizeof(buf));
+  const auto* r = new (buf) Record(dynamic::EncodeCfg({}));
+  for (const uint8_t b : r->pad) EXPECT_EQ(b, 0);
+}
+
+// The delta cfg section is a 48-byte record of which 4 bytes were
+// padding behind the merge trigger.
+TEST(DeterministicSnapshotTest, DeltaIndexBuiltTwiceIsByteIdentical) {
+  const auto keys = DistinctKeys(20'000, 83);
+  ExpectIdenticalOnDirtyStack("det_delta", [&](const std::string& path) {
+    DeltaRmi::Config config;
+    config.base.num_leaf_models = 256;
+    config.policy.trigger = dynamic::MergeTrigger::kManual;
+    DeltaRmi idx;
+    ASSERT_TRUE(idx.Build(keys, config).ok());
+    WriteSome(idx, keys, 300);
+    DirtyStack();
+    ASSERT_TRUE(idx.WriteSnapshot(path).ok());
+  });
+}
+
+TEST(DeterministicSnapshotTest, ConcurrentIndexBuiltTwiceIsByteIdentical) {
+  const auto keys = DistinctKeys(20'000, 89);
+  ExpectIdenticalOnDirtyStack("det_conc", [&](const std::string& path) {
+    ConcRmi::Config config;
+    config.base.num_leaf_models = 256;
+    config.policy.trigger = dynamic::MergeTrigger::kManual;
+    config.log_cap = 128;  // the writes below freeze the log twice
+    ConcRmi idx;
+    ASSERT_TRUE(idx.Build(keys, config).ok());
+    WriteSome(idx, keys, 150);
+    DirtyStack();
+    ASSERT_TRUE(idx.WriteSnapshot(path).ok());
+  });
+}
+
+// A durable sharded index: its snapshot file carries the 88-byte
+// manifest record (7 bytes of it were padding behind the rebalance
+// switch) and every shard's cfg record; its durability directory's
+// MANIFEST carries the manifest record again.
+TEST(DeterministicSnapshotTest, DurableShardedIndexBuiltTwiceIsByteIdentical) {
+  const auto keys = DistinctKeys(20'000, 97);
+  ExpectIdenticalOnDirtyStack(
+      "det_sharded",
+      [&](const std::string& path) {
+        ShardedRmi::Config config;
+        config.num_shards = 4;
+        config.inner.base.num_leaf_models = 64;
+        config.inner.policy.trigger = dynamic::MergeTrigger::kManual;
+        config.rebalance.enabled = true;
+        ShardedRmi idx;
+        ASSERT_TRUE(idx.Build(keys, config).ok());
+        const std::string dir = path + ".dir";
+        std::filesystem::remove_all(dir);
+        wal::DurabilityConfig dcfg;
+        dcfg.path = dir;
+        DirtyStack();
+        ASSERT_TRUE(idx.EnableDurability(dcfg).ok());
+        WriteSome(idx, keys, 200);
+        idx.WaitForRebalances();
+        DirtyStack();
+        ASSERT_TRUE(idx.WriteSnapshot(path).ok());
+        std::filesystem::copy_file(
+            dir + "/MANIFEST", path + ".MANIFEST",
+            std::filesystem::copy_options::overwrite_existing);
+        std::filesystem::remove_all(dir);
+      },
+      {".MANIFEST"});
 }
 
 }  // namespace

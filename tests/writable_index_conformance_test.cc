@@ -194,19 +194,6 @@ TEST(WritableOracleTest, SizeThresholdPolicyMatchesSet) {
   EXPECT_GT(idx.Stats().merges, 0u);
 }
 
-TEST(WritableOracleTest, WriteRatioPolicyMatchesSet) {
-  const auto keys = SeedKeys(20'000, 12);
-  dynamic::MergePolicy policy;
-  policy.trigger = dynamic::MergeTrigger::kWriteRatio;
-  policy.min_delta_entries = 700;
-  policy.write_ratio = 0.9;  // ~0.75 observed write fraction triggers
-  DeltaRmi idx;
-  ASSERT_TRUE(idx.Build(keys, RmiConfigFor(keys.size(), policy)).ok());
-  std::set<uint64_t> oracle(keys.begin(), keys.end());
-  RunOracleStream(idx, oracle, 12'000, 102, 2'000'000'000, false);
-  EXPECT_GT(idx.Stats().merges, 0u);
-}
-
 TEST(WritableOracleTest, ManualPolicyWithExplicitMergesMatchesSet) {
   const auto keys = SeedKeys(20'000, 13);
   dynamic::MergePolicy policy;
@@ -773,34 +760,20 @@ TEST(MergePolicyTest, SizeThresholdUsesTighterOfAbsoluteAndFraction) {
   p.max_delta_entries = 1000;
   p.max_delta_fraction = 0.10;
   // Base 5000: fraction cap = 500 (tighter than 1000).
-  EXPECT_FALSE(dynamic::ShouldMerge(p, 499, 5000, 0, 0));
-  EXPECT_TRUE(dynamic::ShouldMerge(p, 500, 5000, 0, 0));
+  EXPECT_FALSE(dynamic::ShouldMerge(p, 499, 5000));
+  EXPECT_TRUE(dynamic::ShouldMerge(p, 500, 5000));
   // Base 100k: absolute cap 1000 is tighter.
-  EXPECT_FALSE(dynamic::ShouldMerge(p, 999, 100'000, 0, 0));
-  EXPECT_TRUE(dynamic::ShouldMerge(p, 1000, 100'000, 0, 0));
+  EXPECT_FALSE(dynamic::ShouldMerge(p, 999, 100'000));
+  EXPECT_TRUE(dynamic::ShouldMerge(p, 1000, 100'000));
   // Tiny base: the min floor prevents merge-per-write.
-  EXPECT_FALSE(dynamic::ShouldMerge(p, 99, 10, 0, 0));
-  EXPECT_TRUE(dynamic::ShouldMerge(p, 100, 10, 0, 0));
-}
-
-TEST(MergePolicyTest, WriteRatioFiresInReadMostlyLulls) {
-  dynamic::MergePolicy p;
-  p.trigger = dynamic::MergeTrigger::kWriteRatio;
-  p.min_delta_entries = 100;
-  p.write_ratio = 0.5;
-  // Not armed below the min delta size.
-  EXPECT_FALSE(dynamic::ShouldMerge(p, 99, 1000, 10, 1000));
-  // Armed, but the stream is write-heavy: hold off.
-  EXPECT_FALSE(dynamic::ShouldMerge(p, 200, 1000, 900, 100));
-  // Armed and read-mostly: merge.
-  EXPECT_TRUE(dynamic::ShouldMerge(p, 200, 1000, 100, 900));
-  EXPECT_FALSE(dynamic::ShouldMerge(p, 200, 1000, 0, 0));  // no ops yet
+  EXPECT_FALSE(dynamic::ShouldMerge(p, 99, 10));
+  EXPECT_TRUE(dynamic::ShouldMerge(p, 100, 10));
 }
 
 TEST(MergePolicyTest, ManualNeverAutoMerges) {
   dynamic::MergePolicy p;
   p.trigger = dynamic::MergeTrigger::kManual;
-  EXPECT_FALSE(dynamic::ShouldMerge(p, 1 << 30, 10, 1 << 20, 0));
+  EXPECT_FALSE(dynamic::ShouldMerge(p, 1 << 30, 10));
 }
 
 // ---- The delta buffer's rank bookkeeping in isolation ----

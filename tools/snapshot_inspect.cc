@@ -14,11 +14,11 @@
 //                                           and its base keys
 //   snapshot_inspect <file.wal>             dump WAL summary + tail state
 //
-// The delta check runs dynamic::CheckCfg on each <prefix>cfg and
-// dynamic::CheckDelta on each <prefix>keys / <prefix>dkeys /
-// <prefix>dmeta triple (the layout of dynamic/delta_snapshot.h), reading
-// the keys as uint64 — the key type of every writable index the repo's
-// tools and benches persist.
+// The delta check decodes each <prefix>cfg through dynamic::ReadDeltaCfg
+// (the record and check open uses) and runs dynamic::CheckDelta on each
+// <prefix>keys / <prefix>dkeys / <prefix>dmeta triple (the layout of
+// dynamic/delta_snapshot.h), reading the keys as uint64 — the key type of
+// every writable index the repo's tools and benches persist.
 
 #include <cinttypes>
 #include <cstdio>
@@ -91,7 +91,7 @@ int InspectWal(const char* path) {
   return 0;
 }
 
-/// CheckCfg and CheckDelta over every delta in the file; 0 when all pass
+/// ReadDeltaCfg and CheckDelta over every delta in the file; 0 when all pass
 /// (or there are none).
 int VerifyDeltas(const snapshot::SnapshotReader& reader) {
   constexpr std::string_view kDkeys = "dkeys";
@@ -104,8 +104,7 @@ int VerifyDeltas(const snapshot::SnapshotReader& reader) {
     auto dkeys = reader.GetArray<uint64_t>(prefix + "dkeys");
     auto dmeta = reader.GetArray<uint8_t>(prefix + "dmeta");
     dynamic::DeltaSnapshotCfg cfg;
-    Status st = reader.GetPod(prefix + "cfg", &cfg);
-    if (st.ok()) st = dynamic::CheckCfg(cfg);
+    Status st = dynamic::ReadDeltaCfg(reader, prefix, &cfg);
     if (st.ok()) {
       st = !keys.ok()    ? keys.status()
            : !dkeys.ok() ? dkeys.status()
