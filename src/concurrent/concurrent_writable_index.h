@@ -232,7 +232,8 @@ class WriteLog {
 };
 
 template <index::RangeIndex Base>
-  requires std::same_as<typename Base::key_type, uint64_t>
+  requires std::same_as<typename Base::key_type, uint64_t> &&
+           index::DataSpanSnapshottable<Base>
 class ConcurrentWritableIndex {
  public:
   using key_type = typename Base::key_type;
@@ -375,10 +376,6 @@ class ConcurrentWritableIndex {
   // fully writable index: the key array is copied (merges replace it),
   // the base model loads against the copy without retraining, and the
   // background merge worker restarts.
-
-  /// Snapshot support needs a base that can persist its model against a
-  /// caller-owned key span (the RMI family).
-  static constexpr bool kSnapshotCapable = index::DataSpanSnapshottable<Base>;
 
   Status WriteSections(snapshot::SnapshotWriter& writer,
                        const std::string& prefix) const {
@@ -596,74 +593,56 @@ class ConcurrentWritableIndex {
 
     Status WriteSections(snapshot::SnapshotWriter& writer,
                          const std::string& prefix) const {
-      if constexpr (!kSnapshotCapable) {
-        return Status::Unimplemented(
-            "ConcurrentWritableIndex snapshots need a flat key type and a "
-            "section-snapshottable base");
-      } else {
-        // Capture a consistent point-in-time version under the writer
-        // mutex: writers and merge publishes are excluded for the O(delta)
-        // fold only; readers are undisturbed.
-        std::shared_ptr<const std::vector<key_type>> keys;
-        std::shared_ptr<const Base> base;
-        std::vector<DeltaEntry> folded;
-        std::optional<wal::WalSnapshotMeta> wal_meta;
-        {
-          typename Cell::Writer w(cell_);
-          const State& s = *w.get();
-          // Redundancy drop is legal here regardless of a pending rebase:
-          // the snapshot pairs the fold with this *same* captured base.
-          folded = FoldedEntries(s, s.log.count_locked(),
-                                 /*drop_redundant=*/true);
-          keys = s.base_keys;
-          base = s.base;
-          // Every record so far is reflected in this capture (appends
-          // serialize on the same mutex), so the snapshot covers it and
-          // truncation behind it is safe after publish.
-          wal_meta = wal_.CaptureCovered();
-        }
-        // Serialization outside the lock: every captured piece is
-        // immutable and shared_ptr-pinned (a concurrent merge may retire
-        // the version, not free these).
-        return dynamic::WriteDeltaSections(
-            writer, prefix,
-            dynamic::DeltaSnapshotCfg{config_.policy, config_.log_cap},
-            wal_meta, std::span<const key_type>(*keys), *base,
-            std::span<const DeltaEntry>(folded));
+      // Capture a consistent point-in-time version under the writer
+      // mutex: writers and merge publishes are excluded for the O(delta)
+      // fold only; readers are undisturbed.
+      std::shared_ptr<const std::vector<key_type>> keys;
+      std::shared_ptr<const Base> base;
+      std::vector<DeltaEntry> folded;
+      std::optional<wal::WalSnapshotMeta> wal_meta;
+      {
+        typename Cell::Writer w(cell_);
+        const State& s = *w.get();
+        // Redundancy drop is legal here regardless of a pending rebase:
+        // the snapshot pairs the fold with this *same* captured base.
+        folded = FoldedEntries(s, s.log.count_locked(),
+                               /*drop_redundant=*/true);
+        keys = s.base_keys;
+        base = s.base;
+        // Every record so far is reflected in this capture (appends
+        // serialize on the same mutex), so the snapshot covers it and
+        // truncation behind it is safe after publish.
+        wal_meta = wal_.CaptureCovered();
       }
+      // Serialization outside the lock: every captured piece is
+      // immutable and shared_ptr-pinned (a concurrent merge may retire
+      // the version, not free these).
+      return dynamic::WriteDeltaSections(
+          writer, prefix,
+          dynamic::DeltaSnapshotCfg{config_.policy, config_.log_cap},
+          wal_meta, std::span<const key_type>(*keys), *base,
+          std::span<const DeltaEntry>(folded));
     }
 
     /// Rebuilds a live index from snapshot sections: fresh Impl only
     /// (build-then-share discipline, same as Build).
     Status LoadSections(const snapshot::SnapshotReader& reader,
                         const std::string& prefix) {
-      if constexpr (!kSnapshotCapable) {
-        return Status::Unimplemented(
-            "ConcurrentWritableIndex snapshots need a flat key type and a "
-            "section-snapshottable base");
-      } else {
-        dynamic::DeltaSnapshotCfg cfg;
-        auto bk = std::make_shared<std::vector<key_type>>();
-        auto base = std::make_shared<Base>();
-        std::vector<DeltaEntry> entries;
-        LI_RETURN_IF_ERROR(dynamic::ReadDeltaSections(
-            reader, prefix, &cfg, bk.get(), base.get(), &entries, &wal_));
-        config_.policy = cfg.policy;
-        config_.log_cap = cfg.cap;
-        if constexpr (requires {
-                        {
-                          base->config()
-                        } -> std::convertible_to<base_config_type>;
-                      }) {
-          config_.base = base->config();
-        }
-        State* s = NewState(std::move(bk), std::move(base), entries);
-        live_count_.store(static_cast<int64_t>(s->base_keys->size()) +
-                              s->frozen.LiveAdjustTotal(),
-                          std::memory_order_relaxed);
-        Start(s);
-        return Status::OK();
-      }
+      dynamic::DeltaSnapshotCfg cfg;
+      auto bk = std::make_shared<std::vector<key_type>>();
+      auto base = std::make_shared<Base>();
+      std::vector<DeltaEntry> entries;
+      LI_RETURN_IF_ERROR(dynamic::ReadDeltaSections(
+          reader, prefix, &cfg, bk.get(), base.get(), &entries, &wal_));
+      config_.policy = cfg.policy;
+      config_.log_cap = cfg.cap;
+      config_.base = base->config();
+      State* s = NewState(std::move(bk), std::move(base), entries);
+      live_count_.store(static_cast<int64_t>(s->base_keys->size()) +
+                            s->frozen.LiveAdjustTotal(),
+                        std::memory_order_relaxed);
+      Start(s);
+      return Status::OK();
     }
 
     // ---- durability (wal_ is guarded by the writer mutex) ----

@@ -84,7 +84,6 @@ template <typename I>
 concept Shardable =
     index::ConcurrentWritableRangeIndex<I> && index::DurableIndex<I> &&
     index::Snapshottable<I> && index::SectionSnapshottable<I> &&
-    I::kSnapshotCapable &&
     requires(const I& idx) {
       { idx.config() } -> std::convertible_to<typename I::config_type>;
     };

@@ -143,7 +143,7 @@ class LearnedHash {
     if (meta.num_keys == 0 || meta.num_slots == 0) {
       return Status::InvalidArgument("LearnedHash snapshot meta is corrupt");
     }
-    LI_RETURN_IF_ERROR(rmi_.LoadSections(reader, prefix + "rmi/"));
+    LI_RETURN_IF_ERROR(rmi_.LoadModelSections(reader, prefix + "rmi/"));
     // The slot mapping is only in [0, num_slots) when the model's
     // position estimates stay below num_keys; a mismatched pair would
     // turn lookups into out-of-bounds slot indexes.

@@ -3,8 +3,8 @@
 // The LIF synthesizer (§3.1) grid-searches over heterogeneous candidate
 // types (RMIs with different top models, B-Tree variants); benches and
 // servers want to hold "whichever index won" without threading template
-// parameters everywhere. AnyRangeIndexOf<Key> erases any built RangeIndex
-// with that key type behind one virtual hop per lookup. Build() is *not*
+// parameters everywhere. AnyRangeIndex erases any built RangeIndex over
+// uint64_t keys behind one virtual hop per lookup. Build() is *not*
 // erased — config types differ per index, so candidates are built
 // concretely and then moved in.
 
@@ -27,40 +27,41 @@
 
 namespace li::index {
 
-template <typename Key>
-class AnyRangeIndexOf {
+class AnyRangeIndex {
  public:
-  using key_type = Key;
+  using key_type = uint64_t;
 
-  AnyRangeIndexOf() = default;
+  AnyRangeIndex() = default;
 
   /// Wraps a built index by move (or copy, for copyable index types).
   template <typename I>
     requires RangeIndex<std::remove_cvref_t<I>> &&
-             std::same_as<typename std::remove_cvref_t<I>::key_type, Key> &&
-             (!std::same_as<std::remove_cvref_t<I>, AnyRangeIndexOf>)
-  explicit AnyRangeIndexOf(I&& impl)
+             std::same_as<typename std::remove_cvref_t<I>::key_type,
+                          uint64_t> &&
+             (!std::same_as<std::remove_cvref_t<I>, AnyRangeIndex>)
+  explicit AnyRangeIndex(I&& impl)
       : impl_(std::make_unique<Holder<std::remove_cvref_t<I>>>(
             std::forward<I>(impl))) {}
 
-  AnyRangeIndexOf(AnyRangeIndexOf&&) noexcept = default;
-  AnyRangeIndexOf& operator=(AnyRangeIndexOf&&) noexcept = default;
+  AnyRangeIndex(AnyRangeIndex&&) noexcept = default;
+  AnyRangeIndex& operator=(AnyRangeIndex&&) noexcept = default;
 
   /// True when no index has been wrapped yet; lookups then answer 0 like
   /// an index built over an empty key array.
   bool empty() const { return impl_ == nullptr; }
 
-  Approx ApproxPos(const Key& key) const {
+  Approx ApproxPos(const key_type& key) const {
     return impl_ ? impl_->ApproxPos(key) : Approx{};
   }
-  size_t Lookup(const Key& key) const {
+  size_t Lookup(const key_type& key) const {
     return impl_ ? impl_->Lookup(key) : 0;
   }
   /// Alias kept so erased indexes drop into existing lower_bound call sites.
-  size_t LowerBound(const Key& key) const { return Lookup(key); }
+  size_t LowerBound(const key_type& key) const { return Lookup(key); }
   size_t SizeBytes() const { return impl_ ? impl_->SizeBytes() : 0; }
 
-  void LookupBatch(std::span<const Key> keys, std::span<size_t> out) const {
+  void LookupBatch(std::span<const key_type> keys,
+                   std::span<size_t> out) const {
     if (impl_ != nullptr) {
       impl_->LookupBatch(keys, out);
     } else {
@@ -86,7 +87,7 @@ class AnyRangeIndexOf {
   Status WriteSections(snapshot::SnapshotWriter& writer,
                        const std::string& prefix) const {
     if (impl_ == nullptr) {
-      return Status::FailedPrecondition("AnyRangeIndexOf: empty");
+      return Status::FailedPrecondition("AnyRangeIndex: empty");
     }
     return impl_->WriteSections(writer, prefix);
   }
@@ -98,10 +99,10 @@ class AnyRangeIndexOf {
  private:
   struct Iface {
     virtual ~Iface() = default;
-    virtual Approx ApproxPos(const Key& key) const = 0;
-    virtual size_t Lookup(const Key& key) const = 0;
+    virtual Approx ApproxPos(const key_type& key) const = 0;
+    virtual size_t Lookup(const key_type& key) const = 0;
     virtual size_t SizeBytes() const = 0;
-    virtual void LookupBatch(std::span<const Key> keys,
+    virtual void LookupBatch(std::span<const key_type> keys,
                              std::span<size_t> out) const = 0;
     virtual const char* SnapshotKind() const = 0;
     virtual Status WriteSections(snapshot::SnapshotWriter& writer,
@@ -113,12 +114,14 @@ class AnyRangeIndexOf {
     template <typename U>
     explicit Holder(U&& v) : impl(std::forward<U>(v)) {}
 
-    Approx ApproxPos(const Key& key) const override {
+    Approx ApproxPos(const key_type& key) const override {
       return impl.ApproxPos(key);
     }
-    size_t Lookup(const Key& key) const override { return impl.Lookup(key); }
+    size_t Lookup(const key_type& key) const override {
+      return impl.Lookup(key);
+    }
     size_t SizeBytes() const override { return impl.SizeBytes(); }
-    void LookupBatch(std::span<const Key> keys,
+    void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const override {
       index::LookupBatch(impl, keys, out);
     }
@@ -138,7 +141,7 @@ class AnyRangeIndexOf {
         return impl.WriteSections(writer, prefix);
       } else {
         return Status::Unimplemented(
-            "AnyRangeIndexOf: wrapped index has no section snapshot "
+            "AnyRangeIndex: wrapped index has no section snapshot "
             "protocol");
       }
     }
@@ -149,8 +152,6 @@ class AnyRangeIndexOf {
   std::unique_ptr<const Iface> impl_;
 };
 
-/// The common case: integer-keyed indexes, as in Figures 4/5.
-using AnyRangeIndex = AnyRangeIndexOf<uint64_t>;
 
 }  // namespace li::index
 

@@ -102,63 +102,66 @@ concept ConcurrentWritableRangeIndex =
     };
 
 /// Type-erased ConcurrentWritableRangeIndex, mirroring
-/// AnyWritableRangeIndexOf but keeping the concurrent surface
+/// AnyWritableRangeIndex but keeping the concurrent surface
 /// (RequestMerge / WaitForMerges / ConcurrentStats) callable through the
 /// erasure — for holders of heterogeneous concurrent indexes (single
 /// front-end vs sharded, different bases) that still need to quiesce
 /// workers or read contention gauges. Note the LIF writable synthesizer
-/// erases its winners into AnyWritableRangeIndexOf (the class-wide
+/// erases its winners into AnyWritableRangeIndex (the class-wide
 /// contract that single-threaded candidates also satisfy); use this type
 /// when constructing concurrent indexes directly. Build is not erased
 /// (config types differ); candidates are built concretely and moved in.
 /// The handle itself is as thread-safe as the wrapped index; moving the
 /// handle while ops are in flight is undefined, as for any container.
-template <typename Key>
-class AnyConcurrentWritableIndexOf {
+class AnyConcurrentWritableIndex {
  public:
-  using key_type = Key;
+  using key_type = uint64_t;
 
-  AnyConcurrentWritableIndexOf() = default;
+  AnyConcurrentWritableIndex() = default;
 
   template <typename I>
     requires ConcurrentWritableRangeIndex<std::remove_cvref_t<I>> &&
-             std::same_as<typename std::remove_cvref_t<I>::key_type, Key> &&
+             std::same_as<typename std::remove_cvref_t<I>::key_type,
+                          uint64_t> &&
              (!std::same_as<std::remove_cvref_t<I>,
-                            AnyConcurrentWritableIndexOf>)
-  explicit AnyConcurrentWritableIndexOf(I&& impl)
+                            AnyConcurrentWritableIndex>)
+  explicit AnyConcurrentWritableIndex(I&& impl)
       : impl_(std::make_unique<Holder<std::remove_cvref_t<I>>>(
             std::forward<I>(impl))) {}
 
-  AnyConcurrentWritableIndexOf(AnyConcurrentWritableIndexOf&&) noexcept =
+  AnyConcurrentWritableIndex(AnyConcurrentWritableIndex&&) noexcept =
       default;
-  AnyConcurrentWritableIndexOf& operator=(
-      AnyConcurrentWritableIndexOf&&) noexcept = default;
+  AnyConcurrentWritableIndex& operator=(
+      AnyConcurrentWritableIndex&&) noexcept = default;
 
   /// True when no index has been wrapped yet; reads then answer like an
   /// empty index and writes are dropped (returning false).
   bool empty() const { return impl_ == nullptr; }
 
-  bool Insert(const Key& key) { return impl_ ? impl_->Insert(key) : false; }
-  bool Erase(const Key& key) { return impl_ ? impl_->Erase(key) : false; }
-  bool Contains(const Key& key) const {
+  bool Insert(const key_type& key) {
+    return impl_ ? impl_->Insert(key) : false;
+  }
+  bool Erase(const key_type& key) { return impl_ ? impl_->Erase(key) : false; }
+  bool Contains(const key_type& key) const {
     return impl_ ? impl_->Contains(key) : false;
   }
-  size_t Lookup(const Key& key) const {
+  size_t Lookup(const key_type& key) const {
     return impl_ ? impl_->Lookup(key) : 0;
   }
-  size_t LowerBound(const Key& key) const { return Lookup(key); }
-  Approx ApproxPos(const Key& key) const {
+  size_t LowerBound(const key_type& key) const { return Lookup(key); }
+  Approx ApproxPos(const key_type& key) const {
     return impl_ ? impl_->ApproxPos(key) : Approx{};
   }
-  void LookupBatch(std::span<const Key> keys, std::span<size_t> out) const {
+  void LookupBatch(std::span<const key_type> keys,
+                   std::span<size_t> out) const {
     if (impl_ != nullptr) {
       impl_->LookupBatch(keys, out);
     } else {
       for (size_t i = 0; i < out.size(); ++i) out[i] = 0;
     }
   }
-  std::vector<Key> Scan(const Key& from, size_t limit) const {
-    return impl_ ? impl_->Scan(from, limit) : std::vector<Key>{};
+  std::vector<key_type> Scan(const key_type& from, size_t limit) const {
+    return impl_ ? impl_->Scan(from, limit) : std::vector<key_type>{};
   }
   Status Merge() {
     return impl_ ? impl_->Merge()
@@ -183,14 +186,15 @@ class AnyConcurrentWritableIndexOf {
  private:
   struct Iface {
     virtual ~Iface() = default;
-    virtual bool Insert(const Key& key) = 0;
-    virtual bool Erase(const Key& key) = 0;
-    virtual bool Contains(const Key& key) const = 0;
-    virtual size_t Lookup(const Key& key) const = 0;
-    virtual Approx ApproxPos(const Key& key) const = 0;
-    virtual void LookupBatch(std::span<const Key> keys,
+    virtual bool Insert(const key_type& key) = 0;
+    virtual bool Erase(const key_type& key) = 0;
+    virtual bool Contains(const key_type& key) const = 0;
+    virtual size_t Lookup(const key_type& key) const = 0;
+    virtual Approx ApproxPos(const key_type& key) const = 0;
+    virtual void LookupBatch(std::span<const key_type> keys,
                              std::span<size_t> out) const = 0;
-    virtual std::vector<Key> Scan(const Key& from, size_t limit) const = 0;
+    virtual std::vector<key_type> Scan(const key_type& from,
+                                       size_t limit) const = 0;
     virtual Status Merge() = 0;
     virtual void RequestMerge() = 0;
     virtual void WaitForMerges() = 0;
@@ -205,20 +209,23 @@ class AnyConcurrentWritableIndexOf {
     template <typename U>
     explicit Holder(U&& v) : impl(std::forward<U>(v)) {}
 
-    bool Insert(const Key& key) override { return impl.Insert(key); }
-    bool Erase(const Key& key) override { return impl.Erase(key); }
-    bool Contains(const Key& key) const override {
+    bool Insert(const key_type& key) override { return impl.Insert(key); }
+    bool Erase(const key_type& key) override { return impl.Erase(key); }
+    bool Contains(const key_type& key) const override {
       return impl.Contains(key);
     }
-    size_t Lookup(const Key& key) const override { return impl.Lookup(key); }
-    Approx ApproxPos(const Key& key) const override {
+    size_t Lookup(const key_type& key) const override {
+      return impl.Lookup(key);
+    }
+    Approx ApproxPos(const key_type& key) const override {
       return impl.ApproxPos(key);
     }
-    void LookupBatch(std::span<const Key> keys,
+    void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const override {
       index::LookupBatch(impl, keys, out);
     }
-    std::vector<Key> Scan(const Key& from, size_t limit) const override {
+    std::vector<key_type> Scan(const key_type& from,
+                               size_t limit) const override {
       return impl.Scan(from, limit);
     }
     Status Merge() override { return impl.Merge(); }
@@ -237,8 +244,6 @@ class AnyConcurrentWritableIndexOf {
   std::unique_ptr<Iface> impl_;
 };
 
-/// The common case: integer-keyed concurrent writable indexes.
-using AnyConcurrentWritableIndex = AnyConcurrentWritableIndexOf<uint64_t>;
 
 }  // namespace li::index
 

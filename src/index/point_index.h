@@ -127,7 +127,7 @@ void FindBatch(const I& idx, std::span<const uint64_t> keys,
 
 /// Type-erased PointIndex — the runtime face of the contract. Build() is
 /// *not* erased (config types differ per map family); candidates are
-/// built concretely and then moved in, exactly like AnyRangeIndexOf.
+/// built concretely and then moved in, exactly like AnyRangeIndex.
 class AnyPointIndex {
  public:
   AnyPointIndex() = default;

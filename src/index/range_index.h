@@ -11,8 +11,9 @@
 // Contract requirements — semantics, complexity, thread-safety:
 //
 //   typename I::key_type
-//     The key type. uint64_t, double and std::string are the supported
-//     families (index/key_traits.h maps them to model features).
+//     The key type. uint64_t (the RMI core, the B-Trees, the lookup
+//     table, every writable index and the erased handles) and std::string
+//     (StringRmi and StringBTree, §3.5) are the supported families.
 //   typename I::config_type
 //     Default-constructible build configuration.
 //

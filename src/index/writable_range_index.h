@@ -126,55 +126,58 @@ concept WritableRangeIndex =
     };
 
 /// Type-erased WritableRangeIndex — the runtime face of the write path,
-/// mirroring AnyRangeIndexOf: the LIF synthesizer grid-searches over
+/// mirroring AnyRangeIndex: the LIF synthesizer grid-searches over
 /// heterogeneous delta-wrapped candidates and hands back "whichever won"
 /// without threading base template parameters everywhere. Build is not
 /// erased (config types differ per base); candidates are built concretely
 /// and moved in.
-template <typename Key>
-class AnyWritableRangeIndexOf {
+class AnyWritableRangeIndex {
  public:
-  using key_type = Key;
+  using key_type = uint64_t;
 
-  AnyWritableRangeIndexOf() = default;
+  AnyWritableRangeIndex() = default;
 
   template <typename I>
     requires WritableRangeIndex<std::remove_cvref_t<I>> &&
-             std::same_as<typename std::remove_cvref_t<I>::key_type, Key> &&
-             (!std::same_as<std::remove_cvref_t<I>, AnyWritableRangeIndexOf>)
-  explicit AnyWritableRangeIndexOf(I&& impl)
+             std::same_as<typename std::remove_cvref_t<I>::key_type,
+                          uint64_t> &&
+             (!std::same_as<std::remove_cvref_t<I>, AnyWritableRangeIndex>)
+  explicit AnyWritableRangeIndex(I&& impl)
       : impl_(std::make_unique<Holder<std::remove_cvref_t<I>>>(
             std::forward<I>(impl))) {}
 
-  AnyWritableRangeIndexOf(AnyWritableRangeIndexOf&&) noexcept = default;
-  AnyWritableRangeIndexOf& operator=(AnyWritableRangeIndexOf&&) noexcept =
+  AnyWritableRangeIndex(AnyWritableRangeIndex&&) noexcept = default;
+  AnyWritableRangeIndex& operator=(AnyWritableRangeIndex&&) noexcept =
       default;
 
   /// True when no index has been wrapped yet; reads then answer like an
   /// empty index and writes are dropped (returning false).
   bool empty() const { return impl_ == nullptr; }
 
-  bool Insert(const Key& key) { return impl_ ? impl_->Insert(key) : false; }
-  bool Erase(const Key& key) { return impl_ ? impl_->Erase(key) : false; }
-  bool Contains(const Key& key) const {
+  bool Insert(const key_type& key) {
+    return impl_ ? impl_->Insert(key) : false;
+  }
+  bool Erase(const key_type& key) { return impl_ ? impl_->Erase(key) : false; }
+  bool Contains(const key_type& key) const {
     return impl_ ? impl_->Contains(key) : false;
   }
-  size_t Lookup(const Key& key) const {
+  size_t Lookup(const key_type& key) const {
     return impl_ ? impl_->Lookup(key) : 0;
   }
-  size_t LowerBound(const Key& key) const { return Lookup(key); }
-  Approx ApproxPos(const Key& key) const {
+  size_t LowerBound(const key_type& key) const { return Lookup(key); }
+  Approx ApproxPos(const key_type& key) const {
     return impl_ ? impl_->ApproxPos(key) : Approx{};
   }
-  void LookupBatch(std::span<const Key> keys, std::span<size_t> out) const {
+  void LookupBatch(std::span<const key_type> keys,
+                   std::span<size_t> out) const {
     if (impl_ != nullptr) {
       impl_->LookupBatch(keys, out);
     } else {
       for (size_t i = 0; i < out.size(); ++i) out[i] = 0;
     }
   }
-  std::vector<Key> Scan(const Key& from, size_t limit) const {
-    return impl_ ? impl_->Scan(from, limit) : std::vector<Key>{};
+  std::vector<key_type> Scan(const key_type& from, size_t limit) const {
+    return impl_ ? impl_->Scan(from, limit) : std::vector<key_type>{};
   }
   Status Merge() {
     return impl_ ? impl_->Merge()
@@ -189,14 +192,15 @@ class AnyWritableRangeIndexOf {
  private:
   struct Iface {
     virtual ~Iface() = default;
-    virtual bool Insert(const Key& key) = 0;
-    virtual bool Erase(const Key& key) = 0;
-    virtual bool Contains(const Key& key) const = 0;
-    virtual size_t Lookup(const Key& key) const = 0;
-    virtual Approx ApproxPos(const Key& key) const = 0;
-    virtual void LookupBatch(std::span<const Key> keys,
+    virtual bool Insert(const key_type& key) = 0;
+    virtual bool Erase(const key_type& key) = 0;
+    virtual bool Contains(const key_type& key) const = 0;
+    virtual size_t Lookup(const key_type& key) const = 0;
+    virtual Approx ApproxPos(const key_type& key) const = 0;
+    virtual void LookupBatch(std::span<const key_type> keys,
                              std::span<size_t> out) const = 0;
-    virtual std::vector<Key> Scan(const Key& from, size_t limit) const = 0;
+    virtual std::vector<key_type> Scan(const key_type& from,
+                                       size_t limit) const = 0;
     virtual Status Merge() = 0;
     virtual size_t size() const = 0;
     virtual size_t SizeBytes() const = 0;
@@ -208,20 +212,23 @@ class AnyWritableRangeIndexOf {
     template <typename U>
     explicit Holder(U&& v) : impl(std::forward<U>(v)) {}
 
-    bool Insert(const Key& key) override { return impl.Insert(key); }
-    bool Erase(const Key& key) override { return impl.Erase(key); }
-    bool Contains(const Key& key) const override {
+    bool Insert(const key_type& key) override { return impl.Insert(key); }
+    bool Erase(const key_type& key) override { return impl.Erase(key); }
+    bool Contains(const key_type& key) const override {
       return impl.Contains(key);
     }
-    size_t Lookup(const Key& key) const override { return impl.Lookup(key); }
-    Approx ApproxPos(const Key& key) const override {
+    size_t Lookup(const key_type& key) const override {
+      return impl.Lookup(key);
+    }
+    Approx ApproxPos(const key_type& key) const override {
       return impl.ApproxPos(key);
     }
-    void LookupBatch(std::span<const Key> keys,
+    void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const override {
       index::LookupBatch(impl, keys, out);
     }
-    std::vector<Key> Scan(const Key& from, size_t limit) const override {
+    std::vector<key_type> Scan(const key_type& from,
+                               size_t limit) const override {
       return impl.Scan(from, limit);
     }
     Status Merge() override { return impl.Merge(); }
@@ -235,8 +242,6 @@ class AnyWritableRangeIndexOf {
   std::unique_ptr<Iface> impl_;
 };
 
-/// The common case: integer-keyed writable indexes.
-using AnyWritableRangeIndex = AnyWritableRangeIndexOf<uint64_t>;
 
 }  // namespace li::index
 

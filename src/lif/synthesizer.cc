@@ -85,6 +85,20 @@ double BySize(const CandidateReport& r) {
 }
 double ByMixedNs(const CandidateReport& r) { return r.mixed_ns; }
 
+/// Cuckoo baselines of Table 1: the AVX-style table runs at load 0.99,
+/// the careful (commercial) one at 0.95.
+constexpr double kCuckooLoadFactor = 0.99;
+constexpr double kCuckooCarefulLoadFactor = 0.95;
+/// Model-hash Bloom bitmap sizes, in bits per key.
+constexpr double kModelHashBitsPerKey[] = {0.3, 0.6};
+/// Range-filter query sets per sweep: validation (the qualification
+/// gate), eval (the unbiased reported FPR) and the present-range
+/// witnesses every candidate must answer true on. Widths and the
+/// correlated share are rangefilter::EmptyQueryConfig's defaults.
+constexpr size_t kRangeValidQueries = 8'000;
+constexpr size_t kRangeEvalQueries = 8'000;
+constexpr size_t kRangeWitnessQueries = 4'000;
+
 /// Builds one RMI configuration, measures it on the sampled queries and
 /// offers it to the range sweep.
 template <typename TopModel>
@@ -125,13 +139,10 @@ Status SynthesizedIndex::Synthesize(std::span<const uint64_t> keys,
   for (const size_t m : spec.stage2_sizes) {
     rmi::RmiConfig rc;
     rc.num_leaf_models = m;
-    rc.strategy = spec.strategy;
 
-    if (spec.try_linear_top) {
-      LI_RETURN_IF_ERROR(OfferRmi<models::LinearModel>(
-          keys, rc, "linear top / " + std::to_string(m) + " leaves", queries,
-          &sweep));
-    }
+    LI_RETURN_IF_ERROR(OfferRmi<models::LinearModel>(
+        keys, rc, "linear top / " + std::to_string(m) + " leaves", queries,
+        &sweep));
     if (spec.try_multivariate_top) {
       LI_RETURN_IF_ERROR(OfferRmi<models::MultivariateModel>(
           keys, rc, "multivariate top / " + std::to_string(m) + " leaves",
@@ -230,13 +241,8 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
         queries, 1, [&](uint64_t q) { return map.Find(q) != nullptr; });
   };
 
-  std::vector<hash::HashConfig> hash_configs;
-  if (spec.try_random_hash) {
-    hash::HashConfig hc;
-    hc.kind = hash::HashKind::kRandom;
-    hc.seed = spec.seed;
-    hash_configs.push_back(hc);
-  }
+  std::vector<hash::HashConfig> hash_configs = {
+      {.kind = hash::HashKind::kRandom, .seed = spec.seed}};
   if (spec.try_learned_hash) {
     hash::HashConfig hc;
     hc.kind = hash::HashKind::kLearnedCdf;
@@ -258,33 +264,29 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
     const double hash_ns =
         MeasureNsPerOp(queries, 1, [&](uint64_t q) { return fn(q); });
 
-    if (spec.try_chained) {
-      for (const int pct : spec.slot_percents) {
-        hash::ChainedHashMapConfig mc;
-        mc.num_slots = std::max<uint64_t>(
-            1, records.size() * static_cast<uint64_t>(pct) / 100);
-        mc.hash = hc;
-        hash::ChainedHashMap map;
-        if (!map.Build(records, mc, fn).ok()) continue;
-        CandidateReport report;
-        report.description = "chained / " + hash_name + " / " +
-                             std::to_string(pct) + "% slots";
-        report.model_ns = hash_ns;
-        measure(map, &report);
-        sweep.Offer(std::move(map), std::move(report));
-      }
-    }
-    if (spec.try_inplace) {
-      hash::InplaceChainedMapConfig mc;
+    for (const int pct : spec.slot_percents) {
+      hash::ChainedHashMapConfig mc;
+      mc.num_slots = std::max<uint64_t>(
+          1, records.size() * static_cast<uint64_t>(pct) / 100);
       mc.hash = hc;
-      hash::InplaceChainedMap map;
-      if (map.Build(records, mc, fn).ok()) {
-        CandidateReport report;
-        report.description = "inplace-chained / " + hash_name;
-        report.model_ns = hash_ns;
-        measure(map, &report);
-        sweep.Offer(std::move(map), std::move(report));
-      }
+      hash::ChainedHashMap map;
+      if (!map.Build(records, mc, fn).ok()) continue;
+      CandidateReport report;
+      report.description = "chained / " + hash_name + " / " +
+                           std::to_string(pct) + "% slots";
+      report.model_ns = hash_ns;
+      measure(map, &report);
+      sweep.Offer(std::move(map), std::move(report));
+    }
+    hash::InplaceChainedMapConfig mc;
+    mc.hash = hc;
+    hash::InplaceChainedMap map;
+    if (map.Build(records, mc, fn).ok()) {
+      CandidateReport report;
+      report.description = "inplace-chained / " + hash_name;
+      report.model_ns = hash_ns;
+      measure(map, &report);
+      sweep.Offer(std::move(map), std::move(report));
     }
   }
 
@@ -297,9 +299,8 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
       bool careful;
       const char* name;
     } variants[] = {
-        {spec.cuckoo_load_factor, false, "cuckoo / avx-style"},
-        {std::min(spec.cuckoo_load_factor, 0.95), true,
-         "cuckoo / commercial (careful)"},
+        {kCuckooLoadFactor, false, "cuckoo / avx-style"},
+        {kCuckooCarefulLoadFactor, true, "cuckoo / commercial (careful)"},
     };
     for (const auto& v : variants) {
       hash::CuckooMapConfig mc;
@@ -399,15 +400,13 @@ Status SynthesizedExistenceIndex::Synthesize(
     });
   };
 
-  if (spec.try_plain_bloom) {
-    bloom::BloomFilter plain;
-    if (plain.Init(keys.size(), spec.target_fpr).ok()) {
-      for (const auto& k : keys) plain.Add(std::string_view(k));
-      CandidateReport report;
-      report.description = "plain bloom";
-      measure(plain, &report);
-      sweep.Offer(std::move(plain), std::move(report));
-    }
+  bloom::BloomFilter plain;
+  if (plain.Init(keys.size(), spec.target_fpr).ok()) {
+    for (const auto& k : keys) plain.Add(std::string_view(k));
+    CandidateReport report;
+    report.description = "plain bloom";
+    measure(plain, &report);
+    sweep.Offer(std::move(plain), std::move(report));
   }
 
   for (const size_t buckets : spec.ngram_buckets) {
@@ -421,7 +420,7 @@ Status SynthesizedExistenceIndex::Synthesize(
           return model->Predict(q) > 0.5;
         });
 
-    if (spec.try_learned) {
+    {
       OwnedLearnedBloom cand;
       cand.model = model;
       if (cand.filter
@@ -436,27 +435,25 @@ Status SynthesizedExistenceIndex::Synthesize(
         sweep.Offer(std::move(cand), std::move(report));
       }
     }
-    if (spec.try_model_hash) {
-      for (const double bpk : spec.bitmap_bits_per_key) {
-        const uint64_t m = std::max<uint64_t>(
-            1024, static_cast<uint64_t>(
-                      bpk * static_cast<double>(keys.size())));
-        OwnedModelHashBloom cand;
-        cand.model = model;
-        if (!cand.filter
-                 .Build(cand.model.get(), keys, valid_non_keys,
-                        spec.target_fpr, m)
-                 .ok()) {
-          continue;
-        }
-        CandidateReport report;
-        report.description = "ngram(" + std::to_string(buckets) +
-                             ") model-hash m=" + std::to_string(m);
-        report.stage2 = buckets;
-        report.model_ns = model_ns;
-        measure(cand, &report);
-        sweep.Offer(std::move(cand), std::move(report));
+    for (const double bpk : kModelHashBitsPerKey) {
+      const uint64_t m = std::max<uint64_t>(
+          1024,
+          static_cast<uint64_t>(bpk * static_cast<double>(keys.size())));
+      OwnedModelHashBloom cand;
+      cand.model = model;
+      if (!cand.filter
+               .Build(cand.model.get(), keys, valid_non_keys,
+                      spec.target_fpr, m)
+               .ok()) {
+        continue;
       }
+      CandidateReport report;
+      report.description = "ngram(" + std::to_string(buckets) +
+                           ") model-hash m=" + std::to_string(m);
+      report.stage2 = buckets;
+      report.model_ns = model_ns;
+      measure(cand, &report);
+      sweep.Offer(std::move(cand), std::move(report));
     }
   }
 
@@ -492,18 +489,15 @@ Status SynthesizedRangeFilter::Synthesize(
   // the witness set every candidate must answer true on (zero false
   // negatives is a contract, not a metric).
   rangefilter::EmptyQueryConfig qcfg;
-  qcfg.max_width = spec.max_query_width;
-  qcfg.correlated_fraction = spec.correlated_fraction;
-  qcfg.count = spec.valid_queries;
+  qcfg.count = kRangeValidQueries;
   const std::vector<index::RangeQuery> valid_queries =
       rangefilter::GenEmptyRanges(sorted, spec.seed * 3 + 1, qcfg);
-  qcfg.count = spec.eval_queries;
+  qcfg.count = kRangeEvalQueries;
   const std::vector<index::RangeQuery> eval_queries =
       rangefilter::GenEmptyRanges(sorted, spec.seed * 3 + 2, qcfg);
   const std::vector<index::RangeQuery> witnesses =
       rangefilter::GenWitnessRanges(sorted, spec.seed * 3 + 3,
-                                    spec.witness_queries,
-                                    spec.max_query_width);
+                                    kRangeWitnessQueries, qcfg.max_width);
   if (valid_queries.empty() || eval_queries.empty()) {
     return Status::InvalidArgument(
         "SynthesizeRange: key set has no gaps to generate empty ranges "
@@ -531,32 +525,28 @@ Status SynthesizedRangeFilter::Synthesize(
   };
 
   for (const double bpk : spec.bits_per_key) {
-    if (spec.try_learned) {
-      for (const size_t kps : spec.keys_per_segment) {
-        rangefilter::LearnedRangeFilterConfig cfg;
-        cfg.bits_per_key = bpk;
-        cfg.keys_per_segment = kps;
-        rangefilter::LearnedRangeFilter f;
-        if (!f.Build(sorted, cfg).ok()) continue;
-        CandidateReport report;
-        report.description = "learned-segmented bpk=" + std::to_string(bpk) +
-                             " kps=" + std::to_string(kps);
-        report.stage2 = f.num_segments();
-        LI_RETURN_IF_ERROR(measure(f, &report));
-        sweep.Offer(std::move(f), std::move(report));
-      }
-    }
-    if (spec.try_interval) {
-      rangefilter::IntervalBitmapFilterConfig cfg;
+    for (const size_t kps : spec.keys_per_segment) {
+      rangefilter::LearnedRangeFilterConfig cfg;
       cfg.bits_per_key = bpk;
-      rangefilter::IntervalBitmapFilter f;
+      cfg.keys_per_segment = kps;
+      rangefilter::LearnedRangeFilter f;
       if (!f.Build(sorted, cfg).ok()) continue;
       CandidateReport report;
-      report.description = "interval-bitmap bpk=" + std::to_string(bpk);
-      report.stage2 = 1;
+      report.description = "learned-segmented bpk=" + std::to_string(bpk) +
+                           " kps=" + std::to_string(kps);
+      report.stage2 = f.num_segments();
       LI_RETURN_IF_ERROR(measure(f, &report));
       sweep.Offer(std::move(f), std::move(report));
     }
+    rangefilter::IntervalBitmapFilterConfig cfg;
+    cfg.bits_per_key = bpk;
+    rangefilter::IntervalBitmapFilter f;
+    if (!f.Build(sorted, cfg).ok()) continue;
+    CandidateReport report;
+    report.description = "interval-bitmap bpk=" + std::to_string(bpk);
+    report.stage2 = 1;
+    LI_RETURN_IF_ERROR(measure(f, &report));
+    sweep.Offer(std::move(f), std::move(report));
   }
 
   return sweep.Finish(
@@ -624,36 +614,29 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
 
   Sweep<Rebuild> sweep(&reports_, spec.size_budget_bytes, ByMixedNs);
 
-  if (spec.try_delta_rmi) {
-    using DeltaRmi = dynamic::DeltaRangeIndex<rmi::LinearRmi>;
-    for (const size_t m : spec.stage2_sizes) {
-      DeltaRmi::Config cfg;
-      cfg.base.num_leaf_models = m;
-      cfg.base.strategy = spec.strategy;
-      cfg.policy = spec.policy;
-      CandidateReport report;
-      report.stage2 = m;
-      LI_RETURN_IF_ERROR(EvaluateWritableCandidate<DeltaRmi>(
-          w, cfg, "delta[rmi linear / " + std::to_string(m) + " leaves]",
-          &report));
-      sweep.Offer(RebuildOnFullKeys<DeltaRmi>(keys, cfg, &winner_),
-                  std::move(report));
-    }
+  using DeltaRmi = dynamic::DeltaRangeIndex<rmi::LinearRmi>;
+  for (const size_t m : spec.stage2_sizes) {
+    DeltaRmi::Config cfg;
+    cfg.base.num_leaf_models = m;
+    CandidateReport report;
+    report.stage2 = m;
+    LI_RETURN_IF_ERROR(EvaluateWritableCandidate<DeltaRmi>(
+        w, cfg, "delta[rmi linear / " + std::to_string(m) + " leaves]",
+        &report));
+    sweep.Offer(RebuildOnFullKeys<DeltaRmi>(keys, cfg, &winner_),
+                std::move(report));
   }
-  if (spec.try_delta_btree) {
-    using DeltaBtree = dynamic::DeltaRangeIndex<btree::ReadOnlyBTree>;
-    for (const size_t page : spec.btree_pages) {
-      DeltaBtree::Config cfg;
-      cfg.base.keys_per_page = page;
-      cfg.policy = spec.policy;
-      CandidateReport report;
-      report.stage2 = page;
-      LI_RETURN_IF_ERROR(EvaluateWritableCandidate<DeltaBtree>(
-          w, cfg, "delta[btree / " + std::to_string(page) + " keys/page]",
-          &report));
-      sweep.Offer(RebuildOnFullKeys<DeltaBtree>(keys, cfg, &winner_),
-                  std::move(report));
-    }
+  using DeltaBtree = dynamic::DeltaRangeIndex<btree::ReadOnlyBTree>;
+  for (const size_t page : spec.btree_pages) {
+    DeltaBtree::Config cfg;
+    cfg.base.keys_per_page = page;
+    CandidateReport report;
+    report.stage2 = page;
+    LI_RETURN_IF_ERROR(EvaluateWritableCandidate<DeltaBtree>(
+        w, cfg, "delta[btree / " + std::to_string(page) + " keys/page]",
+        &report));
+    sweep.Offer(RebuildOnFullKeys<DeltaBtree>(keys, cfg, &winner_),
+                std::move(report));
   }
 
   Rebuild rebuild_winner;

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "dynamic/merge_policy.h"
 #include "snapshot/snapshot.h"
 #include "index/any_range_index.h"
 #include "index/existence_index.h"
@@ -52,13 +51,14 @@
 
 namespace li::lif {
 
+/// Range synthesis: a linear top at every leaf count, plus the optional
+/// multivariate and NN tops below. Every candidate searches with the
+/// RMI's default last-mile strategy (biased binary).
 struct SynthesisSpec {
   std::vector<size_t> stage2_sizes = {10'000, 50'000, 100'000, 200'000};
-  bool try_linear_top = true;
   bool try_multivariate_top = true;
   std::vector<std::vector<int>> nn_hidden = {{8}, {16}, {16, 16}};
   int nn_epochs = 20;
-  search::Strategy strategy = search::Strategy::kBiasedBinary;
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
   size_t eval_queries = 20'000;  // lookups timed per candidate
   uint64_t seed = 99;
@@ -126,16 +126,15 @@ class SynthesizedIndex {
   std::vector<CandidateReport> reports_;
 };
 
+/// Point synthesis: the random hash and (optionally) the learned CDF
+/// hash, each under the separate-chaining and in-place chained maps, plus
+/// (optionally) the two cuckoo baselines at load 0.99 and 0.95.
 struct PointSynthesisSpec {
   /// Primary-slot budgets for the separate-chaining family, as percent of
   /// the record count — Figure 11's 75 / 100 / 125 sweep.
   std::vector<int> slot_percents = {75, 100, 125};
-  bool try_random_hash = true;
   bool try_learned_hash = true;
-  bool try_chained = true;
-  bool try_inplace = true;
   bool try_cuckoo = true;
-  double cuckoo_load_factor = 0.99;
   size_t cdf_leaf_models = 0;  // 0 = auto (min(100k, n/10), §4.2)
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
   size_t eval_queries = 20'000;
@@ -169,6 +168,9 @@ class SynthesizedPointIndex {
   std::vector<CandidateReport> reports_;
 };
 
+/// Existence synthesis: the plain Bloom filter, then per classifier size
+/// the classifier + overflow Bloom filter and the model-hash sandwich at
+/// 0.3 and 0.6 bitmap bits per key.
 struct ExistenceSynthesisSpec {
   double target_fpr = 0.01;
   /// A candidate qualifies if its measured FPR on the validation split is
@@ -176,11 +178,6 @@ struct ExistenceSynthesisSpec {
   double fpr_slack = 2.0;
   /// Classifier capacity sweep: hashed n-gram feature-table sizes.
   std::vector<size_t> ngram_buckets = {1024, 4096, 16384};
-  bool try_plain_bloom = true;
-  bool try_learned = true;
-  bool try_model_hash = true;
-  /// Model-hash bitmap sizes, in bits per key.
-  std::vector<double> bitmap_bits_per_key = {0.3, 0.6};
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
   uint64_t seed = 99;
 };
@@ -189,7 +186,9 @@ struct ExistenceSynthesisSpec {
 /// (src/rangefilter/) at several bitmap budgets, qualified on measured
 /// range-FPR over generated guaranteed-empty ranges — the same
 /// smallest-qualifying-bytes objective as the existence sweep, with
-/// MightContain the degenerate [k, k+1) case.
+/// MightContain the degenerate [k, k+1) case. Each sweep generates 8,000
+/// validation and 8,000 eval empty ranges (half wedged into adjacent-key
+/// gaps, widths up to 1024) and 4,000 present-range witnesses.
 struct RangeFilterSynthesisSpec {
   double target_range_fpr = 0.05;
   /// Qualification gate: validation-split range-FPR must be at most
@@ -199,19 +198,7 @@ struct RangeFilterSynthesisSpec {
   std::vector<double> bits_per_key = {8.0, 16.0, 32.0};
   /// Segment-granularity sweep for the learned construction.
   std::vector<size_t> keys_per_segment = {128, 256};
-  bool try_learned = true;
-  bool try_interval = true;
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
-  /// Empty-query splits generated per candidate set: validation (the
-  /// qualification gate) and eval (the unbiased reported FPR), plus the
-  /// present-range witness set every candidate must answer true on.
-  size_t valid_queries = 8'000;
-  size_t eval_queries = 8'000;
-  size_t witness_queries = 4'000;
-  /// Correlated (adjacent-gap) fraction of the generated empty queries;
-  /// the rest are uniform over the domain. See rangefilter/workload.h.
-  double correlated_fraction = 0.5;
-  uint64_t max_query_width = 1024;
   uint64_t seed = 99;
 };
 
@@ -288,20 +275,18 @@ class SynthesizedRangeFilter {
 };
 
 /// Mixed read/write synthesis (the Appendix-D.1 workload class): which
-/// delta-wrapped base serves a given insert ratio fastest?
+/// delta-wrapped base serves a given insert ratio fastest? Every
+/// candidate runs the default merge policy, and its RMI base the default
+/// last-mile strategy.
 struct WritableSynthesisSpec {
   /// RMI leaf-model counts for delta-wrapped RMI candidates.
   std::vector<size_t> stage2_sizes = {10'000, 50'000};
-  bool try_delta_rmi = true;
   /// Delta-wrapped read-only B-Tree candidates (page sizes in keys).
-  bool try_delta_btree = true;
   std::vector<size_t> btree_pages = {128};
   /// Fraction of evaluated ops that are inserts of previously-unseen keys;
   /// the rest are rank lookups.
   double insert_ratio = 0.10;
   size_t eval_ops = 40'000;
-  dynamic::MergePolicy policy{};
-  search::Strategy strategy = search::Strategy::kBiasedBinary;
   size_t size_budget_bytes = std::numeric_limits<size_t>::max();
   uint64_t seed = 99;
 };

@@ -26,11 +26,12 @@
 // receives, route every key to its leaf, fit each leaf on its routed
 // subset, then record min/max/std error per leaf.
 //
-// The core is generic over the key type: index::KeyTraits<Key> maps each
-// key to the real-valued feature the models regress on, so uint64_t,
-// double and string keys share this one implementation, and the class
-// satisfies the index::RangeIndex contract (ApproxPos / Lookup /
-// SizeBytes) that the LIF synthesizer and benches enumerate over.
+// Keys are uint64_t, the paper's evaluated range-index key (§3.7.1,
+// Figures 4-5), and each key's model feature is its exactly-rounded
+// double value. String keys use the tokenized StringRmi (§3.5,
+// rmi/string_rmi.h). The class satisfies the index::RangeIndex contract
+// (ApproxPos / Lookup / SizeBytes) that the LIF synthesizer and benches
+// enumerate over.
 
 #ifndef LI_RMI_RMI_H_
 #define LI_RMI_RMI_H_
@@ -46,7 +47,6 @@
 #include "common/bits.h"
 #include "common/status.h"
 #include "index/approx.h"
-#include "index/key_traits.h"
 #include "index/snapshottable.h"
 #include "models/linear.h"
 #include "rmi/leaf_layer.h"
@@ -99,30 +99,24 @@ static_assert(sizeof(Leaf) == sizeof(models::LinearModel) +
                                   5 * sizeof(int32_t) + sizeof(float),
               "no padding bytes: snapshots must be deterministic");
 
-template <typename Key, typename TopModel>
+template <typename TopModel>
 class RmiIndex {
  public:
-  using key_type = Key;
+  using key_type = uint64_t;
   using config_type = RmiConfig;
-  using Traits = index::KeyTraits<Key>;
 
   /// Linear top models evaluate through the shared scalar spec
   /// (simd::ScalarRoute1), which is what the vector route kernel
-  /// replicates; other top models (NN, multivariate) stay on the generic
-  /// Predict() path.
+  /// replicates, and take the vectorized batch path; other top models
+  /// (NN, multivariate) stay on the generic Predict() path and the
+  /// pipelined scalar batch path.
   static constexpr bool kTopIsLinear =
       std::is_same_v<TopModel, models::LinearModel>;
-  /// The vectorized batch path needs a linear top AND a key type with a
-  /// feature-extraction kernel (uint64 / double). String keys and NN tops
-  /// use the pipelined scalar batch path.
-  static constexpr bool kSimdCapable =
-      kTopIsLinear &&
-      (std::is_same_v<Key, uint64_t> || std::is_same_v<Key, double>);
 
   RmiIndex() = default;
 
   /// Builds over sorted, strictly-increasing `keys` (caller owns the data).
-  Status Build(std::span<const Key> keys, const RmiConfig& config) {
+  Status Build(std::span<const uint64_t> keys, const RmiConfig& config) {
     if (config.num_leaf_models == 0) {
       return Status::InvalidArgument("Rmi: need at least one leaf model");
     }
@@ -153,7 +147,7 @@ class RmiIndex {
     const double stride = static_cast<double>(n) / static_cast<double>(top_n);
     for (size_t i = 0; i < top_n; ++i) {
       const size_t idx = static_cast<size_t>(i * stride);
-      xs.push_back(Traits::ToDouble(keys[idx]));
+      xs.push_back(static_cast<double>(keys[idx]));
       ys.push_back(static_cast<double>(idx));
     }
     LI_RETURN_IF_ERROR(TrainModel(&top_, xs, ys, config.train));
@@ -164,7 +158,7 @@ class RmiIndex {
       if (k > 1) {
         // The last key bounds P(x) on the right (the sample may stop short
         // of it).
-        xs.push_back(Traits::ToDouble(keys.back()));
+        xs.push_back(static_cast<double>(keys.back()));
         ys.push_back(static_cast<double>(n - 1));
         TrainRouteStage(xs, ys, k);
       }
@@ -215,7 +209,7 @@ class RmiIndex {
       ly.resize(end - begin);
       for (uint32_t r = begin; r < end; ++r) {
         const uint32_t i = routed.empty() ? r : routed[r];
-        lx[r - begin] = Traits::ToDouble(keys[i]);
+        lx[r - begin] = static_cast<double>(keys[i]);
         ly[r - begin] = static_cast<double>(i);
       }
       LI_RETURN_IF_ERROR(leaf.model.Fit(lx, ly));
@@ -255,19 +249,21 @@ class RmiIndex {
     float std_err = 0.0f;
   };
 
-  Prediction Predict(const Key& key) const {
+  Prediction Predict(const key_type& key) const {
     if (data_.empty()) return Prediction{};
-    const double x = Traits::ToDouble(key);
+    const double x = static_cast<double>(key);
     return PredictAtLeaf(RouteToLeaf(x), x);
   }
 
   /// The contract's model-only entry point: prediction plus worst-case
   /// window, as an index::Approx.
-  index::Approx ApproxPos(const Key& key) const { return Predict(key).window; }
+  index::Approx ApproxPos(const key_type& key) const {
+    return Predict(key).window;
+  }
 
   /// Full lookup: model + bounded search + boundary fix-up. Returns
   /// lower_bound semantics over the data array for *any* key.
-  size_t Lookup(const Key& key) const {
+  size_t Lookup(const key_type& key) const {
     if (data_.empty()) return 0;
     const Prediction p = Predict(key);
     return search::FindInWindow(config_.strategy, data_.data(), data_.size(),
@@ -276,23 +272,24 @@ class RmiIndex {
   }
 
   /// Historical name; identical to Lookup.
-  size_t LowerBound(const Key& key) const { return Lookup(key); }
+  size_t LowerBound(const key_type& key) const { return Lookup(key); }
 
   /// Batched lookup: software-pipelines the three phases (route, predict,
   /// search) over a block of keys so the leaf-table and data-array cache
   /// misses of neighboring keys overlap instead of serializing — the
   /// hot-path amortization the single-key path cannot do. When a vector
-  /// dispatch level is active (and the Key/TopModel combination is
-  /// kernel-capable), the phases run as SIMD kernels over 64-key blocks;
+  /// dispatch level is active (and the top model is linear), the phases
+  /// run as SIMD kernels over 64-key blocks;
   /// at scalar level this is the pipelined per-key loop below — which is
   /// also the baseline the per-level benchmarks compare against.
-  void LookupBatch(std::span<const Key> keys, std::span<size_t> out) const {
+  void LookupBatch(std::span<const uint64_t> keys,
+                   std::span<size_t> out) const {
     const size_t n = std::min(keys.size(), out.size());
     if (data_.empty()) {
       for (size_t i = 0; i < n; ++i) out[i] = 0;
       return;
     }
-    if constexpr (kSimdCapable) {
+    if constexpr (kTopIsLinear) {
       if (simd::ActiveLevel() != simd::Level::kScalar) {
         LookupBatchSimd(simd::GetKernels(), keys, out, n);
         return;
@@ -306,7 +303,7 @@ class RmiIndex {
       const size_t b = std::min(kDepth, n - base);
       // Phase 1: top-model routing; prefetch each leaf entry.
       for (size_t k = 0; k < b; ++k) {
-        xs[k] = Traits::ToDouble(keys[base + k]);
+        xs[k] = static_cast<double>(keys[base + k]);
         leaf[k] = RouteToLeaf(xs[k]);
         PrefetchRead(&leaves_[leaf[k]]);
       }
@@ -329,20 +326,20 @@ class RmiIndex {
   /// always runs through the kernel table (the scalar table at scalar
   /// level), which is spec-identical to the single-key Predict path, so
   /// slots computed here match slots computed at Build-insert time.
-  void PredictPosBatch(std::span<const Key> keys,
+  void PredictPosBatch(std::span<const uint64_t> keys,
                        std::span<uint64_t> pos) const {
     const size_t n = std::min(keys.size(), pos.size());
     if (data_.empty()) {
       for (size_t i = 0; i < n; ++i) pos[i] = 0;
       return;
     }
-    if constexpr (kSimdCapable) {
+    if constexpr (kTopIsLinear) {
       const simd::Kernels& kern = simd::GetKernels();
       alignas(64) double xs[kBlock];
       alignas(64) uint32_t leaf[kBlock];
       for (size_t base = 0; base < n; base += kBlock) {
         const size_t b = std::min(kBlock, n - base);
-        LoadFeatures(kern, keys.data() + base, b, xs);
+        kern.u64_to_f64(keys.data() + base, b, xs);
         RouteBlock(kern, xs, b, leaf);
         PredictLeafRuns(kern, xs, leaf, b, pos.data() + base);
       }
@@ -354,7 +351,7 @@ class RmiIndex {
   }
 
   /// True iff `key` is present in the data.
-  bool Contains(const Key& key) const {
+  bool Contains(const key_type& key) const {
     const size_t pos = Lookup(key);
     return pos < data_.size() && data_[pos] == key;
   }
@@ -377,16 +374,16 @@ class RmiIndex {
   /// K, the routing-stage model count (1 = the two-stage RMI).
   size_t num_route_models() const { return std::max<size_t>(1, route_.size()); }
   std::span<const Leaf> leaves() const { return leaves_.span(); }
-  std::span<const Key> data() const { return data_; }
+  std::span<const uint64_t> data() const { return data_; }
   const RmiConfig& config() const { return config_; }
   /// True when the leaf table is a zero-copy view into an open snapshot.
   bool FromSnapshot() const { return leaves_.mapped(); }
 
   // ---- Persistence (index::Snapshottable; docs/PERSISTENCE.md) ----
   //
-  // Only kernel-capable instantiations (linear top, uint64/double keys)
-  // snapshot: those are the flat-layout serving configurations; NN and
-  // string variants return Unimplemented. Sections under `prefix`:
+  // Only linear tops snapshot: that is the flat-layout serving
+  // configuration; NN and multivariate tops return Unimplemented.
+  // Sections under `prefix`:
   //   meta    routing/search scalars + the top model's coefficients
   //   route   the K routing models verbatim (omitted when K = 1, so a
   //           file without it opens as the two-stage RMI)
@@ -396,24 +393,17 @@ class RmiIndex {
   /// Stable type tag used by type-erased snapshots (LIF winners) to pick
   /// the OpenSnapshot instantiation; empty when not snapshottable.
   static constexpr const char* SnapshotKindName() {
-    if constexpr (kTopIsLinear && std::is_same_v<Key, uint64_t>) {
-      return "rmi.linear.u64";
-    } else if constexpr (kTopIsLinear && std::is_same_v<Key, double>) {
-      return "rmi.linear.f64";
-    } else {
-      return "";
-    }
+    return kTopIsLinear ? "rmi.linear.u64" : "";
   }
 
   Status WriteSections(snapshot::SnapshotWriter& writer,
                        const std::string& prefix,
                        bool include_keys = true) const {
-    if constexpr (!kSimdCapable) {
-      return Status::Unimplemented(
-          "RmiIndex snapshots require a linear top and uint64/double keys");
+    if constexpr (!kTopIsLinear) {
+      return Status::Unimplemented("RmiIndex snapshots require a linear top");
     } else {
       SnapshotMeta meta;
-      meta.key_kind = KeyKind();
+      meta.key_kind = kKeyKindU64;
       meta.top_kind = 1;
       meta.num_leaf_models = config_.num_leaf_models;
       meta.top_train_sample = config_.top_train_sample;
@@ -438,21 +428,30 @@ class RmiIndex {
     }
   }
 
-  /// Loads from sections written with include_keys=true (self-contained)
-  /// or =false (model-only; see the data-span overload for the case where
-  /// the parent owns the keys). All structural fields are validated so a
-  /// corrupt table yields a Status, not UB.
+  /// Loads from self-contained sections (written with include_keys=true);
+  /// a meta without a key section is refused. All structural fields are
+  /// validated so a corrupt table yields a Status, not UB.
   Status LoadSections(const snapshot::SnapshotReader& reader,
                       const std::string& prefix) {
-    return LoadSectionsImpl(reader, prefix, std::span<const Key>(), false);
+    return LoadSectionsImpl(reader, prefix, KeySource::kOwnSection, {});
   }
 
   /// Load with the key array supplied by the caller (a parent index that
   /// persisted the keys once for several components).
   Status LoadSections(const snapshot::SnapshotReader& reader,
                       const std::string& prefix,
-                      std::span<const Key> external_keys) {
-    return LoadSectionsImpl(reader, prefix, external_keys, true);
+                      std::span<const uint64_t> external_keys) {
+    return LoadSectionsImpl(reader, prefix, KeySource::kExternal,
+                            external_keys);
+  }
+
+  /// Model-only load (LearnedHash's CDF model, written with
+  /// include_keys=false): data() gets the right size() but no
+  /// dereferenceable keys, so only Predict / ApproxPos / PredictPosBatch
+  /// may be called on the result.
+  Status LoadModelSections(const snapshot::SnapshotReader& reader,
+                           const std::string& prefix) {
+    return LoadSectionsImpl(reader, prefix, KeySource::kNone, {});
   }
 
   Status WriteSnapshot(const std::string& path) const {
@@ -485,7 +484,7 @@ class RmiIndex {
  private:
   /// Fixed 64-byte snapshot metadata record (format.h SectionKind::kMeta).
   struct SnapshotMeta {
-    uint32_t key_kind = 0;        // 1 = uint64_t, 2 = double
+    uint32_t key_kind = 0;        // kKeyKindU64; nothing else opens
     uint32_t top_kind = 0;        // 1 = models::LinearModel
     uint64_t num_leaf_models = 0;
     uint64_t top_train_sample = 0;
@@ -499,31 +498,26 @@ class RmiIndex {
   static_assert(sizeof(SnapshotMeta) == 64 &&
                 std::is_trivially_copyable_v<SnapshotMeta>);
 
-  static constexpr uint32_t KeyKind() {
-    if constexpr (std::is_same_v<Key, uint64_t>) {
-      return 1;
-    } else if constexpr (std::is_same_v<Key, double>) {
-      return 2;
-    } else {
-      return 0;
-    }
-  }
+  /// The meta's key_kind word for uint64_t keys. Any other value (2
+  /// marked double keys) is refused at load.
+  static constexpr uint32_t kKeyKindU64 = 1;
+
+  /// Where a load takes its key array from.
+  enum class KeySource { kOwnSection, kExternal, kNone };
 
   Status LoadSectionsImpl(const snapshot::SnapshotReader& reader,
-                          const std::string& prefix,
-                          std::span<const Key> external_keys,
-                          bool use_external) {
-    if constexpr (!kSimdCapable) {
+                          const std::string& prefix, KeySource source,
+                          std::span<const uint64_t> external_keys) {
+    if constexpr (!kTopIsLinear) {
       (void)reader;
       (void)prefix;
+      (void)source;
       (void)external_keys;
-      (void)use_external;
-      return Status::Unimplemented(
-          "RmiIndex snapshots require a linear top and uint64/double keys");
+      return Status::Unimplemented("RmiIndex snapshots require a linear top");
     } else {
       SnapshotMeta meta;
       LI_RETURN_IF_ERROR(reader.GetPod(prefix + "meta", &meta));
-      if (meta.key_kind != KeyKind() || meta.top_kind != 1) {
+      if (meta.key_kind != kKeyKindU64 || meta.top_kind != 1) {
         return Status::InvalidArgument(
             "RmiIndex snapshot was written for a different key/top type");
       }
@@ -538,14 +532,21 @@ class RmiIndex {
         return Status::InvalidArgument(
             "RmiIndex snapshot leaf table size disagrees with meta");
       }
-      if (use_external) {
+      if (source == KeySource::kExternal) {
         if (external_keys.size() != meta.data_size) {
           return Status::InvalidArgument(
               "RmiIndex snapshot external key array has the wrong size");
         }
         data_ = external_keys;
-      } else if (meta.has_keys != 0) {
-        auto keys = reader.GetArray<Key>(prefix + "keys");
+      } else if (source == KeySource::kOwnSection) {
+        // A standalone load serves Lookup out of data_, so it must have
+        // the keys: a cleared has_keys word would otherwise lay the key
+        // span over some other section.
+        if (meta.has_keys == 0) {
+          return Status::InvalidArgument(
+              "RmiIndex snapshot has no key section (model-only file)");
+        }
+        auto keys = reader.GetArray<uint64_t>(prefix + "keys");
         if (!keys.ok()) return keys.status();
         if (keys.value().size() != meta.data_size) {
           return Status::InvalidArgument(
@@ -553,12 +554,12 @@ class RmiIndex {
         }
         data_ = keys.value();  // zero-copy: served out of the mapping
       } else {
-        // Model-only load (LearnedHash's CDF model): reconstruct a span
-        // with the right *size* but no dereferenceable keys — mirroring
-        // the documented dangling-span semantics in hash_fn.h, where only
-        // size()/empty() are ever used on this span.
-        data_ = std::span<const Key>(
-            reinterpret_cast<const Key*>(leaves.value().data()),
+        // Model-only load: reconstruct a span with the right *size* but
+        // no dereferenceable keys — mirroring the documented
+        // dangling-span semantics in hash_fn.h, where only size()/empty()
+        // are ever used on this span.
+        data_ = std::span<const uint64_t>(
+            reinterpret_cast<const uint64_t*>(leaves.value().data()),
             meta.data_size);
       }
       // The routing stage is optional: a file without it (K = 1, or
@@ -652,20 +653,20 @@ class RmiIndex {
 
   /// Routes every key in order, calling f(base, leaf, b) per block with
   /// leaf[k] the leaf of keys[base + k]; through the block route kernels
-  /// when the key type has them.
+  /// when the top is linear.
   template <typename F>
-  void ForEachRoutedBlock(std::span<const Key> keys, F&& f) const {
+  void ForEachRoutedBlock(std::span<const uint64_t> keys, F&& f) const {
     [[maybe_unused]] const simd::Kernels& kern = simd::GetKernels();
     alignas(64) uint32_t leaf[kBlock];
     for (size_t base = 0; base < keys.size(); base += kBlock) {
       const size_t b = std::min(kBlock, keys.size() - base);
-      if constexpr (kSimdCapable) {
+      if constexpr (kTopIsLinear) {
         alignas(64) double xs[kBlock];
-        LoadFeatures(kern, keys.data() + base, b, xs);
+        kern.u64_to_f64(keys.data() + base, b, xs);
         RouteBlock(kern, xs, b, leaf);
       } else {
         for (size_t k = 0; k < b; ++k) {
-          leaf[k] = RouteToLeaf(Traits::ToDouble(keys[base + k]));
+          leaf[k] = RouteToLeaf(static_cast<double>(keys[base + k]));
         }
       }
       f(base, static_cast<const uint32_t*>(leaf), b);
@@ -701,17 +702,6 @@ class RmiIndex {
                       index::Approx::FromErrorBand(pos, leaf.min_err,
                                                    leaf.max_err, data_.size()),
                       j, leaf.std_err};
-  }
-
-  /// Feature extraction for one block (the kernel analogue of
-  /// Traits::ToDouble over arithmetic keys).
-  void LoadFeatures(const simd::Kernels& kern, const Key* keys, size_t b,
-                    double* xs) const {
-    if constexpr (std::is_same_v<Key, uint64_t>) {
-      kern.u64_to_f64(keys, b, xs);
-    } else {
-      for (size_t k = 0; k < b; ++k) xs[k] = Traits::ToDouble(keys[k]);
-    }
   }
 
   /// Calls f(begin, end, id) for every maximal run of equal ids[] in
@@ -800,17 +790,18 @@ class RmiIndex {
   /// pinned to either edge escapes through ExponentialSearch exactly like
   /// the scalar path's §3.4 fix-up — so results stay bit-identical across
   /// dispatch levels.
-  void LookupBatchSimd(const simd::Kernels& kern, std::span<const Key> keys,
-                       std::span<size_t> out, size_t n) const {
+  void LookupBatchSimd(const simd::Kernels& kern,
+                       std::span<const uint64_t> keys, std::span<size_t> out,
+                       size_t n) const {
     alignas(64) double xs[kBlock];
     alignas(64) uint32_t leaf[kBlock];
     alignas(64) uint64_t pos[kBlock];
     size_t lo[kBlock], hi[kBlock];  // σ-scaled sweep sub-windows
-    const Key* data = data_.data();
+    const uint64_t* data = data_.data();
     const size_t size = data_.size();
     for (size_t base = 0; base < n; base += kBlock) {
       const size_t b = std::min(kBlock, n - base);
-      LoadFeatures(kern, keys.data() + base, b, xs);
+      kern.u64_to_f64(keys.data() + base, b, xs);
       RouteBlock(kern, xs, b, leaf);
       for (size_t k = 0; k < b; ++k) PrefetchRead(&leaves_[leaf[k]]);
       PredictLeafRuns(kern, xs, leaf, b, pos);
@@ -835,11 +826,7 @@ class RmiIndex {
         PrefetchRead(&data[hi[k] - (hi[k] != 0 ? 1 : 0)]);
       }
       size_t res[kBlock];
-      if constexpr (std::is_same_v<Key, uint64_t>) {
-        kern.lower_bound_u64_multi(data, lo, hi, keys.data() + base, b, res);
-      } else {
-        kern.lower_bound_f64_multi(data, lo, hi, keys.data() + base, b, res);
-      }
+      kern.lower_bound_u64_multi(data, lo, hi, keys.data() + base, b, res);
       for (size_t k = 0; k < b; ++k) {
         size_t r = res[k];
         if (LI_UNLIKELY((r == lo[k] && lo[k] > 0) ||
@@ -847,16 +834,12 @@ class RmiIndex {
           // Staged escape: a pin at a σ-sub-window edge first retries the
           // full worst-case window; only a pin at the *window* edge takes
           // the global §3.4 exponential fix-up.
-          const Key& key = keys[base + k];
+          const key_type& key = keys[base + k];
           const Leaf& lf = leaves_[leaf[k]];
           const index::Approx w = index::Approx::FromErrorBand(
               static_cast<size_t>(pos[k]), lf.min_err, lf.max_err, size);
           if (lo[k] != w.lo || hi[k] != w.hi) {
-            if constexpr (std::is_same_v<Key, uint64_t>) {
-              r = kern.lower_bound_u64(data, w.lo, w.hi, key);
-            } else {
-              r = kern.lower_bound_f64(data, w.lo, w.hi, key);
-            }
+            r = kern.lower_bound_u64(data, w.lo, w.hi, key);
           }
           if ((r == w.lo && w.lo > 0) || (r == w.hi && w.hi < size)) {
             r = search::ExponentialSearch(data, size, key, r);
@@ -867,7 +850,7 @@ class RmiIndex {
     }
   }
 
-  std::span<const Key> data_;
+  std::span<const uint64_t> data_;
   RmiConfig config_;
   TopModel top_;
   /// Owned when built, a zero-copy mapped view when opened from a
@@ -884,16 +867,12 @@ class RmiIndex {
 
 /// The paper's evaluated configuration: integer keys (Figure 4/5).
 template <typename TopModel>
-using Rmi = RmiIndex<uint64_t, TopModel>;
+using Rmi = RmiIndex<TopModel>;
 
 /// The Figure-4 configuration: NN or linear top with linear leaves.
 using LinearRmi = Rmi<models::LinearModel>;
 using MultivariateRmi = Rmi<models::MultivariateModel>;
 using NeuralRmi = Rmi<models::NeuralNet>;
-
-/// Key-generic instantiations: same core, different KeyTraits.
-using DoubleRmi = RmiIndex<double, models::LinearModel>;
-using PrefixStringRmi = RmiIndex<std::string, models::LinearModel>;
 
 }  // namespace li::rmi
 

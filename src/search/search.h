@@ -282,20 +282,11 @@ size_t FindInWindow(Strategy strategy, const T* data, size_t n, const T& key,
 /// fix-up as FindInWindow. Replaces the per-key strategy dispatch on the
 /// vectorized batch path — data-dependent branch mispredicts, not compare
 /// count, dominate the last mile at batch sizes, so one branch-free shape
-/// beats the tuned scalar strategies there. Key types without a kernel
-/// (strings) fall back to plain binary search.
-template <typename T>
-size_t FindInWindowBranchless(const simd::Kernels& kern, const T* data,
-                              size_t n, const T& key,
-                              const index::Approx& a) {
-  size_t pos;
-  if constexpr (std::is_same_v<T, uint64_t>) {
-    pos = kern.lower_bound_u64(data, a.lo, a.hi, key);
-  } else if constexpr (std::is_same_v<T, double>) {
-    pos = kern.lower_bound_f64(data, a.lo, a.hi, key);
-  } else {
-    pos = BinarySearch(data, a.lo, a.hi, key);
-  }
+/// beats the tuned scalar strategies there.
+inline size_t FindInWindowBranchless(const simd::Kernels& kern,
+                                     const uint64_t* data, size_t n,
+                                     uint64_t key, const index::Approx& a) {
+  const size_t pos = kern.lower_bound_u64(data, a.lo, a.hi, key);
   if (LI_UNLIKELY((pos == a.lo && a.lo > 0) || (pos == a.hi && a.hi < n))) {
     return ExponentialSearch(data, n, key, pos);
   }

@@ -74,8 +74,6 @@ struct Kernels {
   /// compare-and-popcount.
   size_t (*lower_bound_u64)(const uint64_t* data, size_t lo, size_t hi,
                             uint64_t key);
-  size_t (*lower_bound_f64)(const double* data, size_t lo, size_t hi,
-                            double key);
 
   /// Branchless bounded upper_bound over uint64 (first element > key) —
   /// the shard-boundary routing primitive.
@@ -83,19 +81,16 @@ struct Kernels {
                             uint64_t key);
 
   /// Batched bounded lower_bound: out[k] = lower bound of keys[k] within
-  /// [lo[k], hi[k]), same contract as the single-key kernels. One call per
+  /// [lo[k], hi[k]), same contract as the single-key kernel. One call per
   /// block keeps the sweep inlined in the kernel TU and lets the core
   /// overlap adjacent keys' probe loads instead of serializing them behind
   /// per-key indirect calls.
   void (*lower_bound_u64_multi)(const uint64_t* data, const size_t* lo,
                                 const size_t* hi, const uint64_t* keys,
                                 size_t n, size_t* out);
-  void (*lower_bound_f64_multi)(const double* data, const size_t* lo,
-                                const size_t* hi, const double* keys,
-                                size_t n, size_t* out);
 
-  /// Exactly-rounded uint64 -> double conversion (the KeyTraits feature
-  /// extraction for integer keys), bit-identical to a scalar
+  /// Exactly-rounded uint64 -> double conversion (the RMI's feature
+  /// extraction for its keys), bit-identical to a scalar
   /// static_cast<double> over the full 64-bit range.
   void (*u64_to_f64)(const uint64_t* keys, size_t n, double* xs);
 

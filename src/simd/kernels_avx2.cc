@@ -180,28 +180,6 @@ size_t LowerBoundU64Avx2(const uint64_t* data, size_t lo, size_t hi,
   return lo + count;
 }
 
-size_t LowerBoundF64Avx2(const double* data, size_t lo, size_t hi,
-                         double key) {
-  while (hi - lo > kScanWidth) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const bool lt = data[mid] < key;
-    lo = lt ? mid + 1 : lo;
-    hi = lt ? hi : mid;
-  }
-  const __m256d vkey = _mm256_set1_pd(key);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    const __m256d v = _mm256_loadu_pd(data + i);
-    // _CMP_LT_OQ: ordered quiet — NaN compares false, same as scalar <.
-    const __m256d lt = _mm256_cmp_pd(v, vkey, _CMP_LT_OQ);
-    acc = _mm256_sub_epi64(acc, _mm256_castpd_si256(lt));
-  }
-  size_t count = HSum4(acc);
-  for (; i < hi; ++i) count += static_cast<size_t>(data[i] < key);
-  return lo + count;
-}
-
 size_t UpperBoundU64Avx2(const uint64_t* data, size_t lo, size_t hi,
                          uint64_t key) {
   while (hi - lo > kScanWidth) {
@@ -233,14 +211,6 @@ void LowerBoundU64MultiAvx2(const uint64_t* data, const size_t* lo,
                              size_t* out) {
   for (size_t k = 0; k < n; ++k) {
     out[k] = LowerBoundU64Avx2(data, lo[k], hi[k], keys[k]);
-  }
-}
-
-void LowerBoundF64MultiAvx2(const double* data, const size_t* lo,
-                             const size_t* hi, const double* keys, size_t n,
-                             size_t* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = LowerBoundF64Avx2(data, lo[k], hi[k], keys[k]);
   }
 }
 
@@ -354,8 +324,7 @@ size_t NextInRangeU64Avx2(const uint64_t* keys, size_t begin, size_t n,
 const Kernels* Avx2Kernels() {
   static const Kernels kTable = {
       "avx2",          RouteAvx2,        PredictRunAvx2,
-      LowerBoundU64Avx2, LowerBoundF64Avx2, UpperBoundU64Avx2,
-      LowerBoundU64MultiAvx2, LowerBoundF64MultiAvx2,
+      LowerBoundU64Avx2, UpperBoundU64Avx2, LowerBoundU64MultiAvx2,
       U64ToF64Avx2,    HashSlotsAvx2,    CuckooSlotsAvx2,
       CountAtLeastFlaggedU64Avx2, NextInRangeU64Avx2,
   };

@@ -118,28 +118,6 @@ size_t LowerBoundU64Avx512(const uint64_t* data, size_t lo, size_t hi,
   return lo + count;
 }
 
-size_t LowerBoundF64Avx512(const double* data, size_t lo, size_t hi,
-                           double key) {
-  while (hi - lo > kScanWidth) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const bool lt = data[mid] < key;
-    lo = lt ? mid + 1 : lo;
-    hi = lt ? hi : mid;
-  }
-  const __m512d vkey = _mm512_set1_pd(key);
-  __m512i acc = _mm512_setzero_si512();
-  const __m512i vone = _mm512_set1_epi64(1);
-  size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    const __m512d v = _mm512_loadu_pd(data + i);
-    const __mmask8 lt = _mm512_cmp_pd_mask(v, vkey, _CMP_LT_OQ);
-    acc = _mm512_mask_add_epi64(acc, lt, acc, vone);
-  }
-  size_t count = HSum8(acc);
-  for (; i < hi; ++i) count += static_cast<size_t>(data[i] < key);
-  return lo + count;
-}
-
 size_t UpperBoundU64Avx512(const uint64_t* data, size_t lo, size_t hi,
                            uint64_t key) {
   while (hi - lo > kScanWidth) {
@@ -219,14 +197,6 @@ void LowerBoundU64MultiAvx512(const uint64_t* data, const size_t* lo,
   }
   for (; k < n; ++k) {
     out[k] = LowerBoundU64Avx512(data, lo[k], hi[k], keys[k]);
-  }
-}
-
-void LowerBoundF64MultiAvx512(const double* data, const size_t* lo,
-                             const size_t* hi, const double* keys, size_t n,
-                             size_t* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = LowerBoundF64Avx512(data, lo[k], hi[k], keys[k]);
   }
 }
 
@@ -327,8 +297,7 @@ size_t NextInRangeU64Avx512(const uint64_t* keys, size_t begin, size_t n,
 const Kernels* Avx512Kernels() {
   static const Kernels kTable = {
       "avx512",          RouteAvx512,        PredictRunAvx512,
-      LowerBoundU64Avx512, LowerBoundF64Avx512, UpperBoundU64Avx512,
-      LowerBoundU64MultiAvx512, LowerBoundF64MultiAvx512,
+      LowerBoundU64Avx512, UpperBoundU64Avx512, LowerBoundU64MultiAvx512,
       U64ToF64Avx512,    HashSlotsAvx512,    CuckooSlotsAvx512,
       CountAtLeastFlaggedU64Avx512, NextInRangeU64Avx512,
   };

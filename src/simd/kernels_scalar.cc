@@ -49,21 +49,6 @@ size_t LowerBoundU64Scalar(const uint64_t* data, size_t lo, size_t hi,
   return lo + count;
 }
 
-size_t LowerBoundF64Scalar(const double* data, size_t lo, size_t hi,
-                           double key) {
-  while (hi - lo > kScanWidth) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const bool lt = data[mid] < key;
-    lo = lt ? mid + 1 : lo;
-    hi = lt ? hi : mid;
-  }
-  size_t count = 0;
-  for (size_t i = lo; i < hi; ++i) {
-    count += static_cast<size_t>(data[i] < key);
-  }
-  return lo + count;
-}
-
 size_t UpperBoundU64Scalar(const uint64_t* data, size_t lo, size_t hi,
                            uint64_t key) {
   while (hi - lo > kScanWidth) {
@@ -84,14 +69,6 @@ void LowerBoundU64MultiScalar(const uint64_t* data, const size_t* lo,
                              size_t* out) {
   for (size_t k = 0; k < n; ++k) {
     out[k] = LowerBoundU64Scalar(data, lo[k], hi[k], keys[k]);
-  }
-}
-
-void LowerBoundF64MultiScalar(const double* data, const size_t* lo,
-                             const size_t* hi, const double* keys, size_t n,
-                             size_t* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = LowerBoundF64Scalar(data, lo[k], hi[k], keys[k]);
   }
 }
 
@@ -141,8 +118,7 @@ size_t NextInRangeU64Scalar(const uint64_t* keys, size_t begin, size_t n,
 const Kernels& ScalarKernels() {
   static const Kernels kTable = {
       "scalar",        RouteScalar,        PredictRunScalar,
-      LowerBoundU64Scalar, LowerBoundF64Scalar, UpperBoundU64Scalar,
-      LowerBoundU64MultiScalar, LowerBoundF64MultiScalar,
+      LowerBoundU64Scalar, UpperBoundU64Scalar, LowerBoundU64MultiScalar,
       U64ToF64Scalar,  HashSlotsScalar,    CuckooSlotsScalar,
       CountAtLeastFlaggedU64Scalar, NextInRangeU64Scalar,
   };

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "btree/readonly_btree.h"
 #include "common/random.h"
 #include "concurrent/concurrent_writable_index.h"
 #include "concurrent/epoch.h"
@@ -36,12 +35,10 @@ namespace li {
 namespace {
 
 using ConcRmi = concurrent::ConcurrentWritableIndex<rmi::LinearRmi>;
-using ConcBtree = concurrent::ConcurrentWritableIndex<btree::ReadOnlyBTree>;
 using ShardedRmi = concurrent::ShardedIndex<ConcRmi>;
 
 // ---- Static acceptance gate ----
 static_assert(index::ConcurrentWritableRangeIndex<ConcRmi>);
-static_assert(index::ConcurrentWritableRangeIndex<ConcBtree>);
 static_assert(index::ConcurrentWritableRangeIndex<ShardedRmi>);
 // The concurrent contract subsumes the writable and range contracts, so
 // every read-only call site and the writable conformance suite apply.
@@ -55,11 +52,10 @@ static_assert(
         dynamic::DeltaRangeIndex<rmi::LinearRmi>>);
 // Only concurrent, durable, snapshottable front-ends can be shards: the
 // single-threaded delta index would run two writers at once under a
-// shard's shared cutover lock, and a B-Tree base has no snapshot form.
+// shard's shared cutover lock.
 static_assert(concurrent::Shardable<ConcRmi>);
 static_assert(
     !concurrent::Shardable<dynamic::DeltaRangeIndex<rmi::LinearRmi>>);
-static_assert(!concurrent::Shardable<ConcBtree>);
 
 // ---- Epoch manager ----
 

@@ -37,8 +37,6 @@ namespace {
 static_assert(index::RangeIndex<rmi::LinearRmi>);
 static_assert(index::RangeIndex<rmi::MultivariateRmi>);
 static_assert(index::RangeIndex<rmi::NeuralRmi>);
-static_assert(index::RangeIndex<rmi::DoubleRmi>);
-static_assert(index::RangeIndex<rmi::PrefixStringRmi>);
 static_assert(index::RangeIndex<rmi::HybridRmi<models::LinearModel>>);
 static_assert(index::RangeIndex<rmi::QuantizedRmi>);
 static_assert(index::RangeIndex<rmi::StringRmi>);
@@ -211,13 +209,6 @@ TEST(StringConformanceTest, AllStringIndexesMatchStd) {
   rmi::StringRmi nn_rmi;
   ASSERT_TRUE(nn_rmi.Build(span, nn_cfg).ok());
 
-  // The key-generic RMI core over std::string via KeyTraits (prefix-8
-  // feature): same implementation as the integer index.
-  rmi::RmiConfig generic_cfg;
-  generic_cfg.num_leaf_models = 200;
-  rmi::PrefixStringRmi generic_rmi;
-  ASSERT_TRUE(generic_rmi.Build(span, generic_cfg).ok());
-
   btree::StringBTree tree;
   ASSERT_TRUE(tree.Build(span, btree::StringBTreeConfig{32}).ok());
 
@@ -228,31 +219,7 @@ TEST(StringConformanceTest, AllStringIndexesMatchStd) {
     const size_t expect = static_cast<size_t>(
         std::lower_bound(ids.begin(), ids.end(), q) - ids.begin());
     ASSERT_EQ(nn_rmi.Lookup(q), expect) << q;
-    ASSERT_EQ(generic_rmi.Lookup(q), expect) << q;
     ASSERT_EQ(tree.Lookup(q), expect) << q;
-  }
-}
-
-// ---- The double-keyed instantiation of the generic core ----
-
-TEST(DoubleKeyConformanceTest, GenericCoreServesDoubleKeys) {
-  std::vector<double> keys;
-  Xorshift128Plus rng(91);
-  double x = 0.0;
-  for (int i = 0; i < 20'000; ++i) {
-    x += 1e-3 + static_cast<double>(rng.NextBounded(1000)) / 997.0;
-    keys.push_back(x);
-  }
-  rmi::RmiConfig cfg;
-  cfg.num_leaf_models = 300;
-  rmi::DoubleRmi idx;
-  ASSERT_TRUE(idx.Build(keys, cfg).ok());
-  for (size_t i = 0; i < keys.size(); i += 7) {
-    ASSERT_EQ(idx.Lookup(keys[i]), i);
-    const double absent = keys[i] + 1e-6;
-    const size_t expect = static_cast<size_t>(
-        std::lower_bound(keys.begin(), keys.end(), absent) - keys.begin());
-    ASSERT_EQ(idx.Lookup(absent), expect);
   }
 }
 

@@ -205,10 +205,6 @@ TEST(SimdKernelTest, BoundedSearchesMatchStdAlgorithms) {
     v += rng.NextBounded(3);  // duplicates with p ~ 1/3
     data.push_back(v);
   }
-  std::vector<double> ddata(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    ddata[i] = static_cast<double>(data[i]) * 0.25;
-  }
   const size_t n = data.size();
   const size_t windows[][2] = {{0, 0},     {0, 1},   {0, n},     {n, n},
                                {5, 5},     {5, 6},   {10, 70},   {10, 74},
@@ -231,37 +227,7 @@ TEST(SimdKernelTest, BoundedSearchesMatchStdAlgorithms) {
             << k.name << " [" << lo << "," << hi << ") q=" << q;
         ASSERT_EQ(k.upper_bound_u64(data.data(), lo, hi, q), want_ub)
             << k.name << " [" << lo << "," << hi << ") q=" << q;
-        const double dq = static_cast<double>(q) * 0.25;
-        const size_t want_flb = static_cast<size_t>(
-            std::lower_bound(ddata.begin() + lo, ddata.begin() + hi, dq) -
-            ddata.begin());
-        ASSERT_EQ(k.lower_bound_f64(ddata.data(), lo, hi, dq), want_flb)
-            << k.name << " [" << lo << "," << hi << ") q=" << dq;
       }
-    }
-  }
-}
-
-TEST(SimdKernelTest, LowerBoundF64HandlesDenormalsAndExtremes) {
-  std::vector<double> data = {-std::numeric_limits<double>::max(),
-                              -1.0,
-                              -std::numeric_limits<double>::denorm_min(),
-                              0.0,
-                              std::numeric_limits<double>::denorm_min(),
-                              std::numeric_limits<double>::min(),
-                              1.0,
-                              std::numeric_limits<double>::max()};
-  // Pad to exercise the vector sweep, keeping sortedness.
-  while (data.size() < 96) {
-    data.push_back(data.back());
-  }
-  for (const Level level : SupportedLevels()) {
-    const Kernels& k = KernelsFor(level);
-    for (const double q : data) {
-      const size_t want = static_cast<size_t>(
-          std::lower_bound(data.begin(), data.end(), q) - data.begin());
-      ASSERT_EQ(k.lower_bound_f64(data.data(), 0, data.size(), q), want)
-          << k.name << " q=" << q;
     }
   }
 }
@@ -405,37 +371,6 @@ TEST(SimdEndToEndTest, RmiLookupBatchBitExactAcrossLevels) {
     for (size_t i = 0; i < 512; ++i) {
       ASSERT_EQ(ref[i], index.Lookup(queries[i])) << "i=" << i;
     }
-  }
-  for (const Level level : SupportedLevels()) {
-    ScopedLevel pin(level);
-    ASSERT_TRUE(pin.status().ok());
-    std::vector<size_t> got(queries.size());
-    index.LookupBatch(queries, got);
-    ASSERT_EQ(got, ref) << LevelName(level);
-  }
-}
-
-TEST(SimdEndToEndTest, DoubleKeyRmiLookupBatchBitExactAcrossLevels) {
-  std::vector<double> keys(40'000);
-  Xorshift128Plus rng(13);
-  for (auto& k : keys) k = rng.NextGaussian() * 1e6;
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  rmi::DoubleRmi index;
-  rmi::RmiConfig config;
-  config.num_leaf_models = 300;
-  ASSERT_TRUE(index.Build(keys, config).ok());
-
-  std::vector<double> queries(8'000);
-  for (auto& q : queries) {
-    q = rng.NextBounded(2) ? keys[rng.NextBounded(keys.size())]
-                           : rng.NextGaussian() * 1e6;
-  }
-  std::vector<size_t> ref(queries.size());
-  {
-    ScopedLevel pin(Level::kScalar);
-    ASSERT_TRUE(pin.status().ok());
-    index.LookupBatch(queries, ref);
   }
   for (const Level level : SupportedLevels()) {
     ScopedLevel pin(level);

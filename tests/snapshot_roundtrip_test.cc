@@ -147,28 +147,6 @@ TEST(RmiRoundTripTest, DuplicateHeavyZipfKeys) {
   std::remove(path.c_str());
 }
 
-TEST(RmiRoundTripTest, DoubleKeys) {
-  const auto raw = data::GenLognormal(40'000, 31);
-  std::vector<double> keys;
-  keys.reserve(raw.size());
-  for (const uint64_t k : raw) keys.push_back(static_cast<double>(k) * 0.5);
-  rmi::RmiConfig config;
-  config.num_leaf_models = 400;
-  rmi::DoubleRmi built;
-  ASSERT_TRUE(built.Build(keys, config).ok());
-  const std::string path = TmpSnap("double");
-  ASSERT_TRUE(built.WriteSnapshot(path).ok());
-  auto reopened = rmi::DoubleRmi::OpenSnapshot(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  Xorshift128Plus rng(37);
-  for (int i = 0; i < 20'000; ++i) {
-    const double q = keys[rng.NextBounded(keys.size())] +
-                     static_cast<double>(rng.NextBounded(3)) - 1.0;
-    ASSERT_EQ(reopened.value().LowerBound(q), built.LowerBound(q)) << q;
-  }
-  std::remove(path.c_str());
-}
-
 TEST(RmiRoundTripTest, CorruptSnapshotRejectedCleanly) {
   const auto keys = data::GenLognormal(10'000, 41);
   rmi::RmiConfig config;
@@ -775,6 +753,135 @@ TEST(LifRoundTripTest, LinearWinnerReopensViaKindTag) {
     ASSERT_EQ(reopened.value().LowerBound(q), built.LowerBound(q)) << q;
   }
   std::remove(path.c_str());
+}
+
+// ---- RMI metas this build does not open ----
+
+/// Byte offsets of the `meta` words the cases below patch (rmi.h
+/// RmiIndex::SnapshotMeta, 64 bytes).
+constexpr size_t kMetaKeyKind = 0;
+constexpr size_t kMetaTopKind = 4;
+constexpr size_t kMetaHasKeys = 28;
+
+class RmiMetaTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    keys_ = data::GenLognormal(200'000, 113);
+    rmi::RmiConfig config;
+    config.num_leaf_models = 2'000;
+    ASSERT_TRUE(built_.Build(keys_, config).ok());
+    ASSERT_TRUE(built_.WriteSnapshot(path_).ok());
+  }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove(bad_.c_str());
+  }
+
+  /// Copies the snapshot to bad_ with the meta's 32-bit word at `offset`
+  /// set to `value`; the copy's CRCs are recomputed, so only the RMI
+  /// loader's own checks see the change.
+  void PatchMeta(size_t offset, uint32_t value) {
+    auto reader = snapshot::SnapshotReader::Open(path_);
+    ASSERT_TRUE(reader.ok());
+    auto meta = reader.value().Get("meta");
+    ASSERT_TRUE(meta.ok());
+    ASSERT_EQ(meta.value().size(), 64u);
+    std::vector<uint8_t> bytes(meta.value().begin(), meta.value().end());
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    CopySnapshot(path_, bad_, {{"meta", bytes}});
+  }
+
+  /// Opens bad_ both ways a standalone RMI opens and expects `code`.
+  void ExpectRefused(StatusCode code, const char* what) {
+    auto opened = LinearRmi::OpenSnapshot(bad_);
+    ASSERT_FALSE(opened.ok()) << what;
+    EXPECT_EQ(opened.status().code(), code) << what;
+    auto reader = snapshot::SnapshotReader::Open(bad_);
+    ASSERT_TRUE(reader.ok());
+    LinearRmi loaded;
+    EXPECT_EQ(loaded.LoadSections(reader.value(), "").code(), code) << what;
+  }
+
+  std::vector<uint64_t> keys_;
+  LinearRmi built_;
+  const std::string path_ = TmpSnap("rmi_meta");
+  const std::string bad_ = TmpSnap("rmi_meta_bad");
+};
+
+TEST_F(RmiMetaTest, StandaloneOpenRefusesMetaWithoutKeys) {
+  // With has_keys cleared the key section is still in the file, but a
+  // loader that trusted the word would serve Lookup from a span laid over
+  // the leaf table. Payload CRCs are off by default, so only the loader
+  // can catch it.
+  PatchMeta(kMetaHasKeys, 0);
+  ExpectRefused(StatusCode::kInvalidArgument, "has_keys = 0");
+  EXPECT_TRUE(LinearRmi::OpenSnapshot(path_).ok());
+}
+
+TEST_F(RmiMetaTest, ModelOnlyLoadTakesMetaWithoutKeys) {
+  // What a learned hash writes: the CDF model alone. Its loader keeps
+  // the key count and predicts exactly like the built model.
+  PatchMeta(kMetaHasKeys, 0);
+  auto reader = snapshot::SnapshotReader::Open(bad_);
+  ASSERT_TRUE(reader.ok());
+  LinearRmi model;
+  ASSERT_TRUE(model.LoadModelSections(reader.value(), "").ok());
+  EXPECT_EQ(model.data().size(), keys_.size());
+  for (const uint64_t q : MixedQueries(keys_, 5'000, 127)) {
+    ASSERT_EQ(model.Predict(q).pos, built_.Predict(q).pos) << q;
+  }
+}
+
+TEST_F(RmiMetaTest, ForeignKeyAndTopKindsAreRefused) {
+  // key_kind 2 is what double-keyed RMIs of earlier builds wrote.
+  PatchMeta(kMetaKeyKind, 2);
+  ExpectRefused(StatusCode::kInvalidArgument, "key_kind = 2");
+  PatchMeta(kMetaKeyKind, 0);
+  ExpectRefused(StatusCode::kInvalidArgument, "key_kind = 0");
+  PatchMeta(kMetaTopKind, 2);
+  ExpectRefused(StatusCode::kInvalidArgument, "top_kind = 2");
+  PatchMeta(kMetaTopKind, 0);
+  ExpectRefused(StatusCode::kInvalidArgument, "top_kind = 0");
+}
+
+TEST_F(RmiMetaTest, LifWinnerOfDoubleKindIsUnimplemented) {
+  // A LIF file whose kind tag names the double-keyed RMI of earlier
+  // builds, around this RMI's own sections: the tag alone refuses it.
+  auto write_lif = [&](const std::string& kind) {
+    auto reader = snapshot::SnapshotReader::Open(path_);
+    ASSERT_TRUE(reader.ok());
+    snapshot::SnapshotWriter writer;
+    const std::string desc = "rmi";
+    ASSERT_TRUE(writer
+                    .AddSection("lif/kind", snapshot::SectionKind::kMeta,
+                                kind.data(), kind.size())
+                    .ok());
+    ASSERT_TRUE(writer
+                    .AddSection("lif/desc", snapshot::SectionKind::kMeta,
+                                desc.data(), desc.size())
+                    .ok());
+    for (const snapshot::SectionEntry& e : reader.value().sections()) {
+      auto bytes = reader.value().Get(e.name);
+      ASSERT_TRUE(bytes.ok());
+      ASSERT_TRUE(writer
+                      .AddSection("w/" + std::string(e.name),
+                                  static_cast<snapshot::SectionKind>(e.kind),
+                                  bytes.value().data(), bytes.value().size())
+                      .ok());
+    }
+    ASSERT_TRUE(writer.WriteFile(bad_).ok());
+  };
+  write_lif("rmi.linear.f64");
+  auto opened = lif::SynthesizedIndex::OpenSnapshot(bad_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kUnimplemented);
+  // The same file under the u64 tag opens and answers.
+  write_lif("rmi.linear.u64");
+  auto reopened = lif::SynthesizedIndex::OpenSnapshot(bad_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  for (size_t i = 0; i < keys_.size(); i += 101) {
+    ASSERT_EQ(reopened.value().LowerBound(keys_[i]), i);
+  }
 }
 
 }  // namespace
