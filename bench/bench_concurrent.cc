@@ -24,13 +24,15 @@
 // (needs >= 8 hardware threads to be meaningful), and during-merge reader
 // p99 <= 2x the quiet p99.
 //
-// The skewed-stream section (ISSUE 5) drives zipf and moving-hotspot
-// insert storms whose key distribution drifts from the build CDF, with
-// online shard rebalancing off vs on, and reports final + peak max/mean
-// shard mass, split/coalesce counts, and throughput. Acceptance bar:
-// with rebalancing on, the final imbalance under the zipf storm stays
-// within the configured factor while the fixed-boundary run blows
-// through it. The batched-lookup section compares per-key Lookup routing
+// The skewed-stream section drives zipf and moving-hotspot insert storms
+// whose key distribution drifts from the build CDF, with online shard
+// rebalancing off vs on, and reports final + peak max/mean shard mass,
+// split/coalesce counts, and throughput. Acceptance bar: with
+// rebalancing on, the final imbalance under the zipf storm stays within
+// the configured factor (5% slack) while the fixed-boundary run blows
+// through it. The bar is functional — the worker has drained every
+// action before the reading — so a miss exits non-zero, like a
+// consistency failure. The batched-lookup section compares per-key Lookup routing
 // against the shard-grouped LookupBatch on uniform probes (acceptance:
 // grouped is faster — the recovered RMI software-pipeline win).
 //
@@ -218,6 +220,7 @@ int main() {
   lif::Table table({"config", "insert%", "threads", "agg ns/op", "Mops/s",
                     "speedup", "merges", "freezes", "contention%"});
   bool all_consistent = true;
+  bool imbalance_ok = true;  // the rebalanced zipf storm's bar
   double sharded_t1_ins10 = 0.0, sharded_t8_ins10 = 0.0;
 
   const auto leaf_models = std::max<size_t>(64, n / 10);
@@ -487,8 +490,9 @@ int main() {
         zipf_imb_on, zipf_imb_off, factor);
     if (zipf_imb_on > factor * 1.05) {
       fprintf(stderr,
-              "WARN: rebalanced zipf imbalance %.2f above the %.1f bar\n",
+              "FAIL: rebalanced zipf imbalance %.2f above the %.1f bar\n",
               zipf_imb_on, factor);
+      imbalance_ok = false;
     }
   }
 
@@ -537,5 +541,5 @@ int main() {
     fprintf(stderr, "consistency checks FAILED\n");
     return 1;
   }
-  return 0;
+  return imbalance_ok ? 0 : 1;
 }

@@ -9,7 +9,10 @@
 //   mixed_ns  — ns/op over the whole stream (the headline number),
 //   lookup_ns — rank-lookup ns/op measured after the stream with the
 //               delta still populated (for the dynamic B-Tree baseline
-//               this column is its native exact Find).
+//               this column is its native exact Find),
+//   merges, merge ms — the delta rows' merge count and total merge time
+//               from Stats() (the indexes count writes and merges; reads
+//               are not counted).
 // Read-only RMI and B-Tree rows anchor the sweep: the acceptance bar is
 // delta-wrapped RMI lookup throughput within 2x of the read-only base at
 // the 10% ratio. The bench verifies consistency (inserted keys visible,
@@ -61,7 +64,6 @@ struct CellResult {
   size_t inserted = 0;   // inserts actually executed
   uint64_t merges = 0;
   double merge_ms = 0.0;
-  double delta_hit_rate = 0.0;
   bool consistent = true;
 };
 
@@ -149,7 +151,7 @@ int main() {
   };
 
   lif::Table table({"config", "insert%", "mixed ns/op", "lookup ns/op",
-                    "merges", "merge ms", "delta hit%"});
+                    "merges", "merge ms"});
   bool all_consistent = true;
   double rmi_baseline_lookup_ns = 0.0;
   double delta_rmi_lookup_at_10 = 0.0;
@@ -176,7 +178,7 @@ int main() {
     table.AddSection("read-only bases");
     table.AddRow({"rmi (read-only)", "0",
                   "-", Fmt(rmi_baseline_lookup_ns),
-                  "-", "-", "-"});
+                  "-", "-"});
     emit("readwrite/rmi_readonly/lookup_ns", rmi_baseline_lookup_ns);
 
     btree::ReadOnlyBTree bt;
@@ -189,7 +191,7 @@ int main() {
     table.AddRow({"btree (read-only)", "0", "-",
                   lif::Table::WithFactor(bt_ns, bt_ns /
                                                     rmi_baseline_lookup_ns),
-                  "-", "-", "-"});
+                  "-", "-"});
     emit("readwrite/btree_readonly/lookup_ns", bt_ns);
   }
 
@@ -222,7 +224,6 @@ int main() {
       const auto st = idx.Stats();
       r.merges = st.merges;
       r.merge_ms = st.total_merge_ns / 1e6;
-      r.delta_hit_rate = st.DeltaHitRate();
       all_consistent &= r.consistent;
       if (pct == 10) {
         delta_rmi_lookup_at_10 = r.lookup_ns;
@@ -240,8 +241,7 @@ int main() {
            lif::Table::WithFactor(r.lookup_ns,
                                   r.lookup_ns / rmi_baseline_lookup_ns),
            std::to_string(r.merges),
-           Fmt(r.merge_ms),
-           Fmt(r.delta_hit_rate * 100.0)});
+           Fmt(r.merge_ms)});
       const std::string prefix =
           "readwrite/delta_rmi/ins" + std::to_string(pct);
       emit(prefix + "/mixed_ns", r.mixed_ns);
@@ -273,8 +273,7 @@ int main() {
            lif::Table::WithFactor(r.lookup_ns,
                                   r.lookup_ns / rmi_baseline_lookup_ns),
            std::to_string(st.merges),
-           Fmt(st.total_merge_ns / 1e6),
-           Fmt(st.DeltaHitRate() * 100.0)});
+           Fmt(st.total_merge_ns / 1e6)});
       const std::string prefix =
           "readwrite/delta_btree/ins" + std::to_string(pct);
       emit(prefix + "/mixed_ns", r.mixed_ns);
@@ -298,7 +297,7 @@ int main() {
                     lif::Table::WithFactor(r.lookup_ns,
                                            r.lookup_ns /
                                                rmi_baseline_lookup_ns),
-                    "-", "-", "-"});
+                    "-", "-"});
       const std::string prefix =
           "readwrite/btree_dynamic/ins" + std::to_string(pct);
       emit(prefix + "/mixed_ns", r.mixed_ns);

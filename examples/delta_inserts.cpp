@@ -67,11 +67,9 @@ int main(int argc, char** argv) {
   printf("merged: base now %zu keys, delta %zu entries\n", stats.base_keys,
          stats.delta_entries);
   printf(
-      "stats: %llu merges (%.1f ms total), delta hit rate %.1f%%, "
-      "index %zu bytes\n",
+      "stats: %llu merges (%.1f ms total), index %zu bytes\n",
       static_cast<unsigned long long>(stats.merges),
-      stats.total_merge_ns / 1e6, stats.DeltaHitRate() * 100.0,
-      store.SizeBytes());
+      stats.total_merge_ns / 1e6, store.SizeBytes());
 
   found = 0;
   for (const uint64_t k : fresh) found += store.Contains(k);

@@ -433,13 +433,6 @@ class ConcurrentWritableIndex {
   };
   using Cell = VersionedCell<State>;
 
-  struct alignas(64) ReadStripe {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> contains{0};
-    std::atomic<uint64_t> delta_hits{0};
-  };
-  static constexpr size_t kStripes = 16;
-
   struct Impl {
     Status Build(std::span<const key_type> keys, const Config& config) {
       config_ = config;
@@ -460,7 +453,6 @@ class ConcurrentWritableIndex {
     // ---- read path ----
 
     size_t Lookup(const key_type& key) const {
-      Stripe().lookups.fetch_add(1, std::memory_order_relaxed);
       const auto s = cell_.Pin();
       return RawLookupIn(*s, s->log.count(), key);
     }
@@ -475,7 +467,6 @@ class ConcurrentWritableIndex {
     void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const {
       const size_t m = std::min(keys.size(), out.size());
-      Stripe().lookups.fetch_add(m, std::memory_order_relaxed);
       const auto s = cell_.Pin();
       const uint32_t n = s->log.count();
       // Base ranks through the base's native batch path (the RMI software
@@ -493,13 +484,8 @@ class ConcurrentWritableIndex {
     }
 
     bool Contains(const key_type& key) const {
-      ReadStripe& st = Stripe();
-      st.lookups.fetch_add(1, std::memory_order_relaxed);
-      st.contains.fetch_add(1, std::memory_order_relaxed);
       const auto s = cell_.Pin();
-      const Liveness l = LiveIn(*s, s->log.count(), key);
-      if (l.delta_hit) st.delta_hits.fetch_add(1, std::memory_order_relaxed);
-      return l.live;
+      return LiveIn(*s, s->log.count(), key);
     }
 
     std::vector<key_type> Scan(const key_type& from, size_t limit) const {
@@ -578,7 +564,7 @@ class ConcurrentWritableIndex {
       if (s->log.full_locked()) s = FreezeLocked(w, *s);
       const uint32_t n = s->log.count_locked();
       // Under the writer mutex no pin is needed: only writers swap state.
-      const bool live_before = LiveIn(*s, n, key).live;
+      const bool live_before = LiveIn(*s, n, key);
       live_count_.fetch_add(s->log.Append(key, tombstone, live_before),
                             std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
@@ -729,10 +715,6 @@ class ConcurrentWritableIndex {
       return s;
     }
 
-    ReadStripe& Stripe() const {
-      return read_stripes_[ThisThreadIndex() % kStripes];
-    }
-
     size_t RawLookupIn(const State& s, uint32_t n,
                        const key_type& key) const {
       const size_t bi = s.base->Lookup(key);
@@ -748,22 +730,17 @@ class ConcurrentWritableIndex {
       return c > 0 ? static_cast<size_t>(c) : 0;
     }
 
-    struct Liveness {
-      bool live = false;
-      bool delta_hit = false;  // the log or the frozen delta answered
-    };
     /// Liveness of `key` as of the first n log writes of `s`: its newest
     /// log write, else its frozen entry, else base membership read off
     /// the base rank that positioned the frozen seek.
-    static Liveness LiveIn(const State& s, uint32_t n, const key_type& key) {
+    static bool LiveIn(const State& s, uint32_t n, const key_type& key) {
       if (const uint32_t w = s.log.NewestWrite(n, key); w < n) {
-        return {!s.log.tombstone(w), true};
+        return !s.log.tombstone(w);
       }
       const size_t bi = s.base->Lookup(key);
-      if (const auto e = s.frozen.Find(key, bi)) return {!e->tombstone, true};
-      return {dynamic::BaseHolds(std::span<const key_type>(*s.base_keys), bi,
-                                 key),
-              false};
+      if (const auto e = s.frozen.Find(key, bi)) return !e->tombstone;
+      return dynamic::BaseHolds(std::span<const key_type>(*s.base_keys), bi,
+                                key);
     }
 
     /// Newest-wins fold of `s.frozen` + `s.log[0..n)` into one sorted
@@ -881,7 +858,6 @@ class ConcurrentWritableIndex {
         w.Publish(NewState(merged, std::move(new_base), rebased));
         merge_rebase_pending_ = false;
         merges_.fetch_add(1, std::memory_order_relaxed);
-        merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
       }
       const uint64_t ns_elapsed = static_cast<uint64_t>(timer.ElapsedNanos());
       last_merge_ns_.store(ns_elapsed, std::memory_order_relaxed);
@@ -892,22 +868,15 @@ class ConcurrentWritableIndex {
     template <typename S>
     S FillStats() const {
       S s{};
-      for (const ReadStripe& r : read_stripes_) {
-        s.lookups += r.lookups.load(std::memory_order_relaxed);
-        s.contains += r.contains.load(std::memory_order_relaxed);
-        s.delta_hits += r.delta_hits.load(std::memory_order_relaxed);
-      }
       s.inserts = inserts_.load(std::memory_order_relaxed);
       s.erases = erases_.load(std::memory_order_relaxed);
       s.merges = merges_.load(std::memory_order_relaxed);
-      s.merged_keys = merged_keys_.load(std::memory_order_relaxed);
       s.last_merge_ns =
           static_cast<double>(last_merge_ns_.load(std::memory_order_relaxed));
       s.total_merge_ns = static_cast<double>(
           total_merge_ns_.load(std::memory_order_relaxed));
       const auto st = cell_.Pin();
       s.delta_entries = st->frozen.entry_count() + st->log.count();
-      s.delta_bytes = st->frozen.SizeBytes() + st->log.SizeBytes();
       s.base_keys = st->base_keys->size();
       return s;
     }
@@ -917,12 +886,10 @@ class ConcurrentWritableIndex {
     mutable Cell cell_;
     std::atomic<int64_t> live_count_{0};
 
-    // Counters. Read stripes keep reader increments off one shared line.
-    mutable ReadStripe read_stripes_[kStripes];
+    // Write-side counters; reads count nothing.
     std::atomic<uint64_t> inserts_{0};
     std::atomic<uint64_t> erases_{0};
     std::atomic<uint64_t> merges_{0};
-    std::atomic<uint64_t> merged_keys_{0};
     std::atomic<uint64_t> freezes_{0};
     std::atomic<uint64_t> last_merge_ns_{0};
     std::atomic<uint64_t> total_merge_ns_{0};

@@ -109,7 +109,7 @@ struct ShardRebalanceConfig {
   /// tiny shards cost routing fan-out without relieving any contention.
   size_t min_split_keys = 1024;
   /// Writer-side monitor cadence: one O(#shards) mass scan per this many
-  /// writes (across all shards).
+  /// writes of each writer thread (across all shards).
   size_t check_stride = 1024;
 };
 
@@ -707,10 +707,12 @@ class ShardedIndex {
         // Load monitor runs after the cutover lock drops (the epoch pin
         // still holds `m`): the O(#shards) mass scan must not lengthen
         // the window the rebalancer's exclusive seal/cutover waits out.
+        // The stride counts this thread's writes (to any index of this
+        // type): a counter all writers shared would put one contended RMW
+        // on every write.
         if (config_.rebalance.enabled) {
-          const uint64_t tick =
-              write_tick_.fetch_add(1, std::memory_order_relaxed);
-          if (tick % config_.rebalance.check_stride == 0 &&
+          thread_local uint64_t tick = 0;
+          if (tick++ % config_.rebalance.check_stride == 0 &&
               PickAction(*m).kind != RebalanceAction::Kind::kNone) {
             RequestRebalance();
           }
@@ -943,7 +945,6 @@ class ShardedIndex {
         agg.states_published += cs.states_published;
         agg.states_retired += cs.states_retired;
         agg.states_reclaimed += cs.states_reclaimed;
-        agg.epoch_fallback_pins += cs.epoch_fallback_pins;
         agg.log_entries += cs.log_entries;
       }
       agg.shards = slots.size();
@@ -1347,17 +1348,12 @@ class ShardedIndex {
 
     static void Accumulate(index::WritableIndexStats& agg,
                            const index::WritableIndexStats& s) {
-      agg.lookups += s.lookups;
-      agg.contains += s.contains;
       agg.inserts += s.inserts;
       agg.erases += s.erases;
-      agg.delta_hits += s.delta_hits;
       agg.merges += s.merges;
-      agg.merged_keys += s.merged_keys;
       agg.last_merge_ns = std::max(agg.last_merge_ns, s.last_merge_ns);
       agg.total_merge_ns += s.total_merge_ns;
       agg.delta_entries += s.delta_entries;
-      agg.delta_bytes += s.delta_bytes;
       agg.base_keys += s.base_keys;
     }
 
@@ -1365,7 +1361,6 @@ class ShardedIndex {
     // The routing map; slots die with the last map that references them.
     Cell cell_;
 
-    std::atomic<uint64_t> write_tick_{0};
     std::atomic<uint64_t> splits_{0};
     std::atomic<uint64_t> coalesces_{0};
 

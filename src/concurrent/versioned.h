@@ -141,7 +141,6 @@ class VersionedCell {
     s.states_published = published();
     s.states_retired = epoch_.retired_count();
     s.states_reclaimed = epoch_.reclaimed_count();
-    s.epoch_fallback_pins = epoch_.fallback_pins();
   }
 
  private:

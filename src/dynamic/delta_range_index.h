@@ -103,14 +103,17 @@ class DeltaRangeIndex {
 
   /// lower_bound rank over the live keys: #live keys < `key`.
   size_t Lookup(const key_type& key) const {
-    ++stats_.lookups;
-    return RawLookup(key);
+    const size_t bi = base_.Lookup(key);
+    const int64_t rank =
+        static_cast<int64_t>(bi) +
+        (delta_.empty() ? 0 : delta_.RankAdjustBelow(delta_.Seek(key, bi)));
+    return static_cast<size_t>(rank);
   }
 
   size_t LowerBound(const key_type& key) const { return Lookup(key); }
 
   index::Approx ApproxPos(const key_type& key) const {
-    return index::Approx::Exact(RawLookup(key), size());
+    return index::Approx::Exact(Lookup(key), size());
   }
 
   /// Batched rank lookups: routes the base part through the base's native
@@ -120,9 +123,8 @@ class DeltaRangeIndex {
   void LookupBatch(std::span<const key_type> keys,
                    std::span<size_t> out) const {
     index::LookupBatch(base_, keys, out);
-    const size_t n = std::min(keys.size(), out.size());
-    stats_.lookups += n;
     if (delta_.empty()) return;
+    const size_t n = std::min(keys.size(), out.size());
     for (size_t i = 0; i < n; ++i) {
       out[i] = static_cast<size_t>(
           static_cast<int64_t>(out[i]) +
@@ -146,13 +148,8 @@ class DeltaRangeIndex {
 
   /// Membership over the live key set; the delta answers first.
   bool Contains(const key_type& key) const {
-    ++stats_.lookups;
-    ++stats_.contains;
     const size_t bi = base_.Lookup(key);
-    if (const auto e = delta_.Find(key, bi)) {
-      ++stats_.delta_hits;
-      return !e->tombstone;
-    }
+    if (const auto e = delta_.Find(key, bi)) return !e->tombstone;
     return BaseHolds(base_keys(), bi, key);
   }
 
@@ -184,7 +181,6 @@ class DeltaRangeIndex {
         fresh.Build(std::span<const key_type>(merged), config_.base));
     base_keys_ = std::move(merged);  // heap buffer (and span) unmoved
     base_ = std::move(fresh);
-    stats_.merged_keys += base_keys_.size();
     ++stats_.merges;
     stats_.last_merge_ns = timer.ElapsedNanos();
     stats_.total_merge_ns += stats_.last_merge_ns;
@@ -195,7 +191,6 @@ class DeltaRangeIndex {
   index::WritableIndexStats Stats() const {
     index::WritableIndexStats s = stats_;
     s.delta_entries = delta_.entry_count();
-    s.delta_bytes = delta_.SizeBytes();
     s.base_keys = base_keys_.size();
     return s;
   }
@@ -347,14 +342,6 @@ class DeltaRangeIndex {
     return was_live;
   }
 
-  size_t RawLookup(const key_type& key) const {
-    const size_t bi = base_.Lookup(key);
-    const int64_t rank =
-        static_cast<int64_t>(bi) +
-        (delta_.empty() ? 0 : delta_.RankAdjustBelow(delta_.Seek(key, bi)));
-    return static_cast<size_t>(rank);
-  }
-
   void MaybeMerge() {
     if (ShouldMerge(config_.policy, delta_.entry_count(), base_keys_.size())) {
       last_auto_merge_status_ = Merge();
@@ -370,7 +357,7 @@ class DeltaRangeIndex {
   std::vector<key_type> base_keys_;  // the immutable base's data, owned
   Base base_{};
   DeltaBuffer<key_type> delta_{};
-  mutable index::WritableIndexStats stats_{};
+  index::WritableIndexStats stats_{};  // write-side counters only
   Status last_auto_merge_status_{};
   // mutable: the const snapshot path stashes the covered LSN and
   // truncates the log after publish.

@@ -44,18 +44,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
-#include "common/status.h"
-#include "index/approx.h"
 #include "index/writable_range_index.h"
 
 namespace li::index {
 
-/// Concurrency observability on top of the per-op WritableIndexStats:
+/// Concurrency observability on top of the WritableIndexStats counters:
 /// contention counters (who waited on whom), state-version lifecycle
 /// (publish / retire / reclaim), and the background-merge split. These are
 /// the gauges the sharding and merge-policy knobs are tuned against.
@@ -66,7 +62,6 @@ struct ConcurrentIndexStats : WritableIndexStats {
   uint64_t states_published = 0;   // versions swapped in (freezes + merges)
   uint64_t states_retired = 0;     // versions handed to the epoch manager
   uint64_t states_reclaimed = 0;   // versions actually freed so far
-  uint64_t epoch_fallback_pins = 0;  // readers beyond the slot table
   size_t log_entries = 0;          // unsorted write-log entries (subset of
                                    // delta_entries)
   size_t shards = 1;               // 1 unless range-sharded
@@ -101,21 +96,22 @@ concept ConcurrentWritableRangeIndex =
       { mut.WaitForMerges() } -> std::same_as<void>;
     };
 
-/// Type-erased ConcurrentWritableRangeIndex, mirroring
-/// AnyWritableRangeIndex but keeping the concurrent surface
-/// (RequestMerge / WaitForMerges / ConcurrentStats) callable through the
-/// erasure — for holders of heterogeneous concurrent indexes (single
-/// front-end vs sharded, different bases) that still need to quiesce
-/// workers or read contention gauges. Note the LIF writable synthesizer
-/// erases its winners into AnyWritableRangeIndex (the class-wide
-/// contract that single-threaded candidates also satisfy); use this type
-/// when constructing concurrent indexes directly. Build is not erased
-/// (config types differ); candidates are built concretely and moved in.
-/// The handle itself is as thread-safe as the wrapped index; moving the
-/// handle while ops are in flight is undefined, as for any container.
-class AnyConcurrentWritableIndex {
+/// Type-erased ConcurrentWritableRangeIndex: AnyWritableRangeIndex's
+/// erasure (the same interface and forwarding, one virtual call per op)
+/// plus the concurrent surface (RequestMerge / WaitForMerges /
+/// ConcurrentStats) — for holders of heterogeneous concurrent indexes
+/// (single front-end vs sharded, different bases) that still need to
+/// quiesce workers or read contention gauges. Note the LIF writable
+/// synthesizer erases its winners into AnyWritableRangeIndex (the
+/// class-wide contract that single-threaded candidates also satisfy); use
+/// this type when constructing concurrent indexes directly. Build is not
+/// erased (config types differ); candidates are built concretely and
+/// moved in. The handle itself is as thread-safe as the wrapped index;
+/// moving the handle while ops are in flight is undefined, as for any
+/// container.
+class AnyConcurrentWritableIndex : private AnyWritableRangeIndex {
  public:
-  using key_type = uint64_t;
+  using AnyWritableRangeIndex::key_type;
 
   AnyConcurrentWritableIndex() = default;
 
@@ -126,124 +122,63 @@ class AnyConcurrentWritableIndex {
              (!std::same_as<std::remove_cvref_t<I>,
                             AnyConcurrentWritableIndex>)
   explicit AnyConcurrentWritableIndex(I&& impl)
-      : impl_(std::make_unique<Holder<std::remove_cvref_t<I>>>(
-            std::forward<I>(impl))) {}
+      : AnyWritableRangeIndex(
+            std::make_unique<Holder<std::remove_cvref_t<I>>>(
+                std::forward<I>(impl))) {}
 
   AnyConcurrentWritableIndex(AnyConcurrentWritableIndex&&) noexcept =
       default;
   AnyConcurrentWritableIndex& operator=(
       AnyConcurrentWritableIndex&&) noexcept = default;
 
-  /// True when no index has been wrapped yet; reads then answer like an
-  /// empty index and writes are dropped (returning false).
-  bool empty() const { return impl_ == nullptr; }
+  using AnyWritableRangeIndex::empty;
+  using AnyWritableRangeIndex::Insert;
+  using AnyWritableRangeIndex::Erase;
+  using AnyWritableRangeIndex::Contains;
+  using AnyWritableRangeIndex::Lookup;
+  using AnyWritableRangeIndex::LowerBound;
+  using AnyWritableRangeIndex::ApproxPos;
+  using AnyWritableRangeIndex::LookupBatch;
+  using AnyWritableRangeIndex::Scan;
+  using AnyWritableRangeIndex::Merge;
+  using AnyWritableRangeIndex::size;
+  using AnyWritableRangeIndex::SizeBytes;
+  using AnyWritableRangeIndex::Stats;
 
-  bool Insert(const key_type& key) {
-    return impl_ ? impl_->Insert(key) : false;
-  }
-  bool Erase(const key_type& key) { return impl_ ? impl_->Erase(key) : false; }
-  bool Contains(const key_type& key) const {
-    return impl_ ? impl_->Contains(key) : false;
-  }
-  size_t Lookup(const key_type& key) const {
-    return impl_ ? impl_->Lookup(key) : 0;
-  }
-  size_t LowerBound(const key_type& key) const { return Lookup(key); }
-  Approx ApproxPos(const key_type& key) const {
-    return impl_ ? impl_->ApproxPos(key) : Approx{};
-  }
-  void LookupBatch(std::span<const key_type> keys,
-                   std::span<size_t> out) const {
-    if (impl_ != nullptr) {
-      impl_->LookupBatch(keys, out);
-    } else {
-      for (size_t i = 0; i < out.size(); ++i) out[i] = 0;
-    }
-  }
-  std::vector<key_type> Scan(const key_type& from, size_t limit) const {
-    return impl_ ? impl_->Scan(from, limit) : std::vector<key_type>{};
-  }
-  Status Merge() {
-    return impl_ ? impl_->Merge()
-                 : Status::FailedPrecondition(
-                       "AnyConcurrentWritableIndex: empty");
-  }
   void RequestMerge() {
-    if (impl_ != nullptr) impl_->RequestMerge();
+    if (impl_ != nullptr) concurrent().RequestMerge();
   }
   void WaitForMerges() {
-    if (impl_ != nullptr) impl_->WaitForMerges();
-  }
-  size_t size() const { return impl_ ? impl_->size() : 0; }
-  size_t SizeBytes() const { return impl_ ? impl_->SizeBytes() : 0; }
-  WritableIndexStats Stats() const {
-    return impl_ ? impl_->Stats() : WritableIndexStats{};
+    if (impl_ != nullptr) concurrent().WaitForMerges();
   }
   ConcurrentIndexStats ConcurrentStats() const {
-    return impl_ ? impl_->ConcurrentStats() : ConcurrentIndexStats{};
+    return impl_ ? concurrent().ConcurrentStats() : ConcurrentIndexStats{};
   }
 
  private:
-  struct Iface {
-    virtual ~Iface() = default;
-    virtual bool Insert(const key_type& key) = 0;
-    virtual bool Erase(const key_type& key) = 0;
-    virtual bool Contains(const key_type& key) const = 0;
-    virtual size_t Lookup(const key_type& key) const = 0;
-    virtual Approx ApproxPos(const key_type& key) const = 0;
-    virtual void LookupBatch(std::span<const key_type> keys,
-                             std::span<size_t> out) const = 0;
-    virtual std::vector<key_type> Scan(const key_type& from,
-                                       size_t limit) const = 0;
-    virtual Status Merge() = 0;
+  struct ConcurrentIface : Iface {
     virtual void RequestMerge() = 0;
     virtual void WaitForMerges() = 0;
-    virtual size_t size() const = 0;
-    virtual size_t SizeBytes() const = 0;
-    virtual WritableIndexStats Stats() const = 0;
     virtual ConcurrentIndexStats ConcurrentStats() const = 0;
   };
 
   template <typename I>
-  struct Holder final : Iface {
-    template <typename U>
-    explicit Holder(U&& v) : impl(std::forward<U>(v)) {}
+  struct Holder final : Forwarder<I, ConcurrentIface> {
+    using Forwarder<I, ConcurrentIface>::Forwarder;
 
-    bool Insert(const key_type& key) override { return impl.Insert(key); }
-    bool Erase(const key_type& key) override { return impl.Erase(key); }
-    bool Contains(const key_type& key) const override {
-      return impl.Contains(key);
-    }
-    size_t Lookup(const key_type& key) const override {
-      return impl.Lookup(key);
-    }
-    Approx ApproxPos(const key_type& key) const override {
-      return impl.ApproxPos(key);
-    }
-    void LookupBatch(std::span<const key_type> keys,
-                     std::span<size_t> out) const override {
-      index::LookupBatch(impl, keys, out);
-    }
-    std::vector<key_type> Scan(const key_type& from,
-                               size_t limit) const override {
-      return impl.Scan(from, limit);
-    }
-    Status Merge() override { return impl.Merge(); }
-    void RequestMerge() override { impl.RequestMerge(); }
-    void WaitForMerges() override { impl.WaitForMerges(); }
-    size_t size() const override { return impl.size(); }
-    size_t SizeBytes() const override { return impl.SizeBytes(); }
-    WritableIndexStats Stats() const override { return impl.Stats(); }
+    void RequestMerge() override { this->impl.RequestMerge(); }
+    void WaitForMerges() override { this->impl.WaitForMerges(); }
     ConcurrentIndexStats ConcurrentStats() const override {
-      return impl.ConcurrentStats();
+      return this->impl.ConcurrentStats();
     }
-
-    I impl;
   };
 
-  std::unique_ptr<Iface> impl_;
+  // Only the constructor above fills impl_, always with a Holder, and the
+  // private base keeps any other Iface out of it.
+  ConcurrentIface& concurrent() const {
+    return static_cast<ConcurrentIface&>(*impl_);
+  }
 };
-
 
 }  // namespace li::index
 

@@ -45,11 +45,12 @@
 //     policies (dynamic/merge_policy.h) invoke.
 //
 //   Stats() -> WritableIndexStats
-//     Per-op counters (below). O(1). Const.
+//     Write and merge counters plus delta/base sizes (below); reads are
+//     not counted. O(1). Const.
 //
-// Thread-safety baseline: const members are safe from many threads only
-// in the absence of concurrent writers; Insert/Erase/Merge require
-// external exclusion. The refinement contract in
+// Thread-safety baseline: the const members above write no state, so
+// they are safe from many threads in the absence of concurrent writers;
+// Insert/Erase/Merge require external exclusion. The refinement contract in
 // index/concurrent_writable_index.h strengthens this to lock-free reads
 // under concurrent writers and background merges.
 //
@@ -76,30 +77,17 @@
 
 namespace li::index {
 
-/// Per-op counters every writable index reports — the observability the
-/// merge policies act on (delta pressure) and benches print (hit rates,
-/// merge amortization).
+/// Write-side counters every writable index reports: what the merge
+/// policies act on (delta pressure) and benches print (merge
+/// amortization). Reads count nothing, so const members write nothing.
 struct WritableIndexStats {
-  uint64_t lookups = 0;        // Lookup + LookupBatch + Contains calls
-  uint64_t contains = 0;       // Contains calls only
   uint64_t inserts = 0;
   uint64_t erases = 0;
-  uint64_t delta_hits = 0;     // Contains calls answered by the delta
   uint64_t merges = 0;         // completed merge+retrain cycles
-  uint64_t merged_keys = 0;    // keys written across all merges
   double last_merge_ns = 0.0;
   double total_merge_ns = 0.0;
   size_t delta_entries = 0;    // buffered writes not yet merged
-  size_t delta_bytes = 0;      // memory held by the delta structure
   size_t base_keys = 0;        // keys in the immutable base
-
-  /// Fraction of Contains calls the delta resolved without touching the
-  /// base — the locality signal for merge tuning.
-  double DeltaHitRate() const {
-    return contains == 0 ? 0.0
-                         : static_cast<double>(delta_hits) /
-                               static_cast<double>(contains);
-  }
 };
 
 /// A RangeIndex that also accepts point writes. Lookup keeps lower_bound
@@ -130,7 +118,8 @@ concept WritableRangeIndex =
 /// heterogeneous delta-wrapped candidates and hands back "whichever won"
 /// without threading base template parameters everywhere. Build is not
 /// erased (config types differ per base); candidates are built concretely
-/// and moved in.
+/// and moved in. AnyConcurrentWritableIndex extends this erasure with the
+/// concurrent surface.
 class AnyWritableRangeIndex {
  public:
   using key_type = uint64_t;
@@ -181,7 +170,7 @@ class AnyWritableRangeIndex {
   }
   Status Merge() {
     return impl_ ? impl_->Merge()
-                 : Status::FailedPrecondition("AnyWritableRangeIndex: empty");
+                 : Status::FailedPrecondition("writable index handle: empty");
   }
   size_t size() const { return impl_ ? impl_->size() : 0; }
   size_t SizeBytes() const { return impl_ ? impl_->SizeBytes() : 0; }
@@ -189,7 +178,7 @@ class AnyWritableRangeIndex {
     return impl_ ? impl_->Stats() : WritableIndexStats{};
   }
 
- private:
+ protected:
   struct Iface {
     virtual ~Iface() = default;
     virtual bool Insert(const key_type& key) = 0;
@@ -207,10 +196,13 @@ class AnyWritableRangeIndex {
     virtual WritableIndexStats Stats() const = 0;
   };
 
-  template <typename I>
-  struct Holder final : Iface {
+  /// Iface's methods forwarded to an `I`, over `Interface` = Iface or an
+  /// interface derived from it: the one copy of the forwarding that both
+  /// writable erasures' final holders share.
+  template <typename I, typename Interface>
+  struct Forwarder : Interface {
     template <typename U>
-    explicit Holder(U&& v) : impl(std::forward<U>(v)) {}
+    explicit Forwarder(U&& v) : impl(std::forward<U>(v)) {}
 
     bool Insert(const key_type& key) override { return impl.Insert(key); }
     bool Erase(const key_type& key) override { return impl.Erase(key); }
@@ -239,9 +231,16 @@ class AnyWritableRangeIndex {
     I impl;
   };
 
+  template <typename I>
+  struct Holder final : Forwarder<I, Iface> {
+    using Forwarder<I, Iface>::Forwarder;
+  };
+
+  explicit AnyWritableRangeIndex(std::unique_ptr<Iface> impl)
+      : impl_(std::move(impl)) {}
+
   std::unique_ptr<Iface> impl_;
 };
-
 
 }  // namespace li::index
 

@@ -11,6 +11,9 @@
 // multi-threaded behavior is covered by concurrent_stress_test.cc. The
 // delta's base-fence seek gets edge-case streams of its own (skewed
 // runs, empty base, delta keys on base keys) for both index classes.
+// Const reads of DeltaRangeIndex run from four threads at once (race-free
+// by contract when nothing writes; the TSan leg runs this suite), and
+// default-constructed erased handles give their documented answers.
 //
 // Also hosts the Scan allocation regression: this translation unit
 // replaces the global operator new/delete with counting versions, and
@@ -28,6 +31,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "btree/dynamic_btree.h"
@@ -39,6 +43,7 @@
 #include "dynamic/delta_buffer.h"
 #include "dynamic/delta_range_index.h"
 #include "dynamic/merge_policy.h"
+#include "index/concurrent_writable_index.h"
 #include "index/range_index.h"
 #include "index/writable_range_index.h"
 #include "rmi/rmi.h"
@@ -371,20 +376,140 @@ TEST(WritableIndexTest, StatsTrackOpsAndMerges) {
   idx.Insert(fresh1);
   idx.Insert(fresh2);
   idx.Erase(keys[0]);
-  idx.Contains(fresh1);   // delta hit
-  idx.Contains(keys[1]);  // base hit
+  idx.Contains(fresh1);
+  idx.Contains(keys[1]);
   idx.Lookup(12345);
   ASSERT_TRUE(idx.Merge().ok());
   const auto s = idx.Stats();
   EXPECT_EQ(s.inserts, 2u);
   EXPECT_EQ(s.erases, 1u);
-  EXPECT_EQ(s.lookups, 3u);
-  EXPECT_EQ(s.contains, 2u);
-  EXPECT_EQ(s.delta_hits, 1u);
   EXPECT_EQ(s.merges, 1u);
   EXPECT_GT(s.last_merge_ns, 0.0);
   EXPECT_EQ(s.base_keys, keys.size() + 1);  // +2 inserts -1 erase
-  EXPECT_DOUBLE_EQ(s.DeltaHitRate(), 0.5);  // 1 delta hit / 2 Contains
+}
+
+// ---- Const reads from many threads, no writer ----
+// The contract's baseline: const members write no state, so reads from
+// many threads need no exclusion while nothing writes. Under
+// -DLI_SANITIZE=thread a store anywhere on a read path reports a race.
+
+/// Four reader threads run Lookup, LookupBatch, Contains and Scan over
+/// `idx` at once; every answer must match the sorted oracle `ref`.
+template <typename Idx>
+void ReadFromFourThreads(const Idx& idx, const std::vector<uint64_t>& ref,
+                         uint64_t key_space) {
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (uint64_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Xorshift128Plus rng(testing::TestSeed(2300) + t);
+      std::vector<uint64_t> qs(64);
+      std::vector<size_t> out(qs.size());
+      size_t bad = 0;
+      for (int round = 0; round < 100; ++round) {
+        // Half the probes are live keys, so Contains answers both ways.
+        for (uint64_t& q : qs) {
+          q = rng.NextBounded(2) == 0 ? ref[rng.NextBounded(ref.size())]
+                                      : rng.NextBounded(key_space);
+        }
+        idx.LookupBatch(std::span<const uint64_t>(qs),
+                        std::span<size_t>(out));
+        for (size_t i = 0; i < qs.size(); ++i) {
+          const size_t want = OracleRank(ref, qs[i]);
+          bad += out[i] != want;
+          bad += idx.Lookup(qs[i]) != want;
+          bad += idx.Contains(qs[i]) !=
+                 (want < ref.size() && ref[want] == qs[i]);
+        }
+        const size_t limit = 1 + rng.NextBounded(100);
+        bad += idx.Scan(qs[0], limit) != OracleScan(ref, qs[0], limit);
+      }
+      mismatches.fetch_add(bad);
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(WritableConstReadTest, DeltaReadsFromManyThreadsMatchSet) {
+  const auto keys = SeedKeys(20'000, 57);
+  const uint64_t key_space = keys.back() + 1'000;
+  dynamic::MergePolicy manual;
+  manual.trigger = dynamic::MergeTrigger::kManual;
+  DeltaRmi idx;
+  ASSERT_TRUE(idx.Build(keys, RmiConfigFor(keys.size(), manual)).ok());
+  // Inserts and erases past the active run's capacity, so both delta
+  // runs hold entries while the readers run.
+  std::set<uint64_t> oracle(keys.begin(), keys.end());
+  Xorshift128Plus rng(testing::TestSeed(2301));
+  for (int i = 0; i < 1'000; ++i) {
+    const uint64_t k = i % 4 == 3 ? keys[rng.NextBounded(keys.size())]
+                                  : rng.NextBounded(key_space);
+    if (i % 4 == 3) {
+      ASSERT_EQ(idx.Erase(k), oracle.erase(k) > 0);
+    } else {
+      ASSERT_EQ(idx.Insert(k), oracle.insert(k).second);
+    }
+  }
+  ASSERT_GT(idx.delta_entries(), 256u);
+  const std::vector<uint64_t> ref(oracle.begin(), oracle.end());
+  ReadFromFourThreads(idx, ref, key_space);
+  // The same through the erased handle.
+  const index::AnyWritableRangeIndex any(std::move(idx));
+  ReadFromFourThreads(any, ref, key_space);
+}
+
+// ---- Empty erased handles ----
+
+/// The documented answers of a default-constructed writable handle.
+template <typename Handle>
+void ExpectEmptyHandleAnswers(Handle& h) {
+  EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.Lookup(7), 0u);
+  EXPECT_EQ(h.LowerBound(7), 0u);
+  const std::vector<uint64_t> qs = {1, 2, 3};
+  std::vector<size_t> out = {9, 9, 9};
+  h.LookupBatch(std::span<const uint64_t>(qs), std::span<size_t>(out));
+  EXPECT_EQ(out, (std::vector<size_t>{0, 0, 0}));
+  EXPECT_FALSE(h.Insert(7));
+  EXPECT_FALSE(h.Erase(7));
+  EXPECT_FALSE(h.Contains(7));
+  EXPECT_TRUE(h.Scan(0, 10).empty());
+  EXPECT_EQ(h.size(), 0u);
+  EXPECT_EQ(h.SizeBytes(), 0u);
+  const index::WritableIndexStats s = h.Stats();
+  EXPECT_EQ(s.inserts, 0u);
+  EXPECT_EQ(s.erases, 0u);
+  EXPECT_EQ(s.merges, 0u);
+  EXPECT_EQ(s.last_merge_ns, 0.0);
+  EXPECT_EQ(s.total_merge_ns, 0.0);
+  EXPECT_EQ(s.delta_entries, 0u);
+  EXPECT_EQ(s.base_keys, 0u);
+  EXPECT_EQ(h.Merge().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(WritableErasureTest, EmptyHandlesAnswerAsDocumented) {
+  index::AnyWritableRangeIndex writable;
+  ExpectEmptyHandleAnswers(writable);
+
+  index::AnyConcurrentWritableIndex conc;
+  ExpectEmptyHandleAnswers(conc);
+  conc.RequestMerge();   // returns at once
+  conc.WaitForMerges();  // returns at once
+  const index::ConcurrentIndexStats cs = conc.ConcurrentStats();
+  EXPECT_EQ(cs.inserts, 0u);
+  EXPECT_EQ(cs.freezes, 0u);
+  EXPECT_EQ(cs.background_merges, 0u);
+  EXPECT_EQ(cs.writer_contended, 0u);
+  EXPECT_EQ(cs.states_published, 0u);
+  EXPECT_EQ(cs.states_retired, 0u);
+  EXPECT_EQ(cs.states_reclaimed, 0u);
+  EXPECT_EQ(cs.log_entries, 0u);
+  EXPECT_EQ(cs.shards, 1u);
+  EXPECT_EQ(cs.shard_splits, 0u);
+  EXPECT_EQ(cs.shard_coalesces, 0u);
+  EXPECT_EQ(cs.shard_maps_published, 0u);
+  EXPECT_EQ(cs.shard_imbalance, 1.0);
 }
 
 // ---- Concurrent wrappers through the same oracle suite ----
