@@ -13,6 +13,7 @@
 #include "classifier/ngram_logistic.h"
 #include "common/random.h"
 #include "data/strings.h"
+#include "index/existence_index.h"
 #include "lif/measure.h"
 
 using namespace li;
@@ -69,7 +70,7 @@ int main() {
         snprintf(r, sizeof(r), "%.2fx",
                  learned.SizeBytes() / 1e6 / plain_mb);
         snprintf(tf, sizeof(tf), "%.2f%%",
-                 100.0 * learned.MeasuredFpr(test_neg));
+                 100.0 * index::MeasureFprOver(learned, test_neg));
         table.AddRow({"classifier + overflow (5.1.1)", ps, "-", s, r, tf});
       }
     }
@@ -87,7 +88,8 @@ int main() {
                static_cast<unsigned long long>(mh.bitmap_bits()));
       snprintf(s, sizeof(s), "%.3f", mh.SizeBytes() / 1e6);
       snprintf(r, sizeof(r), "%.2fx", mh.SizeBytes() / 1e6 / plain_mb);
-      snprintf(tf, sizeof(tf), "%.2f%%", 100.0 * mh.MeasuredFpr(test_neg));
+      snprintf(tf, sizeof(tf), "%.2f%%",
+               100.0 * index::MeasureFprOver(mh, test_neg));
       table.AddRow({"model-hash sandwich (5.1.2)", ps, ms, s, r, tf});
     }
   }

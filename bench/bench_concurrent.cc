@@ -26,15 +26,17 @@
 //
 // The skewed-stream section drives zipf and moving-hotspot insert storms
 // whose key distribution drifts from the build CDF, with online shard
-// rebalancing off vs on, and reports final + peak max/mean shard mass,
-// split/coalesce counts, and throughput. Acceptance bar: with
+// rebalancing off vs on, run in ABBA order (off, on, on, off), and
+// reports final + peak max/mean shard mass, split/coalesce counts, and
+// throughput (each side's mean of its two runs). Acceptance bar: with
 // rebalancing on, the final imbalance under the zipf storm stays within
-// the configured factor (5% slack) while the fixed-boundary run blows
-// through it. The bar is functional — the worker has drained every
-// action before the reading — so a miss exits non-zero, like a
-// consistency failure. The batched-lookup section compares per-key Lookup routing
-// against the shard-grouped LookupBatch on uniform probes (acceptance:
-// grouped is faster — the recovered RMI software-pipeline win).
+// the configured factor (5% slack) in both runs while the
+// fixed-boundary run blows through it. The bar is functional — the
+// worker has drained every action before the reading — so a miss exits
+// non-zero, like a consistency failure. The batched-lookup section
+// compares per-key Lookup routing against the shard-grouped LookupBatch
+// on uniform probes (acceptance: grouped is faster — the recovered RMI
+// software-pipeline win).
 //
 // Scale knobs: BENCH_CONC_KEYS (default REPRO_SCALE_M million),
 // BENCH_CONC_OPS (ops per cell, default keys/10), BENCH_CONC_THREADS
@@ -411,82 +413,106 @@ int main() {
         skew_base.size(), sk_ops, factor);
     lif::Table st({"skew", "rebalance", "agg ns/op", "final imb", "peak imb",
                    "shards", "splits", "coalesces"});
+    struct SkewRun {
+      double agg_ns = 0.0;
+      double imbalance_final = 0.0;
+      double imbalance_peak = 0.0;
+      double splits = 0.0;
+      double coalesces = 0.0;
+    };
+    // One storm over a fresh index; false if the build fails.
+    auto run_storm = [&](const SkewCase& sc, const lif::ReadWriteWorkload& w,
+                         bool rebal, SkewRun* run) {
+      ShardedRmi::Config cfg;
+      cfg.inner.base.num_leaf_models = std::max<size_t>(
+          64, leaf_models / (4 * std::max<size_t>(num_shards, 1)));
+      cfg.inner.policy = policy;
+      cfg.inner.log_cap = 1024;
+      cfg.num_shards = num_shards;
+      cfg.rebalance.enabled = rebal;
+      cfg.rebalance.max_imbalance = factor;
+      cfg.rebalance.min_split_keys = 2048;
+      cfg.rebalance.check_stride = 256;
+      ShardedRmi idx;
+      if (!idx.Build(skew_base, cfg).ok()) return false;
+      // Peak-imbalance monitor: the moving hotspot balances out by the
+      // end of the stream, so the transient max is the interesting
+      // number there.
+      std::atomic<bool> mon_stop{false};
+      std::atomic<uint64_t> peak_milli{1000};
+      std::thread monitor([&] {
+        while (!mon_stop.load(std::memory_order_relaxed)) {
+          const auto imb =
+              static_cast<uint64_t>(idx.CurrentImbalance() * 1000.0);
+          uint64_t prev = peak_milli.load(std::memory_order_relaxed);
+          while (imb > prev && !peak_milli.compare_exchange_weak(prev, imb)) {
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+      run->agg_ns = lif::RunMixedStreamNs(idx, w, 4);
+      // One request catches drift the last check_stride missed; the
+      // self-re-arming worker then drains every remaining action.
+      if (rebal) idx.RequestRebalance();
+      idx.WaitForRebalances();
+      idx.WaitForMerges();
+      mon_stop.store(true);
+      monitor.join();
+      const size_t inserted = static_cast<size_t>(
+          std::count_if(w.is_insert.begin(), w.is_insert.end(),
+                        [](uint8_t op) { return op != 0; }));
+      all_consistent &= CheckCell(idx, w, inserted);
+      const auto cs = idx.ConcurrentStats();
+      run->imbalance_final = cs.shard_imbalance;
+      run->imbalance_peak = static_cast<double>(peak_milli.load()) / 1000.0;
+      run->splits = static_cast<double>(cs.shard_splits);
+      run->coalesces = static_cast<double>(cs.shard_coalesces);
+      st.AddRow({sc.name, rebal ? "on" : "off", Fmt(run->agg_ns),
+                 Fmt(run->imbalance_final, 2), Fmt(run->imbalance_peak, 2),
+                 std::to_string(cs.shards), std::to_string(cs.shard_splits),
+                 std::to_string(cs.shard_coalesces)});
+      return true;
+    };
     double zipf_imb_on = 0.0, zipf_imb_off = 0.0;
     for (const SkewCase& sc : cases) {
       const lif::ReadWriteWorkload w = lif::MakeSkewedReadWriteWorkload(
           skew_base, sk_ops, 1.0, 1 << 14, 4242, sc.skew);
-      for (const bool rebal : {false, true}) {
-        ShardedRmi::Config cfg;
-        cfg.inner.base.num_leaf_models = std::max<size_t>(
-            64, leaf_models / (4 * std::max<size_t>(num_shards, 1)));
-        cfg.inner.policy = policy;
-        cfg.inner.log_cap = 1024;
-        cfg.num_shards = num_shards;
-        cfg.rebalance.enabled = rebal;
-        cfg.rebalance.max_imbalance = factor;
-        cfg.rebalance.min_split_keys = 2048;
-        cfg.rebalance.check_stride = 256;
-        ShardedRmi idx;
-        if (!idx.Build(skew_base, cfg).ok()) {
+      // ABBA order (off, on, on, off): each side runs once early and once
+      // late in the process, so drift over the run (warming caches, host
+      // load) falls on both sides alike instead of on "on".
+      SkewRun runs[2][2];  // [rebal][first or second run]
+      int done[2] = {0, 0};
+      for (const bool rebal : {false, true, true, false}) {
+        if (!run_storm(sc, w, rebal, &runs[rebal][done[rebal]++])) {
           fprintf(stderr, "skewed sharded build failed\n");
           return 1;
         }
-        // Peak-imbalance monitor: the moving hotspot balances out by the
-        // end of the stream, so the transient max is the interesting
-        // number there.
-        std::atomic<bool> mon_stop{false};
-        std::atomic<uint64_t> peak_milli{1000};
-        std::thread monitor([&] {
-          while (!mon_stop.load(std::memory_order_relaxed)) {
-            const auto imb =
-                static_cast<uint64_t>(idx.CurrentImbalance() * 1000.0);
-            uint64_t prev = peak_milli.load(std::memory_order_relaxed);
-            while (imb > prev &&
-                   !peak_milli.compare_exchange_weak(prev, imb)) {
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-        });
-        const double agg_ns = lif::RunMixedStreamNs(idx, w, 4);
-        // One request catches drift the last check_stride missed; the
-        // self-re-arming worker then drains every remaining action.
-        if (rebal) idx.RequestRebalance();
-        idx.WaitForRebalances();
-        idx.WaitForMerges();
-        mon_stop.store(true);
-        monitor.join();
-        const size_t inserted = static_cast<size_t>(
-            std::count_if(w.is_insert.begin(), w.is_insert.end(),
-                          [](uint8_t op) { return op != 0; }));
-        all_consistent &= CheckCell(idx, w, inserted);
-        const auto cs = idx.ConcurrentStats();
-        const double peak =
-            static_cast<double>(peak_milli.load()) / 1000.0;
-        if (sc.skew.kind == lif::InsertSkew::Kind::kZipf) {
-          (rebal ? zipf_imb_on : zipf_imb_off) = cs.shard_imbalance;
-        }
-        st.AddRow({sc.name, rebal ? "on" : "off", Fmt(agg_ns),
-                   Fmt(cs.shard_imbalance, 2), Fmt(peak, 2),
-                   std::to_string(cs.shards),
-                   std::to_string(cs.shard_splits),
-                   std::to_string(cs.shard_coalesces)});
-        const std::string prefix =
-            std::string("concurrent/sharded/skew_") +
-            (sc.skew.kind == lif::InsertSkew::Kind::kZipf ? "zipf"
-                                                          : "hotspot") +
-            "/rebal_" + (rebal ? "on" : "off");
-        emit(prefix + "/agg_ns", agg_ns);
-        emit(prefix + "/imbalance_final", cs.shard_imbalance);
-        emit(prefix + "/imbalance_peak", peak);
-        emit(prefix + "/splits", static_cast<double>(cs.shard_splits));
-        emit(prefix + "/coalesces",
-             static_cast<double>(cs.shard_coalesces));
+      }
+      const bool zipf = sc.skew.kind == lif::InsertSkew::Kind::kZipf;
+      for (const bool rebal : {false, true}) {
+        const SkewRun& r0 = runs[rebal][0];
+        const SkewRun& r1 = runs[rebal][1];
+        // agg_ns is the side's mean; the other rows take the larger of
+        // its two runs, so the imbalance bar holds for both "on" runs.
+        const double imb_final = std::max(r0.imbalance_final,
+                                          r1.imbalance_final);
+        if (zipf) (rebal ? zipf_imb_on : zipf_imb_off) = imb_final;
+        const std::string prefix = std::string("concurrent/sharded/skew_") +
+                                   (zipf ? "zipf" : "hotspot") + "/rebal_" +
+                                   (rebal ? "on" : "off");
+        emit(prefix + "/agg_ns", (r0.agg_ns + r1.agg_ns) / 2.0);
+        emit(prefix + "/imbalance_final", imb_final);
+        emit(prefix + "/imbalance_peak",
+             std::max(r0.imbalance_peak, r1.imbalance_peak));
+        emit(prefix + "/splits", std::max(r0.splits, r1.splits));
+        emit(prefix + "/coalesces", std::max(r0.coalesces, r1.coalesces));
       }
     }
     st.Print();
     printf(
-        "zipf final imbalance: %.2f with rebalance vs %.2f without "
-        "(acceptance bar: <= %.1f with rebalancing on, exceeded without)\n",
+        "zipf final imbalance (worse of two runs): %.2f with rebalance vs "
+        "%.2f without (acceptance bar: <= %.1f with rebalancing on, "
+        "exceeded without)\n",
         zipf_imb_on, zipf_imb_off, factor);
     if (zipf_imb_on > factor * 1.05) {
       fprintf(stderr,

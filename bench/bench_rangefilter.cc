@@ -94,7 +94,7 @@ Cell RunCell(const std::string& name, const F& filter, size_t num_keys,
   }
   Cell cell;
   cell.name = name;
-  cell.range_fpr = filter.MeasuredRangeFpr(empties);
+  cell.range_fpr = index::MeasureRangeFprOver(filter, empties);
   cell.bits_per_key = static_cast<double>(filter.SizeBytes()) * 8.0 /
                       static_cast<double>(num_keys);
   for (const index::RangeQuery& q : empties) {  // warm-up

@@ -94,7 +94,7 @@ int main() {
       snprintf(r, sizeof(r), "%.2fx", erased.SizeBytes() / 1e6 / bloom_mb[i]);
       snprintf(fn, sizeof(fn), "%.0f%%", 100.0 * fnr);
       snprintf(tf, sizeof(tf), "%.2f%%",
-               100.0 * erased.MeasuredFpr(test_neg));
+               100.0 * index::MeasureFprOver(erased, test_neg));
       table.AddRow({name, f, s, r, fn, tf});
     }
   };

@@ -12,6 +12,7 @@
 
 #include "data/datasets.h"
 #include "data/strings.h"
+#include "index/existence_index.h"
 #include "lif/measure.h"
 #include "lif/synthesizer.h"
 
@@ -56,19 +57,19 @@ int main(int argc, char** argv) {
   spec.nn_hidden = {{8}, {16, 16}};
   spec.nn_epochs = 10;
   spec.size_budget_bytes = static_cast<size_t>(budget_mb * 1e6);
-  lif::SynthesizedIndex index;
-  if (const Status s = index.Synthesize(keys, spec); !s.ok()) {
+  lif::Synthesis<index::AnyRangeIndex> range;
+  if (const Status s = lif::SynthesizeRange(keys, spec, &range); !s.ok()) {
     fprintf(stderr, "synthesis failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  PrintReports(index.reports(), /*with_fpr=*/false);
-  printf("winner: %s (%.2f MB)\n\n", index.description().c_str(),
-         index.SizeBytes() / 1e6);
+  PrintReports(range.reports, /*with_fpr=*/false);
+  printf("winner: %s (%.2f MB)\n\n", range.description.c_str(),
+         range.winner.SizeBytes() / 1e6);
 
   const auto queries = data::SampleKeys(keys, 10'000);
   size_t hits = 0;
   for (const uint64_t q : queries) {
-    const size_t pos = index.LowerBound(q);
+    const size_t pos = range.winner.Lookup(q);
     hits += pos < keys.size() && keys[pos] == q;
   }
   printf("verified %zu/%zu sampled range lookups\n\n", hits, queries.size());
@@ -83,16 +84,16 @@ int main(int argc, char** argv) {
   }
   lif::PointSynthesisSpec pspec;
   pspec.eval_queries = 10'000;
-  lif::SynthesizedPointIndex pindex;
-  if (const Status s = pindex.Synthesize(records, pspec); !s.ok()) {
+  lif::Synthesis<index::AnyPointIndex> point;
+  if (const Status s = lif::SynthesizePoint(records, pspec, &point); !s.ok()) {
     fprintf(stderr, "point synthesis failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  PrintReports(pindex.reports(), /*with_fpr=*/false);
-  printf("winner: %s (%.2f MB incl. records)\n", pindex.description().c_str(),
-         pindex.SizeBytes() / 1e6);
+  PrintReports(point.reports, /*with_fpr=*/false);
+  printf("winner: %s (%.2f MB incl. records)\n", point.description.c_str(),
+         point.winner.SizeBytes() / 1e6);
   hits = 0;
-  for (const uint64_t q : queries) hits += pindex.Find(q) != nullptr;
+  for (const uint64_t q : queries) hits += point.winner.Find(q) != nullptr;
   printf("verified %zu/%zu sampled point lookups\n\n", hits, queries.size());
   ok = ok && hits == queries.size();
 
@@ -111,19 +112,19 @@ int main(int argc, char** argv) {
       corpus.random_negatives.end());
   lif::ExistenceSynthesisSpec espec;
   espec.target_fpr = 0.01;
-  lif::SynthesizedExistenceIndex eindex;
-  if (const Status s = eindex.Synthesize(corpus.keys, train_neg, valid_neg,
-                                         test_neg, espec);
+  lif::Synthesis<index::AnyExistenceIndex> existence;
+  if (const Status s = lif::SynthesizeExistence(
+          corpus.keys, train_neg, valid_neg, test_neg, espec, &existence);
       !s.ok()) {
     fprintf(stderr, "existence synthesis failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  PrintReports(eindex.reports(), /*with_fpr=*/true);
+  PrintReports(existence.reports, /*with_fpr=*/true);
   printf("winner: %s (%.3f MB, measured FPR %.2f%%)\n",
-         eindex.description().c_str(), eindex.SizeBytes() / 1e6,
-         100.0 * eindex.MeasuredFpr(test_neg));
+         existence.description.c_str(), existence.winner.SizeBytes() / 1e6,
+         100.0 * index::MeasureFprOver(existence.winner, test_neg));
   size_t misses = 0;
-  for (const auto& k : corpus.keys) misses += !eindex.MightContain(k);
+  for (const auto& k : corpus.keys) misses += !existence.winner.MightContain(k);
   printf("false negatives: %zu (must be 0)\n", misses);
   return ok && misses == 0 ? 0 : 1;
 }

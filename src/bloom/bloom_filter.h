@@ -2,8 +2,8 @@
 // Kirsch-Mitzenmacher double hashing. Sized from (n, target FPR) with the
 // textbook optimum m = -n ln p / (ln 2)^2, k = (m/n) ln 2 — the formula
 // behind the paper's "2.04 MB for 1% FPR over 1.7M keys" baseline.
-// Satisfies the index::ExistenceIndex contract (MightContain / SizeBytes /
-// MeasuredFpr), the baseline every learned variant is compared against.
+// Satisfies the index::ExistenceIndex contract (MightContain / SizeBytes),
+// the baseline every learned variant is compared against.
 
 #ifndef LI_BLOOM_BLOOM_FILTER_H_
 #define LI_BLOOM_BLOOM_FILTER_H_
@@ -17,7 +17,6 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "index/existence_index.h"
 #include "index/snapshottable.h"
 #include "snapshot/arena.h"
 #include "snapshot/snapshot.h"
@@ -65,11 +64,6 @@ class BloomFilter {
   }
   bool MightContain(std::string_view key) const {
     return TestHash(MurmurHash64(key.data(), key.size()));
-  }
-
-  /// Measured FPR over a test set of non-keys (the contract-wide metric).
-  double MeasuredFpr(std::span<const std::string> test_non_keys) const {
-    return index::MeasureFprOver(*this, test_non_keys);
   }
 
   uint64_t num_bits() const { return num_bits_; }

@@ -24,7 +24,6 @@
 
 #include "bloom/bloom_filter.h"
 #include "common/status.h"
-#include "index/existence_index.h"
 
 namespace li::bloom {
 
@@ -90,11 +89,6 @@ class LearnedBloomFilter {
     if (classifier_ == nullptr) return false;  // never built: empty set
     if (classifier_->Predict(key) >= tau_) return true;
     return has_overflow_ && overflow_.MightContain(key);
-  }
-
-  /// Measured FPR over a test set of non-keys (the contract-wide metric).
-  double MeasuredFpr(std::span<const std::string> test_non_keys) const {
-    return index::MeasureFprOver(*this, test_non_keys);
   }
 
   double tau() const { return tau_; }

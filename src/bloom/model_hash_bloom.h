@@ -23,7 +23,6 @@
 
 #include "bloom/bloom_filter.h"
 #include "common/status.h"
-#include "index/existence_index.h"
 
 namespace li::bloom {
 
@@ -74,11 +73,6 @@ class ModelHashBloomFilter {
     if (classifier_ == nullptr) return false;  // never built: empty set
     if (!TestBit(Discretize(classifier_->Predict(key)))) return false;
     return backup_.MightContain(key);
-  }
-
-  /// Measured FPR over a test set of non-keys (the contract-wide metric).
-  double MeasuredFpr(std::span<const std::string> test_non_keys) const {
-    return index::MeasureFprOver(*this, test_non_keys);
   }
 
   double fpr_m() const { return fpr_m_; }

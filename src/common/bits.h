@@ -11,9 +11,6 @@ namespace li {
 /// Smallest power of two >= x (x > 0).
 inline uint64_t NextPow2(uint64_t x) { return std::bit_ceil(x); }
 
-/// True iff x is a power of two.
-inline bool IsPow2(uint64_t x) { return x && std::has_single_bit(x); }
-
 /// floor(log2(x)) for x > 0.
 inline unsigned Log2Floor(uint64_t x) {
   return 63u - static_cast<unsigned>(std::countl_zero(x));

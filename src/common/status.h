@@ -18,7 +18,6 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kOutOfRange,
   kFailedPrecondition,
   kInternal,
   kUnimplemented,
@@ -37,9 +36,6 @@ class Status {
   }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
@@ -62,7 +58,6 @@ class Status {
       case StatusCode::kOk: name = "OK"; break;
       case StatusCode::kInvalidArgument: name = "INVALID_ARGUMENT"; break;
       case StatusCode::kNotFound: name = "NOT_FOUND"; break;
-      case StatusCode::kOutOfRange: name = "OUT_OF_RANGE"; break;
       case StatusCode::kFailedPrecondition: name = "FAILED_PRECONDITION"; break;
       case StatusCode::kInternal: name = "INTERNAL"; break;
       case StatusCode::kUnimplemented: name = "UNIMPLEMENTED"; break;

@@ -356,23 +356,11 @@ class DeltaBuffer {
     std::vector<Meta> merged_meta;
     merged_keys.reserve(keys_.size() + active_keys_.size());
     merged_meta.reserve(keys_.size() + active_keys_.size());
-    size_t c = 0, a = 0;
-    while (c < keys_.size() || a < active_keys_.size()) {
-      const bool take_active =
-          a < active_keys_.size() &&
-          (c >= keys_.size() || !(keys_[c] < active_keys_[a]));
-      if (take_active) {
-        if (c < keys_.size() && keys_[c] == active_keys_[a]) ++c;
-        merged_keys.push_back(active_keys_[a]);
-        merged_meta.push_back(
-            Meta{active_meta_[a].tombstone, active_meta_[a].in_base});
-        ++a;
-      } else {
-        merged_keys.push_back(keys_[c]);
-        merged_meta.push_back(meta_[c]);
-        ++c;
-      }
-    }
+    VisitAll([&](const DeltaEntry<Key>& e) {
+      merged_keys.push_back(e.key);
+      merged_meta.push_back(Meta{e.tombstone, e.in_base});
+      return true;
+    });
     SetConsolidated(std::move(merged_keys), std::move(merged_meta), base,
                     this);
     active_keys_.clear();

@@ -20,10 +20,9 @@
 //     synthesizer picks the *smallest* qualifying candidate rather than
 //     the fastest. O(1). Const-safe.
 //
-//   MeasuredFpr(span<const string> non_keys) -> double
-//     The false-positive fraction of MightContain over a non-key test
-//     set, delegated to MeasureFprOver below by every implementation so
-//     the metric cannot drift. O(|non_keys|) probes. Const-safe.
+// Measured FPR is not a member: MeasureFprOver below is its one
+// definition, and every caller (LIF, benches, tests) runs it over a
+// filter or a handle, so the metric cannot drift between implementations.
 //
 // Thread-safety baseline: const members are safe from many threads after
 // construction; filters are immutable once built.
@@ -50,9 +49,9 @@
 namespace li::index {
 
 /// The one definition of "measured FPR": the false-positive fraction of
-/// `MightContain` over a non-key test set. Every filter's MeasuredFpr
-/// member delegates here so the metric cannot drift between
-/// implementations.
+/// `MightContain` over a non-key test set, for any filter with that
+/// member (every ExistenceIndex, AnyExistenceIndex included). O(|set|)
+/// probes; 0 on an empty set.
 template <typename F>
 double MeasureFprOver(const F& filter,
                       std::span<const std::string> test_non_keys) {
@@ -71,15 +70,13 @@ double MeasureFprOver(const F& filter,
 template <typename F>
 concept ExistenceIndex =
     std::movable<F> &&
-    requires(const F& f, std::string_view key,
-             std::span<const std::string> non_keys) {
+    requires(const F& f, std::string_view key) {
       { f.MightContain(key) } -> std::same_as<bool>;
       { f.SizeBytes() } -> std::same_as<size_t>;
-      { f.MeasuredFpr(non_keys) } -> std::same_as<double>;
     };
 
 /// Type-erased ExistenceIndex. An empty handle behaves like a filter over
-/// the empty set: MightContain is always false, FPR is 0.
+/// the empty set: MightContain is always false, so its measured FPR is 0.
 class AnyExistenceIndex {
  public:
   AnyExistenceIndex() = default;
@@ -100,17 +97,12 @@ class AnyExistenceIndex {
     return impl_ != nullptr && impl_->MightContain(key);
   }
   size_t SizeBytes() const { return impl_ ? impl_->SizeBytes() : 0; }
-  double MeasuredFpr(std::span<const std::string> non_keys) const {
-    return impl_ ? impl_->MeasuredFpr(non_keys) : 0.0;
-  }
 
  private:
   struct Iface {
     virtual ~Iface() = default;
     virtual bool MightContain(std::string_view key) const = 0;
     virtual size_t SizeBytes() const = 0;
-    virtual double MeasuredFpr(
-        std::span<const std::string> non_keys) const = 0;
   };
 
   template <typename F>
@@ -122,9 +114,6 @@ class AnyExistenceIndex {
       return impl.MightContain(key);
     }
     size_t SizeBytes() const override { return impl.SizeBytes(); }
-    double MeasuredFpr(std::span<const std::string> non_keys) const override {
-      return impl.MeasuredFpr(non_keys);
-    }
 
     F impl;
   };

@@ -29,11 +29,9 @@
 //     objective (memory at a fixed FPR) is why the range synthesizer
 //     picks the *smallest* qualifying candidate. O(1). Const-safe.
 //
-//   MeasuredRangeFpr(span<const RangeQuery> empty_queries) -> double
-//     The false-positive fraction of MightContainRange over query ranges
-//     known to contain no built key, delegated to MeasureRangeFprOver
-//     below by every implementation so the metric cannot drift.
-//     O(|empty_queries|) probes. Const-safe.
+// Measured range-FPR is not a member: MeasureRangeFprOver below is its
+// one definition, and every caller (LIF, bench_rangefilter, tests) runs
+// it over a filter or a handle, so the metric cannot drift.
 //
 // Thread-safety baseline: const members are safe from many threads after
 // construction; filters are immutable once built.
@@ -41,7 +39,7 @@
 // Build is *not* part of the contract: construction recipes differ (a
 // per-segment CDF model grid vs a fixed-width block grid), so candidates
 // are built concretely and erased into AnyRangeFilter — the seam the LIF
-// range-filter class (lif::SynthesizedRangeFilter) and bench_rangefilter
+// range-filter synthesis (lif::SynthesizeRangeFilter) and bench_rangefilter
 // enumerate over, mirroring AnyExistenceIndex.
 
 #ifndef LI_INDEX_RANGE_FILTER_H_
@@ -65,8 +63,8 @@ struct RangeQuery {
 
 /// The one definition of "measured range FPR": the false-positive
 /// fraction of MightContainRange over ranges known to be empty of built
-/// keys. Every filter's MeasuredRangeFpr member delegates here so the
-/// metric cannot drift between implementations.
+/// keys, for any filter with that member (every RangeFilter,
+/// AnyRangeFilter included). O(|queries|) probes; 0 on an empty set.
 template <typename F>
 double MeasureRangeFprOver(const F& filter,
                            std::span<const RangeQuery> empty_queries) {
@@ -85,16 +83,15 @@ double MeasureRangeFprOver(const F& filter,
 template <typename F>
 concept RangeFilter =
     std::movable<F> &&
-    requires(const F& f, uint64_t lo, uint64_t hi,
-             std::span<const RangeQuery> empty_queries) {
+    requires(const F& f, uint64_t lo, uint64_t hi) {
       { f.MightContainRange(lo, hi) } -> std::same_as<bool>;
       { f.MightContain(lo) } -> std::same_as<bool>;
       { f.SizeBytes() } -> std::same_as<size_t>;
-      { f.MeasuredRangeFpr(empty_queries) } -> std::same_as<double>;
     };
 
 /// Type-erased RangeFilter. An empty handle behaves like a filter over
-/// the empty key set: every query answers false, FPR is 0.
+/// the empty key set: every query answers false, so its measured FPR
+/// is 0.
 class AnyRangeFilter {
  public:
   AnyRangeFilter() = default;
@@ -118,9 +115,6 @@ class AnyRangeFilter {
     return impl_ != nullptr && impl_->MightContain(key);
   }
   size_t SizeBytes() const { return impl_ ? impl_->SizeBytes() : 0; }
-  double MeasuredRangeFpr(std::span<const RangeQuery> empty_queries) const {
-    return impl_ ? impl_->MeasuredRangeFpr(empty_queries) : 0.0;
-  }
 
  private:
   struct Iface {
@@ -128,8 +122,6 @@ class AnyRangeFilter {
     virtual bool MightContainRange(uint64_t lo, uint64_t hi) const = 0;
     virtual bool MightContain(uint64_t key) const = 0;
     virtual size_t SizeBytes() const = 0;
-    virtual double MeasuredRangeFpr(
-        std::span<const RangeQuery> empty_queries) const = 0;
   };
 
   template <typename F>
@@ -144,10 +136,6 @@ class AnyRangeFilter {
       return impl.MightContain(key);
     }
     size_t SizeBytes() const override { return impl.SizeBytes(); }
-    double MeasuredRangeFpr(
-        std::span<const RangeQuery> empty_queries) const override {
-      return impl.MeasuredRangeFpr(empty_queries);
-    }
 
     F impl;
   };

@@ -22,16 +22,16 @@
 
 namespace li::lif {
 
-static_assert(index::RangeFilter<SynthesizedRangeFilter>);
-
 namespace {
 
 /// The one LIF loop (§3.1) every synthesis class runs on. A class builds
 /// and measures each grid point, then offers it here with its report.
-/// The sweep records every report, marks it against the size budget,
-/// applies the class gate (validation FPR at most `fpr_cap`; no gate by
-/// default) and keeps the qualifying candidate with the lowest objective,
-/// erased into `Handle`. Finish hands the winner over, or NotFound.
+/// The sweep records every report into the caller's Synthesis (cleared
+/// when the sweep starts), marks it against the size budget, applies the
+/// class gate (validation FPR at most `fpr_cap`; no gate by default) and
+/// keeps the qualifying candidate with the lowest objective, erased into
+/// `Handle`. Finish hands the winner and its description over, or
+/// returns NotFound and leaves both outputs untouched.
 template <typename Handle>
 class Sweep {
  public:
@@ -122,10 +122,11 @@ Status OfferRmi(std::span<const uint64_t> keys, const rmi::RmiConfig& rc,
 
 }  // namespace
 
-Status SynthesizedIndex::Synthesize(std::span<const uint64_t> keys,
-                                    const SynthesisSpec& spec) {
+Status SynthesizeRange(std::span<const uint64_t> keys,
+                       const SynthesisSpec& spec,
+                       Synthesis<index::AnyRangeIndex>* out) {
   if (keys.empty()) {
-    return Status::InvalidArgument("Synthesize: empty key set");
+    return Status::InvalidArgument("SynthesizeRange: empty key set");
   }
   const std::vector<uint64_t> key_vec(keys.begin(), keys.end());
   const std::vector<uint64_t> queries =
@@ -134,7 +135,7 @@ Status SynthesizedIndex::Synthesize(std::span<const uint64_t> keys,
   // Candidates are built concretely (Build is config-specific), then
   // type-erased into the uniform contract — the §3.1 "generate different
   // index configurations ... test them automatically" seam.
-  Sweep<index::AnyRangeIndex> sweep(&reports_, spec.size_budget_bytes,
+  Sweep<index::AnyRangeIndex> sweep(&out->reports, spec.size_budget_bytes,
                                     ByLookupNs);
   for (const size_t m : spec.stage2_sizes) {
     rmi::RmiConfig rc;
@@ -162,14 +163,16 @@ Status SynthesizedIndex::Synthesize(std::span<const uint64_t> keys,
           keys, nn_rc, std::move(desc), queries, &sweep));
     }
   }
-  return sweep.Finish("Synthesize: no candidate fits the size budget",
-                      &winner_, &description_);
+  return sweep.Finish("SynthesizeRange: no candidate fits the size budget",
+                      &out->winner, &out->description);
 }
 
-Status SynthesizedIndex::WriteSnapshot(const std::string& path) const {
-  const std::string kind = winner_.SnapshotKind();
+Status WriteRangeSynthesis(const Synthesis<index::AnyRangeIndex>& s,
+                           const std::string& path) {
+  const std::string kind = s.winner.SnapshotKind();
   if (kind.empty()) {
-    return Status::Unimplemented("SynthesizedIndex: winner '" + description_ +
+    return Status::Unimplemented("WriteRangeSynthesis: winner '" +
+                                 s.description +
                                  "' has no flat snapshot format");
   }
   snapshot::SnapshotWriter writer;
@@ -178,13 +181,13 @@ Status SynthesizedIndex::WriteSnapshot(const std::string& path) const {
                                        kind.data(), kind.size()));
   LI_RETURN_IF_ERROR(writer.AddSection("lif/desc",
                                        snapshot::SectionKind::kMeta,
-                                       description_.data(),
-                                       description_.size()));
-  LI_RETURN_IF_ERROR(winner_.WriteSections(writer, "w/"));
+                                       s.description.data(),
+                                       s.description.size()));
+  LI_RETURN_IF_ERROR(s.winner.WriteSections(writer, "w/"));
   return writer.WriteFile(path);
 }
 
-Result<SynthesizedIndex> SynthesizedIndex::OpenSnapshot(
+Result<Synthesis<index::AnyRangeIndex>> OpenRangeSynthesis(
     const std::string& path, const snapshot::OpenOptions& opts) {
   auto reader = snapshot::SnapshotReader::Open(path, opts);
   if (!reader.ok()) return reader.status();
@@ -195,8 +198,8 @@ Result<SynthesizedIndex> SynthesizedIndex::OpenSnapshot(
   const std::string kind(
       reinterpret_cast<const char*>(kind_bytes.value().data()),
       kind_bytes.value().size());
-  SynthesizedIndex out;
-  out.description_.assign(
+  Synthesis<index::AnyRangeIndex> out;
+  out.description.assign(
       reinterpret_cast<const char*>(desc_bytes.value().data()),
       desc_bytes.value().size());
   // The kind-tag registry: one entry per candidate type with a flat
@@ -204,10 +207,10 @@ Result<SynthesizedIndex> SynthesizedIndex::OpenSnapshot(
   if (kind == "rmi.linear.u64") {
     rmi::LinearRmi idx;
     LI_RETURN_IF_ERROR(idx.LoadSections(reader.value(), "w/"));
-    out.winner_ = index::AnyRangeIndex(std::move(idx));
+    out.winner = index::AnyRangeIndex(std::move(idx));
   } else {
-    return Status::Unimplemented("SynthesizedIndex snapshot kind '" + kind +
-                                 "' has no registered loader");
+    return Status::Unimplemented("OpenRangeSynthesis: snapshot kind '" +
+                                 kind + "' has no registered loader");
   }
   return out;
 }
@@ -216,8 +219,9 @@ Result<SynthesizedIndex> SynthesizedIndex::OpenSnapshot(
 // Point-index synthesis (§4): {random, learned-CDF} x slot sweep x family.
 // ---------------------------------------------------------------------------
 
-Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
-                                         const PointSynthesisSpec& spec) {
+Status SynthesizePoint(std::span<const hash::Record> records,
+                       const PointSynthesisSpec& spec,
+                       Synthesis<index::AnyPointIndex>* out) {
   if (records.empty()) {
     return Status::InvalidArgument("SynthesizePoint: empty record set");
   }
@@ -227,7 +231,7 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
   const std::vector<uint64_t> queries =
       data::SampleKeys(keys, spec.eval_queries, spec.seed);
 
-  Sweep<index::AnyPointIndex> sweep(&reports_, spec.size_budget_bytes,
+  Sweep<index::AnyPointIndex> sweep(&out->reports, spec.size_budget_bytes,
                                     ByLookupNs);
 
   // Every map family shares the measurement recipe; the hash-only cost
@@ -317,7 +321,7 @@ Status SynthesizedPointIndex::Synthesize(std::span<const hash::Record> records,
   }
 
   return sweep.Finish("SynthesizePoint: no candidate fits the size budget",
-                      &winner_, &description_);
+                      &out->winner, &out->description);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,9 +341,6 @@ struct OwnedLearnedBloom {
     return filter.MightContain(key);
   }
   size_t SizeBytes() const { return filter.SizeBytes(); }
-  double MeasuredFpr(std::span<const std::string> non_keys) const {
-    return filter.MeasuredFpr(non_keys);
-  }
 };
 
 struct OwnedModelHashBloom {
@@ -350,9 +351,6 @@ struct OwnedModelHashBloom {
     return filter.MightContain(key);
   }
   size_t SizeBytes() const { return filter.SizeBytes(); }
-  double MeasuredFpr(std::span<const std::string> non_keys) const {
-    return filter.MeasuredFpr(non_keys);
-  }
 };
 
 static_assert(index::ExistenceIndex<OwnedLearnedBloom>);
@@ -360,12 +358,12 @@ static_assert(index::ExistenceIndex<OwnedModelHashBloom>);
 
 }  // namespace
 
-Status SynthesizedExistenceIndex::Synthesize(
-    std::span<const std::string> keys,
-    std::span<const std::string> train_non_keys,
-    std::span<const std::string> valid_non_keys,
-    std::span<const std::string> eval_non_keys,
-    const ExistenceSynthesisSpec& spec) {
+Status SynthesizeExistence(std::span<const std::string> keys,
+                           std::span<const std::string> train_non_keys,
+                           std::span<const std::string> valid_non_keys,
+                           std::span<const std::string> eval_non_keys,
+                           const ExistenceSynthesisSpec& spec,
+                           Synthesis<index::AnyExistenceIndex>* out) {
   if (keys.empty()) {
     return Status::InvalidArgument("SynthesizeExistence: empty key set");
   }
@@ -385,16 +383,16 @@ Status SynthesizedExistenceIndex::Synthesize(
   // *validation* split so the eval split stays an unbiased test set
   // (report.fpr); picking by eval FPR would let the test set select the
   // winner.
-  Sweep<index::AnyExistenceIndex> sweep(&reports_, spec.size_budget_bytes,
-                                        BySize,
+  Sweep<index::AnyExistenceIndex> sweep(&out->reports,
+                                        spec.size_budget_bytes, BySize,
                                         spec.target_fpr * spec.fpr_slack);
 
   // Fills the report: eval-split FPR + probe latency for reporting, plus
   // the validation-split FPR the sweep qualifies on.
   auto measure = [&](const auto& filter, CandidateReport* report) {
     report->size_bytes = filter.SizeBytes();
-    report->fpr = filter.MeasuredFpr(probes);
-    report->valid_fpr = filter.MeasuredFpr(valid_non_keys);
+    report->fpr = index::MeasureFprOver(filter, probes);
+    report->valid_fpr = index::MeasureFprOver(filter, valid_non_keys);
     report->lookup_ns = MeasureNsPerOp(probes, 1, [&](const std::string& q) {
       return filter.MightContain(std::string_view(q));
     });
@@ -460,7 +458,7 @@ Status SynthesizedExistenceIndex::Synthesize(
   return sweep.Finish(
       "SynthesizeExistence: no candidate meets the FPR target within the "
       "size budget",
-      &winner_, &description_);
+      &out->winner, &out->description);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,18 +466,16 @@ Status SynthesizedExistenceIndex::Synthesize(
 // optimizing memory at a fixed target range-FPR.
 // ---------------------------------------------------------------------------
 
-Status SynthesizedRangeFilter::Synthesize(
-    std::span<const uint64_t> keys, const RangeFilterSynthesisSpec& spec) {
+Status SynthesizeRangeFilter(std::span<const uint64_t> keys,
+                             const RangeFilterSynthesisSpec& spec,
+                             Synthesis<index::AnyRangeFilter>* out) {
   if (keys.empty()) {
-    return Status::InvalidArgument("SynthesizeRange: empty key set");
+    return Status::InvalidArgument("SynthesizeRangeFilter: empty key set");
   }
   if (spec.target_range_fpr <= 0.0 || spec.target_range_fpr >= 1.0) {
-    return Status::InvalidArgument("SynthesizeRange: bad target range-FPR");
+    return Status::InvalidArgument(
+        "SynthesizeRangeFilter: bad target range-FPR");
   }
-  Sweep<index::AnyRangeFilter> sweep(&reports_, spec.size_budget_bytes,
-                                     BySize,
-                                     spec.target_range_fpr * spec.fpr_slack);
-
   std::vector<uint64_t> sorted(keys.begin(), keys.end());
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
@@ -500,9 +496,12 @@ Status SynthesizedRangeFilter::Synthesize(
                                     kRangeWitnessQueries, qcfg.max_width);
   if (valid_queries.empty() || eval_queries.empty()) {
     return Status::InvalidArgument(
-        "SynthesizeRange: key set has no gaps to generate empty ranges "
-        "from");
+        "SynthesizeRangeFilter: key set has no gaps to generate empty "
+        "ranges from");
   }
+  Sweep<index::AnyRangeFilter> sweep(&out->reports, spec.size_budget_bytes,
+                                     BySize,
+                                     spec.target_range_fpr * spec.fpr_slack);
 
   // Same shape as the point-probe existence sweep: measure fills the
   // report after the witness oracle, which fails the whole sweep on any
@@ -510,13 +509,14 @@ Status SynthesizedRangeFilter::Synthesize(
   auto measure = [&](const auto& filter, CandidateReport* report) -> Status {
     for (const index::RangeQuery& w : witnesses) {
       if (!filter.MightContainRange(w.lo, w.hi)) {
-        return Status::Internal("SynthesizeRange oracle: false negative (" +
-                                report->description + ")");
+        return Status::Internal(
+            "SynthesizeRangeFilter oracle: false negative (" +
+            report->description + ")");
       }
     }
     report->size_bytes = filter.SizeBytes();
-    report->valid_fpr = filter.MeasuredRangeFpr(valid_queries);
-    report->fpr = filter.MeasuredRangeFpr(eval_queries);
+    report->valid_fpr = index::MeasureRangeFprOver(filter, valid_queries);
+    report->fpr = index::MeasureRangeFprOver(filter, eval_queries);
     report->lookup_ns =
         MeasureNsPerOp(eval_queries, 1, [&](const index::RangeQuery& q) {
           return filter.MightContainRange(q.lo, q.hi);
@@ -550,9 +550,9 @@ Status SynthesizedRangeFilter::Synthesize(
   }
 
   return sweep.Finish(
-      "SynthesizeRange: no candidate meets the range-FPR target within the "
-      "size budget",
-      &winner_, &description_);
+      "SynthesizeRangeFilter: no candidate meets the range-FPR target "
+      "within the size budget",
+      &out->winner, &out->description);
 }
 
 // ---------------------------------------------------------------------------
@@ -583,8 +583,9 @@ Status EvaluateWritableCandidate(const ReadWriteWorkload& w,
 
 /// The writable sweep's Handle. The measured instance absorbed the
 /// held-out insert stream, so each candidate is offered as a closure that
-/// rebuilds its configuration over the *full* key set into `*winner`;
-/// only the winner's runs, once, after the sweep.
+/// rebuilds its configuration over the *full* key set into `*winner`
+/// (the caller's Synthesis); only the winner's runs, once, after the
+/// sweep, and it leaves `*winner` as it was if the build fails.
 using Rebuild = std::function<Status()>;
 
 template <typename Idx>
@@ -601,8 +602,9 @@ Rebuild RebuildOnFullKeys(std::span<const uint64_t> keys,
 
 }  // namespace
 
-Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
-                                            const WritableSynthesisSpec& spec) {
+Status SynthesizeWritable(std::span<const uint64_t> keys,
+                          const WritableSynthesisSpec& spec,
+                          Synthesis<index::AnyWritableRangeIndex>* out) {
   if (keys.empty()) {
     return Status::InvalidArgument("SynthesizeWritable: empty key set");
   }
@@ -612,7 +614,7 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
   const ReadWriteWorkload w = MakeReadWriteWorkload(
       keys, spec.eval_ops, spec.insert_ratio, spec.eval_ops, spec.seed);
 
-  Sweep<Rebuild> sweep(&reports_, spec.size_budget_bytes, ByMixedNs);
+  Sweep<Rebuild> sweep(&out->reports, spec.size_budget_bytes, ByMixedNs);
 
   using DeltaRmi = dynamic::DeltaRangeIndex<rmi::LinearRmi>;
   for (const size_t m : spec.stage2_sizes) {
@@ -623,7 +625,7 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
     LI_RETURN_IF_ERROR(EvaluateWritableCandidate<DeltaRmi>(
         w, cfg, "delta[rmi linear / " + std::to_string(m) + " leaves]",
         &report));
-    sweep.Offer(RebuildOnFullKeys<DeltaRmi>(keys, cfg, &winner_),
+    sweep.Offer(RebuildOnFullKeys<DeltaRmi>(keys, cfg, &out->winner),
                 std::move(report));
   }
   using DeltaBtree = dynamic::DeltaRangeIndex<btree::ReadOnlyBTree>;
@@ -635,15 +637,18 @@ Status SynthesizedWritableIndex::Synthesize(std::span<const uint64_t> keys,
     LI_RETURN_IF_ERROR(EvaluateWritableCandidate<DeltaBtree>(
         w, cfg, "delta[btree / " + std::to_string(page) + " keys/page]",
         &report));
-    sweep.Offer(RebuildOnFullKeys<DeltaBtree>(keys, cfg, &winner_),
+    sweep.Offer(RebuildOnFullKeys<DeltaBtree>(keys, cfg, &out->winner),
                 std::move(report));
   }
 
   Rebuild rebuild_winner;
+  std::string description;
   LI_RETURN_IF_ERROR(
       sweep.Finish("SynthesizeWritable: no candidate fits the size budget",
-                   &rebuild_winner, &description_));
-  return rebuild_winner();
+                   &rebuild_winner, &description));
+  LI_RETURN_IF_ERROR(rebuild_winner());
+  out->description = std::move(description);
+  return Status::OK();
 }
 
 }  // namespace li::lif

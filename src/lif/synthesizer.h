@@ -2,34 +2,45 @@
 // given an index specification, LIF generates different index
 // configurations, optimizes them, and tests them automatically."
 //
-// The synthesizer covers five index classes, each behind its
-// library-wide contract:
+// The synthesizer covers five index classes. Each is one free function
+// that fills a Synthesis<Handle>, whose winner is the class's
+// library-wide erased handle:
 //
-//  * SynthesizedIndex          (range, §3)    — grid-searches top-model
+//  * SynthesizeRange       (range, §3)    — grid-searches top-model
 //    families (linear, multivariate with auto feature selection, NNs with
 //    0-2 hidden layers and widths 4..32, the §3.7.1 space) crossed with
-//    second-stage model counts; erases the fastest into AnyRangeIndex.
-//  * SynthesizedPointIndex     (point, §4)    — grid-searches
+//    second-stage model counts; the fastest wins, as an AnyRangeIndex.
+//  * SynthesizePoint       (point, §4)    — grid-searches
 //    {random, learned-CDF} hash x slot-count sweep x map family
-//    (separate-chaining, in-place chained, bucketized cuckoo); erases the
-//    fastest into AnyPointIndex.
-//  * SynthesizedExistenceIndex (existence, §5) — searches classifier
+//    (separate-chaining, in-place chained, bucketized cuckoo); the
+//    fastest wins, as an AnyPointIndex.
+//  * SynthesizeExistence   (existence, §5) — searches classifier
 //    capacity x construction (plain Bloom, classifier + overflow,
-//    model-hash sandwich) x bitmap sizes at a fixed target FPR; erases
-//    the smallest qualifying filter into AnyExistenceIndex.
-//  * SynthesizedRangeFilter    (range filter, §5 lifted to ranges) —
+//    model-hash sandwich) x bitmap sizes at a fixed target FPR; the
+//    smallest qualifying filter wins, as an AnyExistenceIndex.
+//  * SynthesizeRangeFilter (range filter, §5 lifted to ranges) —
 //    searches the src/rangefilter/ constructions x bitmap budgets x
-//    segment sizes at a fixed target range-FPR; erases the smallest
-//    qualifying filter into AnyRangeFilter.
-//  * SynthesizedWritableIndex  (writable, App. D.1) — grid-searches
+//    segment sizes at a fixed target range-FPR; the smallest qualifying
+//    filter wins, as an AnyRangeFilter.
+//  * SynthesizeWritable    (writable, App. D.1) — grid-searches
 //    delta-wrapped bases (RMI, read-only B-Tree) under a mixed
-//    insert/lookup stream; erases the fastest into AnyWritableRangeIndex.
+//    insert/lookup stream; the fastest wins, rebuilt over the full key
+//    set, as an AnyWritableRangeIndex.
 //
 // Each class is a grid plus an objective. Every grid point is built,
 // measured on a sampled workload with the measure.h harness and offered
 // to one shared sweep, which reports it as a CandidateReport (so benches
 // can print the full sweep, not just the winner), applies the size budget
-// and the class gate, and keeps the winner.
+// and the class gate, and keeps the winner. Callers query the winner
+// through its handle (`s.winner.Lookup(k)`); measured FPR is
+// index::MeasureFprOver / index::MeasureRangeFprOver over it.
+//
+// Every function validates its inputs before touching `*out`. On success
+// it replaces `winner` and `description`; on any failure both keep their
+// previous values. `reports` always holds the rows of the last sweep
+// that started (cleared at its start), so a NotFound still shows what
+// was tried. A default Synthesis holds the empty handle, which answers
+// as documented on the handle (e.g. the empty filter answers false).
 
 #ifndef LI_LIF_SYNTHESIZER_H_
 #define LI_LIF_SYNTHESIZER_H_
@@ -83,48 +94,37 @@ struct CandidateReport {
   bool within_budget = true;
 };
 
-/// The synthesized range index: whichever candidate won the grid search,
-/// held through the type-erased index::AnyRangeIndex so LIF can enumerate
-/// any RangeIndex implementation — not just RMIs — without changing this
-/// API.
-class SynthesizedIndex {
- public:
-  SynthesizedIndex() = default;
-
-  size_t Lookup(uint64_t key) const { return winner_.Lookup(key); }
-  size_t LowerBound(uint64_t key) const { return winner_.Lookup(key); }
-  index::Approx ApproxPos(uint64_t key) const {
-    return winner_.ApproxPos(key);
-  }
-  void LookupBatch(std::span<const uint64_t> keys,
-                   std::span<size_t> out) const {
-    winner_.LookupBatch(keys, out);
-  }
-  size_t SizeBytes() const { return winner_.SizeBytes(); }
-  const std::string& description() const { return description_; }
-  const std::vector<CandidateReport>& reports() const { return reports_; }
-
-  /// Runs the grid search over `keys` (sorted; caller owns the data).
-  Status Synthesize(std::span<const uint64_t> keys, const SynthesisSpec& spec);
-
-  // ---- Persistence (docs/PERSISTENCE.md) ----
-  // The expensive part of LIF is the grid search; persisting the winner
-  // makes it a build-once artifact. The file carries the winner's
-  // snapshot-kind tag ("lif/kind") next to its sections ("w/..."), so
-  // OpenSnapshot can dispatch back to the concrete index type without
-  // the caller knowing which candidate won. Winners without a flat
-  // snapshot format (NN / multivariate tops) return Unimplemented —
-  // re-synthesize those on restart.
-
-  Status WriteSnapshot(const std::string& path) const;
-  static Result<SynthesizedIndex> OpenSnapshot(
-      const std::string& path, const snapshot::OpenOptions& opts = {});
-
- private:
-  index::AnyRangeIndex winner_;
-  std::string description_;
-  std::vector<CandidateReport> reports_;
+/// What a synthesis call hands back: the winning candidate behind its
+/// erased `Handle`, the winner's report description, and every
+/// candidate's report row from the last sweep.
+template <typename Handle>
+struct Synthesis {
+  Handle winner;
+  std::string description;
+  std::vector<CandidateReport> reports;
 };
+
+/// Runs the range grid search over `keys` (sorted; caller owns the data).
+/// The winner is held through the type-erased index::AnyRangeIndex, so
+/// LIF can enumerate any RangeIndex implementation, not just RMIs.
+Status SynthesizeRange(std::span<const uint64_t> keys,
+                       const SynthesisSpec& spec,
+                       Synthesis<index::AnyRangeIndex>* out);
+
+// ---- Persistence of a range winner (docs/PERSISTENCE.md) ----
+// The expensive part of LIF is the grid search; persisting the winner
+// makes it a build-once artifact. The file carries the winner's
+// snapshot-kind tag ("lif/kind") and description ("lif/desc") next to
+// its sections ("w/..."), so OpenRangeSynthesis can dispatch back to the
+// concrete index type without the caller knowing which candidate won.
+// Winners without a flat snapshot format (NN / multivariate tops) return
+// Unimplemented: re-synthesize those on restart. An opened Synthesis has
+// no reports.
+
+Status WriteRangeSynthesis(const Synthesis<index::AnyRangeIndex>& s,
+                           const std::string& path);
+Result<Synthesis<index::AnyRangeIndex>> OpenRangeSynthesis(
+    const std::string& path, const snapshot::OpenOptions& opts = {});
 
 /// Point synthesis: the random hash and (optionally) the learned CDF
 /// hash, each under the separate-chaining and in-place chained maps, plus
@@ -141,32 +141,11 @@ struct PointSynthesisSpec {
   uint64_t seed = 99;
 };
 
-/// The synthesized point index: fastest probe within the size budget,
-/// erased into index::AnyPointIndex.
-class SynthesizedPointIndex {
- public:
-  SynthesizedPointIndex() = default;
-
-  const hash::Record* Find(uint64_t key) const { return winner_.Find(key); }
-  void FindBatch(std::span<const uint64_t> keys,
-                 std::span<const hash::Record*> out) const {
-    winner_.FindBatch(keys, out);
-  }
-  size_t SizeBytes() const { return winner_.SizeBytes(); }
-  index::PointIndexStats Stats() const { return winner_.Stats(); }
-  const std::string& description() const { return description_; }
-  const std::vector<CandidateReport>& reports() const { return reports_; }
-
-  /// Runs the grid search over `records` (caller owns the data during
-  /// Synthesize only).
-  Status Synthesize(std::span<const hash::Record> records,
-                    const PointSynthesisSpec& spec);
-
- private:
-  index::AnyPointIndex winner_;
-  std::string description_;
-  std::vector<CandidateReport> reports_;
-};
+/// Runs the point grid search over `records` (caller owns the data
+/// during the call only). The fastest probe within the size budget wins.
+Status SynthesizePoint(std::span<const hash::Record> records,
+                       const PointSynthesisSpec& spec,
+                       Synthesis<index::AnyPointIndex>* out);
 
 /// Existence synthesis: the plain Bloom filter, then per classifier size
 /// the classifier + overflow Bloom filter and the model-hash sandwich at
@@ -202,77 +181,33 @@ struct RangeFilterSynthesisSpec {
   uint64_t seed = 99;
 };
 
-/// The synthesized existence index: the *smallest* qualifying candidate
-/// (the paper's §5 metric is memory at a fixed FPR, not latency), erased
-/// into index::AnyExistenceIndex. Classifier ownership is folded into the
-/// erased winner, so the handle is self-contained.
-class SynthesizedExistenceIndex {
- public:
-  SynthesizedExistenceIndex() = default;
+/// Existence synthesis: the *smallest* qualifying candidate wins (the
+/// paper's §5 metric is memory at a fixed FPR, not latency). Trains
+/// classifiers on (keys, train_non_keys), calibrates thresholds and
+/// qualifies candidates on valid_non_keys, and reports each candidate's
+/// unbiased FPR on eval_non_keys: the §5.2 train / validation / test
+/// protocol. All spans are caller-owned and only read during the call.
+/// Classifier ownership is folded into the erased winner, so the handle
+/// is self-contained.
+Status SynthesizeExistence(std::span<const std::string> keys,
+                           std::span<const std::string> train_non_keys,
+                           std::span<const std::string> valid_non_keys,
+                           std::span<const std::string> eval_non_keys,
+                           const ExistenceSynthesisSpec& spec,
+                           Synthesis<index::AnyExistenceIndex>* out);
 
-  bool MightContain(std::string_view key) const {
-    return winner_.MightContain(key);
-  }
-  size_t SizeBytes() const { return winner_.SizeBytes(); }
-  double MeasuredFpr(std::span<const std::string> non_keys) const {
-    return winner_.MeasuredFpr(non_keys);
-  }
-  const std::string& description() const { return description_; }
-  const std::vector<CandidateReport>& reports() const { return reports_; }
-
-  /// Trains classifiers on (keys, train_non_keys), calibrates thresholds
-  /// and qualifies candidates on valid_non_keys, and reports the winner's
-  /// unbiased FPR on eval_non_keys — the §5.2 train / validation / test
-  /// protocol. All spans are caller-owned and only read during Synthesize.
-  Status Synthesize(std::span<const std::string> keys,
-                    std::span<const std::string> train_non_keys,
-                    std::span<const std::string> valid_non_keys,
-                    std::span<const std::string> eval_non_keys,
-                    const ExistenceSynthesisSpec& spec);
-
- private:
-  index::AnyExistenceIndex winner_;
-  std::string description_;
-  std::vector<CandidateReport> reports_;
-};
-
-/// The synthesized range filter: the *smallest* candidate qualifying on
-/// validation range-FPR, erased into index::AnyRangeFilter. It satisfies
-/// the index::RangeFilter contract itself; until a successful Synthesize
-/// it is the filter over the empty set (every query answers false).
-/// Independent of SynthesizedExistenceIndex — an LSM table typically
-/// wants both a point filter over string keys and a range filter over
-/// its integer key column.
-class SynthesizedRangeFilter {
- public:
-  SynthesizedRangeFilter() = default;
-
-  /// Half-open [lo, hi) over the synthesized winner.
-  bool MightContainRange(uint64_t lo, uint64_t hi) const {
-    return winner_.MightContainRange(lo, hi);
-  }
-  bool MightContain(uint64_t key) const { return winner_.MightContain(key); }
-  size_t SizeBytes() const { return winner_.SizeBytes(); }
-  double MeasuredRangeFpr(
-      std::span<const index::RangeQuery> empty_queries) const {
-    return winner_.MeasuredRangeFpr(empty_queries);
-  }
-  const std::string& description() const { return description_; }
-  const std::vector<CandidateReport>& reports() const { return reports_; }
-
-  /// Sweeps the range-filter grid over `keys` (any order, duplicates
-  /// collapse; caller owns the data during the call only). Queries are
-  /// generated internally from the key set's gap structure (validation /
-  /// eval empty-range splits plus a present-range witness set); a false
-  /// negative on any witness range fails the whole sweep with Internal.
-  Status Synthesize(std::span<const uint64_t> keys,
-                    const RangeFilterSynthesisSpec& spec);
-
- private:
-  index::AnyRangeFilter winner_;
-  std::string description_;
-  std::vector<CandidateReport> reports_;
-};
+/// Range-filter synthesis: the *smallest* candidate qualifying on
+/// validation range-FPR wins. Sweeps the range-filter grid over `keys`
+/// (any order, duplicates collapse; caller owns the data during the call
+/// only). Queries are generated internally from the key set's gap
+/// structure (validation / eval empty-range splits plus a present-range
+/// witness set); a false negative on any witness range fails the whole
+/// sweep with Internal. Independent of SynthesizeExistence: an LSM table
+/// typically wants both a point filter over string keys and a range
+/// filter over its integer key column.
+Status SynthesizeRangeFilter(std::span<const uint64_t> keys,
+                             const RangeFilterSynthesisSpec& spec,
+                             Synthesis<index::AnyRangeFilter>* out);
 
 /// Mixed read/write synthesis (the Appendix-D.1 workload class): which
 /// delta-wrapped base serves a given insert ratio fastest? Every
@@ -291,43 +226,15 @@ struct WritableSynthesisSpec {
   uint64_t seed = 99;
 };
 
-/// The synthesized writable index: every candidate is built over a split
-/// of the keys, driven through a deterministic interleaved insert/lookup
-/// stream, and scored on mixed ns/op; the winning configuration is then
-/// rebuilt over the *full* key set and erased into AnyWritableRangeIndex.
-class SynthesizedWritableIndex {
- public:
-  SynthesizedWritableIndex() = default;
-
-  bool Insert(uint64_t key) { return winner_.Insert(key); }
-  bool Erase(uint64_t key) { return winner_.Erase(key); }
-  bool Contains(uint64_t key) const { return winner_.Contains(key); }
-  size_t Lookup(uint64_t key) const { return winner_.Lookup(key); }
-  size_t LowerBound(uint64_t key) const { return winner_.Lookup(key); }
-  void LookupBatch(std::span<const uint64_t> keys,
-                   std::span<size_t> out) const {
-    winner_.LookupBatch(keys, out);
-  }
-  std::vector<uint64_t> Scan(uint64_t from, size_t limit) const {
-    return winner_.Scan(from, limit);
-  }
-  Status Merge() { return winner_.Merge(); }
-  size_t size() const { return winner_.size(); }
-  size_t SizeBytes() const { return winner_.SizeBytes(); }
-  index::WritableIndexStats Stats() const { return winner_.Stats(); }
-  const std::string& description() const { return description_; }
-  const std::vector<CandidateReport>& reports() const { return reports_; }
-
-  /// Runs the grid search over `keys` (sorted, strictly increasing;
-  /// caller owns the data during Synthesize only).
-  Status Synthesize(std::span<const uint64_t> keys,
-                    const WritableSynthesisSpec& spec);
-
- private:
-  index::AnyWritableRangeIndex winner_;
-  std::string description_;
-  std::vector<CandidateReport> reports_;
-};
+/// Runs the writable grid search over `keys` (sorted, strictly
+/// increasing; caller owns the data during the call only). Every
+/// candidate is built over a split of the keys, driven through a
+/// deterministic interleaved insert/lookup stream, and scored on mixed
+/// ns/op; the winning configuration is then rebuilt over the *full* key
+/// set.
+Status SynthesizeWritable(std::span<const uint64_t> keys,
+                          const WritableSynthesisSpec& spec,
+                          Synthesis<index::AnyWritableRangeIndex>* out);
 
 }  // namespace li::lif
 

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "index/range_filter.h"
 #include "index/snapshottable.h"
 #include "rangefilter/block_bitmap.h"
 #include "rangefilter/filter_meta.h"
@@ -89,11 +88,6 @@ class IntervalBitmapFilter {
   }
 
   bool MightContain(uint64_t key) const { return QueryInclusive(key, key); }
-
-  double MeasuredRangeFpr(
-      std::span<const index::RangeQuery> empty_queries) const {
-    return index::MeasureRangeFprOver(*this, empty_queries);
-  }
 
   size_t SizeBytes() const { return bits_.size() * sizeof(uint64_t); }
   size_t num_keys() const { return num_keys_; }

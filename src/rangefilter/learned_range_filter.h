@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "index/range_filter.h"
 #include "index/snapshottable.h"
 #include "models/linear.h"
 #include "rangefilter/block_bitmap.h"
@@ -177,11 +176,6 @@ class LearnedRangeFilter {
 
   /// The degenerate point probe [key, key + 1), 2^64-1-safe.
   bool MightContain(uint64_t key) const { return QueryInclusive(key, key); }
-
-  double MeasuredRangeFpr(
-      std::span<const index::RangeQuery> empty_queries) const {
-    return index::MeasureRangeFprOver(*this, empty_queries);
-  }
 
   size_t SizeBytes() const {
     return segments_.size() * sizeof(Segment) +

@@ -21,7 +21,7 @@
 //   * uncorrelated   — lo drawn uniformly over the key domain, clipped
 //                      to its surrounding gap (the analytics predicate
 //                      case), plus a sliver fully outside [min, max].
-// Both are empty by construction, so MeasuredRangeFpr needs no oracle.
+// Both are empty by construction, so MeasureRangeFprOver needs no oracle.
 
 #ifndef LI_RANGEFILTER_WORKLOAD_H_
 #define LI_RANGEFILTER_WORKLOAD_H_

@@ -58,6 +58,11 @@
 
 namespace li::rmi {
 
+/// Cap on keys used to train the *top* model (§3.6: the top model
+/// converges before a single scan of the data). Leaves always see all
+/// their routed keys.
+inline constexpr size_t kTopTrainSample = 100'000;
+
 struct RmiConfig {
   size_t num_leaf_models = 10'000;       // "2nd stage models" in Figure 4
   /// Routing-stage model count K between the top and the leaves. 0 picks
@@ -67,10 +72,6 @@ struct RmiConfig {
   size_t num_route_models = 0;
   search::Strategy strategy = search::Strategy::kBiasedBinary;
   TrainOptions train;
-  /// Cap on keys used to train the *top* model (§3.6: the top model
-  /// converges before a single scan of the data). Leaves always see all
-  /// their routed keys. 0 = no cap.
-  size_t top_train_sample = 100'000;
 };
 
 /// Per-leaf metadata: the linear model plus its error band.
@@ -140,8 +141,7 @@ class RmiIndex {
 
     // ---- Stage 0: train the top model on (key, position) ----
     std::vector<double> xs, ys;
-    const size_t cap = config.top_train_sample;
-    const size_t top_n = (cap == 0 || cap >= n) ? n : cap;
+    const size_t top_n = std::min(n, kTopTrainSample);
     xs.reserve(top_n);
     ys.reserve(top_n);
     const double stride = static_cast<double>(n) / static_cast<double>(top_n);
@@ -406,7 +406,7 @@ class RmiIndex {
       meta.key_kind = kKeyKindU64;
       meta.top_kind = 1;
       meta.num_leaf_models = config_.num_leaf_models;
-      meta.top_train_sample = config_.top_train_sample;
+      meta.top_train_sample = kTopTrainSample;
       meta.strategy = static_cast<uint32_t>(config_.strategy);
       meta.has_keys = include_keys ? 1u : 0u;
       meta.data_size = data_.size();
@@ -487,7 +487,7 @@ class RmiIndex {
     uint32_t key_kind = 0;        // kKeyKindU64; nothing else opens
     uint32_t top_kind = 0;        // 1 = models::LinearModel
     uint64_t num_leaf_models = 0;
-    uint64_t top_train_sample = 0;
+    uint64_t top_train_sample = 0;  // retired: kTopTrainSample, unread
     uint32_t strategy = 0;        // search::Strategy
     uint32_t has_keys = 0;        // keys section present
     uint64_t data_size = 0;       // key count the model was trained over
@@ -581,7 +581,6 @@ class RmiIndex {
       config_.num_leaf_models = meta.num_leaf_models;
       config_.num_route_models = num_route_models();
       config_.strategy = static_cast<search::Strategy>(meta.strategy);
-      config_.top_train_sample = meta.top_train_sample;
       top_ = models::LinearModel(meta.top_slope, meta.top_intercept);
       route_factor_ = meta.route_factor;
       leaves_ = snapshot::FlatVec<Leaf>::View(leaves.value(),

@@ -34,8 +34,7 @@ Status StringRmi::Build(std::span<const std::string> keys,
   const size_t d = config.max_len;
 
   // ---- Train the top net on a strided sample ----
-  const size_t cap = config.top_train_sample;
-  const size_t top_n = (cap == 0 || cap >= n) ? n : cap;
+  const size_t top_n = std::min(n, kStringTopTrainSample);
   std::vector<double> feats(top_n * d);
   std::vector<double> ys(top_n);
   const double stride = static_cast<double>(n) / static_cast<double>(top_n);

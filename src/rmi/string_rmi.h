@@ -26,12 +26,14 @@
 
 namespace li::rmi {
 
+/// Cap on keys used to train the top net (strided sample, §3.6).
+inline constexpr size_t kStringTopTrainSample = 60'000;
+
 struct StringRmiConfig {
   size_t num_leaf_models = 10'000;
   size_t max_len = 20;  // tokenizer truncation length N (§3.5)
   models::NNConfig top_nn;  // input_dim is overwritten with max_len
   search::Strategy strategy = search::Strategy::kBiasedBinary;
-  size_t top_train_sample = 60'000;
   /// 0 disables hybrid mode; otherwise leaves with |error| > threshold are
   /// replaced with string B-Trees (Figure 6, t = 64 / 128).
   int64_t hybrid_threshold = 0;

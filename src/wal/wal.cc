@@ -1,6 +1,5 @@
 #include "wal/wal.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -16,10 +15,6 @@ namespace {
 
 std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
-}
-
-int64_t NowNs() {
-  return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 
 Status ReadExact(int fd, uint64_t off, void* out, size_t n, bool* short_read) {
@@ -184,7 +179,6 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
     payload_size_ = other.payload_size_;
     stats_ = other.stats_;
     appends_since_sync_ = other.appends_since_sync_;
-    last_sync_ns_ = other.last_sync_ns_;
     io_error_ = other.io_error_;
     other.fd_ = -1;
     other.backend_ = nullptr;
@@ -220,7 +214,6 @@ Result<WalWriter> WalWriter::Create(const std::string& path,
   w.stats_.base_lsn = base_lsn;
   w.stats_.last_lsn = base_lsn;
   w.stats_.last_synced_lsn = base_lsn;
-  w.last_sync_ns_ = NowNs();
   return w;
 }
 
@@ -275,7 +268,6 @@ Result<WalWriter> WalWriter::Open(const std::string& path,
     return st;
   }
   w.stats_.last_synced_lsn = r.last_lsn;
-  w.last_sync_ns_ = NowNs();
   return w;
 }
 
@@ -321,13 +313,9 @@ Result<uint64_t> WalWriter::Append(WalRecordType type, const void* payload,
   stats_.bytes_appended += total;
   ++appends_since_sync_;
 
-  bool want_sync =
-      cfg_.fsync_every_n != 0 && appends_since_sync_ >= cfg_.fsync_every_n;
-  if (!want_sync && cfg_.fsync_interval_us != 0) {
-    want_sync = NowNs() - last_sync_ns_ >=
-                static_cast<int64_t>(cfg_.fsync_interval_us) * 1000;
+  if (cfg_.fsync_every_n != 0 && appends_since_sync_ >= cfg_.fsync_every_n) {
+    LI_RETURN_IF_ERROR(Sync());
   }
-  if (want_sync) LI_RETURN_IF_ERROR(Sync());
   return rec.lsn;
 }
 
@@ -335,7 +323,6 @@ Status WalWriter::Sync() {
   if (fd_ < 0) return Status::FailedPrecondition("WAL writer not open");
   if (!io_error_.ok()) return io_error_;
   if (stats_.last_synced_lsn == stats_.last_lsn) {
-    last_sync_ns_ = NowNs();
     return Status::OK();  // group-commit window is empty
   }
   const Status st = backend_->Sync(fd_);
@@ -346,7 +333,6 @@ Status WalWriter::Sync() {
   stats_.last_synced_lsn = stats_.last_lsn;
   ++stats_.syncs;
   appends_since_sync_ = 0;
-  last_sync_ns_ = NowNs();
   return Status::OK();
 }
 
@@ -401,7 +387,6 @@ Status WalWriter::ResetTo(uint64_t covered) {
   stats_.last_synced_lsn = stats_.last_lsn;  // rotation fsyncs everything
   ++stats_.resets;
   appends_since_sync_ = 0;
-  last_sync_ns_ = NowNs();
   return Status::OK();
 }
 

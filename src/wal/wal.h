@@ -47,9 +47,6 @@ struct DurabilityConfig {
   /// (strongest: acknowledged implies on-platter), 0 = never sync
   /// (page-cache durability only — survives SIGKILL, not power loss).
   size_t fsync_every_n = 1;
-  /// Additionally sync when this much time passed since the last sync,
-  /// checked at append time; 0 disables the timer.
-  uint64_t fsync_interval_us = 0;
   /// I/O layer; nullptr = DefaultFileBackend(). Crash tests inject
   /// CrashFileBackend here.
   FileBackend* backend = nullptr;
@@ -152,8 +149,7 @@ class WalWriter {
   uint32_t payload_size_ = 0;
   WalStats stats_;
   uint64_t appends_since_sync_ = 0;
-  int64_t last_sync_ns_ = 0;  // steady-clock; interval-based group commit
-  Status io_error_;           // sticky: a failed append poisons the log
+  Status io_error_;  // sticky: a failed append poisons the log
 };
 
 }  // namespace li::wal

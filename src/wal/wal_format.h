@@ -57,14 +57,6 @@ enum class WalRecordType : uint32_t {
   kErase = 2,
 };
 
-inline const char* WalRecordTypeName(WalRecordType t) {
-  switch (t) {
-    case WalRecordType::kInsert: return "insert";
-    case WalRecordType::kErase: return "erase";
-  }
-  return "?";
-}
-
 /// Per-record frame, 24 bytes, immediately followed by `len` payload
 /// bytes. `crc` covers bytes [4, 24) of the header plus the payload, so
 /// any torn or bit-flipped record fails validation as a unit.

@@ -12,6 +12,7 @@
 #include "classifier/ngram_logistic.h"
 #include "common/random.h"
 #include "data/strings.h"
+#include "index/existence_index.h"
 
 namespace li::bloom {
 namespace {
@@ -111,7 +112,7 @@ TEST_F(LearnedBloomTest, TestFprNearTarget) {
   for (const double target : {0.05, 0.01}) {
     LearnedBloomFilter<classifier::NgramLogistic> filter;
     ASSERT_TRUE(filter.Build(&model_, corpus_.keys, valid_neg_, target).ok());
-    const double fpr = filter.MeasuredFpr(test_neg_);
+    const double fpr = index::MeasureFprOver(filter, test_neg_);
     EXPECT_LE(fpr, target * 2.5) << target;  // validated threshold transfers
   }
 }
@@ -156,7 +157,7 @@ TEST_F(LearnedBloomTest, ModelHashFprBounded) {
   ModelHashBloomFilter<classifier::NgramLogistic> filter;
   ASSERT_TRUE(
       filter.Build(&model_, corpus_.keys, valid_neg_, 0.01, 1'000'000).ok());
-  EXPECT_LE(filter.MeasuredFpr(test_neg_), 0.03);
+  EXPECT_LE(index::MeasureFprOver(filter, test_neg_), 0.03);
   // A cleanly separable corpus can drive the bitmap FPR to zero.
   EXPECT_GE(filter.fpr_m(), 0.0);
   EXPECT_LT(filter.fpr_m(), 1.0);

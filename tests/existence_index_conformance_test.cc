@@ -3,7 +3,7 @@
 // model-hash sandwich (§5.1.2) — is (a) statically asserted to satisfy
 // the index::ExistenceIndex concept and (b) driven over the same URL
 // corpus through identical dynamic checks: zero false negatives for every
-// inserted key, MeasuredFpr consistent with a manual probe count and
+// inserted key, index::MeasureFprOver consistent with a manual probe count and
 // bounded for a calibrated filter, and the type-erased AnyExistenceIndex
 // answering exactly like the concrete filter it wraps.
 //
@@ -81,14 +81,14 @@ class ExistenceConformanceTest : public ::testing::Test {
     for (const auto& k : corpus_->keys) {
       ASSERT_TRUE(filter.MightContain(k)) << k;
     }
-    // MeasuredFpr agrees with a manual probe count.
+    // MeasureFprOver agrees with a manual probe count.
     size_t fp = 0;
     for (const auto& s : *test_neg_) {
       fp += filter.MightContain(std::string_view(s));
     }
     const double manual =
         static_cast<double>(fp) / static_cast<double>(test_neg_->size());
-    EXPECT_DOUBLE_EQ(filter.MeasuredFpr(*test_neg_), manual);
+    EXPECT_DOUBLE_EQ(index::MeasureFprOver(filter, *test_neg_), manual);
     EXPECT_LE(manual, fpr_bound);
     EXPECT_GT(filter.SizeBytes(), 0u);
   }
@@ -147,7 +147,7 @@ TEST_F(ExistenceConformanceTest, EmptyHandleIsTheEmptySet) {
   EXPECT_TRUE(empty.empty());
   EXPECT_FALSE(empty.MightContain("anything"));
   EXPECT_EQ(empty.SizeBytes(), 0u);
-  EXPECT_DOUBLE_EQ(empty.MeasuredFpr(*test_neg_), 0.0);
+  EXPECT_DOUBLE_EQ(index::MeasureFprOver(empty, *test_neg_), 0.0);
 }
 
 TEST_F(ExistenceConformanceTest, NeverBuiltFiltersAnswerEmptySet) {
@@ -164,7 +164,7 @@ TEST_F(ExistenceConformanceTest, NeverBuiltFiltersAnswerEmptySet) {
   EXPECT_FALSE(plain.MightContain("x"));
   EXPECT_FALSE(plain.MightContain(uint64_t{42}));
   std::vector<std::string> probes = {"a", "b", "c"};
-  EXPECT_DOUBLE_EQ(plain.MeasuredFpr(probes), 0.0);
+  EXPECT_DOUBLE_EQ(index::MeasureFprOver(plain, probes), 0.0);
 }
 
 TEST_F(ExistenceConformanceTest, EmptyBuiltFiltersAnswerEmptySet) {
@@ -186,7 +186,7 @@ TEST_F(ExistenceConformanceTest, EmptyBuiltFiltersAnswerEmptySet) {
   // (the classifier can still false-positive — that is its FPR budget,
   // bounded like any other candidate's).
   if (learned.Build(model_, no_keys, *valid_neg_, 0.01).ok()) {
-    EXPECT_LE(learned.MeasuredFpr(*test_neg_), 0.05);
+    EXPECT_LE(index::MeasureFprOver(learned, *test_neg_), 0.05);
   }
 }
 
@@ -227,7 +227,7 @@ TEST_F(ExistenceConformanceTest, OutOfDomainProbesStayBounded) {
   bloom::BloomFilter plain;
   ASSERT_TRUE(plain.Init(corpus_->keys.size(), 0.01).ok());
   for (const auto& k : corpus_->keys) plain.Add(std::string_view(k));
-  EXPECT_LE(plain.MeasuredFpr(alien), 0.03);
+  EXPECT_LE(index::MeasureFprOver(plain, alien), 0.03);
 
   bloom::LearnedBloomFilter<classifier::NgramLogistic> learned;
   ASSERT_TRUE(learned.Build(model_, corpus_->keys, *valid_neg_, 0.01).ok());
@@ -237,8 +237,8 @@ TEST_F(ExistenceConformanceTest, OutOfDomainProbesStayBounded) {
   // The two bounds below pin the caveat from both sides: the learned
   // filter degrades measurably worse than the hash-only baseline on
   // alien shapes, yet stays a filter rather than a yes-machine.
-  const double learned_ood = learned.MeasuredFpr(alien);
-  EXPECT_GT(learned_ood, plain.MeasuredFpr(alien));
+  const double learned_ood = index::MeasureFprOver(learned, alien);
+  EXPECT_GT(learned_ood, index::MeasureFprOver(plain, alien));
   EXPECT_LE(learned_ood, 0.95);
 }
 

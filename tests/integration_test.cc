@@ -53,16 +53,17 @@ TEST(IntegrationTest, SynthesizedIndexServesPointAndRange) {
   spec.stage2_sizes = {500, 2000};
   spec.nn_hidden = {};
   spec.eval_queries = 2000;
-  lif::SynthesizedIndex index;
-  ASSERT_TRUE(index.Synthesize(keys, spec).ok());
+  lif::Synthesis<index::AnyRangeIndex> s;
+  ASSERT_TRUE(lif::SynthesizeRange(keys, spec, &s).ok());
+  const index::AnyRangeIndex& winner = s.winner;
   Xorshift128Plus rng(80);
   for (int i = 0; i < 5000; ++i) {
     const size_t idx = rng.NextBounded(keys.size());
-    EXPECT_EQ(index.LowerBound(keys[idx]), idx);
+    EXPECT_EQ(winner.Lookup(keys[idx]), idx);
   }
   // Range scan: count via two lower bounds equals brute force.
   const uint64_t lo = keys[1000], hi = keys[4321];
-  EXPECT_EQ(index.LowerBound(hi) - index.LowerBound(lo), 4321u - 1000u);
+  EXPECT_EQ(winner.Lookup(hi) - winner.Lookup(lo), 4321u - 1000u);
 }
 
 TEST(IntegrationTest, HashMapBuiltFromRangeIndexKeys) {

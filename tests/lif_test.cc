@@ -47,14 +47,14 @@ TEST(SynthesizerTest, FindsWorkingIndexAndReportsAllCandidates) {
   spec.nn_hidden = {{8}};
   spec.nn_epochs = 6;
   spec.eval_queries = 2000;
-  SynthesizedIndex index;
-  ASSERT_TRUE(index.Synthesize(keys, spec).ok());
+  Synthesis<index::AnyRangeIndex> s;
+  ASSERT_TRUE(SynthesizeRange(keys, spec, &s).ok());
   // linear + multivariate + 1 NN config, per stage2 size.
-  EXPECT_EQ(index.reports().size(), 2u * 3u);
-  EXPECT_FALSE(index.description().empty());
+  EXPECT_EQ(s.reports.size(), 2u * 3u);
+  EXPECT_FALSE(s.description.empty());
   // The synthesized index must be correct.
   for (size_t i = 0; i < keys.size(); i += 37) {
-    EXPECT_EQ(index.LowerBound(keys[i]), i);
+    EXPECT_EQ(s.winner.Lookup(keys[i]), i);
   }
 }
 
@@ -66,9 +66,9 @@ TEST(SynthesizerTest, SizeBudgetIsRespected) {
   spec.try_multivariate_top = false;
   spec.eval_queries = 1000;
   spec.size_budget_bytes = 100 * 32 + 1024;  // only the 100-leaf config fits
-  SynthesizedIndex index;
-  ASSERT_TRUE(index.Synthesize(keys, spec).ok());
-  EXPECT_LE(index.SizeBytes(), spec.size_budget_bytes);
+  Synthesis<index::AnyRangeIndex> s;
+  ASSERT_TRUE(SynthesizeRange(keys, spec, &s).ok());
+  EXPECT_LE(s.winner.SizeBytes(), spec.size_budget_bytes);
 }
 
 TEST(SynthesizerTest, ImpossibleBudgetFails) {
@@ -79,13 +79,39 @@ TEST(SynthesizerTest, ImpossibleBudgetFails) {
   spec.try_multivariate_top = false;
   spec.eval_queries = 500;
   spec.size_budget_bytes = 16;  // nothing fits
-  SynthesizedIndex index;
-  EXPECT_FALSE(index.Synthesize(keys, spec).ok());
+  Synthesis<index::AnyRangeIndex> s;
+  EXPECT_FALSE(SynthesizeRange(keys, spec, &s).ok());
+}
+
+TEST(SynthesizerTest, FailedResynthesisKeepsPreviousWinner) {
+  // A re-synthesis that finds nothing within budget returns NotFound and
+  // leaves the previous winner and description in place; the reports are
+  // the failed sweep's rows.
+  const auto keys = data::GenLognormal(20'000, 66);
+  SynthesisSpec spec;
+  spec.stage2_sizes = {500};
+  spec.nn_hidden = {};
+  spec.try_multivariate_top = false;
+  spec.eval_queries = 1000;
+  Synthesis<index::AnyRangeIndex> s;
+  ASSERT_TRUE(SynthesizeRange(keys, spec, &s).ok());
+  const std::string description = s.description;
+  const size_t bytes = s.winner.SizeBytes();
+
+  spec.size_budget_bytes = 16;  // nothing fits
+  EXPECT_EQ(SynthesizeRange(keys, spec, &s).code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.description, description);
+  EXPECT_EQ(s.winner.SizeBytes(), bytes);
+  for (size_t i = 0; i < keys.size(); i += 37) {
+    ASSERT_EQ(s.winner.Lookup(keys[i]), i);
+  }
+  ASSERT_EQ(s.reports.size(), 1u);
+  EXPECT_FALSE(s.reports[0].within_budget);
 }
 
 TEST(SynthesizerTest, EmptyKeysRejected) {
-  SynthesizedIndex index;
-  EXPECT_FALSE(index.Synthesize({}, SynthesisSpec{}).ok());
+  Synthesis<index::AnyRangeIndex> s;
+  EXPECT_FALSE(SynthesizeRange({}, SynthesisSpec{}, &s).ok());
 }
 
 TEST(WritableSynthesizerTest, QualifiesDeltaWrappedCandidatesOnMixedLoad) {
@@ -95,41 +121,67 @@ TEST(WritableSynthesizerTest, QualifiesDeltaWrappedCandidatesOnMixedLoad) {
   spec.btree_pages = {128};
   spec.insert_ratio = 0.10;
   spec.eval_ops = 8'000;
-  SynthesizedWritableIndex index;
-  ASSERT_TRUE(index.Synthesize(keys, spec).ok());
+  Synthesis<index::AnyWritableRangeIndex> s;
+  ASSERT_TRUE(SynthesizeWritable(keys, spec, &s).ok());
   // 2 delta-RMI configs + 1 delta-BTree config, all reported.
-  EXPECT_EQ(index.reports().size(), 3u);
-  EXPECT_FALSE(index.description().empty());
-  for (const auto& r : index.reports()) {
+  EXPECT_EQ(s.reports.size(), 3u);
+  EXPECT_FALSE(s.description.empty());
+  auto& winner = s.winner;
+  for (const auto& r : s.reports) {
     EXPECT_GT(r.mixed_ns, 0.0) << r.description;
     EXPECT_GT(r.lookup_ns, 0.0) << r.description;
   }
   // The winner is rebuilt over the FULL key set: ranks must match
   // std::lower_bound over the original keys, and writes must work.
   for (size_t i = 0; i < keys.size(); i += 41) {
-    ASSERT_EQ(index.Lookup(keys[i]), i);
-    ASSERT_TRUE(index.Contains(keys[i]));
+    ASSERT_EQ(winner.Lookup(keys[i]), i);
+    ASSERT_TRUE(winner.Contains(keys[i]));
   }
   const uint64_t fresh = keys.back() + 17;
-  EXPECT_TRUE(index.Insert(fresh));
-  EXPECT_TRUE(index.Contains(fresh));
-  EXPECT_EQ(index.size(), keys.size() + 1);
-  EXPECT_TRUE(index.Merge().ok());
-  EXPECT_TRUE(index.Contains(fresh));
-  EXPECT_EQ(index.Scan(fresh, 5), (std::vector<uint64_t>{fresh}));
-  EXPECT_GT(index.Stats().merges, 0u);
+  EXPECT_TRUE(winner.Insert(fresh));
+  EXPECT_TRUE(winner.Contains(fresh));
+  EXPECT_EQ(winner.size(), keys.size() + 1);
+  EXPECT_TRUE(winner.Merge().ok());
+  EXPECT_TRUE(winner.Contains(fresh));
+  EXPECT_EQ(winner.Scan(fresh, 5), (std::vector<uint64_t>{fresh}));
+  EXPECT_GT(winner.Stats().merges, 0u);
 }
 
 TEST(WritableSynthesizerTest, BadInputsRejected) {
-  SynthesizedWritableIndex index;
-  EXPECT_FALSE(index.Synthesize({}, WritableSynthesisSpec{}).ok());
+  Synthesis<index::AnyWritableRangeIndex> s;
+  EXPECT_FALSE(SynthesizeWritable({}, WritableSynthesisSpec{}, &s).ok());
   const auto keys = data::GenLognormal(5'000, 65);
   WritableSynthesisSpec spec;
   spec.insert_ratio = 1.5;
-  EXPECT_FALSE(index.Synthesize(keys, spec).ok());
+  EXPECT_FALSE(SynthesizeWritable(keys, spec, &s).ok());
   spec.insert_ratio = 0.1;
   spec.size_budget_bytes = 16;  // nothing fits
-  EXPECT_FALSE(index.Synthesize(keys, spec).ok());
+  EXPECT_FALSE(SynthesizeWritable(keys, spec, &s).ok());
+}
+
+TEST(WritableSynthesizerTest, FailedResynthesisKeepsPreviousWinner) {
+  const auto keys = data::GenLognormal(10'000, 67);
+  WritableSynthesisSpec spec;
+  spec.stage2_sizes = {500};
+  spec.btree_pages = {};
+  spec.eval_ops = 4'000;
+  Synthesis<index::AnyWritableRangeIndex> s;
+  ASSERT_TRUE(SynthesizeWritable(keys, spec, &s).ok());
+  const std::string description = s.description;
+  const uint64_t fresh = keys.back() + 17;
+  ASSERT_TRUE(s.winner.Insert(fresh));
+
+  spec.size_budget_bytes = 16;  // nothing fits
+  EXPECT_EQ(SynthesizeWritable(keys, spec, &s).code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.description, description);
+  // The kept winner still holds the write made before the failed call.
+  EXPECT_EQ(s.winner.size(), keys.size() + 1);
+  EXPECT_TRUE(s.winner.Contains(fresh));
+  for (size_t i = 0; i < keys.size(); i += 41) {
+    ASSERT_EQ(s.winner.Lookup(keys[i]), i);
+  }
+  ASSERT_EQ(s.reports.size(), 1u);
+  EXPECT_FALSE(s.reports[0].within_budget);
 }
 
 TEST(PointSynthesizerTest, EnumeratesAllFamiliesAndFindsCorrectIndex) {
@@ -143,29 +195,30 @@ TEST(PointSynthesizerTest, EnumeratesAllFamiliesAndFindsCorrectIndex) {
   spec.slot_percents = {75, 100};
   spec.cdf_leaf_models = 2000;
   spec.eval_queries = 2000;
-  SynthesizedPointIndex index;
-  ASSERT_TRUE(index.Synthesize(records, spec).ok());
+  Synthesis<index::AnyPointIndex> s;
+  ASSERT_TRUE(SynthesizePoint(records, spec, &s).ok());
   // 2 hash families x (2 chained slot budgets + inplace) + 2 cuckoo modes.
-  EXPECT_EQ(index.reports().size(), 2u * 3u + 2u);
-  EXPECT_FALSE(index.description().empty());
+  EXPECT_EQ(s.reports.size(), 2u * 3u + 2u);
+  EXPECT_FALSE(s.description.empty());
+  const auto& winner = s.winner;
   // The synthesized index must be correct for hits and misses.
   const std::set<uint64_t> keyset(keys.begin(), keys.end());
   for (size_t i = 0; i < keys.size(); i += 37) {
-    const hash::Record* r = index.Find(keys[i]);
+    const hash::Record* r = winner.Find(keys[i]);
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r->key, keys[i]);
   }
   uint64_t absent = 1;
   while (keyset.count(absent)) ++absent;
-  EXPECT_EQ(index.Find(absent), nullptr);
+  EXPECT_EQ(winner.Find(absent), nullptr);
   // Batch probes route through the erased winner too.
   std::vector<const hash::Record*> out(keys.size());
-  index.FindBatch(keys, out);
+  winner.FindBatch(keys, out);
   for (size_t i = 0; i < keys.size(); i += 53) {
-    ASSERT_EQ(out[i], index.Find(keys[i]));
+    ASSERT_EQ(out[i], winner.Find(keys[i]));
   }
-  EXPECT_GT(index.SizeBytes(), 0u);
-  EXPECT_GT(index.Stats().num_slots, 0u);
+  EXPECT_GT(winner.SizeBytes(), 0u);
+  EXPECT_GT(winner.Stats().num_slots, 0u);
 }
 
 TEST(PointSynthesizerTest, BudgetExcludesOversizedCandidates) {
@@ -179,17 +232,17 @@ TEST(PointSynthesizerTest, BudgetExcludesOversizedCandidates) {
   spec.eval_queries = 1000;
   // Fits the 100% chained map and the inplace map, not the 125% table.
   spec.size_budget_bytes = (keys.size() + keys.size() / 20) * 32;
-  SynthesizedPointIndex index;
-  ASSERT_TRUE(index.Synthesize(records, spec).ok());
-  EXPECT_LE(index.SizeBytes(), spec.size_budget_bytes);
+  Synthesis<index::AnyPointIndex> s;
+  ASSERT_TRUE(SynthesizePoint(records, spec, &s).ok());
+  EXPECT_LE(s.winner.SizeBytes(), spec.size_budget_bytes);
   bool saw_over_budget = false;
-  for (const auto& r : index.reports()) saw_over_budget |= !r.within_budget;
+  for (const auto& r : s.reports) saw_over_budget |= !r.within_budget;
   EXPECT_TRUE(saw_over_budget);
 }
 
 TEST(PointSynthesizerTest, EmptyRecordsRejected) {
-  SynthesizedPointIndex index;
-  EXPECT_FALSE(index.Synthesize({}, PointSynthesisSpec{}).ok());
+  Synthesis<index::AnyPointIndex> s;
+  EXPECT_FALSE(SynthesizePoint({}, PointSynthesisSpec{}, &s).ok());
 }
 
 class ExistenceSynthesizerTest : public ::testing::Test {
@@ -213,25 +266,27 @@ TEST_F(ExistenceSynthesizerTest, SweepsConstructionsAndMeetsFprTarget) {
   ExistenceSynthesisSpec spec;
   spec.target_fpr = 0.01;
   spec.ngram_buckets = {1024, 4096};
-  SynthesizedExistenceIndex index;
-  ASSERT_TRUE(index.Synthesize(corpus_.keys, train_neg_, valid_neg_,
-                               test_neg_, spec)
+  Synthesis<index::AnyExistenceIndex> s;
+  ASSERT_TRUE(SynthesizeExistence(corpus_.keys, train_neg_, valid_neg_,
+                                  test_neg_, spec, &s)
                   .ok());
   // plain + per-capacity (learned + 2 bitmap sizes).
-  EXPECT_EQ(index.reports().size(), 1u + 2u * 3u);
-  EXPECT_FALSE(index.description().empty());
+  EXPECT_EQ(s.reports.size(), 1u + 2u * 3u);
+  EXPECT_FALSE(s.description.empty());
+  const auto& winner = s.winner;
   // Zero false negatives — the winner must keep the §5 invariant.
   for (const auto& k : corpus_.keys) {
-    ASSERT_TRUE(index.MightContain(k)) << k;
+    ASSERT_TRUE(winner.MightContain(k)) << k;
   }
-  EXPECT_GT(index.SizeBytes(), 0u);
+  EXPECT_GT(winner.SizeBytes(), 0u);
   // The winner is the smallest candidate qualifying on the validation
   // split (the same gate the synthesizer applies; the eval-split r.fpr is
   // reporting only).
-  EXPECT_LE(index.MeasuredFpr(valid_neg_), spec.target_fpr * spec.fpr_slack);
-  for (const auto& r : index.reports()) {
+  EXPECT_LE(index::MeasureFprOver(winner, valid_neg_),
+            spec.target_fpr * spec.fpr_slack);
+  for (const auto& r : s.reports) {
     if (r.within_budget && r.valid_fpr <= spec.target_fpr * spec.fpr_slack) {
-      EXPECT_LE(index.SizeBytes(), r.size_bytes) << r.description;
+      EXPECT_LE(winner.SizeBytes(), r.size_bytes) << r.description;
     }
   }
 }
@@ -241,29 +296,31 @@ TEST_F(ExistenceSynthesizerTest, LearnedCandidateBeatsPlainBloomOnUrls) {
   // corpus some learned candidate is smaller than the plain filter.
   ExistenceSynthesisSpec spec;
   spec.target_fpr = 0.01;
-  SynthesizedExistenceIndex index;
-  ASSERT_TRUE(index.Synthesize(corpus_.keys, train_neg_, valid_neg_,
-                               test_neg_, spec)
+  Synthesis<index::AnyExistenceIndex> s;
+  ASSERT_TRUE(SynthesizeExistence(corpus_.keys, train_neg_, valid_neg_,
+                                  test_neg_, spec, &s)
                   .ok());
   size_t plain_bytes = 0;
-  for (const auto& r : index.reports()) {
+  for (const auto& r : s.reports) {
     if (r.description == "plain bloom") plain_bytes = r.size_bytes;
   }
   ASSERT_GT(plain_bytes, 0u);
-  EXPECT_LT(index.SizeBytes(), plain_bytes);
+  EXPECT_LT(s.winner.SizeBytes(), plain_bytes);
 }
 
 TEST_F(ExistenceSynthesizerTest, BadInputsRejected) {
-  SynthesizedExistenceIndex index;
+  Synthesis<index::AnyExistenceIndex> s;
   ExistenceSynthesisSpec spec;
   EXPECT_FALSE(
-      index.Synthesize({}, train_neg_, valid_neg_, test_neg_, spec).ok());
-  EXPECT_FALSE(
-      index.Synthesize(corpus_.keys, train_neg_, {}, test_neg_, spec).ok());
-  spec.target_fpr = 0.0;
-  EXPECT_FALSE(
-      index.Synthesize(corpus_.keys, train_neg_, valid_neg_, test_neg_, spec)
+      SynthesizeExistence({}, train_neg_, valid_neg_, test_neg_, spec, &s)
           .ok());
+  EXPECT_FALSE(SynthesizeExistence(corpus_.keys, train_neg_, {}, test_neg_,
+                                   spec, &s)
+                   .ok());
+  spec.target_fpr = 0.0;
+  EXPECT_FALSE(SynthesizeExistence(corpus_.keys, train_neg_, valid_neg_,
+                                   test_neg_, spec, &s)
+                   .ok());
 }
 
 TEST(RangeFilterSynthesizerTest, SweepsFiltersAndKeepsZeroFn) {
@@ -278,14 +335,15 @@ TEST(RangeFilterSynthesizerTest, SweepsFiltersAndKeepsZeroFn) {
   RangeFilterSynthesisSpec spec;
   spec.bits_per_key = {8.0, 16.0, 32.0};
   spec.keys_per_segment = {256};
-  SynthesizedRangeFilter filter;
-  ASSERT_TRUE(filter.Synthesize(keys, spec).ok());
+  Synthesis<index::AnyRangeFilter> s;
+  ASSERT_TRUE(SynthesizeRangeFilter(keys, spec, &s).ok());
 
   // learned (1 kps) + interval, per budget.
-  EXPECT_EQ(filter.reports().size(), 2u * 3u);
-  EXPECT_FALSE(filter.description().empty());
+  EXPECT_EQ(s.reports.size(), 2u * 3u);
+  EXPECT_FALSE(s.description.empty());
+  const auto& filter = s.winner;
   EXPECT_GT(filter.SizeBytes(), 0u);
-  for (const auto& r : filter.reports()) {
+  for (const auto& r : s.reports) {
     EXPECT_GT(r.size_bytes, 0u) << r.description;
     EXPECT_GE(r.fpr, 0.0) << r.description;
     if (r.within_budget && r.valid_fpr <= spec.target_range_fpr * spec.fpr_slack) {
@@ -303,23 +361,49 @@ TEST(RangeFilterSynthesizerTest, SweepsFiltersAndKeepsZeroFn) {
   // empty-query set from a different seed must measure in the same
   // regime (the slack absorbs the split wobble).
   const auto empties = rangefilter::GenEmptyRanges(keys, 83);
-  EXPECT_LE(filter.MeasuredRangeFpr(empties),
+  EXPECT_LE(index::MeasureRangeFprOver(filter, empties),
             spec.target_range_fpr * spec.fpr_slack * 2.0);
 }
 
-TEST(RangeFilterSynthesizerTest, RejectsBadInputs) {
-  SynthesizedRangeFilter filter;
+TEST(RangeFilterSynthesizerTest, FailedResynthesisKeepsPreviousWinner) {
+  const std::vector<uint64_t> keys =
+      rangefilter::GenAdversarialGapKeys(10'000, 85);
   RangeFilterSynthesisSpec spec;
-  EXPECT_FALSE(filter.Synthesize({}, spec).ok());
+  spec.keys_per_segment = {256};
+  Synthesis<index::AnyRangeFilter> s;
+  ASSERT_TRUE(SynthesizeRangeFilter(keys, spec, &s).ok());
+  const std::string description = s.description;
+  const auto empties = rangefilter::GenEmptyRanges(keys, 86);
+  std::vector<bool> before;
+  for (const index::RangeQuery& q : empties) {
+    before.push_back(s.winner.MightContainRange(q.lo, q.hi));
+  }
+
+  spec.size_budget_bytes = 1;  // nothing fits
+  EXPECT_EQ(SynthesizeRangeFilter(keys, spec, &s).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(s.description, description);
+  for (size_t i = 0; i < empties.size(); ++i) {
+    ASSERT_EQ(s.winner.MightContainRange(empties[i].lo, empties[i].hi),
+              before[i]);
+  }
+  for (const uint64_t k : keys) ASSERT_TRUE(s.winner.MightContain(k)) << k;
+  EXPECT_EQ(s.reports.size(), 2u * 3u);
+}
+
+TEST(RangeFilterSynthesizerTest, RejectsBadInputs) {
+  Synthesis<index::AnyRangeFilter> s;
+  RangeFilterSynthesisSpec spec;
+  EXPECT_FALSE(SynthesizeRangeFilter({}, spec, &s).ok());
   spec.target_range_fpr = 0.0;
   const std::vector<uint64_t> keys = rangefilter::GenUniformKeys(1'000, 84);
-  EXPECT_FALSE(filter.Synthesize(keys, spec).ok());
+  EXPECT_FALSE(SynthesizeRangeFilter(keys, spec, &s).ok());
   // An unreachable FPR target under an impossible budget reports
   // NotFound, leaving the handle empty (= the empty set).
   RangeFilterSynthesisSpec tight;
   tight.size_budget_bytes = 1;
-  EXPECT_FALSE(filter.Synthesize(keys, tight).ok());
-  EXPECT_FALSE(filter.MightContainRange(0, ~uint64_t{0}));
+  EXPECT_FALSE(SynthesizeRangeFilter(keys, tight, &s).ok());
+  EXPECT_FALSE(s.winner.MightContainRange(0, ~uint64_t{0}));
 }
 
 }  // namespace

@@ -740,17 +740,18 @@ TEST(LifRoundTripTest, LinearWinnerReopensViaKindTag) {
   spec.try_multivariate_top = false;  // constrain the grid to the one
   spec.nn_hidden = {};                // family with a flat snapshot form
   spec.eval_queries = 1'000;
-  lif::SynthesizedIndex built;
-  ASSERT_TRUE(built.Synthesize(keys, spec).ok());
+  lif::Synthesis<index::AnyRangeIndex> built;
+  ASSERT_TRUE(lif::SynthesizeRange(keys, spec, &built).ok());
 
   const std::string path = TmpSnap("lif");
-  ASSERT_TRUE(built.WriteSnapshot(path).ok());
-  auto reopened = lif::SynthesizedIndex::OpenSnapshot(path);
+  ASSERT_TRUE(lif::WriteRangeSynthesis(built, path).ok());
+  auto reopened = lif::OpenRangeSynthesis(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  EXPECT_EQ(reopened.value().description(), built.description());
+  EXPECT_EQ(reopened.value().description, built.description);
 
   for (const uint64_t q : MixedQueries(keys, 20'000, 109)) {
-    ASSERT_EQ(reopened.value().LowerBound(q), built.LowerBound(q)) << q;
+    ASSERT_EQ(reopened.value().winner.Lookup(q), built.winner.Lookup(q))
+        << q;
   }
   std::remove(path.c_str());
 }
@@ -872,15 +873,15 @@ TEST_F(RmiMetaTest, LifWinnerOfDoubleKindIsUnimplemented) {
     ASSERT_TRUE(writer.WriteFile(bad_).ok());
   };
   write_lif("rmi.linear.f64");
-  auto opened = lif::SynthesizedIndex::OpenSnapshot(bad_);
+  auto opened = lif::OpenRangeSynthesis(bad_);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kUnimplemented);
   // The same file under the u64 tag opens and answers.
   write_lif("rmi.linear.u64");
-  auto reopened = lif::SynthesizedIndex::OpenSnapshot(bad_);
+  auto reopened = lif::OpenRangeSynthesis(bad_);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
   for (size_t i = 0; i < keys_.size(); i += 101) {
-    ASSERT_EQ(reopened.value().LowerBound(keys_[i]), i);
+    ASSERT_EQ(reopened.value().winner.Lookup(keys_[i]), i);
   }
 }
 
