@@ -1,9 +1,11 @@
 // Quickstart: build a learned range index (RMI) over a synthetic dataset,
 // look up keys, run a range scan, and compare size/latency against the
-// read-optimized B-Tree baseline.
+// read-optimized B-Tree baseline. Every answer is checked against
+// std::lower_bound over the key array; a mismatch exits 1.
 //
 //   ./examples/quickstart [num_keys_millions]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -36,14 +38,24 @@ int main(int argc, char** argv) {
          index.SizeBytes() / 1e6,
          static_cast<long long>(index.MaxAbsError()));
 
+  auto lower_bound = [&](uint64_t q) {
+    return static_cast<size_t>(std::lower_bound(keys.begin(), keys.end(), q) -
+                               keys.begin());
+  };
+  bool correct = true;
+
   // ---- Point lookups ----
   const uint64_t probe = keys[n / 3];
   const size_t pos = index.LowerBound(probe);
   printf("LowerBound(%llu) = %zu (key at pos: %llu)\n",
          static_cast<unsigned long long>(probe), pos,
          static_cast<unsigned long long>(keys[pos]));
-  printf("Contains(probe)   = %s\n", index.Contains(probe) ? "yes" : "no");
-  printf("Contains(probe+1) = %s\n", index.Contains(probe + 1) ? "yes" : "no");
+  const bool has = index.Contains(probe), has_next = index.Contains(probe + 1);
+  printf("Contains(probe)   = %s\n", has ? "yes" : "no");
+  printf("Contains(probe+1) = %s\n", has_next ? "yes" : "no");
+  correct &= pos == lower_bound(probe) && has &&
+             has_next == std::binary_search(keys.begin(), keys.end(),
+                                            probe + 1);
 
   // ---- Range scan: all keys in [a, b) ----
   const uint64_t a = keys[n / 2], b = keys[n / 2 + 100];
@@ -54,6 +66,7 @@ int main(int argc, char** argv) {
   printf("range [%llu, %llu) holds %zu keys\n",
          static_cast<unsigned long long>(a),
          static_cast<unsigned long long>(b), count);
+  correct &= count == lower_bound(b) - lower_bound(a);
 
   // ---- Compare with the B-Tree baseline ----
   btree::ReadOnlyBTree btree;
@@ -62,6 +75,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto queries = data::SampleKeys(keys, 100'000);
+  for (const uint64_t q : queries) {
+    correct &= index.LowerBound(q) == lower_bound(q) &&
+               index.LowerBound(q + 1) == lower_bound(q + 1);
+  }
+  if (!correct) {
+    fprintf(stderr, "an RMI answer disagrees with std::lower_bound\n");
+    return 1;
+  }
   const double rmi_ns = lif::MeasureNsPerOp(
       queries, 2, [&](uint64_t q) { return index.LowerBound(q); });
   const double bt_ns = lif::MeasureNsPerOp(

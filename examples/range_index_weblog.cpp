@@ -3,7 +3,10 @@
 //   * the hard-to-learn weblog CDF (complex time patterns),
 //   * hybrid indexes bounding worst-case leaves with B-Trees (§3.3),
 //   * time-range analytics queries via lower_bound scans.
+// Every answer is checked against std::lower_bound over the timestamps; a
+// mismatch exits 1.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -56,8 +59,23 @@ int main(int argc, char** argv) {
   }
   printf("requests in 1h window starting at key %llu: %zu\n",
          static_cast<unsigned long long>(t0), hits);
+  auto lower_bound = [&](uint64_t q) {
+    return static_cast<size_t>(std::lower_bound(ts.begin(), ts.end(), q) -
+                               ts.begin());
+  };
+  bool correct = hits == lower_bound(t1) - lower_bound(t0);
 
   const auto queries = data::SampleKeys(ts, 100'000);
+  for (const uint64_t q : queries) {
+    correct &= learned.LowerBound(q) == lower_bound(q) &&
+               hybrid.LowerBound(q) == lower_bound(q) &&
+               learned.LowerBound(q + 1) == lower_bound(q + 1) &&
+               hybrid.LowerBound(q + 1) == lower_bound(q + 1);
+  }
+  if (!correct) {
+    fprintf(stderr, "an index answer disagrees with std::lower_bound\n");
+    return 1;
+  }
   const double ln = lif::MeasureNsPerOp(
       queries, 2, [&](uint64_t q) { return learned.LowerBound(q); });
   const double hn = lif::MeasureNsPerOp(

@@ -824,16 +824,26 @@ class ConcurrentWritableIndex {
         merge_rebase_pending_ = true;
       }
       // Phase 2 — build off to the side: no locks, readers undisturbed.
+      // An RMI base trains on this thread alone, not on a core per 2^18
+      // keys as RmiIndex::Build would: readers run beside the merge, and a
+      // fanned-out 1M-key merge cost ycsb_e 4-9% throughput on a 4-vCPU
+      // host (docs/BENCHMARKS.md).
       auto merged = std::make_shared<std::vector<key_type>>(
           dynamic::MergeLiveKeys(std::span<const key_type>(*old_keys),
                                  frozen_copy));
+      const std::span<const key_type> merged_keys(*merged);
       auto new_base = std::make_shared<Base>();
-      if (const Status st = new_base->Build(
-              std::span<const key_type>(*merged), config_.base);
-          !st.ok()) {
+      Status built;
+      if constexpr (requires { new_base->BuildOnWorkers(merged_keys,
+                                                        config_.base, 1); }) {
+        built = new_base->BuildOnWorkers(merged_keys, config_.base, 1);
+      } else {
+        built = new_base->Build(merged_keys, config_.base);
+      }
+      if (!built.ok()) {
         typename Cell::Writer w(cell_);
         merge_rebase_pending_ = false;  // old base stays; drops legal again
-        return st;
+        return built;
       }
       {
         // Phase 3 — publish: rebase the delta that accumulated during the

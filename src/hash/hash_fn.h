@@ -300,7 +300,8 @@ class PointHash {
 
 /// Builds the configured hash for a record set, hashing into
 /// [0, num_slots) — the shared first step of every map family's Build.
-/// The learned CDF trains on a sorted copy of the record keys; the keys
+/// The learned CDF trains on a sorted copy of the record keys (a bulk
+/// load usually arrives sorted, and then the copy needs no sort); the keys
 /// are only read during Build (the RMI never dereferences them afterwards).
 inline Status BuildRecordHash(std::span<const Record> records,
                               uint64_t num_slots, const HashConfig& config,
@@ -311,7 +312,9 @@ inline Status BuildRecordHash(std::span<const Record> records,
   std::vector<uint64_t> keys;
   keys.reserve(records.size());
   for (const Record& r : records) keys.push_back(r.key);
-  std::sort(keys.begin(), keys.end());
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    std::sort(keys.begin(), keys.end());
+  }
   return fn->Build(keys, num_slots, config);
 }
 

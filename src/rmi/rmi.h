@@ -38,9 +38,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -117,9 +120,24 @@ class RmiIndex {
   RmiIndex() = default;
 
   /// Builds over sorted, strictly-increasing `keys` (caller owns the data).
+  /// Routing and the leaf fit run on BuildWorkers(keys.size()) threads;
+  /// every leaf comes out exactly as a one-thread build makes it.
   Status Build(std::span<const uint64_t> keys, const RmiConfig& config) {
+    return BuildOnWorkers(keys, config, BuildWorkers(keys.size()));
+  }
+
+  /// Build with `workers` threads for routing and the leaf fit, the caller
+  /// being one of them. Build passes BuildWorkers(n); a background merge
+  /// passes 1, leaving the other cores to readers; tests pass other counts
+  /// to check that the output does not depend on it.
+  Status BuildOnWorkers(std::span<const uint64_t> keys,
+                        const RmiConfig& config, size_t workers) {
     if (config.num_leaf_models == 0) {
       return Status::InvalidArgument("Rmi: need at least one leaf model");
+    }
+    // Leaf offsets and routed positions are 32-bit.
+    if (keys.size() > UINT32_MAX) {
+      return Status::InvalidArgument("Rmi: more than 2^32 - 1 keys");
     }
     data_ = keys;
     config_ = config;
@@ -165,79 +183,97 @@ class RmiIndex {
     }
 
     // ---- Route every key to its leaf (Algorithm 1, lines 8-10) ----
-    // Leaf sizes first. When routing is monotone in the key (a linear top,
-    // and the routing stage's continuous chords, up to rounding) each
-    // leaf's keys are one contiguous run of positions and need no
-    // grouping; otherwise a second pass groups key positions by leaf.
-    std::vector<uint32_t> offsets(m + 1, 0);
-    bool monotone = true;
-    uint32_t prev = 0;
-    ForEachRoutedBlock(keys, [&](size_t, const uint32_t* leaf, size_t b) {
-      ForEachRun(leaf, b, [&](size_t k, size_t e, uint32_t j) {
-        offsets[j + 1] += static_cast<uint32_t>(e - k);
-        monotone &= j >= prev;
-        prev = j;
+    // Leaf sizes first, each worker counting one contiguous chunk of whole
+    // 64-key blocks (the last chunk takes the tail). When routing is
+    // monotone in the key (a linear top, and the routing stage's
+    // continuous chords, up to rounding) each leaf's keys are one
+    // contiguous run of positions and need no grouping; otherwise a second
+    // pass groups key positions by leaf.
+    const simd::Kernels& kern = simd::GetKernels();
+    const size_t blocks = (n + kBlock - 1) / kBlock;
+    const size_t t = std::clamp<size_t>(workers, 1, blocks);
+    auto chunk_begin = [&](size_t c) {
+      return std::min(n, c * blocks / t * kBlock);
+    };
+    auto chunk = [&](size_t c) {
+      return keys.subspan(chunk_begin(c), chunk_begin(c + 1) - chunk_begin(c));
+    };
+    struct ChunkRoute {
+      uint32_t first = 0, last = 0;  // leaves of its first and last key
+      bool monotone = true;
+    };
+    std::vector<ChunkRoute> chunks(t);
+    // Chunk c's per-leaf key counts at [c * m, (c + 1) * m).
+    std::vector<uint32_t> counts(t * m, 0);
+    RunOnWorkers(t, [&](size_t c) {
+      uint32_t* count = counts.data() + c * m;
+      ChunkRoute r;  // local: the chunks share a cache line
+      ForEachRoutedBlock(kern, chunk(c),
+                         [&](size_t base, const uint32_t* leaf, size_t b) {
+        if (base == 0) r.first = r.last = leaf[0];
+        ForEachRun(leaf, b, [&](size_t k, size_t e, uint32_t j) {
+          count[j] += static_cast<uint32_t>(e - k);
+          r.monotone &= j >= r.last;
+          r.last = j;
+        });
       });
+      chunks[c] = r;
     });
-    for (size_t j = 0; j < m; ++j) offsets[j + 1] += offsets[j];
+    bool monotone = true;
+    for (size_t c = 0; c < t; ++c) {
+      monotone &= chunks[c].monotone &&
+                  (c + 1 == t || chunks[c].last <= chunks[c + 1].first);
+    }
+    // offsets sums the counts in leaf order, and each count becomes its
+    // chunk's first slot for that leaf, after the earlier chunks' keys.
+    std::vector<uint32_t> offsets(m + 1, 0);
+    for (size_t j = 0; j < m; ++j) {
+      uint32_t end = offsets[j];
+      for (size_t c = 0; c < t; ++c) {
+        const uint32_t count = counts[c * m + j];
+        counts[c * m + j] = end;
+        end += count;
+      }
+      offsets[j + 1] = end;
+    }
     std::vector<uint32_t> routed;  // key positions grouped by leaf
     if (!monotone) {
       routed.resize(n);
-      std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-      ForEachRoutedBlock(keys, [&](size_t base, const uint32_t* leaf,
-                                   size_t b) {
-        for (size_t k = 0; k < b; ++k) {
-          routed[cursor[leaf[k]]++] = static_cast<uint32_t>(base + k);
-        }
+      RunOnWorkers(t, [&](size_t c) {
+        uint32_t* cursor = counts.data() + c * m;
+        const size_t begin = chunk_begin(c);
+        ForEachRoutedBlock(kern, chunk(c), [&](size_t base,
+                                               const uint32_t* leaf,
+                                               size_t b) {
+          for (size_t k = 0; k < b; ++k) {
+            routed[cursor[leaf[k]]++] = static_cast<uint32_t>(begin + base + k);
+          }
+        });
       });
     }
 
     // ---- Stage 2: fit each leaf + error bounds (Alg. 1 lines 11-12) ----
-    std::vector<double> lx, ly;
-    double fill_pos = 0.0;  // last seen position, for empty leaves
-    for (size_t j = 0; j < m; ++j) {
-      Leaf& leaf = leaves_[j];
-      leaf = Leaf{};
-      const uint32_t begin = offsets[j], end = offsets[j + 1];
-      if (begin == end) {
-        // Empty leaf: constant model at the running position so absent
-        // keys routed here land near the right region.
-        leaf.model = models::LinearModel(0.0, fill_pos);
-        continue;
-      }
-      lx.resize(end - begin);
-      ly.resize(end - begin);
-      for (uint32_t r = begin; r < end; ++r) {
-        const uint32_t i = routed.empty() ? r : routed[r];
-        lx[r - begin] = static_cast<double>(keys[i]);
-        ly[r - begin] = static_cast<double>(i);
-      }
-      LI_RETURN_IF_ERROR(leaf.model.Fit(lx, ly));
-      // Against the shared kernel spec, so the band covers every dispatch
-      // level.
-      FitErrorBand(
-          ly, [&](size_t i) { return PredictPos1(leaf.model, lx[i]); },
-          &leaf);
-      const int64_t two_sigma = 2 * static_cast<int64_t>(leaf.std_err);
-      if (two_sigma > static_cast<int64_t>(kMaxSweepHalf)) {
-        leaf.sweep_lo = leaf.min_err;  // wide leaf: full worst-case window
-        leaf.sweep_hi = leaf.max_err + 1;
-      } else {
-        // 3σ band (capped): one extra sweep iteration per key is cheaper
-        // than the ~5% full-window pin retries a 2σ band incurs.
-        const int64_t three_sigma = 3 * static_cast<int64_t>(leaf.std_err);
-        const int32_t h = static_cast<int32_t>(std::min<int64_t>(
-            std::max<int64_t>(three_sigma, kMinSweepHalf), kMaxSweepHalf));
-        leaf.sweep_lo = std::max(leaf.min_err, -h);
-        leaf.sweep_hi = std::min(leaf.max_err + 1, h + 1);
-        // A heavily biased leaf (error band entirely to one side) can
-        // produce an inverted band; keep it minimally non-empty — the pin
-        // fix-up recovers exactness either way.
-        leaf.sweep_hi = std::max(leaf.sweep_hi, leaf.sweep_lo + 1);
-      }
-      fill_pos = ly.back();
+    // Each worker fits a contiguous leaf range holding about n/t keys.
+    std::vector<size_t> first_leaf(t + 1, m);
+    for (size_t w = 0; w < t; ++w) {
+      first_leaf[w] = static_cast<size_t>(
+          std::lower_bound(offsets.begin(), offsets.end(), w * n / t) -
+          offsets.begin());
     }
+    std::vector<Status> fitted(t);
+    RunOnWorkers(t, [&](size_t w) {
+      fitted[w] = FitLeaves(offsets, routed, first_leaf[w], first_leaf[w + 1]);
+    });
+    for (const Status& s : fitted) LI_RETURN_IF_ERROR(s);
     return Status::OK();
+  }
+
+  /// Threads a build of n keys uses: one per 2^18 keys, at most one per
+  /// hardware thread, so small builds (tests, shards, LIF candidates) stay
+  /// on the caller.
+  static size_t BuildWorkers(size_t n) {
+    const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+    return std::clamp<size_t>(n >> 18, 1, cores);
   }
 
   /// The pure model-execution path (what Figure 4's "Model (ns)" column
@@ -650,12 +686,95 @@ class RmiIndex {
                               static_cast<uint32_t>(route_.size() - 1));
   }
 
+  /// Fits leaves [first, last) and their error bands over the keys each
+  /// was routed (positions offsets[j]..offsets[j + 1] of `routed`, or of
+  /// the key array itself when `routed` is empty).
+  Status FitLeaves(std::span<const uint32_t> offsets,
+                   std::span<const uint32_t> routed, size_t first,
+                   size_t last) {
+    auto position = [&](uint32_t r) { return routed.empty() ? r : routed[r]; };
+    std::vector<double> lx, ly;
+    for (size_t j = first; j < last; ++j) {
+      Leaf& leaf = leaves_[j];
+      leaf = Leaf{};
+      const uint32_t begin = offsets[j], end = offsets[j + 1];
+      if (begin == end) {
+        // Empty leaf: constant model at the position of the last key
+        // routed to an earlier leaf, so absent keys routed here land near
+        // the right region.
+        const uint32_t fill = begin == 0 ? 0 : position(begin - 1);
+        leaf.model = models::LinearModel(0.0, static_cast<double>(fill));
+        continue;
+      }
+      lx.resize(end - begin);
+      ly.resize(end - begin);
+      for (uint32_t r = begin; r < end; ++r) {
+        const uint32_t i = position(r);
+        lx[r - begin] = static_cast<double>(data_[i]);
+        ly[r - begin] = static_cast<double>(i);
+      }
+      LI_RETURN_IF_ERROR(leaf.model.Fit(lx, ly));
+      // Against the shared kernel spec, so the band covers every dispatch
+      // level.
+      FitErrorBand(
+          ly, [&](size_t i) { return PredictPos1(leaf.model, lx[i]); },
+          &leaf);
+      const int64_t two_sigma = 2 * static_cast<int64_t>(leaf.std_err);
+      if (two_sigma > static_cast<int64_t>(kMaxSweepHalf)) {
+        leaf.sweep_lo = leaf.min_err;  // wide leaf: full worst-case window
+        leaf.sweep_hi = leaf.max_err + 1;
+      } else {
+        // 3σ band (capped): one extra sweep iteration per key is cheaper
+        // than the ~5% full-window pin retries a 2σ band incurs.
+        const int64_t three_sigma = 3 * static_cast<int64_t>(leaf.std_err);
+        const int32_t h = static_cast<int32_t>(std::min<int64_t>(
+            std::max<int64_t>(three_sigma, kMinSweepHalf), kMaxSweepHalf));
+        leaf.sweep_lo = std::max(leaf.min_err, -h);
+        leaf.sweep_hi = std::min(leaf.max_err + 1, h + 1);
+        // A heavily biased leaf (error band entirely to one side) can
+        // produce an inverted band; keep it minimally non-empty — the pin
+        // fix-up recovers exactness either way.
+        leaf.sweep_hi = std::max(leaf.sweep_hi, leaf.sweep_lo + 1);
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Runs f(0) .. f(t - 1) at once: f(0) on the caller, the others on
+  /// their own threads, or on the caller when a thread cannot start.
+  /// Rethrows the lowest worker's exception after all have finished.
+  template <typename F>
+  static void RunOnWorkers(size_t t, F&& f) {
+    std::vector<std::exception_ptr> thrown(t);
+    auto run = [&](size_t w) {
+      try {
+        f(w);
+      } catch (...) {
+        thrown[w] = std::current_exception();
+      }
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(t);
+    for (size_t w = 1; w < t; ++w) {
+      try {
+        threads.emplace_back(run, w);
+      } catch (const std::system_error&) {
+        run(w);
+      }
+    }
+    run(0);
+    for (std::thread& th : threads) th.join();
+    for (const std::exception_ptr& e : thrown) {
+      if (e) std::rethrow_exception(e);
+    }
+  }
+
   /// Routes every key in order, calling f(base, leaf, b) per block with
   /// leaf[k] the leaf of keys[base + k]; through the block route kernels
   /// when the top is linear.
   template <typename F>
-  void ForEachRoutedBlock(std::span<const uint64_t> keys, F&& f) const {
-    [[maybe_unused]] const simd::Kernels& kern = simd::GetKernels();
+  void ForEachRoutedBlock([[maybe_unused]] const simd::Kernels& kern,
+                          std::span<const uint64_t> keys, F&& f) const {
     alignas(64) uint32_t leaf[kBlock];
     for (size_t base = 0; base < keys.size(); base += kBlock) {
       const size_t b = std::min(kBlock, keys.size() - base);

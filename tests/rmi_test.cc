@@ -6,13 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "data/datasets.h"
 #include "data/strings.h"
+#include "hash/hash_fn.h"
 #include "rmi/hybrid.h"
 #include "rmi/quantized_rmi.h"
 #include "rmi/rmi.h"
@@ -486,6 +496,176 @@ TEST(RoutingStageTest, EqualizesLeafMassOnLognormal) {
       static_cast<double>(occupied.size());
   EXPECT_LE(mean_width, 16.0);
   EXPECT_LE(empty_share, 0.20);
+}
+
+
+// ---- Threaded builds (RmiIndex::BuildOnWorkers) ----
+
+std::string SnapshotBytes(const LinearRmi& rmi, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "li_rmi_" + name + ".snap";
+  EXPECT_TRUE(rmi.WriteSnapshot(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+template <typename R>
+bool SameLeafBytes(const R& a, const R& b) {
+  return a.leaves().size() == b.leaves().size() &&
+         std::memcmp(a.leaves().data(), b.leaves().data(),
+                     a.leaves().size_bytes()) == 0;
+}
+
+// Every worker count must give the one-thread build's leaves and snapshot
+// byte for byte.
+void ExpectThreadedBuildsIdentical(const std::vector<uint64_t>& keys,
+                                   const RmiConfig& config) {
+  LinearRmi one;
+  ASSERT_TRUE(one.BuildOnWorkers(keys, config, 1).ok());
+  for (size_t i = 0; i < keys.size(); ++i) {  // §3.4: every key was fitted
+    ASSERT_TRUE(one.ApproxPos(keys[i]).Contains(i)) << "key idx " << i;
+  }
+  const std::string want = SnapshotBytes(one, "one");
+  ASSERT_FALSE(want.empty());
+  for (const size_t workers : {2, 3, 4}) {
+    LinearRmi many;
+    ASSERT_TRUE(many.BuildOnWorkers(keys, config, workers).ok());
+    EXPECT_TRUE(SameLeafBytes(one, many)) << workers << " workers";
+    EXPECT_EQ(SnapshotBytes(many, "many"), want) << workers << " workers";
+  }
+}
+
+TEST(ThreadedBuildTest, KeyCountOffBlockAndWorkerMultiples) {
+  // A multiple of neither 64 nor any worker count: the last chunk takes
+  // the 37-key tail.
+  const auto keys = data::GenLognormal(3 * (size_t{1} << 18) + 37, 51);
+  RmiConfig config;
+  config.num_leaf_models = keys.size() / 64;
+  ExpectThreadedBuildsIdentical(keys, config);
+  config.num_leaf_models = 1000;
+  ExpectThreadedBuildsIdentical(keys, config);
+}
+
+TEST(ThreadedBuildTest, EmptyLeavesAtChunkEdgesAndTail) {
+  // More leaves than keys per worker: most leaves are empty, including
+  // the first leaves of later workers and the last leaves overall, so
+  // their fill positions come from keys another worker fitted.
+  const auto keys = data::GenLognormal(10'037, 52);
+  RmiConfig config;
+  config.num_leaf_models = 40'000;
+  ExpectThreadedBuildsIdentical(keys, config);
+  config.num_route_models = 1;  // the top alone leaves a long empty tail
+  ExpectThreadedBuildsIdentical(keys, config);
+}
+
+TEST(ThreadedBuildTest, NeuralTopGroupsKeysInOneThreadOrder) {
+  const auto keys = data::GenLognormal(50'037, 53);
+  RmiConfig config;
+  config.num_leaf_models = 2000;
+  config.train.nn.hidden = {16};
+  config.train.nn.epochs = 20;
+  NeuralRmi one;
+  ASSERT_TRUE(one.BuildOnWorkers(keys, config, 1).ok());
+  // The case is only worth having if routing is not monotone, so the
+  // build takes the pass that groups key positions by leaf.
+  bool monotone = true;
+  for (size_t i = 1; i < keys.size(); ++i) {
+    monotone &= one.Predict(keys[i]).leaf >= one.Predict(keys[i - 1]).leaf;
+  }
+  ASSERT_FALSE(monotone);
+  for (const size_t workers : {2, 3, 4}) {
+    NeuralRmi many;
+    ASSERT_TRUE(many.BuildOnWorkers(keys, config, workers).ok());
+    EXPECT_TRUE(SameLeafBytes(one, many)) << workers << " workers";
+  }
+}
+
+// A linear top whose prediction drops by a quarter of the keys at the
+// median sample key: routing is monotone on either side but not across,
+// so with two workers each chunk is monotone on its own and only the
+// chunk edge shows that keys must be grouped by leaf.
+struct SteppedTop {
+  models::LinearModel line;
+  double cut = 0.0, drop = 0.0;
+  double Predict(double x) const {
+    return line.Predict(x) - (x >= cut ? drop : 0.0);
+  }
+};
+
+Status TrainModel(SteppedTop* m, std::span<const double> xs,
+                  std::span<const double> ys, const TrainOptions&) {
+  m->cut = xs[xs.size() / 2];
+  m->drop = static_cast<double>(xs.size()) / 4;
+  return m->line.Fit(xs, ys);
+}
+
+TEST(ThreadedBuildTest, SteppedTopGroupsAcrossTheChunkEdge) {
+  // 2^14 keys (a multiple of 128, under the top's training sample): the
+  // two-worker chunk edge is key n/2, the cut. Gaps up to 2^40 keep the
+  // leaf sums inexact, so the fit depends on the order of a leaf's keys.
+  Xorshift128Plus rng(55);
+  std::vector<uint64_t> keys(size_t{1} << 14);
+  uint64_t key = uint64_t{1} << 60;
+  for (uint64_t& k : keys) k = key += 1 + rng.NextBounded(uint64_t{1} << 40);
+  RmiConfig config;
+  config.num_leaf_models = keys.size() / 16;
+  RmiIndex<SteppedTop> one, two;
+  ASSERT_TRUE(one.BuildOnWorkers(keys, config, 1).ok());
+  ASSERT_TRUE(two.BuildOnWorkers(keys, config, 2).ok());
+  EXPECT_TRUE(SameLeafBytes(one, two));
+}
+
+TEST(ThreadedBuildTest, LearnedHashSlotsMatchOneThreadModel) {
+  // Past 2^19 keys Build itself uses more than one worker on a multi-core
+  // host; every slot must be what a one-thread model gives.
+  const size_t n = 3 * (size_t{1} << 18) + 37;
+  const auto keys = data::GenLognormal(n, 54);
+  RmiConfig config;
+  config.num_leaf_models = n / 10;
+  config.num_route_models = 1;
+  const uint64_t num_slots = n;
+  hash::LearnedHash<> hash;
+  ASSERT_TRUE(hash.Build(keys, num_slots, config).ok());
+  LinearRmi one;
+  ASSERT_TRUE(one.BuildOnWorkers(keys, config, 1).ok());
+  // LearnedHash's rescale: floor(M * 2^64 / N), then (pos * scale) >> 64.
+  const unsigned __int128 scale =
+      (static_cast<unsigned __int128>(num_slots) << 64) / n;
+  std::vector<uint64_t> slots(n);
+  hash.SlotBatch(keys.data(), n, slots.data());
+  for (size_t i = 0; i < n; ++i) {
+    const auto want =
+        static_cast<uint64_t>((scale * one.Predict(keys[i]).pos) >> 64);
+    ASSERT_EQ(hash(keys[i]), want) << i;
+    ASSERT_EQ(slots[i], want) << i;
+  }
+}
+
+TEST(ThreadedBuildTest, WorkerCountFollowsKeyCount) {
+  EXPECT_EQ(LinearRmi::BuildWorkers(0), 1u);
+  EXPECT_EQ(LinearRmi::BuildWorkers((size_t{1} << 19) - 1), 1u);
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(LinearRmi::BuildWorkers(size_t{1} << 19),
+            std::min<size_t>(2, cores));
+  EXPECT_EQ(LinearRmi::BuildWorkers(size_t{1} << 30), cores);
+}
+
+TEST(RmiTest, RefusesMoreThanUint32MaxKeys) {
+  // 2^32 keys over a read-only mapping that is never touched: leaf
+  // offsets and routed positions are 32-bit, so Build must refuse before
+  // reading a key.
+  const size_t n = size_t{1} << 32;
+  const size_t bytes = n * sizeof(uint64_t);
+  void* p = mmap(nullptr, bytes, PROT_READ,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) GTEST_SKIP() << "cannot map 32 GiB of address space";
+  RmiConfig config;
+  LinearRmi rmi;
+  const Status s = rmi.Build({static_cast<const uint64_t*>(p), n}, config);
+  munmap(p, bytes);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
 
 }  // namespace
