@@ -310,6 +310,34 @@ void BM_LastMileAtLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_LastMileAtLevel)->ArgNames({"level"})->Arg(0)->Arg(1)->Arg(2);
 
+// A whole LinearRmi build per level on one worker: 4M lognormal keys at
+// n/64 leaves, where the leaf fit (the fit_leaf kernel) is the largest
+// stage. Reported as keys/s.
+void BM_RmiBuildAtLevel(benchmark::State& state) {
+  const auto level = static_cast<simd::Level>(state.range(0));
+  static const std::vector<uint64_t> keys = data::GenLognormal(4'000'000);
+  simd::ScopedLevel pin(level);
+  if (!PinLevelOrSkip(state, pin)) return;
+  rmi::RmiConfig config;
+  config.num_leaf_models = keys.size() / 64;
+  rmi::LinearRmi index;
+  for (auto _ : state) {
+    if (!index.BuildOnWorkers(keys, config, 1).ok()) {
+      state.SkipWithError("build failed");
+      return;
+    }
+    benchmark::DoNotOptimize(index.leaves().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_RmiBuildAtLevel)
+    ->ArgNames({"level"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_BTreeFindPage(benchmark::State& state) {
   btree::ReadOnlyBTree tree;
   if (!tree.Build(Keys(), static_cast<size_t>(state.range(0))).ok()) {

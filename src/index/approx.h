@@ -50,7 +50,8 @@ struct Approx {
   /// clamped into the window.
   static Approx FromErrorBand(size_t pos, int32_t min_err, int32_t max_err,
                               size_t n) {
-    const size_t lo = min_err < 0 && pos < static_cast<size_t>(-min_err)
+    const size_t lo = min_err < 0 && pos < static_cast<size_t>(
+                                             -int64_t{min_err})
                           ? 0
                           : std::min(pos + min_err, n);
     const size_t hi = std::min(

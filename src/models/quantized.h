@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "simd/dispatch.h"
 
 namespace li::models {
 
@@ -95,8 +96,11 @@ class QuantizedLeafTable {
       const double drift =
           std::fabs(q_slope - l.slope) * l.key_span +
           std::fabs(static_cast<double>(anchors_y_[i]) - exact_y0) + 1.0;
-      const int32_t widen = static_cast<int32_t>(std::ceil(drift));
-      bounds_[i] = {l.min_err - widen, l.max_err + widen};
+      // Widened in doubles and saturated: a band near the int32 limits
+      // must not wrap.
+      const double widen = std::ceil(drift);
+      bounds_[i] = {simd::SaturateInt32(l.min_err - widen),
+                    simd::SaturateInt32(l.max_err + widen)};
     }
     return Status::OK();
   }

@@ -18,20 +18,23 @@
 #include "common/status.h"
 #include "models/model.h"
 #include "search/search.h"
+#include "simd/dispatch.h"
 
 namespace li::rmi {
 
 /// Fits a leaf's error band (Algorithm 1 line 12): the worst errors of
-/// `predict` over the leaf's routed positions `ys`, floored/ceiled into
-/// the int32 min_err/max_err the window is built from, plus σ. `predict(i)`
-/// must be the clamped integer position the lookup searches from, so the
-/// band covers that path exactly.
+/// `predict` over the leaf's routed positions `ys`, floored/ceiled and
+/// saturated into the int32 min_err/max_err the window is built from,
+/// plus σ. `predict(i)` must be the clamped integer position the lookup
+/// searches from, so the band covers that path exactly (a saturated band
+/// does not; the lookup's §3.4 edge fix-up finds those keys). The
+/// integer-key RMI fits through simd::Kernels::fit_leaf instead.
 template <typename LeafT, typename PredictFn>
 void FitErrorBand(std::span<const double> ys, PredictFn&& predict,
                   LeafT* leaf) {
   const models::ErrorBounds b = models::ComputeErrorBounds(ys, predict);
-  leaf->min_err = static_cast<int32_t>(std::floor(b.min_err));
-  leaf->max_err = static_cast<int32_t>(std::ceil(b.max_err));
+  leaf->min_err = simd::SaturateInt32(std::floor(b.min_err));
+  leaf->max_err = simd::SaturateInt32(std::ceil(b.max_err));
   leaf->std_err = static_cast<float>(b.std_err);
 }
 

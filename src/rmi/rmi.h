@@ -52,7 +52,6 @@
 #include "index/approx.h"
 #include "index/snapshottable.h"
 #include "models/linear.h"
-#include "rmi/leaf_layer.h"
 #include "rmi/trainers.h"
 #include "search/search.h"
 #include "simd/dispatch.h"
@@ -80,8 +79,8 @@ struct RmiConfig {
 /// Per-leaf metadata: the linear model plus its error band.
 struct Leaf {
   models::LinearModel model;
-  int32_t min_err = 0;  // most negative (actual - predicted), floored
-  int32_t max_err = 0;  // most positive (actual - predicted), ceiled
+  int32_t min_err = 0;  // most negative (actual - predicted), saturated
+  int32_t max_err = 0;  // most positive (actual - predicted), saturated
   float std_err = 0.0f;
   /// Precomputed σ-scaled sweep sub-window for the vectorized batch path,
   /// as offsets relative to the clamped prediction: sweep
@@ -260,11 +259,9 @@ class RmiIndex {
           std::lower_bound(offsets.begin(), offsets.end(), w * n / t) -
           offsets.begin());
     }
-    std::vector<Status> fitted(t);
     RunOnWorkers(t, [&](size_t w) {
-      fitted[w] = FitLeaves(offsets, routed, first_leaf[w], first_leaf[w + 1]);
+      FitLeaves(kern, offsets, routed, first_leaf[w], first_leaf[w + 1]);
     });
-    for (const Status& s : fitted) LI_RETURN_IF_ERROR(s);
     return Status::OK();
   }
 
@@ -688,12 +685,14 @@ class RmiIndex {
 
   /// Fits leaves [first, last) and their error bands over the keys each
   /// was routed (positions offsets[j]..offsets[j + 1] of `routed`, or of
-  /// the key array itself when `routed` is empty).
-  Status FitLeaves(std::span<const uint32_t> offsets,
-                   std::span<const uint32_t> routed, size_t first,
-                   size_t last) {
-    auto position = [&](uint32_t r) { return routed.empty() ? r : routed[r]; };
-    std::vector<double> lx, ly;
+  /// the key array itself when `routed` is empty), one fit_leaf call per
+  /// leaf. The kernel's band is taken against the shared predict spec, so
+  /// it covers every dispatch level.
+  void FitLeaves(const simd::Kernels& kern, std::span<const uint32_t> offsets,
+                 std::span<const uint32_t> routed, size_t first,
+                 size_t last) {
+    const uint64_t max_pos = data_.size() - 1;
+    std::vector<uint64_t> run;  // a grouped leaf's keys, gathered
     for (size_t j = first; j < last; ++j) {
       Leaf& leaf = leaves_[j];
       leaf = Leaf{};
@@ -702,42 +701,49 @@ class RmiIndex {
         // Empty leaf: constant model at the position of the last key
         // routed to an earlier leaf, so absent keys routed here land near
         // the right region.
-        const uint32_t fill = begin == 0 ? 0 : position(begin - 1);
+        const uint32_t fill =
+            begin == 0 ? 0 : (routed.empty() ? begin - 1 : routed[begin - 1]);
         leaf.model = models::LinearModel(0.0, static_cast<double>(fill));
         continue;
       }
-      lx.resize(end - begin);
-      ly.resize(end - begin);
-      for (uint32_t r = begin; r < end; ++r) {
-        const uint32_t i = position(r);
-        lx[r - begin] = static_cast<double>(data_[i]);
-        ly[r - begin] = static_cast<double>(i);
-      }
-      LI_RETURN_IF_ERROR(leaf.model.Fit(lx, ly));
-      // Against the shared kernel spec, so the band covers every dispatch
-      // level.
-      FitErrorBand(
-          ly, [&](size_t i) { return PredictPos1(leaf.model, lx[i]); },
-          &leaf);
-      const int64_t two_sigma = 2 * static_cast<int64_t>(leaf.std_err);
-      if (two_sigma > static_cast<int64_t>(kMaxSweepHalf)) {
-        leaf.sweep_lo = leaf.min_err;  // wide leaf: full worst-case window
-        leaf.sweep_hi = leaf.max_err + 1;
+      simd::LeafFit fit;
+      if (routed.empty()) {
+        kern.fit_leaf(data_.data() + begin, nullptr, end - begin, begin,
+                      max_pos, &fit);
       } else {
+        run.resize(end - begin);
+        for (uint32_t r = begin; r < end; ++r) {
+          run[r - begin] = data_[routed[r]];
+        }
+        kern.fit_leaf(run.data(), routed.data() + begin, end - begin, 0,
+                      max_pos, &fit);
+      }
+      leaf.model = models::LinearModel(fit.slope, fit.intercept);
+      leaf.min_err = fit.min_err;
+      leaf.max_err = fit.max_err;
+      leaf.std_err = fit.std_err;
+      // The sweep bounds in 64 bits: a saturated band's max_err + 1 does
+      // not fit an int32.
+      const int64_t band_lo = leaf.min_err;
+      const int64_t band_hi = int64_t{leaf.max_err} + 1;
+      const int64_t two_sigma = 2 * static_cast<int64_t>(leaf.std_err);
+      int64_t sweep_lo = band_lo, sweep_hi = band_hi;  // wide leaf: full band
+      if (two_sigma <= static_cast<int64_t>(kMaxSweepHalf)) {
         // 3σ band (capped): one extra sweep iteration per key is cheaper
         // than the ~5% full-window pin retries a 2σ band incurs.
         const int64_t three_sigma = 3 * static_cast<int64_t>(leaf.std_err);
-        const int32_t h = static_cast<int32_t>(std::min<int64_t>(
-            std::max<int64_t>(three_sigma, kMinSweepHalf), kMaxSweepHalf));
-        leaf.sweep_lo = std::max(leaf.min_err, -h);
-        leaf.sweep_hi = std::min(leaf.max_err + 1, h + 1);
+        const int64_t h = std::clamp<int64_t>(three_sigma, kMinSweepHalf,
+                                              kMaxSweepHalf);
+        sweep_lo = std::max(band_lo, -h);
         // A heavily biased leaf (error band entirely to one side) can
         // produce an inverted band; keep it minimally non-empty — the pin
         // fix-up recovers exactness either way.
-        leaf.sweep_hi = std::max(leaf.sweep_hi, leaf.sweep_lo + 1);
+        sweep_hi = std::max(std::min(band_hi, h + 1), sweep_lo + 1);
       }
+      leaf.sweep_lo = static_cast<int32_t>(sweep_lo);
+      leaf.sweep_hi =
+          static_cast<int32_t>(std::min<int64_t>(sweep_hi, INT32_MAX));
     }
-    return Status::OK();
   }
 
   /// Runs f(0) .. f(t - 1) at once: f(0) on the caller, the others on

@@ -47,6 +47,15 @@ inline constexpr int kNumLevels = 3;
 
 const char* LevelName(Level level);
 
+/// A leaf's least-squares line and its error band: see Kernels::fit_leaf.
+struct LeafFit {
+  double slope = 0.0;
+  double intercept = 0.0;
+  int32_t min_err = 0;  // most negative (position - prediction), saturated
+  int32_t max_err = 0;  // most positive (position - prediction), saturated
+  float std_err = 0.0f;
+};
+
 /// The kernel table: one entry per vectorizable hot-path primitive. All
 /// pointers are always non-null (a level's table falls back to the scalar
 /// implementation for any kernel it does not specialize).
@@ -118,6 +127,16 @@ struct Kernels {
   /// land inside its window.
   size_t (*next_in_range_u64)(const uint64_t* keys, size_t begin, size_t n,
                               uint64_t lo, uint64_t hi);
+
+  /// Leaf fit (Algorithm 1, lines 11-12) over one leaf's run of n >= 1
+  /// keys: the least-squares line from key to position, then the line's
+  /// error band against predict_run's spec at `max_pos`. Key i sits at
+  /// positions[i], or at first_pos + i when `positions` is null (a leaf
+  /// whose keys are one stretch of the key array); positions stay below
+  /// 2^53, so every error is an exact integer. Sums run in ScalarFitLeaf's
+  /// eight-lane order, so every level returns the same bits.
+  void (*fit_leaf)(const uint64_t* keys, const uint32_t* positions, size_t n,
+                   uint64_t first_pos, uint64_t max_pos, LeafFit* out);
 };
 
 /// The table for the active level (detected, env-overridden, or forced).
@@ -233,6 +252,94 @@ inline void ScalarCuckooSlots(uint64_t key, uint64_t seed,
   *b1 = MulHi64(Murmur3Fmix64(key ^ seed), num_buckets);
   *b2 = MulHi64(Murmur3Fmix64(key + 0x9e3779b97f4a7c15ULL + seed),
                 num_buckets);
+}
+
+// ---- leaf fit spec (Kernels::fit_leaf) ----
+// Lane l of every sum takes elements l, l + 8, l + 16, ... in order, and
+// the eight lanes meet in one tree, halving 8 -> 4 -> 2 -> 1 as the vector
+// kernels do. Each product-add is an explicit fma, so no compiler
+// contraction can give one level other bits.
+
+inline constexpr size_t kFitLanes = 8;
+
+/// The reduction tree: ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).
+inline double SumFitLanes(const double* v) {
+  return ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]));
+}
+
+/// An integer-valued error clamped to the int32 band fields: Build takes
+/// up to 2^32 - 1 keys, so a leaf's error can pass +-2^31.
+inline int32_t SaturateInt32(double v) {
+  if (v <= -0x1.0p31) return INT32_MIN;
+  if (v >= 0x1.0p31 - 1) return INT32_MAX;
+  return static_cast<int32_t>(v);
+}
+
+/// The least-squares line of n points from their shifted sums (dx = x - x0,
+/// dy = y - y0); constant x or a single point gives the mean position.
+inline void FitLineFromSums(size_t n, double x0, double y0, double sx,
+                            double sy, double sxx, double sxy, LeafFit* out) {
+  const double dn = static_cast<double>(n);
+  const double denom = std::fma(dn, sxx, -(sx * sx));
+  if (!(denom > 0.0)) {
+    out->slope = 0.0;
+    out->intercept = y0 + sy / dn;
+    return;
+  }
+  out->slope = std::fma(dn, sxy, -(sx * sy)) / denom;
+  out->intercept = std::fma(-out->slope, x0 + sx / dn, y0 + sy / dn);
+}
+
+/// The band from the extreme errors and the error sums (s = sum e,
+/// q = sum e^2): saturated min/max and sigma.
+inline void FitBandFromSums(size_t n, double lo, double hi, double s,
+                            double q, LeafFit* out) {
+  const double dn = static_cast<double>(n);
+  const double mean = s / dn;
+  const double var = std::fma(-mean, mean, q / dn);
+  out->min_err = SaturateInt32(lo);
+  out->max_err = SaturateInt32(hi);
+  out->std_err = static_cast<float>(std::sqrt(var > 0.0 ? var : 0.0));
+}
+
+/// Leaf fit: see Kernels::fit_leaf. Pass one sums the shifted points into
+/// the lanes and fits the line; pass two takes each key's error against
+/// ScalarPredict1 (an exact integer: both sides are integers below 2^53).
+inline void ScalarFitLeaf(const uint64_t* keys, const uint32_t* positions,
+                          size_t n, uint64_t first_pos, uint64_t max_pos,
+                          LeafFit* out) {
+  auto y = [&](size_t i) {
+    return static_cast<double>(positions != nullptr ? uint64_t{positions[i]}
+                                                    : first_pos + i);
+  };
+  const double x0 = static_cast<double>(keys[0]), y0 = y(0);
+  double sx[kFitLanes] = {}, sy[kFitLanes] = {};
+  double sxx[kFitLanes] = {}, sxy[kFitLanes] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const size_t l = i % kFitLanes;
+    const double dx = static_cast<double>(keys[i]) - x0;
+    const double dy = y(i) - y0;
+    sx[l] += dx;
+    sy[l] += dy;
+    sxx[l] = std::fma(dx, dx, sxx[l]);
+    sxy[l] = std::fma(dx, dy, sxy[l]);
+  }
+  FitLineFromSums(n, x0, y0, SumFitLanes(sx), SumFitLanes(sy),
+                  SumFitLanes(sxx), SumFitLanes(sxy), out);
+  double lo = INFINITY, hi = -INFINITY;
+  double s[kFitLanes] = {}, q[kFitLanes] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const size_t l = i % kFitLanes;
+    const double e =
+        y(i) - static_cast<double>(ScalarPredict1(static_cast<double>(keys[i]),
+                                                  out->slope, out->intercept,
+                                                  max_pos));
+    lo = e < lo ? e : lo;
+    hi = e > hi ? e : hi;
+    s[l] += e;
+    q[l] = std::fma(e, e, q[l]);
+  }
+  FitBandFromSums(n, lo, hi, SumFitLanes(s), SumFitLanes(q), out);
 }
 
 }  // namespace li::simd

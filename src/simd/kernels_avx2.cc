@@ -319,6 +319,146 @@ size_t NextInRangeU64Avx2(const uint64_t* keys, size_t begin, size_t n,
   return n;
 }
 
+// Four uint32 -> double, exact (values below 2^52 alias the mantissa).
+inline __m256d U32ToF64(__m128i v) {
+  const __m256d magic = _mm256_set1_pd(kTwo52);
+  return _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_cvtepu32_epi64(v),
+                                          _mm256_castpd_si256(magic))),
+      magic);
+}
+
+// The spec's eight fit lanes live in two registers, lanes 0-3 and 4-7;
+// a sum reduces in the spec's tree (SumFitLanes): 8 -> 4 -> 2 -> 1.
+inline double SumFitLanes8(const __m256d v[2]) {
+  const __m256d t = _mm256_add_pd(v[0], v[1]);
+  const __m128d u =
+      _mm_add_pd(_mm256_castpd256_pd128(t), _mm256_extractf128_pd(t, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(u, _mm_unpackhi_pd(u, u)));
+}
+
+inline double MinLanes8(const __m256d v[2]) {
+  const __m256d t = _mm256_min_pd(v[0], v[1]);
+  const __m128d u =
+      _mm_min_pd(_mm256_castpd256_pd128(t), _mm256_extractf128_pd(t, 1));
+  return _mm_cvtsd_f64(_mm_min_sd(u, _mm_unpackhi_pd(u, u)));
+}
+
+inline double MaxLanes8(const __m256d v[2]) {
+  const __m256d t = _mm256_max_pd(v[0], v[1]);
+  const __m128d u =
+      _mm_max_pd(_mm256_castpd256_pd128(t), _mm256_extractf128_pd(t, 1));
+  return _mm_cvtsd_f64(_mm_max_sd(u, _mm_unpackhi_pd(u, u)));
+}
+
+// One block of eight elements of a leaf: keys and positions as doubles,
+// and for the last, partial block the lanes below n as all-ones masks.
+struct FitBlock {
+  __m256d x[2], y[2], live[2];
+};
+
+// ScalarFitLeaf with register h's lane l taking element i + 4h + l. Full
+// blocks accumulate directly; the partial last block blends its live
+// lanes in, so lanes past n keep their sums.
+void FitLeafAvx2(const uint64_t* keys, const uint32_t* positions, size_t n,
+                 uint64_t first_pos, uint64_t max_pos, LeafFit* out) {
+  const __m256d iota[2] = {_mm256_setr_pd(0, 1, 2, 3),
+                           _mm256_setr_pd(4, 5, 6, 7)};
+  auto load = [&](size_t i, FitBlock* b) {
+    const size_t left = n - i;
+    __m256i p = _mm256_setzero_si256();
+    if (left >= kFitLanes) {
+      for (int h = 0; h < 2; ++h) {
+        b->x[h] = U64ToF64(_mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(keys + i + 4 * h)));
+      }
+      if (positions != nullptr) {
+        p = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(positions + i));
+      }
+    } else {
+      const __m256i vleft = _mm256_set1_epi64x(static_cast<long long>(left));
+      for (int h = 0; h < 2; ++h) {
+        const __m256i m = _mm256_cmpgt_epi64(
+            vleft, _mm256_setr_epi64x(4 * h, 4 * h + 1, 4 * h + 2, 4 * h + 3));
+        b->live[h] = _mm256_castsi256_pd(m);
+        b->x[h] = U64ToF64(_mm256_maskload_epi64(
+            reinterpret_cast<const long long*>(keys + i + 4 * h), m));
+      }
+      if (positions != nullptr) {
+        p = _mm256_maskload_epi32(
+            reinterpret_cast<const int*>(positions + i),
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(left)),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)));
+      }
+    }
+    if (positions != nullptr) {
+      b->y[0] = U32ToF64(_mm256_castsi256_si128(p));
+      b->y[1] = U32ToF64(_mm256_extracti128_si256(p, 1));
+    } else {
+      const __m256d base = _mm256_set1_pd(static_cast<double>(first_pos + i));
+      for (int h = 0; h < 2; ++h) b->y[h] = _mm256_add_pd(base, iota[h]);
+    }
+  };
+  // Runs step(block, acc) over full blocks, then over the partial one
+  // with acc blending live lanes.
+  auto for_blocks = [&](auto&& step) {
+    FitBlock b;
+    size_t i = 0;
+    for (; i + kFitLanes <= n; i += kFitLanes) {
+      load(i, &b);
+      step(b, [](__m256d& sum, __m256d v, int) { sum = v; });
+    }
+    if (i < n) {
+      load(i, &b);
+      step(b, [&](__m256d& sum, __m256d v, int h) {
+        sum = _mm256_blendv_pd(sum, v, b.live[h]);
+      });
+    }
+  };
+  const double x0 = static_cast<double>(keys[0]);
+  const double y0 = static_cast<double>(
+      positions != nullptr ? uint64_t{positions[0]} : first_pos);
+  const __m256d vx0 = _mm256_set1_pd(x0), vy0 = _mm256_set1_pd(y0);
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d sx[2] = {zero, zero}, sy[2] = {zero, zero};
+  __m256d sxx[2] = {zero, zero}, sxy[2] = {zero, zero};
+  for_blocks([&](const FitBlock& b, auto&& acc) {
+    for (int h = 0; h < 2; ++h) {
+      const __m256d dx = _mm256_sub_pd(b.x[h], vx0);
+      const __m256d dy = _mm256_sub_pd(b.y[h], vy0);
+      acc(sx[h], _mm256_add_pd(sx[h], dx), h);
+      acc(sy[h], _mm256_add_pd(sy[h], dy), h);
+      acc(sxx[h], _mm256_fmadd_pd(dx, dx, sxx[h]), h);
+      acc(sxy[h], _mm256_fmadd_pd(dx, dy, sxy[h]), h);
+    }
+  });
+  FitLineFromSums(n, x0, y0, SumFitLanes8(sx), SumFitLanes8(sy),
+                  SumFitLanes8(sxx), SumFitLanes8(sxy), out);
+  const __m256d vs = _mm256_set1_pd(out->slope);
+  const __m256d vi = _mm256_set1_pd(out->intercept);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d cap = _mm256_set1_pd(static_cast<double>(max_pos));
+  const __m256d inf = _mm256_set1_pd(INFINITY);
+  const __m256d neg_inf = _mm256_set1_pd(-INFINITY);
+  __m256d lo[2] = {inf, inf}, hi[2] = {neg_inf, neg_inf};
+  __m256d s[2] = {zero, zero}, q[2] = {zero, zero};
+  for_blocks([&](const FitBlock& b, auto&& acc) {
+    for (int h = 0; h < 2; ++h) {
+      // predict_run's clamp, kept in the double domain.
+      const __m256d p = _mm256_max_pd(_mm256_fmadd_pd(vs, b.x[h], vi), zero);
+      const __m256d r =
+          _mm256_min_pd(_mm256_floor_pd(_mm256_add_pd(p, half)), cap);
+      const __m256d e = _mm256_sub_pd(b.y[h], r);
+      acc(lo[h], _mm256_min_pd(lo[h], e), h);
+      acc(hi[h], _mm256_max_pd(hi[h], e), h);
+      acc(s[h], _mm256_add_pd(s[h], e), h);
+      acc(q[h], _mm256_fmadd_pd(e, e, q[h]), h);
+    }
+  });
+  FitBandFromSums(n, MinLanes8(lo), MaxLanes8(hi), SumFitLanes8(s),
+                  SumFitLanes8(q), out);
+}
+
 }  // namespace
 
 const Kernels* Avx2Kernels() {
@@ -326,7 +466,7 @@ const Kernels* Avx2Kernels() {
       "avx2",          RouteAvx2,        PredictRunAvx2,
       LowerBoundU64Avx2, UpperBoundU64Avx2, LowerBoundU64MultiAvx2,
       U64ToF64Avx2,    HashSlotsAvx2,    CuckooSlotsAvx2,
-      CountAtLeastFlaggedU64Avx2, NextInRangeU64Avx2,
+      CountAtLeastFlaggedU64Avx2, NextInRangeU64Avx2, FitLeafAvx2,
   };
   return &kTable;
 }

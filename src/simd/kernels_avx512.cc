@@ -292,6 +292,76 @@ size_t NextInRangeU64Avx512(const uint64_t* keys, size_t begin, size_t n,
   return n;
 }
 
+// The eight lanes of one fit sum, reduced in the spec's tree
+// (SumFitLanes): 8 -> 4 -> 2 -> 1.
+inline double SumFitLanes8(__m512d v) {
+  const __m256d t = _mm256_add_pd(_mm512_castpd512_pd256(v),
+                                  _mm512_extractf64x4_pd(v, 1));
+  const __m128d u =
+      _mm_add_pd(_mm256_castpd256_pd128(t), _mm256_extractf128_pd(t, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(u, _mm_unpackhi_pd(u, u)));
+}
+
+// ScalarFitLeaf with lane l of a register taking element i + l; the last
+// block's lanes past n are masked off every accumulation.
+void FitLeafAvx512(const uint64_t* keys, const uint32_t* positions, size_t n,
+                   uint64_t first_pos, uint64_t max_pos, LeafFit* out) {
+  const __m512d iota = _mm512_setr_pd(0, 1, 2, 3, 4, 5, 6, 7);
+  auto mask_at = [&](size_t i) {
+    return n - i >= kFitLanes ? __mmask8{0xFF}
+                              : static_cast<__mmask8>((1u << (n - i)) - 1);
+  };
+  // The block's keys and positions as doubles (masked-off lanes read 0).
+  auto load = [&](size_t i, __mmask8 m, __m512d* x, __m512d* y) {
+    *x = _mm512_cvtepu64_pd(_mm512_maskz_loadu_epi64(m, keys + i));
+    *y = positions != nullptr
+             ? _mm512_cvtepu32_pd(_mm512_castsi512_si256(
+                   _mm512_maskz_loadu_epi32(m, positions + i)))
+             : _mm512_add_pd(
+                   _mm512_set1_pd(static_cast<double>(first_pos + i)), iota);
+  };
+  const double x0 = static_cast<double>(keys[0]);
+  const double y0 = static_cast<double>(
+      positions != nullptr ? uint64_t{positions[0]} : first_pos);
+  const __m512d vx0 = _mm512_set1_pd(x0), vy0 = _mm512_set1_pd(y0);
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d sx = zero, sy = zero, sxx = zero, sxy = zero;
+  __m512d x, y;
+  for (size_t i = 0; i < n; i += kFitLanes) {
+    const __mmask8 m = mask_at(i);
+    load(i, m, &x, &y);
+    const __m512d dx = _mm512_sub_pd(x, vx0);
+    const __m512d dy = _mm512_sub_pd(y, vy0);
+    sx = _mm512_mask_add_pd(sx, m, sx, dx);
+    sy = _mm512_mask_add_pd(sy, m, sy, dy);
+    sxx = _mm512_mask3_fmadd_pd(dx, dx, sxx, m);
+    sxy = _mm512_mask3_fmadd_pd(dx, dy, sxy, m);
+  }
+  FitLineFromSums(n, x0, y0, SumFitLanes8(sx), SumFitLanes8(sy),
+                  SumFitLanes8(sxx), SumFitLanes8(sxy), out);
+  const __m512d vs = _mm512_set1_pd(out->slope);
+  const __m512d vi = _mm512_set1_pd(out->intercept);
+  const __m512d half = _mm512_set1_pd(0.5);
+  const __m512d cap = _mm512_set1_pd(static_cast<double>(max_pos));
+  __m512d lo = _mm512_set1_pd(INFINITY), hi = _mm512_set1_pd(-INFINITY);
+  __m512d s = zero, q = zero;
+  for (size_t i = 0; i < n; i += kFitLanes) {
+    const __mmask8 m = mask_at(i);
+    load(i, m, &x, &y);
+    // predict_run's clamp, kept in the double domain.
+    const __m512d p = _mm512_max_pd(_mm512_fmadd_pd(vs, x, vi), zero);
+    const __m512d r =
+        _mm512_min_pd(_mm512_floor_pd(_mm512_add_pd(p, half)), cap);
+    const __m512d e = _mm512_sub_pd(y, r);
+    lo = _mm512_mask_min_pd(lo, m, lo, e);
+    hi = _mm512_mask_max_pd(hi, m, hi, e);
+    s = _mm512_mask_add_pd(s, m, s, e);
+    q = _mm512_mask3_fmadd_pd(e, e, q, m);
+  }
+  FitBandFromSums(n, _mm512_reduce_min_pd(lo), _mm512_reduce_max_pd(hi),
+                  SumFitLanes8(s), SumFitLanes8(q), out);
+}
+
 }  // namespace
 
 const Kernels* Avx512Kernels() {
@@ -299,7 +369,7 @@ const Kernels* Avx512Kernels() {
       "avx512",          RouteAvx512,        PredictRunAvx512,
       LowerBoundU64Avx512, UpperBoundU64Avx512, LowerBoundU64MultiAvx512,
       U64ToF64Avx512,    HashSlotsAvx512,    CuckooSlotsAvx512,
-      CountAtLeastFlaggedU64Avx512, NextInRangeU64Avx512,
+      CountAtLeastFlaggedU64Avx512, NextInRangeU64Avx512, FitLeafAvx512,
   };
   return &kTable;
 }

@@ -120,7 +120,7 @@ const Kernels& ScalarKernels() {
       "scalar",        RouteScalar,        PredictRunScalar,
       LowerBoundU64Scalar, UpperBoundU64Scalar, LowerBoundU64MultiScalar,
       U64ToF64Scalar,  HashSlotsScalar,    CuckooSlotsScalar,
-      CountAtLeastFlaggedU64Scalar, NextInRangeU64Scalar,
+      CountAtLeastFlaggedU64Scalar, NextInRangeU64Scalar, ScalarFitLeaf,
   };
   return kTable;
 }

@@ -652,6 +652,91 @@ TEST(ThreadedBuildTest, WorkerCountFollowsKeyCount) {
   EXPECT_EQ(LinearRmi::BuildWorkers(size_t{1} << 30), cores);
 }
 
+// ---- Level-independent builds (the leaf fit's kernel, simd::fit_leaf) ----
+
+// Builds under each dispatch level must give the scalar level's leaves
+// and snapshot byte for byte.
+void ExpectLevelIndependentBuild(const std::vector<uint64_t>& keys,
+                                 const RmiConfig& config) {
+  LinearRmi want;
+  {
+    simd::ScopedLevel pin(simd::Level::kScalar);
+    ASSERT_TRUE(pin.status().ok());
+    ASSERT_TRUE(want.Build(keys, config).ok());
+  }
+  const std::string want_bytes = SnapshotBytes(want, "scalar");
+  ASSERT_FALSE(want_bytes.empty());
+  for (const simd::Level level : SupportedLevels()) {
+    simd::ScopedLevel pin(level);
+    ASSERT_TRUE(pin.status().ok());
+    LinearRmi got;
+    ASSERT_TRUE(got.Build(keys, config).ok());
+    EXPECT_TRUE(SameLeafBytes(want, got)) << simd::LevelName(level);
+    EXPECT_EQ(SnapshotBytes(got, "level"), want_bytes)
+        << simd::LevelName(level);
+  }
+}
+
+TEST(LevelIndependentBuildTest, LinearRmiLeavesAndSnapshots) {
+  // Past 2^19 keys, so the build also fans out over workers.
+  const auto keys = data::GenLognormal(3 * (size_t{1} << 18) + 37, 57);
+  RmiConfig config;
+  config.num_leaf_models = keys.size() / 64;
+  ExpectLevelIndependentBuild(keys, config);
+  ExpectLevelIndependentBuild(keys, RmiConfig{});
+}
+
+TEST(LevelIndependentBuildTest, NeuralTopGroupedLeaves) {
+  const auto keys = data::GenLognormal(50'037, 58);
+  RmiConfig config;
+  config.num_leaf_models = 2000;
+  config.train.nn.hidden = {16};
+  config.train.nn.epochs = 20;
+  NeuralRmi want;
+  {
+    simd::ScopedLevel pin(simd::Level::kScalar);
+    ASSERT_TRUE(pin.status().ok());
+    ASSERT_TRUE(want.Build(keys, config).ok());
+  }
+  // Routing is not monotone, so the build gathers each leaf's keys.
+  bool monotone = true;
+  for (size_t i = 1; i < keys.size(); ++i) {
+    monotone &= want.Predict(keys[i]).leaf >= want.Predict(keys[i - 1]).leaf;
+  }
+  ASSERT_FALSE(monotone);
+  for (const simd::Level level : SupportedLevels()) {
+    simd::ScopedLevel pin(level);
+    ASSERT_TRUE(pin.status().ok());
+    NeuralRmi got;
+    ASSERT_TRUE(got.Build(keys, config).ok());
+    EXPECT_TRUE(SameLeafBytes(want, got)) << simd::LevelName(level);
+  }
+}
+
+TEST(LevelIndependentBuildTest, LearnedHashSlots) {
+  const auto keys = data::GenLognormal(200'003, 59);
+  RmiConfig config;
+  config.num_leaf_models = keys.size() / 10;
+  config.num_route_models = 1;
+  std::vector<uint64_t> want(keys.size());
+  {
+    simd::ScopedLevel pin(simd::Level::kScalar);
+    ASSERT_TRUE(pin.status().ok());
+    hash::LearnedHash<> hash;
+    ASSERT_TRUE(hash.Build(keys, keys.size(), config).ok());
+    for (size_t i = 0; i < keys.size(); ++i) want[i] = hash(keys[i]);
+  }
+  for (const simd::Level level : SupportedLevels()) {
+    simd::ScopedLevel pin(level);
+    ASSERT_TRUE(pin.status().ok());
+    hash::LearnedHash<> hash;
+    ASSERT_TRUE(hash.Build(keys, keys.size(), config).ok());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(hash(keys[i]), want[i]) << simd::LevelName(level) << " " << i;
+    }
+  }
+}
+
 TEST(RmiTest, RefusesMoreThanUint32MaxKeys) {
   // 2^32 keys over a read-only mapping that is never touched: leaf
   // offsets and routed positions are 32-bit, so Build must refuse before

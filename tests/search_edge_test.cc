@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -121,6 +123,27 @@ TEST(FindInWindowTest, BoundaryFixupRecoversFromWrongWindows) {
     for (const Strategy s : kAllStrategies) {
       EXPECT_EQ(FindInWindow(s, keys.data(), keys.size(), q, a, 2), truth)
           << StrategyName(s) << " q=" << q;
+    }
+  }
+}
+
+TEST(FindInWindowTest, SaturatedErrorBandStaysInRange) {
+  // A leaf band saturated at the int32 limits (errors past +-2^31) widens
+  // to the whole array, and the search still lands on the truth.
+  const auto keys = data::GenUniform(5000, 35, 1'000'000);
+  for (const size_t pos : {size_t{0}, size_t{2500}, keys.size() - 1}) {
+    const index::Approx a = index::Approx::FromErrorBand(
+        pos, INT32_MIN, INT32_MAX, keys.size());
+    EXPECT_EQ(a.lo, 0u);
+    EXPECT_EQ(a.hi, keys.size());
+    EXPECT_EQ(a.pos, pos);
+    for (const uint64_t q : {keys[17], keys[4000] + 1}) {
+      const size_t truth = static_cast<size_t>(
+          std::lower_bound(keys.begin(), keys.end(), q) - keys.begin());
+      for (const Strategy s : kAllStrategies) {
+        EXPECT_EQ(FindInWindow(s, keys.data(), keys.size(), q, a, 2), truth)
+            << StrategyName(s) << " pos=" << pos;
+      }
     }
   }
 }

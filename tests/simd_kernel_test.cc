@@ -1,7 +1,8 @@
 // SIMD kernel conformance suite: every compiled-and-supported dispatch
 // level must agree bit-for-bit with the scalar reference kernels — on edge
 // inputs (empty / 1-key / odd-length batches, duplicate keys, window ends,
-// denormal and extreme doubles, NaN/infinity products) and end-to-end
+// denormal and extreme doubles, NaN/infinity products, leaf fits whose
+// bands pass the int32 range) and end-to-end
 // (RmiIndex::LookupBatch, hash SlotBatch/FindBatch) under forced-level
 // dispatch. The concurrent range wrapper's Scan runs its write-log
 // passes through the table, so it rides the matrix too: identical answers
@@ -12,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -341,6 +344,164 @@ TEST(SimdKernelTest, LogScanKernelsMatchScalar) {
           }
         }
       }
+    }
+  }
+}
+
+// ---- leaf fit (Kernels::fit_leaf) ---------------------------------------
+
+// Run lengths around the eight-lane block: a lone partial block, exact
+// blocks, a partial block after full ones, and a long run.
+const size_t kRunLengths[] = {1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000};
+
+// One leaf's run: keys with positions[i], or first_pos + i when
+// `positions` is empty.
+struct FitCase {
+  const char* name;
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> positions;
+  uint64_t first_pos = 0;
+  uint64_t max_pos = 0;
+
+  const uint32_t* pos_ptr() const {
+    return positions.empty() ? nullptr : positions.data();
+  }
+  uint64_t pos(size_t i) const {
+    return positions.empty() ? first_pos + i : positions[i];
+  }
+  LeafFit Fit(const Kernels& k) const {
+    LeafFit fit;
+    k.fit_leaf(keys.data(), pos_ptr(), keys.size(), first_pos, max_pos, &fit);
+    return fit;
+  }
+};
+
+// Ascending keys from `start` with gaps in [1, max_gap].
+std::vector<uint64_t> AscendingKeys(size_t n, uint64_t start,
+                                    uint64_t max_gap, uint64_t seed) {
+  Xorshift128Plus rng(seed);
+  std::vector<uint64_t> keys(n);
+  uint64_t k = start;
+  for (uint64_t& key : keys) key = k += 1 + rng.NextBounded(max_gap);
+  return keys;
+}
+
+std::vector<FitCase> FitCases(size_t n) {
+  std::vector<FitCase> cases;
+  const uint64_t far = uint64_t{1} << 40;
+  cases.push_back({"near_zero", AscendingKeys(n, 0, 100, n), {}, 0, far});
+  {
+    // The run ends at 2^64 - 1, where the doubles of adjacent keys tie.
+    auto keys = AscendingKeys(n, 0, uint64_t{1} << 12, n + 1);
+    const uint64_t shift = UINT64_MAX - keys.back();
+    for (uint64_t& k : keys) k += shift;
+    cases.push_back({"near_max", std::move(keys), {}, 1'000'000, far});
+  }
+  cases.push_back({"dense", AscendingKeys(n, 999'999, 1, 0), {}, 0, far});
+  cases.push_back(
+      {"dense_offset", AscendingKeys(n, 4'999'999, 1, 0), {}, 123'456, far});
+  {
+    auto keys = AscendingKeys(n, 1'000, 1'000, n + 2);
+    keys.back() = uint64_t{1} << 62;  // one far outlier
+    cases.push_back({"outlier", std::move(keys), {}, 77, far});
+  }
+  {
+    // Grouped routing: increasing positions with gaps, as a leaf's keys
+    // come out of the grouping pass.
+    Xorshift128Plus rng(n + 3);
+    std::vector<uint32_t> positions(n);
+    uint32_t p = 5;
+    for (uint32_t& x : positions) {
+      x = p += 1 + static_cast<uint32_t>(rng.NextBounded(50));
+    }
+    cases.push_back({"explicit", AscendingKeys(n, 1u << 20, 5'000, n + 4),
+                     std::move(positions), 0, far});
+  }
+  {
+    // Explicit positions in no order, and a cap below most of them.
+    Xorshift128Plus rng(n + 5);
+    std::vector<uint32_t> positions(n);
+    for (uint32_t& x : positions) {
+      x = static_cast<uint32_t>(rng.NextBounded(uint64_t{1} << 31));
+    }
+    cases.push_back({"explicit_shuffled",
+                     AscendingKeys(n, 1u << 30, 1u << 20, n + 6),
+                     std::move(positions), 0, uint64_t{1} << 29});
+  }
+  return cases;
+}
+
+bool SameFit(const LeafFit& a, const LeafFit& b) {
+  return std::bit_cast<uint64_t>(a.slope) == std::bit_cast<uint64_t>(b.slope) &&
+         std::bit_cast<uint64_t>(a.intercept) ==
+             std::bit_cast<uint64_t>(b.intercept) &&
+         a.min_err == b.min_err && a.max_err == b.max_err &&
+         std::bit_cast<uint32_t>(a.std_err) == std::bit_cast<uint32_t>(b.std_err);
+}
+
+// Every key's error against the predict spec, in 64 bits.
+int64_t ErrorAt(const FitCase& c, const LeafFit& fit, size_t i) {
+  return static_cast<int64_t>(c.pos(i)) -
+         static_cast<int64_t>(ScalarPredict1(static_cast<double>(c.keys[i]),
+                                             fit.slope, fit.intercept,
+                                             c.max_pos));
+}
+
+TEST(SimdKernelTest, FitLeafMatchesScalarAndCoversEveryKey) {
+  const Kernels& ref = KernelsFor(Level::kScalar);
+  for (const size_t n : kRunLengths) {
+    for (const FitCase& c : FitCases(n)) {
+      const LeafFit want = c.Fit(ref);
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t e = ErrorAt(c, want, i);
+        ASSERT_LE(want.min_err, e) << c.name << " n=" << n << " i=" << i;
+        ASSERT_GE(want.max_err, e) << c.name << " n=" << n << " i=" << i;
+      }
+      if (std::string(c.name).starts_with("dense") && n >= 2) {
+        // Consecutive keys at consecutive positions keep every sum exact:
+        // slope 1 and a zero-width band.
+        EXPECT_EQ(want.slope, 1.0) << c.name << " n=" << n;
+        EXPECT_EQ(want.min_err, 0) << c.name << " n=" << n;
+        EXPECT_EQ(want.max_err, 0) << c.name << " n=" << n;
+        EXPECT_EQ(want.std_err, 0.0f) << c.name << " n=" << n;
+      }
+      for (const Level level : SupportedLevels()) {
+        const LeafFit got = c.Fit(KernelsFor(level));
+        ASSERT_TRUE(SameFit(got, want))
+            << LevelName(level) << " " << c.name << " n=" << n
+            << ": slope " << got.slope << " vs " << want.slope
+            << ", intercept " << got.intercept << " vs " << want.intercept
+            << ", band [" << got.min_err << ", " << got.max_err << "] vs ["
+            << want.min_err << ", " << want.max_err << "], std "
+            << got.std_err << " vs " << want.std_err;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, FitLeafSaturatesBandsPastInt32) {
+  // Positions spread over 2^32 (what a 2^32 - 1 key build allows) give
+  // errors past +-2^31: the band clamps to the int32 range rather than
+  // wrapping, at every level.
+  const uint32_t top = UINT32_MAX;
+  for (const size_t n : {size_t{9}, size_t{16}, size_t{65}}) {
+    std::vector<uint32_t> rising(n, 0), falling(n, top);
+    rising.back() = top;
+    falling.back() = 0;
+    const auto keys = AscendingKeys(n, 1'000, 1'000, n);
+    const FitCase up{"rising", keys, rising, 0, top};
+    const FitCase down{"falling", keys, falling, 0, top};
+    const LeafFit want_up = up.Fit(KernelsFor(Level::kScalar));
+    const LeafFit want_down = down.Fit(KernelsFor(Level::kScalar));
+    EXPECT_GT(ErrorAt(up, want_up, n - 1), int64_t{INT32_MAX}) << n;
+    EXPECT_EQ(want_up.max_err, INT32_MAX) << n;
+    EXPECT_LT(ErrorAt(down, want_down, n - 1), int64_t{INT32_MIN}) << n;
+    EXPECT_EQ(want_down.min_err, INT32_MIN) << n;
+    for (const Level level : SupportedLevels()) {
+      EXPECT_TRUE(SameFit(up.Fit(KernelsFor(level)), want_up))
+          << LevelName(level) << " n=" << n;
+      EXPECT_TRUE(SameFit(down.Fit(KernelsFor(level)), want_down))
+          << LevelName(level) << " n=" << n;
     }
   }
 }
